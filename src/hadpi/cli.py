@@ -28,7 +28,13 @@ from .lang import (
     typecheck,
 )
 from .linalg import LinAlgError, format_matrix, parse_matrix
-from .synthesis import SynthesisError, format_trace, normal_form_word, synthesize
+from .synthesis import (
+    SynthesisError,
+    _trace_word,
+    format_trace,
+    normal_form_word,
+    synthesize,
+)
 from .translate import TranslateError, TranslationReport, qsem, t_h, t_q, wsem
 from .words import (
     CATALOG,
@@ -52,9 +58,11 @@ def _read_input(value: str) -> str:
     if value == "-":
         return sys.stdin.read()
     p = Path(value)
-    if p.is_file():
-        return p.read_text()
-    return value
+    try:
+        is_file = p.is_file()
+    except OSError:
+        is_file = False  # too long or otherwise not a usable path name
+    return p.read_text() if is_file else value
 
 
 def _term_arg(value: str, lang: str) -> Term:
@@ -137,7 +145,7 @@ def cmd_sem(args) -> int:
 def cmd_synth(args) -> int:
     m = _matrix_arg(args.matrix)
     trace = synthesize(m)
-    print(format_word(normal_form_word(m)))
+    print(format_word(_trace_word(trace)))
     if args.trace:
         print(format_trace(trace))
     return 0

@@ -207,27 +207,35 @@ class CombinatorType:
         return f"{format_type(self.src)} <-> {format_type(self.dst)}"
 
 
-def _fail(path: tuple[str, ...], msg: str) -> "LangError":
-    where = ".".join(path) if path else "term"
+# Where a subterm sits: () for the whole term, else (parent path, step).
+# Linked so that extending it is O(1); a translated word's seq spine is
+# thousands deep, and flat tuples would copy the prefix at every node.
+_Path = tuple
+
+
+def _fail(path: _Path, msg: str) -> "LangError":
+    steps = []
+    while path:
+        path, step = path
+        steps.append(step)
+    where = ".".join(reversed(steps)) if steps else "term"
     return LangError(f"at {where}: {msg}")
 
 
-def _swap_sum_perm(n1: int, n2: int) -> ExactMatrix:
+def _swap_sum_perm(n1: int, n2: int) -> list[int]:
     # basis vector j of the left block moves past the whole right block
     n = n1 + n2
-    perm = [j + n2 for j in range(1, n1 + 1)] + [j - n1 for j in range(n1 + 1, n + 1)]
-    return permutation_matrix(perm)
+    return [j + n2 for j in range(1, n1 + 1)] + [j - n1 for j in range(n1 + 1, n + 1)]
 
 
-def _swap_prod_perm(n1: int, n2: int) -> ExactMatrix:
+def _swap_prod_perm(n1: int, n2: int) -> list[int]:
     # pair index (i1, i2) becomes (i2, i1)
     n = n1 * n2
-    perm = [((p - 1) % n2) * n1 + (p - 1) // n2 + 1 for p in range(1, n + 1)]
-    return permutation_matrix(perm)
+    return [((p - 1) % n2) * n1 + (p - 1) // n2 + 1 for p in range(1, n + 1)]
 
 
 def _prim_step(
-    name: str, b: ValueType, lang: str, path: tuple[str, ...], want: bool
+    name: str, b: ValueType, lang: str, path: _Path, want: bool
 ) -> tuple[ValueType, Optional[ExactMatrix]]:
     """Target type of one primitive on input b, plus its matrix if asked."""
     allowed = _LANG_PRIMS.get(lang)
@@ -249,7 +257,7 @@ def _prim_step(
         dst = Sum(b.right, b.left)
         if not want:
             return dst, None
-        return dst, _swap_sum_perm(hdim(b.left), hdim(b.right))
+        return dst, permutation_matrix(_swap_sum_perm(hdim(b.left), hdim(b.right)))
     if name == "assocr+":
         if not (isinstance(b, Sum) and isinstance(b.left, Sum)):
             raise _fail(path, f"assocr+ needs input (b1+b2)+b3, got {format_type(b)}")
@@ -270,7 +278,7 @@ def _prim_step(
         dst = Prod(b.right, b.left)
         if not want:
             return dst, None
-        return dst, _swap_prod_perm(hdim(b.left), hdim(b.right))
+        return dst, permutation_matrix(_swap_prod_perm(hdim(b.left), hdim(b.right)))
     if name == "assocr*":
         if not (isinstance(b, Prod) and isinstance(b.left, Prod)):
             raise _fail(path, f"assocr* needs input (b1*b2)*b3, got {format_type(b)}")
@@ -317,22 +325,22 @@ def _prim_step(
     raise _fail(path, f"unknown primitive {name}")
 
 
-def _seq_items(c: Term, path: tuple[str, ...]) -> list[tuple[Term, tuple[str, ...]]]:
+def _seq_items(c: Term, path: _Path) -> list[tuple[Term, _Path]]:
     """Non-seq leaves of a seq spine in application order, iteratively."""
-    out: list[tuple[Term, tuple[str, ...]]] = []
+    out: list[tuple[Term, _Path]] = []
     stack = [(c, path)]
     while stack:
         node, p = stack.pop()
         if isinstance(node, Seq):
-            stack.append((node.snd, p + ("seq.snd",)))
-            stack.append((node.fst, p + ("seq.fst",)))
+            stack.append((node.snd, (p, "seq.snd")))
+            stack.append((node.fst, (p, "seq.fst")))
         else:
             out.append((node, p))
     return out
 
 
 def _run(
-    c: Term, b: ValueType, lang: str, path: tuple[str, ...], want: bool
+    c: Term, b: ValueType, lang: str, path: _Path, want: bool
 ) -> tuple[ValueType, Optional[ExactMatrix]]:
     if isinstance(c, Prim):
         return _prim_step(c.name, b, lang, path, want)
@@ -353,16 +361,16 @@ def _run(
     if isinstance(c, SumC):
         if not isinstance(b, Sum):
             raise _fail(path, f"sum of terms needs a sum input, got {format_type(b)}")
-        ld, lm = _run(c.left, b.left, lang, path + ("sum.left",), want)
-        rd, rm = _run(c.right, b.right, lang, path + ("sum.right",), want)
+        ld, lm = _run(c.left, b.left, lang, (path, "sum.left"), want)
+        rd, rm = _run(c.right, b.right, lang, (path, "sum.right"), want)
         return Sum(ld, rd), lm.direct_sum(rm) if want else None
     if isinstance(c, ProdC):
         if not isinstance(b, Prod):
             raise _fail(
                 path, f"product of terms needs a product input, got {format_type(b)}"
             )
-        ld, lm = _run(c.left, b.left, lang, path + ("prod.left",), want)
-        rd, rm = _run(c.right, b.right, lang, path + ("prod.right",), want)
+        ld, lm = _run(c.left, b.left, lang, (path, "prod.left"), want)
+        rd, rm = _run(c.right, b.right, lang, (path, "prod.right"), want)
         return Prod(ld, rd), lm.tensor(rm) if want else None
     raise _fail(path, f"not a term: {c!r}")
 

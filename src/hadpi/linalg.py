@@ -28,7 +28,10 @@ class ExactMatrix:
 
     def __init__(self, n: int, k: int, aa: Sequence[int], bb: Sequence[int]):
         # n = 0 is legal: Zero-typed program paths denote empty blocks
-        assert n >= 0 and k >= 0 and len(aa) == n * n and len(bb) == n * n
+        if not (n >= 0 and k >= 0 and len(aa) == n * n and len(bb) == n * n):
+            raise LinAlgError(
+                f"bad matrix data: n={n}, k={k}, {len(aa)} and {len(bb)} coefficients"
+            )
         k, aa, bb = reduce_nums(k, aa, bb)
         self.n = n
         self.k = k

@@ -97,7 +97,8 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
         nonlocal current
         work.apply_word(gens)
         lv = _level_unchecked(work.snapshot())
-        assert lv < current, f"syllable failed to decrease level: {lv} !< {current}"
+        if not lv < current:
+            raise SynthesisError(f"syllable did not lower the level: {lv} !< {current}")
         current = lv
         syllables.append(Syllable(tuple(gens)))
         levels.append(lv)
@@ -107,17 +108,20 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
         while k > 0:
             res = [x.residue() for x in col]
             odd = [i for i in range(1, n + 1) if res[i - 1].is_odd]
-            assert odd, "positive exponent requires an odd entry"
+            if not odd:
+                raise SynthesisError("positive exponent requires an odd entry")
             i1 = odd[0]
             i2 = next((i for i in odd[1:] if res[i - 1] is res[i1 - 1]), None)
-            assert i2 is not None, "odd residues must pair up in a unit column"
+            if i2 is None:
+                raise SynthesisError("odd residues must pair up in a unit column")
             if i1 == 1:
                 emit([gen_h(1, i2)])
             else:
                 emit([gen_h(1, i2), gen_x(1, i1)])
             k, col = work.column(j)
         a = next(i for i in range(1, n + 1) if not col[i - 1].is_zero)
-        assert a <= j and col[a - 1].a in (1, -1) and col[a - 1].b == 0
+        if not (a <= j and col[a - 1].a in (1, -1) and col[a - 1].b == 0):
+            raise SynthesisError(f"column {j} is not a signed basis vector")
         tau = col[a - 1].a < 0
         if a == j and not tau:
             continue
@@ -125,7 +129,8 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
             emit([gen_z(a)])
         else:
             emit([gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)])
-    assert work.snapshot().is_identity(), "synthesis did not reach identity"
+    if not work.snapshot().is_identity():
+        raise SynthesisError("synthesis did not reach identity")
     return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))
 
 
@@ -137,9 +142,13 @@ def normal_form_word(M: ExactMatrix) -> Word:
     multiplies out to M itself.  Determinism of the synthesis makes the
     result canonical: equal matrices yield token-identical words.
     """
-    trace = synthesize(M)
+    return _trace_word(synthesize(M))
+
+
+def _trace_word(trace: SynthesisTrace) -> Word:
+    """The word of the trace's input matrix: each syllable inverted in turn."""
     gens = [g for syl in trace.syllables for g in reversed(syl.gens)]
-    return Word(M.n, tuple(gens))
+    return Word(trace.n, tuple(gens))
 
 
 def permutation_matrix(perm: Sequence[int]) -> ExactMatrix:
@@ -159,7 +168,8 @@ def hpermute(perm: Sequence[int]) -> Word:
     word = normal_form_word(target)
     from .words import word_sem
 
-    assert word_sem(word) == target
+    if word_sem(word) != target:
+        raise SynthesisError(f"word for permutation {list(perm)} has the wrong matrix")
     return word
 
 

@@ -25,6 +25,9 @@ from .lang import (
     Term,
     ValueType,
     Zero,
+    _seq_items,
+    _swap_prod_perm,
+    _swap_sum_perm,
     hdim,
     nsum,
     sem,
@@ -71,25 +74,6 @@ class TranslationReport:
         return f"padded-equal (identity prefix {self.padding})"
 
 
-def _spine(c: Term) -> list:
-    """Leaves of a seq spine in application order, iteratively."""
-    items = []
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Seq):
-            stack.append(node.snd)
-            stack.append(node.fst)
-        else:
-            items.append(node)
-    return items
-
-
-def _transpose_perm(n1: int, n2: int) -> list[int]:
-    # pair index (i1, i2) of an n1 x n2 grid becomes (i2, i1)
-    return [((p - 1) % n2) * n1 + (p - 1) // n2 + 1 for p in range(1, n1 * n2 + 1)]
-
-
 # ---------------------------------------------------------------------------
 # programs to words
 
@@ -109,18 +93,16 @@ def _w(c: Term, b: ValueType) -> Word:
         if name == "had":
             return Word(2, (gen_h(1, 2),))
         if name == "swap+":
-            n1 = hdim(b.left)
-            perm = [j + n - n1 if j <= n1 else j - n1 for j in range(1, n + 1)]
-            return hpermute(perm)
+            return hpermute(_swap_sum_perm(hdim(b.left), hdim(b.right)))
         if name == "swap*":
-            return hpermute(_transpose_perm(hdim(b.left), hdim(b.right)))
+            return hpermute(_swap_prod_perm(hdim(b.left), hdim(b.right)))
         return Word(n, ())
     if isinstance(c, Factorz):
         return Word(0, ())
     if isinstance(c, Seq):
         gens: tuple[Generator, ...] = ()
         cur = b
-        for node in _spine(c):
+        for node, _ in _seq_items(c, ()):
             gens = _w(node, cur).gens + gens
             cur = typecheck(node, cur, "qpi").dst
         return Word(n, gens)
@@ -136,9 +118,9 @@ def _w(c: Term, b: ValueType) -> Word:
         n1, n2 = hdim(b1), hdim(b2)
         b4 = typecheck(c.right, b2, "qpi").dst
         first = _w_id_times(b1, c.right, b2)
-        mid = hpermute(_transpose_perm(n1, n2))
+        mid = hpermute(_swap_prod_perm(n1, n2))
         second = _w_id_times(b4, c.left, b1)
-        last = hpermute(_transpose_perm(n2, n1))
+        last = hpermute(_swap_prod_perm(n2, n1))
         return Word(n, last.gens + second.gens + mid.gens + first.gens)
     raise LangError(f"not a term: {c!r}")
 
@@ -250,7 +232,7 @@ def _th(c: Term, b: ValueType) -> Term:
     if isinstance(c, Seq):
         parts = []
         cur = b
-        for node in _spine(c):
+        for node, _ in _seq_items(c, ()):
             parts.append(_th(node, cur))
             cur = typecheck(node, cur, "qpi").dst
         return seqs(*parts)

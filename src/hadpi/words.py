@@ -244,7 +244,8 @@ def check_derivation(
             current = apply_step(current, step)
         except StepError as exc:
             raise StepError(f"step {i + 1}: {exc}") from None
-        assert word_sem(current) == reference, f"step {i + 1} changed the semantics"
+        if word_sem(current) != reference:
+            raise StepError(f"step {i + 1}: changed the semantics")
     return current == w_final
 
 
@@ -257,7 +258,8 @@ def words_equiv(w1: Word, w2: Word) -> bool:
     m1, m2 = word_sem(w1), word_sem(w2)
     nf1, nf2 = normal_form_word(m1), normal_form_word(m2)
     same = nf1.gens == nf2.gens
-    assert same == (m1 == m2), "normal forms disagree with matrix equality"
+    if same != (m1 == m2):
+        raise WordError("normal forms disagree with matrix equality")
     return same
 
 

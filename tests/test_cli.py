@@ -7,7 +7,8 @@ import pytest
 
 from hadpi.cli import main
 from hadpi.lang import format_term, parse_term
-from hadpi.words import parse_word
+from hadpi.linalg import format_matrix
+from hadpi.words import parse_word, word_sem
 
 
 def run(capsys, *argv):
@@ -116,6 +117,28 @@ def test_synth_trace(capsys):
     assert "# level" in lines[2]
 
 
+def test_synth_runs_synthesis_once(capsys, monkeypatch):
+    import hadpi.cli
+    import hadpi.synthesis
+
+    calls = []
+    real = hadpi.synthesis.synthesize
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(hadpi.cli, "synthesize", counted)
+    monkeypatch.setattr(hadpi.synthesis, "synthesize", counted)
+    matrix = format_matrix(word_sem(parse_word("n=3 H[1,2] X[2,3] H[1,3] Z[2]")))
+    code, plain, _ = run(capsys, "synth", matrix)
+    assert code == 0 and len(calls) == 1
+    code, traced, _ = run(capsys, "synth", matrix, "--trace")
+    assert code == 0 and len(calls) == 2
+    assert traced.startswith(plain)
+    assert traced.splitlines()[1].startswith("# initial level")
+
+
 def test_synth_rejects_non_orthogonal(capsys):
     code, _, err = run(capsys, "synth", "dim 2/lde 0/1 1/0 1")
     assert code == 1
@@ -193,6 +216,17 @@ def test_equiv_incompatible_terms(capsys):
     code, _, err = run(capsys, "equiv", "had", "neg1", "--in-type", "1+1")
     assert code == 2
     assert "incompatible" in err
+
+
+def test_long_inline_arguments_are_text(capsys):
+    # longer than a path name may be, so asking the file system about it fails
+    term = " ; ".join(["had"] * 80)
+    assert len(term) >= 300
+    code, out, err = run(capsys, "check", term)
+    assert (code, out, err) == (0, "src 1+1\ndst 1+1\n", "")
+    code, out, err = run(capsys, "equiv", term, "id")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "EQUIV"
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +377,10 @@ def test_missing_arguments_exit_two():
     assert e.value.code == 2
 
 
-def test_module_entry_point():
+def test_module_entry_point(pkg_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hadpi.cli", "sem", "had"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=pkg_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("dim 2")
