@@ -18,7 +18,6 @@ from .lang import (
     ValueType,
     format_term,
     format_type,
-    hdim,
     infer_source,
     nsum,
     parse_term,

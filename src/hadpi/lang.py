@@ -9,10 +9,12 @@ Evaluation is exact and composition runs left to right, so the matrix of
 
 from dataclasses import dataclass
 import re
-from typing import Optional, Union
+from typing import Optional, Sequence, Union
 
-from .linalg import ExactMatrix, H_BLOCK, MINUS_ONE
-from .synthesis import permutation_matrix
+from .linalg import ExactMatrix, Generator, RowState
+
+# re-exported unused: hadpibench/tracing.py patches this binding
+from .synthesis import permutation_matrix  # noqa: F401
 
 
 class LangError(ValueError):
@@ -234,10 +236,8 @@ def _swap_prod_perm(n1: int, n2: int) -> list[int]:
     return [((p - 1) % n2) * n1 + (p - 1) // n2 + 1 for p in range(1, n + 1)]
 
 
-def _prim_step(
-    name: str, b: ValueType, lang: str, path: _Path, want: bool
-) -> tuple[ValueType, Optional[ExactMatrix]]:
-    """Target type of one primitive on input b, plus its matrix if asked."""
+def _prim_step(name: str, b: ValueType, lang: str, path: _Path) -> ValueType:
+    """Target type of one primitive on input b."""
     allowed = _LANG_PRIMS.get(lang)
     if allowed is None:
         raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi")
@@ -246,58 +246,49 @@ def _prim_step(
             raise _fail(path, f"primitive {name} is not part of {lang}")
         raise _fail(path, f"unknown primitive {name}")
 
-    def skel(dst: ValueType) -> tuple[ValueType, Optional[ExactMatrix]]:
-        return dst, ExactMatrix.identity(hdim(b)) if want else None
-
     if name == "id":
-        return skel(b)
+        return b
     if name == "swap+":
         if not isinstance(b, Sum):
             raise _fail(path, f"swap+ needs a sum input, got {format_type(b)}")
-        dst = Sum(b.right, b.left)
-        if not want:
-            return dst, None
-        return dst, permutation_matrix(_swap_sum_perm(hdim(b.left), hdim(b.right)))
+        return Sum(b.right, b.left)
     if name == "assocr+":
         if not (isinstance(b, Sum) and isinstance(b.left, Sum)):
             raise _fail(path, f"assocr+ needs input (b1+b2)+b3, got {format_type(b)}")
-        return skel(Sum(b.left.left, Sum(b.left.right, b.right)))
+        return Sum(b.left.left, Sum(b.left.right, b.right))
     if name == "assocl+":
         if not (isinstance(b, Sum) and isinstance(b.right, Sum)):
             raise _fail(path, f"assocl+ needs input b1+(b2+b3), got {format_type(b)}")
-        return skel(Sum(Sum(b.left, b.right.left), b.right.right))
+        return Sum(Sum(b.left, b.right.left), b.right.right)
     if name == "unite+":
         if not (isinstance(b, Sum) and isinstance(b.left, Zero)):
             raise _fail(path, f"unite+ needs input 0+b, got {format_type(b)}")
-        return skel(b.right)
+        return b.right
     if name == "uniti+":
-        return skel(Sum(ZERO, b))
+        return Sum(ZERO, b)
     if name == "swap*":
         if not isinstance(b, Prod):
             raise _fail(path, f"swap* needs a product input, got {format_type(b)}")
-        dst = Prod(b.right, b.left)
-        if not want:
-            return dst, None
-        return dst, permutation_matrix(_swap_prod_perm(hdim(b.left), hdim(b.right)))
+        return Prod(b.right, b.left)
     if name == "assocr*":
         if not (isinstance(b, Prod) and isinstance(b.left, Prod)):
             raise _fail(path, f"assocr* needs input (b1*b2)*b3, got {format_type(b)}")
-        return skel(Prod(b.left.left, Prod(b.left.right, b.right)))
+        return Prod(b.left.left, Prod(b.left.right, b.right))
     if name == "assocl*":
         if not (isinstance(b, Prod) and isinstance(b.right, Prod)):
             raise _fail(path, f"assocl* needs input b1*(b2*b3), got {format_type(b)}")
-        return skel(Prod(Prod(b.left, b.right.left), b.right.right))
+        return Prod(Prod(b.left, b.right.left), b.right.right)
     if name == "unite*":
         if not (isinstance(b, Prod) and isinstance(b.left, One)):
             raise _fail(path, f"unite* needs input 1*b, got {format_type(b)}")
-        return skel(b.right)
+        return b.right
     if name == "uniti*":
-        return skel(Prod(ONE, b))
+        return Prod(ONE, b)
     if name == "dist":
         if not (isinstance(b, Prod) and isinstance(b.left, Sum)):
             raise _fail(path, f"dist needs input (b1+b2)*b3, got {format_type(b)}")
         b3 = b.right
-        return skel(Sum(Prod(b.left.left, b3), Prod(b.left.right, b3)))
+        return Sum(Prod(b.left.left, b3), Prod(b.left.right, b3))
     if name == "factor":
         ok = (
             isinstance(b, Sum)
@@ -309,19 +300,19 @@ def _prim_step(
             raise _fail(
                 path, f"factor needs input (b1*b3)+(b2*b3), got {format_type(b)}"
             )
-        return skel(Prod(Sum(b.left.left, b.right.left), b.left.right))
+        return Prod(Sum(b.left.left, b.right.left), b.left.right)
     if name == "absorb":
         if not (isinstance(b, Prod) and isinstance(b.right, Zero)):
             raise _fail(path, f"absorb needs input b*0, got {format_type(b)}")
-        return skel(ZERO)
+        return ZERO
     if name == "neg1":
         if not isinstance(b, One):
             raise _fail(path, f"neg1 needs input 1, got {format_type(b)}")
-        return b, MINUS_ONE if want else None
+        return b
     if name == "had":
         if b != TWO:
             raise _fail(path, f"had needs input 1+1, got {format_type(b)}")
-        return b, H_BLOCK if want else None
+        return b
     raise _fail(path, f"unknown primitive {name}")
 
 
@@ -340,52 +331,76 @@ def _seq_items(c: Term, path: _Path) -> list[tuple[Term, _Path]]:
 
 
 def _run(
-    c: Term, b: ValueType, lang: str, path: _Path, want: bool
-) -> tuple[ValueType, Optional[ExactMatrix]]:
+    c: Term,
+    b: ValueType,
+    lang: str,
+    path: _Path,
+    state: Optional[RowState] = None,
+    offs: Sequence[int] = (0,),
+    stride: int = 1,
+) -> ValueType:
+    """Target type of c on input b; with a state, also apply c's row
+    operations to it, local row j of copy i being row offs[i] + j*stride."""
     if isinstance(c, Prim):
-        return _prim_step(c.name, b, lang, path, want)
+        dst = _prim_step(c.name, b, lang, path)
+        if state is None or c.name not in ("had", "neg1", "swap+", "swap*"):
+            return dst  # every other primitive denotes an identity
+        if c.name == "had":
+            state.apply_word([Generator("H", (o + 1, o + stride + 1)) for o in offs])
+        elif c.name == "neg1":
+            state.apply_word([Generator("Z", (o + 1,)) for o in offs])
+        else:
+            swap = _swap_sum_perm if c.name == "swap+" else _swap_prod_perm
+            perm = swap(hdim(b.left), hdim(b.right))
+            state.permute(
+                [o + j * stride for o in offs for j in range(len(perm))],
+                [o + (p - 1) * stride for o in offs for p in perm],
+            )
+        return dst
     if isinstance(c, Factorz):
         if not isinstance(b, Zero):
             raise _fail(path, f"factorz needs input 0, got {format_type(b)}")
-        return Prod(c.operand, ZERO), ExactMatrix.identity(0) if want else None
+        return Prod(c.operand, ZERO)
     if isinstance(c, Seq):
         # walk the whole spine iteratively: translated words compose
         # thousands of factors and would overrun the recursion limit
         cur = b
-        mat: Optional[ExactMatrix] = None
         for node, p in _seq_items(c, path):
-            cur, m = _run(node, cur, lang, p, want)
-            if want:
-                mat = m if mat is None else m.matmul(mat)
-        return cur, mat
+            cur = _run(node, cur, lang, p, state, offs, stride)
+        return cur
     if isinstance(c, SumC):
         if not isinstance(b, Sum):
             raise _fail(path, f"sum of terms needs a sum input, got {format_type(b)}")
-        ld, lm = _run(c.left, b.left, lang, (path, "sum.left"), want)
-        rd, rm = _run(c.right, b.right, lang, (path, "sum.right"), want)
-        return Sum(ld, rd), lm.direct_sum(rm) if want else None
+        ld = _run(c.left, b.left, lang, (path, "sum.left"), state, offs, stride)
+        if state is not None:
+            offs = [o + hdim(b.left) * stride for o in offs]
+        return Sum(ld, _run(c.right, b.right, lang, (path, "sum.right"), state, offs, stride))
     if isinstance(c, ProdC):
         if not isinstance(b, Prod):
             raise _fail(
                 path, f"product of terms needs a product input, got {format_type(b)}"
             )
-        ld, lm = _run(c.left, b.left, lang, (path, "prod.left"), want)
-        rd, rm = _run(c.right, b.right, lang, (path, "prod.right"), want)
-        return Prod(ld, rd), lm.tensor(rm) if want else None
+        left = right = (offs, stride)
+        if state is not None:
+            # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
+            n1, n2 = hdim(b.left), hdim(b.right)
+            left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
+            right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
+        ld = _run(c.left, b.left, lang, (path, "prod.left"), state, *left)
+        return Prod(ld, _run(c.right, b.right, lang, (path, "prod.right"), state, *right))
     raise _fail(path, f"not a term: {c!r}")
 
 
 def typecheck(c: Term, input: ValueType, lang: str = "qpi") -> CombinatorType:
     """Propagate the source type through c; the target is determined."""
-    dst, _ = _run(c, input, lang, (), False)
-    return CombinatorType(input, dst)
+    return CombinatorType(input, _run(c, input, lang, ()))
 
 
 def sem(c: Term, input: ValueType, lang: str = "qpi") -> ExactMatrix:
     """Exact matrix denotation of c at the given source type."""
-    _, m = _run(c, input, lang, (), True)
-    assert m is not None
-    return m
+    state = RowState(ExactMatrix.identity(hdim(input)))
+    _run(c, input, lang, (), state)
+    return state.snapshot()
 
 
 def equiv_terms(c1: Term, c2: Term, input: ValueType, lang: str = "qpi") -> bool:
@@ -440,7 +455,7 @@ def _inv(c: Term, b: ValueType, lang: str) -> Term:
         invs = []
         for node, _ in _seq_items(c, ()):
             invs.append(_inv(node, cur, lang))
-            cur, _m = _run(node, cur, lang, (), False)
+            cur = _run(node, cur, lang, ())
         return seqs(*reversed(invs))
     if isinstance(c, SumC):
         assert isinstance(b, Sum)

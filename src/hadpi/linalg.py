@@ -266,20 +266,57 @@ def apply_generator_rows(
     return reduce_nums(k + 1, aa, bb)
 
 
+class RowState:
+    """Mutable matrix rt2^-k * (aa + bb*rt2) under row operations: the one
+    evaluator that word_sem, lang.sem and synthesis left-multiply in place."""
+
+    __slots__ = ("n", "k", "aa", "bb")
+
+    def __init__(self, M: ExactMatrix):
+        self.n = M.n
+        self.k = M.k
+        self.aa = list(M.aa)
+        self.bb = list(M.bb)
+
+    def snapshot(self) -> ExactMatrix:
+        return ExactMatrix(self.n, self.k, self.aa, self.bb)
+
+    # reads only n, k, aa and bb, which both classes hold
+    column = ExactMatrix.column
+
+    def apply_word(self, gens: Sequence[Generator]) -> None:
+        """Left-multiply by the word's matrix: rightmost generator acts first."""
+        for g in reversed(gens):
+            self.k, self.aa, self.bb = apply_generator_rows(
+                g, self.k, self.aa, self.bb, self.n
+            )
+
+    def permute(self, rows: Sequence[int], images: Sequence[int]) -> None:
+        """Move row rows[t] to row images[t] (0-based); both list one row set."""
+        n, aa, bb = self.n, self.aa, self.bb
+        moved = [(aa[r * n : r * n + n], bb[r * n : r * n + n]) for r in rows]
+        for r, (ra, rb) in zip(images, moved):
+            aa[r * n : r * n + n] = ra
+            bb[r * n : r * n + n] = rb
+
+
 def gen_z(a: int) -> Generator:
-    assert a >= 1
+    if a < 1:
+        raise LinAlgError(f"Z[{a}]: index must be at least 1")
     return Generator("Z", (a,))
 
 
 def gen_x(b: int, c: int) -> Generator:
     """Swap generator; symmetric, so indices are sorted silently."""
-    assert b >= 1 and c >= 1 and b != c
+    if not (b >= 1 and c >= 1 and b != c):
+        raise LinAlgError(f"X[{b},{c}]: indices must be distinct and at least 1")
     return Generator("X", (min(b, c), max(b, c)))
 
 
 def gen_h(b: int, c: int) -> Generator:
     """Two-level Hadamard; orientation matters, so b < c is required."""
-    assert 1 <= b < c
+    if not 1 <= b < c:
+        raise LinAlgError(f"H[{b},{c}]: indices must satisfy 1 <= b < c")
     return Generator("H", (b, c))
 
 

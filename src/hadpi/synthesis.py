@@ -12,19 +12,20 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from ._core import reduce_nums
 from .linalg import (
     ExactMatrix,
     Generator,
     Level,
+    RowState,
     _level_unchecked,
-    apply_generator_rows,
     gen_h,
     gen_x,
     gen_z,
 )
-from .ring import RingInt
 from .words import Word
+
+# re-exported unused: hadpibench/tracing.py patches these bindings
+from .linalg import apply_generator_rows, reduce_nums  # noqa: F401
 
 
 class SynthesisError(ValueError):
@@ -53,41 +54,12 @@ class SynthesisTrace(NamedTuple):
     levels: tuple[Level, ...]
 
 
-class _Work:
-    """Mutable matrix rt2^-k * (aa + bb*rt2) under row operations."""
-
-    __slots__ = ("n", "k", "aa", "bb")
-
-    def __init__(self, M: ExactMatrix):
-        self.n = M.n
-        self.k = M.k
-        self.aa = list(M.aa)
-        self.bb = list(M.bb)
-
-    def snapshot(self) -> ExactMatrix:
-        return ExactMatrix(self.n, self.k, self.aa, self.bb)
-
-    def column(self, j: int) -> tuple[int, list[RingInt]]:
-        n = self.n
-        ca = [self.aa[i * n + j - 1] for i in range(n)]
-        cb = [self.bb[i * n + j - 1] for i in range(n)]
-        k, ca, cb = reduce_nums(self.k, ca, cb)
-        return k, [RingInt(a, b) for a, b in zip(ca, cb)]
-
-    def apply_word(self, gens: Sequence[Generator]) -> None:
-        """Left-multiply by the word's matrix: rightmost generator acts first."""
-        for g in reversed(gens):
-            self.k, self.aa, self.bb = apply_generator_rows(
-                g, self.k, self.aa, self.bb, self.n
-            )
-
-
 def synthesize(M: ExactMatrix) -> SynthesisTrace:
     """Decompose an orthogonal matrix into syllables driving it to identity."""
     if not M.is_orthogonal():
         raise SynthesisError("synthesis requires an orthogonal matrix")
     n = M.n
-    work = _Work(M)
+    work = RowState(M)
     syllables: list[Syllable] = []
     levels: list[Level] = []
     current = _level_unchecked(M)

@@ -9,12 +9,11 @@ matrix gains an identity row on top.
 """
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cache
 
 from .lang import (
     Factorz,
     LangError,
-    ONE,
     One,
     Prim,
     Prod,
@@ -92,10 +91,8 @@ def _w(c: Term, b: ValueType) -> Word:
             return Word(1, (gen_z(1),))
         if name == "had":
             return Word(2, (gen_h(1, 2),))
-        if name == "swap+":
-            return hpermute(_swap_sum_perm(hdim(b.left), hdim(b.right)))
-        if name == "swap*":
-            return hpermute(_swap_prod_perm(hdim(b.left), hdim(b.right)))
+        if name in ("swap+", "swap*"):
+            return _swap_word(name, hdim(b.left), hdim(b.right))
         return Word(n, ())
     if isinstance(c, Factorz):
         return Word(0, ())
@@ -118,11 +115,18 @@ def _w(c: Term, b: ValueType) -> Word:
         n1, n2 = hdim(b1), hdim(b2)
         b4 = typecheck(c.right, b2, "qpi").dst
         first = _w_id_times(b1, c.right, b2)
-        mid = hpermute(_swap_prod_perm(n1, n2))
+        mid = _swap_word("swap*", n1, n2)
         second = _w_id_times(b4, c.left, b1)
-        last = hpermute(_swap_prod_perm(n2, n1))
+        last = _swap_word("swap*", n2, n1)
         return Word(n, last.gens + second.gens + mid.gens + first.gens)
     raise LangError(f"not a term: {c!r}")
+
+
+@cache
+def _swap_word(name: str, n1: int, n2: int) -> Word:
+    # programs repeat a few distinct swaps; synthesize each one once
+    swap = _swap_sum_perm if name == "swap+" else _swap_prod_perm
+    return hpermute(swap(n1, n2))
 
 
 def _w_id_times(b: ValueType, c: Term, cb: ValueType) -> Word:

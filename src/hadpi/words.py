@@ -13,18 +13,10 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import (
-    H_BLOCK,
-    MINUS_ONE,
-    X_BLOCK,
-    ExactMatrix,
-    Generator,
-    apply_generator_rows,
-    gen_h,
-    gen_x,
-    gen_z,
-    m_level_embed,
-)
+from .linalg import ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
+
+# re-exported unused: hadpibench/tracing.py patches these bindings
+from .linalg import apply_generator_rows, m_level_embed  # noqa: F401
 
 
 class WordError(ValueError):
@@ -51,15 +43,9 @@ def _check(w: Word) -> None:
 def word_sem(w: Word) -> ExactMatrix:
     """Exact product of the generator matrices in listed order."""
     _check(w)
-    n = w.n
-    aa = [0] * (n * n)
-    bb = [0] * (n * n)
-    for i in range(n):
-        aa[i * n + i] = 1
-    k = 0
-    for g in reversed(w.gens):
-        k, aa, bb = apply_generator_rows(g, k, aa, bb, n)
-    return ExactMatrix(n, k, aa, bb)
+    state = RowState(ExactMatrix.identity(w.n))
+    state.apply_word(w.gens)
+    return state.snapshot()
 
 
 def shift(w: Word, m: int) -> Word:
@@ -152,27 +138,17 @@ def _assignment_for(rel: Relation, indices: Sequence[int], n: int) -> dict[str, 
     return dict(zip(rel.formals, indices))
 
 
-def _raw_sem(
-    tokens: Iterable[tuple[str, tuple[int, ...]]], n: int
-) -> ExactMatrix:
-    """Evaluate concrete tokens via direct embeddings, no index sorting.
-
-    Reversed pairs denote the block placed at the permuted positions,
-    which is exactly how e1/e2 define the extended generators.
-    """
-    M = ExactMatrix.identity(n)
-    for kind, idx in tokens:
-        block = {"Z": MINUS_ONE, "X": X_BLOCK, "H": H_BLOCK}[kind]
-        M = M @ m_level_embed(block, idx, n)
-    return M
-
-
 def verify_relation(rel: Relation, indices: Sequence[int], n: int) -> bool:
-    """Check one instantiation of a catalog relation as a matrix identity."""
+    """Check one instantiation of a catalog relation as a matrix identity.
+
+    A reversed pair such as H[c,b] acts on its rows as listed: e1/e2 define it so.
+    """
     asg = _assignment_for(rel, indices, n)
-    lhs = [(kind, tuple(asg[f] for f in idx)) for kind, idx in rel.lhs]
-    rhs = [(kind, tuple(asg[f] for f in idx)) for kind, idx in rel.rhs]
-    return _raw_sem(lhs, n) == _raw_sem(rhs, n)
+    lhs, rhs = (
+        Word(n, tuple(Generator(kind, tuple(asg[f] for f in idx)) for kind, idx in side))
+        for side in (rel.lhs, rel.rhs)
+    )
+    return word_sem(lhs) == word_sem(rhs)
 
 
 def enumerate_assignments(rel: Relation, n: int) -> Iterable[tuple[int, ...]]:

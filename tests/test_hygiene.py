@@ -1,0 +1,84 @@
+"""Tooling checks over the package source: traced bindings and unused imports."""
+
+import ast
+import importlib.util
+from pathlib import Path
+from types import ModuleType
+
+from hadpi import words
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load_tracing() -> ModuleType:
+    # the benchmark's tracer, loaded by path: hadpibench is not a package
+    spec = importlib.util.spec_from_file_location(
+        "hadpibench_tracing", ROOT / "hadpibench" / "tracing.py"
+    )
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _bindings(tracing):
+    for entries in tracing.ENTRY_POINTS.values():
+        for span, attr, owners in entries:
+            for owner in owners:
+                yield span, owner, attr
+
+
+def test_tracer_patches_every_binding_and_restores_it():
+    tracing = _load_tracing()
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for _, owner, attr in _bindings(tracing)
+        if attr not in owner.__dict__
+    ]
+    assert not missing, f"bindings the traced benchmark patches are gone: {missing}"
+    # every name a span patches binds one function, so one wrapper counts it
+    by_span: dict = {}
+    for span, owner, attr in _bindings(tracing):
+        by_span.setdefault((span, attr), set()).add(id(owner.__dict__[attr]))
+    split = [key for key, fns in by_span.items() if len(fns) > 1]
+    assert not split, f"names of one span bind different functions: {split}"
+
+    before = {(owner, attr): owner.__dict__[attr] for _, owner, attr in _bindings(tracing)}
+    tracer = tracing.Tracer().install()
+    try:
+        for (owner, attr), fn in before.items():
+            assert owner.__dict__[attr].__wrapped__ is fn
+        tracer.run_op(0, lambda: words.word_sem(words.parse_word("n=2 H[1,2]")))
+        assert tracer.totals()["words.word_sem"]["calls"] == 1
+    finally:
+        tracer.uninstall()
+    for (owner, attr), fn in before.items():
+        assert owner.__dict__[attr] is fn
+
+
+def _unused_imports(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_no_unused_imports():
+    tracing = _load_tracing()
+    # names kept only so that the traced benchmark can patch them
+    traced = {
+        (owner.__name__.rpartition(".")[2], attr)
+        for _, owner, attr in _bindings(tracing)
+        if isinstance(owner, ModuleType)
+    }
+    unused = sorted(
+        (path.stem, name)
+        for path in (ROOT / "src" / "hadpi").glob("*.py")
+        for name in _unused_imports(path)
+        if (path.stem, name) not in traced
+    )
+    assert not unused

@@ -39,7 +39,11 @@ from hadpi.lang import (
     swap_plus_at,
     typecheck,
 )
-from hadpi.linalg import ExactMatrix, H_BLOCK, MINUS_ONE, X_BLOCK, m_level_embed
+import hadpi.linalg
+import hadpi.words
+from hadpi.linalg import ExactMatrix, Generator, H_BLOCK, MINUS_ONE, X_BLOCK, m_level_embed
+from hadpi.translate import t_h, t_q
+from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
 from termgen import rand_term, rand_type
 
 HAD = Prim("had")
@@ -341,3 +345,28 @@ def test_deep_composition_chains():
     assert parse_term(format_term(deep)) == deep
     assert sem(inverse(deep, TWO), TWO).matmul(m).is_identity()
     assert infer_source(deep) == TWO
+
+
+def test_evaluation_builds_no_dense_product(monkeypatch):
+    # terms, words and relation checks all run as row operations
+    toffoli = ExactMatrix.identity(1).direct_sum(m_level_embed(X_BLOCK, [7, 8], 8))
+
+    def dense(*args):
+        raise AssertionError("dense matrix product during evaluation")
+
+    for name in ("matmul", "__matmul__", "tensor", "direct_sum"):
+        monkeypatch.setattr(ExactMatrix, name, dense)
+    monkeypatch.setattr(hadpi.linalg, "m_level_embed", dense)
+    monkeypatch.setattr(hadpi.words, "m_level_embed", dense)
+
+    rng = random.Random(24)
+    gens = []
+    for _ in range(24):
+        kind, b = rng.choice("ZXH"), rng.randint(1, 11)
+        gens.append(Generator(kind, (b,) if kind == "Z" else (b, rng.randint(b + 1, 12))))
+    w = Word(12, tuple(gens))
+    assert {g.kind for g in gens} == {"Z", "X", "H"}
+    assert sem(t_q(w), nsum(12)) == word_sem(w)
+    b = Prod(TWO, Prod(TWO, TWO))
+    assert sem(t_h(GATE_CCX, b), Sum(ONE, b)) == toffoli
+    assert verify_relation(RELATION_BY_ID["d4"], (1, 2, 3, 4, 5, 6), 6)

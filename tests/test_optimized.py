@@ -5,7 +5,7 @@ import sys
 
 SCRIPT = """
 import hadpi.words as words
-from hadpi.linalg import ExactMatrix, LinAlgError, gen_h
+from hadpi.linalg import ExactMatrix, LinAlgError, gen_h, gen_x, gen_z
 from hadpi.words import DerivationStep, StepError, Word, check_derivation
 
 assert False, "asserts are on"
@@ -17,6 +17,15 @@ for bad in [(2, 0, [1, 0, 0], [0, 0, 0, 0]), (1, -1, [1], [0])]:
         pass
     else:
         raise SystemExit(f"ExactMatrix{bad} was accepted")
+
+# a reversed Hadamard, a degenerate swap and a zero index
+for make, args in [(gen_h, (2, 1)), (gen_x, (1, 1)), (gen_z, (0,))]:
+    try:
+        make(*args)
+    except LinAlgError:
+        pass
+    else:
+        raise SystemExit(f"{make.__name__}{args} was accepted")
 
 # a rewrite that appends a Hadamard changes the matrix
 words.apply_step = lambda w, step: Word(w.n, w.gens + (gen_h(1, 2),))

@@ -171,22 +171,28 @@ def test_t_q_word_order():
     assert word_sem(w) != word_sem(Word(2, (gen_h(1, 2), gen_z(1))))
 
 
+def _check_t_q_random(rng, n, length):
+    gens = []
+    for _ in range(length):
+        kind = rng.choice("ZXH") if n >= 2 else "Z"
+        if kind == "Z":
+            gens.append(gen_z(rng.randint(1, n)))
+        else:
+            b = rng.randint(1, n - 1)
+            gens.append(Generator(kind, (b, rng.randint(b + 1, n))))
+    w = Word(n, tuple(gens))
+    got = t_q(w)
+    assert typecheck(got, nsum(n), "qpi").dst == nsum(n)
+    assert sem(got, nsum(n)) == word_sem(w)
+
+
 def test_t_q_random_words():
     rng = random.Random(31)
     for _ in range(80):
         n = rng.randint(1, 6)
-        gens = []
-        for _ in range(rng.randint(0, 14)):
-            kind = rng.choice("ZXH") if n >= 2 else "Z"
-            if kind == "Z":
-                gens.append(gen_z(rng.randint(1, n)))
-            else:
-                b = rng.randint(1, n - 1)
-                gens.append(Generator(kind, (b, rng.randint(b + 1, n))))
-        w = Word(n, tuple(gens))
-        got = t_q(w)
-        assert typecheck(got, nsum(n), "qpi").dst == nsum(n)
-        assert sem(got, nsum(n)) == word_sem(w)
+        _check_t_q_random(rng, n, rng.randint(0, 14))
+    # deep block offsets and strides in the evaluator
+    _check_t_q_random(rng, 24, 48)
 
 
 def test_t_q_rejects_out_of_range():
