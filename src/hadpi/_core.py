@@ -56,13 +56,30 @@ def kron_nums(n1, Aa, Ab, n2, Ba, Bb):
 
 
 def reduce_nums(k, aa, bb):
-    """Strip common rt2 factors: divide through while k > 0 and all allow it.
+    """Strip common rt2 factors: divide by rt2^m for the largest m <= k that
+    leaves every numerator an integer.
 
-    (a + b*rt2)/rt2 = b + (a/2)*rt2, legal only when every a is even.
+    rt2^m divides a + b*rt2 exactly when m <= 2*v2(a) and m <= 2*v2(b) + 1
+    (v2 the 2-adic valuation, infinite at 0).  The least set bit of an OR of
+    integers is the least over its operands, so one pass finds m.
     """
-    while k > 0:
-        if any(a & 1 for a in aa):
-            break
-        aa, bb = list(bb), [a >> 1 for a in aa]
-        k -= 1
-    return k, aa, bb
+    if k == 0:
+        return k, aa, bb
+    ora = 0
+    for a in aa:
+        if a & 1:
+            return k, aa, bb
+        ora |= a
+    orb = 0
+    for b in bb:
+        orb |= b
+    m = k
+    if ora:
+        m = min(m, 2 * (ora & -ora).bit_length() - 2)
+    if orb:
+        m = min(m, 2 * (orb & -orb).bit_length() - 1)
+    h = m >> 1
+    if m & 1:
+        # (a + b*rt2)/rt2 = b + (a/2)*rt2, then a plain shift by h
+        return k - m, [b >> h for b in bb], [a >> (h + 1) for a in aa]
+    return k - m, [a >> h for a in aa], [b >> h for b in bb]

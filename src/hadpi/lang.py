@@ -27,29 +27,53 @@ class LangError(ValueError):
 
 @dataclass(frozen=True)
 class Zero:
+    dim = 0
+
     def __repr__(self) -> str:
         return "Zero"
 
 
 @dataclass(frozen=True)
 class One:
+    dim = 1
+
     def __repr__(self) -> str:
         return "One"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Sum:
     left: "ValueType"
     right: "ValueType"
+
+    def __init__(self, left: "ValueType", right: "ValueType"):
+        # Frozen, so the fields go straight into the instance dict.  dim is
+        # not a field (equality, hashing and repr ignore it) and is None
+        # while a child is an inference hole.
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        l, r = getattr(left, "dim", None), getattr(right, "dim", None)
+        d["dim"] = None if l is None or r is None else l + r
 
     def __repr__(self) -> str:
         return f"Sum({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Prod:
     left: "ValueType"
     right: "ValueType"
+
+    def __init__(self, left: "ValueType", right: "ValueType"):
+        # Frozen, so the fields go straight into the instance dict.  dim is
+        # not a field (equality, hashing and repr ignore it) and is None
+        # while a child is an inference hole.
+        d = self.__dict__
+        d["left"] = left
+        d["right"] = right
+        l, r = getattr(left, "dim", None), getattr(right, "dim", None)
+        d["dim"] = None if l is None or r is None else l * r
 
     def __repr__(self) -> str:
         return f"Prod({self.left!r}, {self.right!r})"
@@ -63,16 +87,11 @@ TWO = Sum(ONE, ONE)
 
 
 def hdim(b: ValueType) -> int:
-    """Dimension of the state space denoted by a type."""
-    if isinstance(b, Zero):
-        return 0
-    if isinstance(b, One):
-        return 1
-    if isinstance(b, Sum):
-        return hdim(b.left) + hdim(b.right)
-    if isinstance(b, Prod):
-        return hdim(b.left) * hdim(b.right)
-    raise LangError(f"not a value type: {b!r}")
+    """Dimension of the state space denoted by a type, held by the type."""
+    d = getattr(b, "dim", None)
+    if d is None:
+        raise LangError(f"not a value type: {b!r}")
+    return d
 
 
 def nsum(n: int) -> ValueType:

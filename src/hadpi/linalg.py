@@ -67,11 +67,7 @@ class ExactMatrix:
 
     def column(self, j: int) -> tuple[int, list[RingInt]]:
         """Column j (1-based) with its own least exponent."""
-        n = self.n
-        ca = [self.aa[i * n + j - 1] for i in range(n)]
-        cb = [self.bb[i * n + j - 1] for i in range(n)]
-        k, ca, cb = reduce_nums(self.k, ca, cb)
-        return k, [RingInt(a, b) for a, b in zip(ca, cb)]
+        return _column(self.n, (self.k,) * self.n, self.aa, self.bb, j)
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
@@ -190,21 +186,28 @@ def level(M: ExactMatrix) -> Level:
     """
     if not M.is_orthogonal():
         raise LinAlgError("level is defined for orthogonal matrices only")
-    return _level_unchecked(M)
+    return _level_unchecked(RowState(M))[0]
 
 
-def _level_unchecked(M: ExactMatrix) -> Level:
-    for j in range(M.n, 0, -1):
-        k, col = M.column(j)
-        if k == 0 and all(
-            x == (RingInt(1, 0) if i == j else RingInt(0, 0))
-            for i, x in enumerate(col, start=1)
-        ):
+def _level_unchecked(state: "RowState", top: int = 0) -> tuple[Level, list[RingInt]]:
+    """Level of the orthogonal matrix held by state, with column Level.j
+    scaled by rt2^Level.k (empty for the identity).
+
+    Columns are scanned from top (default n) down; the caller vouches that
+    every column above top is a unit column.
+    """
+    n, ks, aa, bb = state.n, state.ks, state.aa, state.bb
+    for j in range(top or n, 0, -1):
+        p = j - 1
+        ca, cb = aa[p::n], bb[p::n]
+        # e_j: numerator rt2^ks[p] on the diagonal, zero everywhere else
+        half = ks[p] >> 1
+        one = (0, 1 << half) if ks[p] & 1 else (1 << half, 0)
+        if (ca[p], cb[p]) == one and ca.count(0) + cb.count(0) == 2 * n - 1:
             continue
-        if k == 0:
-            return Level(j, 0, 0)
-        return Level(j, k, sum(1 for x in col if x.residue().is_odd))
-    return Level(0, 0, 0)
+        k, col = state.column(j)
+        return Level(j, k, sum(x.a & 1 for x in col) if k else 0), col
+    return Level(0, 0, 0), []
 
 
 # Generator matrices: the 1x1 sign flip and the 2x2 swap and Hadamard blocks.
@@ -229,73 +232,112 @@ class Generator(NamedTuple):
         return f"{self.kind}[{','.join(map(str, self.idx))}]"
 
 
-def apply_generator_rows(
-    g: Generator, k: int, aa: list[int], bb: list[int], n: int
-) -> tuple[int, list[int], list[int]]:
-    """Left-multiply the flat matrix state rt2^-k*(aa+bb*rt2) by g.
+def _lift(ra: list[int], rb: list[int], d: int) -> tuple[list[int], list[int]]:
+    """Multiply numerators a + b*rt2 by rt2^d."""
+    h = d >> 1
+    if d & 1:
+        return [b << (h + 1) for b in rb], [a << h for a in ra]
+    if h:
+        return [a << h for a in ra], [b << h for b in rb]
+    return ra, rb
 
-    Z negates a row, X swaps two rows, H sends rows (r1, r2) to
-    ((r1+r2)/rt2, (r1-r2)/rt2); the exponent is re-reduced after H so the
-    state stays canonical.  Mutates the lists and returns the new state.
+
+def _column(
+    n: int, ks: Sequence[int], aa: Sequence[int], bb: Sequence[int], j: int
+) -> tuple[int, list[RingInt]]:
+    """Column j (1-based) of the rows rt2^-ks[i] * (aa + bb*rt2), with its
+    own least exponent."""
+    p = j - 1
+    ca, cb = list(aa[p::n]), list(bb[p::n])
+    top = max((k for k, a, b in zip(ks, ca, cb) if a or b), default=0)
+    for i, k in enumerate(ks):
+        if k < top and (ca[i] or cb[i]):
+            ca[i], cb[i] = RingInt(ca[i], cb[i]).mul_pow_rt2(top - k)
+    k, ca, cb = reduce_nums(top, ca, cb)
+    return k, [RingInt(a, b) for a, b in zip(ca, cb)]
+
+
+def apply_generator_rows(
+    g: Generator, ks: list[int], aa: list[int], bb: list[int], n: int
+) -> None:
+    """Left-multiply the row state by g in place: row i is
+    rt2^-ks[i] * (aa + bb*rt2) over entries i*n .. i*n+n-1.
+
+    Z negates a row, X swaps two rows with their exponents, H sends rows
+    (r1, r2) to ((r1+r2)/rt2, (r1-r2)/rt2).  Only those rows change, and
+    each keeps its own least exponent, so every generator costs O(n).
     """
+    i1 = g.idx[0] - 1
+    s1 = slice(i1 * n, i1 * n + n)
     if g.kind == "Z":
-        base = (g.idx[0] - 1) * n
-        for t in range(base, base + n):
-            aa[t] = -aa[t]
-            bb[t] = -bb[t]
-        return k, aa, bb
-    b1 = (g.idx[0] - 1) * n
-    b2 = (g.idx[1] - 1) * n
+        aa[s1] = [-a for a in aa[s1]]
+        bb[s1] = [-b for b in bb[s1]]
+        return
+    i2 = g.idx[1] - 1
+    s2 = slice(i2 * n, i2 * n + n)
     if g.kind == "X":
-        for t in range(n):
-            aa[b1 + t], aa[b2 + t] = aa[b2 + t], aa[b1 + t]
-            bb[b1 + t], bb[b2 + t] = bb[b2 + t], bb[b1 + t]
-        return k, aa, bb
-    # Exponent rises to k+1: numerators at the two combined rows are the
-    # plain sum/difference, every other row is rescaled by rt2.
-    for i in range(n):
-        base = i * n
-        if base != b1 and base != b2:
-            for t in range(base, base + n):
-                aa[t], bb[t] = 2 * bb[t], aa[t]
-    for t in range(n):
-        s_a, s_b = aa[b1 + t] + aa[b2 + t], bb[b1 + t] + bb[b2 + t]
-        d_a, d_b = aa[b1 + t] - aa[b2 + t], bb[b1 + t] - bb[b2 + t]
-        aa[b1 + t], bb[b1 + t] = s_a, s_b
-        aa[b2 + t], bb[b2 + t] = d_a, d_b
-    return reduce_nums(k + 1, aa, bb)
+        aa[s1], aa[s2] = aa[s2], aa[s1]
+        bb[s1], bb[s2] = bb[s2], bb[s1]
+        ks[i1], ks[i2] = ks[i2], ks[i1]
+        return
+    # lift both rows to a common exponent k; their sum and difference
+    # then sit at exponent k+1 and are reduced row by row
+    k = max(ks[i1], ks[i2])
+    xa, xb = _lift(aa[s1], bb[s1], k - ks[i1])
+    ya, yb = _lift(aa[s2], bb[s2], k - ks[i2])
+    ks[i1], aa[s1], bb[s1] = reduce_nums(
+        k + 1, [x + y for x, y in zip(xa, ya)], [x + y for x, y in zip(xb, yb)]
+    )
+    ks[i2], aa[s2], bb[s2] = reduce_nums(
+        k + 1, [x - y for x, y in zip(xa, ya)], [x - y for x, y in zip(xb, yb)]
+    )
 
 
 class RowState:
-    """Mutable matrix rt2^-k * (aa + bb*rt2) under row operations: the one
-    evaluator that word_sem, lang.sem and synthesis left-multiply in place."""
+    """Mutable matrix under row operations: the one evaluator that
+    word_sem, lang.sem and synthesis left-multiply in place.
 
-    __slots__ = ("n", "k", "aa", "bb")
+    Row i is rt2^-ks[i] * (aa + bb*rt2) over the flat entries i*n .. i*n+n-1,
+    each row at its own least exponent, so a generator touches only its rows.
+    """
+
+    __slots__ = ("n", "ks", "aa", "bb")
 
     def __init__(self, M: ExactMatrix):
-        self.n = M.n
-        self.k = M.k
-        self.aa = list(M.aa)
-        self.bb = list(M.bb)
+        n = self.n = M.n
+        self.ks, self.aa, self.bb = [], [], []
+        for i in range(n):
+            k, ra, rb = reduce_nums(M.k, M.aa[i * n : i * n + n], M.bb[i * n : i * n + n])
+            self.ks.append(k)
+            self.aa += ra
+            self.bb += rb
 
     def snapshot(self) -> ExactMatrix:
-        return ExactMatrix(self.n, self.k, self.aa, self.bb)
+        """The matrix, every row lifted to the largest row exponent."""
+        n, top = self.n, max(self.ks, default=0)
+        aa: list[int] = []
+        bb: list[int] = []
+        for i, k in enumerate(self.ks):
+            ra, rb = _lift(self.aa[i * n : i * n + n], self.bb[i * n : i * n + n], top - k)
+            aa += ra
+            bb += rb
+        return ExactMatrix(n, top, aa, bb)
 
-    # reads only n, k, aa and bb, which both classes hold
-    column = ExactMatrix.column
+    def column(self, j: int) -> tuple[int, list[RingInt]]:
+        """Column j (1-based) with its own least exponent."""
+        return _column(self.n, self.ks, self.aa, self.bb, j)
 
     def apply_word(self, gens: Sequence[Generator]) -> None:
         """Left-multiply by the word's matrix: rightmost generator acts first."""
         for g in reversed(gens):
-            self.k, self.aa, self.bb = apply_generator_rows(
-                g, self.k, self.aa, self.bb, self.n
-            )
+            apply_generator_rows(g, self.ks, self.aa, self.bb, self.n)
 
     def permute(self, rows: Sequence[int], images: Sequence[int]) -> None:
         """Move row rows[t] to row images[t] (0-based); both list one row set."""
-        n, aa, bb = self.n, self.aa, self.bb
-        moved = [(aa[r * n : r * n + n], bb[r * n : r * n + n]) for r in rows]
-        for r, (ra, rb) in zip(images, moved):
+        n, ks, aa, bb = self.n, self.ks, self.aa, self.bb
+        moved = [(ks[r], aa[r * n : r * n + n], bb[r * n : r * n + n]) for r in rows]
+        for r, (k, ra, rb) in zip(images, moved):
+            ks[r] = k
             aa[r * n : r * n + n] = ra
             bb[r * n : r * n + n] = rb
 

@@ -62,45 +62,41 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
     work = RowState(M)
     syllables: list[Syllable] = []
     levels: list[Level] = []
-    current = _level_unchecked(M)
+    # the level names the column to fix next, j, and brings it scaled by rt2^k
+    current, col = _level_unchecked(work)
     initial = current
-
-    def emit(gens: list[Generator]) -> None:
-        nonlocal current
+    while current.j:
+        j = current.j
+        if current.k > 0:
+            odd = [i for i in range(1, n + 1) if col[i - 1].a & 1]
+            if not odd:
+                raise SynthesisError("positive exponent requires an odd entry")
+            i1 = odd[0]
+            # the same residue mod 2: both odd, b of the same parity
+            i2 = next((i for i in odd[1:] if (col[i - 1].b - col[i1 - 1].b) & 1 == 0), None)
+            if i2 is None:
+                raise SynthesisError("odd residues must pair up in a unit column")
+            gens = [gen_h(1, i2)] if i1 == 1 else [gen_h(1, i2), gen_x(1, i1)]
+        else:
+            a = next(i for i in range(1, n + 1) if not col[i - 1].is_zero)
+            if not (a <= j and col[a - 1].a in (1, -1) and col[a - 1].b == 0):
+                raise SynthesisError(f"column {j} is not a signed basis vector")
+            tau = col[a - 1].a < 0
+            if a == j:
+                gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
+            else:
+                gens = [gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)]
         work.apply_word(gens)
-        lv = _level_unchecked(work.snapshot())
+        # A row operation changes a unit column c only if it touches row c,
+        # and every column above current.j is a unit column, so the scan
+        # may start at the higher of current.j and the top touched row.
+        top = max(current.j, *(i for g in gens for i in g.idx))
+        lv, col = _level_unchecked(work, top)
         if not lv < current:
             raise SynthesisError(f"syllable did not lower the level: {lv} !< {current}")
         current = lv
         syllables.append(Syllable(tuple(gens)))
         levels.append(lv)
-
-    for j in range(n, 0, -1):
-        k, col = work.column(j)
-        while k > 0:
-            res = [x.residue() for x in col]
-            odd = [i for i in range(1, n + 1) if res[i - 1].is_odd]
-            if not odd:
-                raise SynthesisError("positive exponent requires an odd entry")
-            i1 = odd[0]
-            i2 = next((i for i in odd[1:] if res[i - 1] is res[i1 - 1]), None)
-            if i2 is None:
-                raise SynthesisError("odd residues must pair up in a unit column")
-            if i1 == 1:
-                emit([gen_h(1, i2)])
-            else:
-                emit([gen_h(1, i2), gen_x(1, i1)])
-            k, col = work.column(j)
-        a = next(i for i in range(1, n + 1) if not col[i - 1].is_zero)
-        if not (a <= j and col[a - 1].a in (1, -1) and col[a - 1].b == 0):
-            raise SynthesisError(f"column {j} is not a signed basis vector")
-        tau = col[a - 1].a < 0
-        if a == j and not tau:
-            continue
-        if a == j:
-            emit([gen_z(a)])
-        else:
-            emit([gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)])
     if not work.snapshot().is_identity():
         raise SynthesisError("synthesis did not reach identity")
     return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))

@@ -141,3 +141,14 @@ def oracle_level(M: ExactMatrix) -> tuple[int, int, int]:
         return (j + 1, 0, 0)
     odd = sum(1 for x in col if int(x.p) % 2 == 1)
     return (j + 1, k, odd)
+
+
+def reduce_nums_stepwise(k: int, aa: list[int], bb: list[int]):
+    """Reference rt2 stripping, one factor per pass: (a + b*rt2)/rt2 is
+    b + (a/2)*rt2, legal while every a is even and k > 0."""
+    while k > 0:
+        if any(a & 1 for a in aa):
+            break
+        aa, bb = list(bb), [a >> 1 for a in aa]
+        k -= 1
+    return k, aa, bb

@@ -370,3 +370,20 @@ def test_evaluation_builds_no_dense_product(monkeypatch):
     b = Prod(TWO, Prod(TWO, TWO))
     assert sem(t_h(GATE_CCX, b), Sum(ONE, b)) == toffoli
     assert verify_relation(RELATION_BY_ID["d4"], (1, 2, 3, 4, 5, 6), 6)
+
+
+def test_type_holds_its_dimension():
+    t = Prod(Sum(ONE, TWO), TWO)
+    assert hdim(t) == t.dim == 6 and hdim(ZERO) == 0 and hdim(ONE) == 1
+    # the stored dimension is invisible to equality, hashing and repr
+    assert t == Prod(Sum(ONE, TWO), TWO) and hash(t) == hash(Prod(Sum(ONE, TWO), TWO))
+    assert repr(t) == "Prod(Sum(One, Sum(One, One)), Sum(One, One))"
+    assert format_type(parse_type("(1+1+1)*(1+1)")) == format_type(Prod(nsum(3), TWO))
+    # far deeper than the recursion limit: hdim reads a number, it walks nothing
+    deep = ONE
+    for _ in range(5000):
+        deep = Sum(ONE, deep)
+    assert hdim(deep) == 5001 and hdim(Prod(deep, TWO)) == 10002
+    for bad in (None, Sum(None, ONE), Prim("had")):
+        with pytest.raises(LangError, match="not a value type"):
+            hdim(bad)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from oracles import (
     frac_direct_sum,
     frac_eq,
@@ -13,14 +15,17 @@ from oracles import (
     frac_mul,
     frac_of_matrix,
     oracle_level,
+    reduce_nums_stepwise,
 )
 
+from hadpi._core import reduce_nums
 from hadpi.linalg import (
     H_BLOCK,
     ExactMatrix,
     Generator,
     Level,
     LinAlgError,
+    RowState,
     format_matrix,
     gen_h,
     gen_x,
@@ -30,6 +35,7 @@ from hadpi.linalg import (
     parse_matrix,
 )
 from hadpi.ring import Dyadic, RingInt, dyadic
+from hadpi.synthesis import permutation_matrix
 
 
 def rand_generator(rng: random.Random, n: int) -> Generator:
@@ -224,3 +230,115 @@ def test_transpose_involution():
     for _ in range(50):
         M = rand_general(rng, rng.randint(1, 4))
         assert M.transpose().transpose() == M
+
+
+def _times_rt2_pow(aa: list[int], bb: list[int], d: int) -> tuple[list[int], list[int]]:
+    for _ in range(d):
+        aa, bb = [2 * b for b in bb], aa
+    return aa, bb
+
+
+@st.composite
+def numerator_arrays(draw):
+    """(k, aa, bb) with entries scaled by rt2^pad, so valuations reach past k."""
+    size = draw(st.integers(0, 8))
+    entries = st.lists(st.integers(-(2**40), 2**40), min_size=size, max_size=size)
+    aa, bb = _times_rt2_pow(draw(entries), draw(entries), draw(st.integers(0, 24)))
+    return draw(st.integers(0, 24)), aa, bb
+
+
+@given(numerator_arrays())
+@example((0, [4, 2], [8, 0]))  # k = 0: nothing to strip
+@example((5, [], []))  # empty arrays strip every factor
+@example((6, [0, 0, 0], [3, 0, -6]))  # all-zero aa, odd b: exactly one factor
+@example((7, [2, 3], [4, 4]))  # an odd a: returned unchanged
+@example((3, [64, -128], [32, 0]))  # valuations above k: stop at k
+def test_reduce_nums_matches_stepwise_reference(args):
+    k, aa, bb = args
+    got = reduce_nums(k, list(aa), list(bb))
+    want = reduce_nums_stepwise(k, list(aa), list(bb))
+    assert (got[0], list(got[1]), list(got[2])) == want
+
+
+def test_reduce_nums_odd_entry_returns_input_unchanged():
+    aa, bb = [2, 3, 0], [1, 1, 5]
+    assert reduce_nums(4, aa, bb) == (4, [2, 3, 0], [1, 1, 5])
+    assert reduce_nums(6, [0, 0], [3, -6]) == (5, [3, -6], [0, 0])
+    assert reduce_nums(3, [64, -128], [32, 0]) == (0, [16, 0], [16, -32])
+
+
+def _deep_word(rng: random.Random, n: int, length: int) -> list[Generator]:
+    # Hadamard-heavy, so exponents climb well past a few rt2 factors
+    gens = []
+    for _ in range(length):
+        kind = rng.choice("HHHXZ")
+        if kind == "Z":
+            gens.append(gen_z(rng.randint(1, n)))
+        else:
+            b, c = sorted(rng.sample(range(1, n + 1), 2))
+            gens.append(gen_h(b, c) if kind == "H" else gen_x(b, c))
+    return gens
+
+
+def _dense(gens: list[Generator], n: int) -> ExactMatrix:
+    M = ExactMatrix.identity(n)
+    for g in gens:
+        M = M @ g.matrix(n)
+    return M
+
+
+def _percolumn_level(M: ExactMatrix) -> Level:
+    """The level by its definition, one reduced column at a time."""
+    for j in range(M.n, 0, -1):
+        k, col = M.column(j)
+        if k == 0 and all(
+            x == (RingInt(1, 0) if i == j else RingInt(0, 0))
+            for i, x in enumerate(col, start=1)
+        ):
+            continue
+        if k == 0:
+            return Level(j, 0, 0)
+        return Level(j, k, sum(1 for x in col if x.residue().is_odd))
+    return Level(0, 0, 0)
+
+
+def _deep_cases() -> list[tuple[int, list[Generator]]]:
+    rng = random.Random(61)
+    sizes = [n for n in (4, 5, 6, 8, 10, 12) for _ in range(2)]
+    return [(n, _deep_word(rng, n, max(100, 12 * n))) for n in sizes]
+
+
+def test_row_state_matches_dense_products():
+    rng = random.Random(67)
+    for n, gens in _deep_cases():
+        W = _dense(gens, n)
+        assert W.k >= 15
+        state = RowState(ExactMatrix.identity(n))
+        state.apply_word(gens)
+        assert state.snapshot() == W
+        # each row sits at its own least exponent: positive only with an odd a
+        for i, k in enumerate(state.ks):
+            assert k == 0 or any(a & 1 for a in state.aa[i * n : i * n + n])
+        # a state built from a reduced matrix continues the product
+        more = _deep_word(rng, n, 2 * n)
+        state = RowState(W)
+        state.apply_word(more)
+        assert state.snapshot() == _dense(more, n) @ W
+        # permuting a row subset is the permutation matrix on the left
+        rows = rng.sample(range(n), rng.randint(2, n))
+        images = rng.sample(rows, len(rows))
+        perm = list(range(1, n + 1))
+        for r, image in zip(rows, images):
+            perm[r] = image + 1
+        before = state.snapshot()
+        state.permute(rows, images)
+        assert state.snapshot() == permutation_matrix(perm) @ before
+
+
+def test_level_matches_percolumn_definition_deep():
+    for n, gens in _deep_cases():
+        M = _dense(gens, n)
+        assert M.k >= 15
+        assert level(M) == _percolumn_level(M)
+        for j in range(1, n + 1):
+            assert RowState(M).column(j) == M.column(j)

@@ -27,6 +27,24 @@ for make, args in [(gen_h, (2, 1)), (gen_x, (1, 1)), (gen_z, (0,))]:
     else:
         raise SystemExit(f"{make.__name__}{args} was accepted")
 
+# a syllable that fixes column 2 but also flips the done column 3
+from hadpi.linalg import Generator, RowState
+from hadpi.synthesis import SynthesisError, synthesize
+
+apply_word = RowState.apply_word
+def append_z3(self, gens):
+    gens.append(Generator("Z", (3,)))
+    apply_word(self, gens)
+RowState.apply_word = append_z3
+try:
+    synthesize(ExactMatrix(3, 0, [0, -1, 0, 1, 0, 0, 0, 0, 1], [0] * 9))
+except SynthesisError as exc:
+    if "did not lower the level" not in str(exc):
+        raise SystemExit(f"the wrong check fired: {exc}")
+else:
+    raise SystemExit("synthesize accepted a syllable that disturbs a fixed column")
+RowState.apply_word = apply_word
+
 # a rewrite that appends a Hadamard changes the matrix
 words.apply_step = lambda w, step: Word(w.n, w.gens + (gen_h(1, 2),))
 step = DerivationStep("a3", "L->R", (1, 2), 0)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hadpi.linalg import ExactMatrix, Level, gen_h, gen_x, gen_z, level
+from hadpi.linalg import ExactMatrix, Generator, Level, RowState, gen_h, gen_x, gen_z, level
 from hadpi.synthesis import (
     SynthesisError,
     format_trace,
@@ -166,3 +166,19 @@ def test_level_agrees_with_initial_snapshot():
         n = rng.randint(2, 6)
         M = word_sem(rand_word(rng, n))
         assert synthesize(M).initial == level(M)
+
+
+def test_level_check_catches_a_disturbed_fixed_column(monkeypatch):
+    # column 3 is e_3; one signed swap fixes column 2 (-e_1) and column 1 (e_2)
+    M = ExactMatrix(3, 0, [0, -1, 0, 1, 0, 0, 0, 0, 1], [0] * 9)
+    assert [str(s) for s in synthesize(M).syllables] == ["X[1,2] Z[1]"]
+    apply_word = RowState.apply_word
+
+    def append_z3(self, gens):
+        # the syllable still fixes column 2, but also flips the done column 3
+        gens.append(Generator("Z", (3,)))
+        apply_word(self, gens)
+
+    monkeypatch.setattr(RowState, "apply_word", append_z3)
+    with pytest.raises(SynthesisError, match="syllable did not lower the level"):
+        synthesize(M)
