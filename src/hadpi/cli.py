@@ -8,6 +8,7 @@ stdin when the argument is "-".
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -300,8 +301,31 @@ def cmd_derive_check(args) -> int:
 # ---------------------------------------------------------------------------
 # wiring
 
+# The full enumeration is 3,846 assignments at n=6 and 32,712 at n=8 (0.6 s
+# and 12 s on a 2-core x86 host), and every check evaluates two n x n words.
+MAX_RELATIONS_N = 8
 
+
+def _count(low: int, high=None):
+    """argparse type: an integer in [low, high]."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"{value} is out of range: must be {bound}")
+        return value
+
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged, and the
+    # cmd_* functions it holds look their callees up when they run
     top = argparse.ArgumentParser(
         prog="hadpi",
         description="Exact evaluation, synthesis, and translation for "
@@ -347,9 +371,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("relations-verify", help="check the relation catalog by enumeration")
-    p.add_argument("--n", type=int, default=6, help="ambient dimension (default 6)")
     p.add_argument(
-        "--max-assignments", type=int, default=0,
+        "--n", type=_count(1, MAX_RELATIONS_N), default=6,
+        help=f"ambient dimension, 1 to {MAX_RELATIONS_N} (default 6)",
+    )
+    p.add_argument(
+        "--max-assignments", type=_count(0), default=0,
         help="cap enumerated assignments per relation (0 = all)",
     )
     p.set_defaults(func=cmd_relations_verify)

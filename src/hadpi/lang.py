@@ -28,6 +28,7 @@ class LangError(ValueError):
 @dataclass(frozen=True)
 class Zero:
     dim = 0
+    depth = 0
 
     def __repr__(self) -> str:
         return "Zero"
@@ -36,6 +37,7 @@ class Zero:
 @dataclass(frozen=True)
 class One:
     dim = 1
+    depth = 0
 
     def __repr__(self) -> str:
         return "One"
@@ -47,14 +49,17 @@ class Sum:
     right: "ValueType"
 
     def __init__(self, left: "ValueType", right: "ValueType"):
-        # Frozen, so the fields go straight into the instance dict.  dim is
-        # not a field (equality, hashing and repr ignore it) and is None
-        # while a child is an inference hole.
+        # Frozen, so the fields go straight into the instance dict.  dim and
+        # depth are not fields (equality, hashing and repr ignore them); dim
+        # is None while a child is an inference hole, which has depth 0.
         d = self.__dict__
         d["left"] = left
         d["right"] = right
         l, r = getattr(left, "dim", None), getattr(right, "dim", None)
         d["dim"] = None if l is None or r is None else l + r
+        l = 0 if left is None else left.depth
+        r = 0 if right is None else right.depth
+        d["depth"] = (l if l > r else r) + 1
 
     def __repr__(self) -> str:
         return f"Sum({self.left!r}, {self.right!r})"
@@ -66,14 +71,15 @@ class Prod:
     right: "ValueType"
 
     def __init__(self, left: "ValueType", right: "ValueType"):
-        # Frozen, so the fields go straight into the instance dict.  dim is
-        # not a field (equality, hashing and repr ignore it) and is None
-        # while a child is an inference hole.
+        # Frozen, so the fields go straight into the instance dict; see Sum.
         d = self.__dict__
         d["left"] = left
         d["right"] = right
         l, r = getattr(left, "dim", None), getattr(right, "dim", None)
         d["dim"] = None if l is None or r is None else l * r
+        l = 0 if left is None else left.depth
+        r = 0 if right is None else right.depth
+        d["depth"] = (l if l > r else r) + 1
 
     def __repr__(self) -> str:
         return f"Prod({self.left!r}, {self.right!r})"
@@ -84,6 +90,17 @@ ValueType = Union[Zero, One, Sum, Prod]
 ZERO = Zero()
 ONE = One()
 TWO = Sum(ONE, ONE)
+
+# The nesting budget, past which parsing and typing raise LangError.  Each
+# parenthesis, `+` operand and `*` operand of a parsed term or type opens
+# one level, and no primitive may make a type deeper than both this and its
+# input (a long chain of uniti+ would).  The parser spends at most six stack
+# frames per level; evaluation, inference, rendering and type comparison
+# spend at most three per level of a type, which the sums and products of
+# the term around it can take to 200.  The deepest case needs about 610
+# frames, inside the default recursion limit of 1000.  Every term t_q
+# prints for a word with n <= 99 re-parses.
+MAX_NESTING = 100
 
 
 def hdim(b: ValueType) -> int:
@@ -234,6 +251,10 @@ class CombinatorType:
 _Path = tuple
 
 
+def _too_deep(name: str) -> str:
+    return f"{name} nests the type deeper than the limit of {MAX_NESTING} levels (MAX_NESTING)"
+
+
 def _fail(path: _Path, msg: str) -> "LangError":
     steps = []
     while path:
@@ -362,6 +383,8 @@ def _run(
     operations to it, local row j of copy i being row offs[i] + j*stride."""
     if isinstance(c, Prim):
         dst = _prim_step(c.name, b, lang, path)
+        if dst.depth > b.depth and dst.depth > MAX_NESTING:
+            raise _fail(path, _too_deep(c.name))
         if state is None or c.name not in ("had", "neg1", "swap+", "swap*"):
             return dst  # every other primitive denotes an identity
         if c.name == "had":
@@ -549,6 +572,11 @@ def swap_plus_at(j: int, k: int, n: int) -> Term:
 # ---------------------------------------------------------------------------
 # concrete syntax
 
+# c^m is expanded at parse time to m copies of c, so powers multiply the
+# work of everything after parsing; the expanded term may have at most
+# this many primitive leaves once a power is applied.
+MAX_TERM_LEAVES = 100_000
+
 _TOKEN_RE = re.compile(
     r"""(assocr\+|assocl\+|unite\+|uniti\+
         |assocr\*|assocl\*|unite\*|uniti\*
@@ -579,6 +607,8 @@ class _Parser:
         self.pos = 0
         self.what = what
         self.end = len(text)
+        self.depth = 0  # open nesting levels
+        self.leaves = 0  # primitive leaves of the expanded term so far
 
     def peek(self) -> Optional[str]:
         if self.pos < len(self.toks):
@@ -592,12 +622,28 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def offset(self) -> int:
+        return self.toks[self.pos][1] if self.pos < len(self.toks) else self.end
+
     def expect(self, tok: str) -> None:
         got = self.peek()
         if got != tok:
-            at = self.toks[self.pos][1] if self.pos < len(self.toks) else self.end
-            raise LangError(f"{self.what}: expected {tok!r}, got {got!r} at offset {at}")
+            raise LangError(
+                f"{self.what}: expected {tok!r}, got {got!r} at offset {self.offset()}"
+            )
         self.pos += 1
+
+    def nest(self, parse):
+        """parse(self) one nesting level deeper, within MAX_NESTING."""
+        if self.depth == MAX_NESTING:
+            raise LangError(
+                f"{self.what}: nested deeper than the limit of {MAX_NESTING} levels"
+                f" (MAX_NESTING) at offset {self.offset()}"
+            )
+        self.depth += 1
+        out = parse(self)
+        self.depth -= 1
+        return out
 
     def done(self) -> None:
         if self.pos != len(self.toks):
@@ -609,7 +655,7 @@ def _parse_vtype(p: _Parser) -> ValueType:
     left = _parse_vfactor(p)
     if p.peek() == "+":
         p.take()
-        return Sum(left, _parse_vtype(p))
+        return Sum(left, p.nest(_parse_vtype))
     return left
 
 
@@ -617,7 +663,7 @@ def _parse_vfactor(p: _Parser) -> ValueType:
     left = _parse_vatom(p)
     if p.peek() == "*":
         p.take()
-        return Prod(left, _parse_vfactor(p))
+        return Prod(left, p.nest(_parse_vfactor))
     return left
 
 
@@ -628,7 +674,7 @@ def _parse_vatom(p: _Parser) -> ValueType:
     if tok == "1":
         return ONE
     if tok == "(":
-        inner = _parse_vtype(p)
+        inner = p.nest(_parse_vtype)
         p.expect(")")
         return inner
     raise LangError(f"{p.what}: expected a type, got {tok!r}")
@@ -670,7 +716,7 @@ def _parse_sum(p: _Parser) -> Term:
     left = _parse_prod(p)
     if p.peek() == "+":
         p.take()
-        return SumC(left, _parse_sum(p))
+        return SumC(left, p.nest(_parse_sum))
     return left
 
 
@@ -678,35 +724,48 @@ def _parse_prod(p: _Parser) -> Term:
     left = _parse_power(p)
     if p.peek() == "*":
         p.take()
-        return ProdC(left, _parse_prod(p))
+        return ProdC(left, p.nest(_parse_prod))
     return left
 
 
 def _parse_power(p: _Parser) -> Term:
+    start = p.leaves
     out = _parse_atom(p)
     while p.peek() == "^":
         p.take()
+        at = p.offset()
         tok = p.take()
         if not tok.isdigit():
             raise LangError(f"{p.what}: power needs a natural number, got {tok!r}")
-        out = iterate(out, int(tok))
+        # int() refuses texts of over 4300 digits; far fewer are over budget
+        digits = tok.lstrip("0") or "0"
+        m = int(digits) if len(digits) <= len(str(MAX_TERM_LEAVES)) else MAX_TERM_LEAVES + 1
+        p.leaves = start + (m * (p.leaves - start) or 1)  # c^0 is id
+        if p.leaves > MAX_TERM_LEAVES:
+            raise LangError(
+                f"{p.what}: the power at offset {at} expands the term past the limit"
+                f" of {MAX_TERM_LEAVES} leaves (MAX_TERM_LEAVES)"
+            )
+        out = iterate(out, m)
     return out
 
 
 def _parse_atom(p: _Parser) -> Term:
     tok = p.take()
     if tok == "(":
-        inner = _parse_seq(p)
+        inner = p.nest(_parse_seq)
         p.expect(")")
         return inner
     if tok == "factorz":
+        p.leaves += 1
         if p.peek() == "{":
             p.take()
-            operand = _parse_vtype(p)
+            operand = p.nest(_parse_vtype)
             p.expect("}")
             return Factorz(operand)
         return Factorz(ONE)
     if tok in _LANG_PRIMS["qpi"]:
+        p.leaves += 1
         return Prim(tok)
     raise LangError(f"{p.what}: expected a term, got {tok!r}")
 
@@ -788,7 +847,10 @@ def _flow(c: Term, pat, forward: bool):
     """Refine a source (forward) or target (backward) pattern through c.
     Returns (refined given pattern, pattern on the other side)."""
     if isinstance(c, Prim):
-        return _flow_prim(c.name, pat, forward)
+        got, other = _flow_prim(c.name, pat, forward)
+        if getattr(other, "depth", 0) > max(getattr(pat, "depth", 0), MAX_NESTING):
+            raise LangError(_too_deep(c.name))
+        return got, other
     if isinstance(c, Factorz):
         if forward:
             return _unify(pat, ZERO, "factorz"), Prod(c.operand, ZERO)

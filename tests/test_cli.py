@@ -1,10 +1,18 @@
 """Command-line interface: output formats and exit codes."""
 
+import argparse
+import contextlib
+import io
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from hadpi import cli, lang
 from hadpi.cli import main
 from hadpi.lang import format_term, parse_term
 from hadpi.linalg import format_matrix
@@ -12,7 +20,10 @@ from hadpi.words import parse_word, word_sem
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -52,6 +63,106 @@ def test_check_bad_syntax(capsys):
     code, _, err = run(capsys, "check", "had ;")
     assert code == 2
     assert "parse error" in err
+
+
+def _nested(shape: str, depth: int) -> list[str]:
+    """check argv whose term or type opens `depth` nesting levels."""
+    if shape == "parens":
+        return ["check", "(" * depth + "had" + ")" * depth]
+    if shape == "summands":
+        k = depth + 1
+        return ["check", "+".join(["id"] * k), "--in-type", "+".join(["1"] * k)]
+    if shape == "factors":
+        k = depth + 1
+        return ["check", "*".join(["id"] * k), "--in-type", "*".join(["1"] * k)]
+    # "type-parens": the term is shallow, its source type is not
+    return ["check", "id", "--in-type", "(" * depth + "1" + ")" * depth]
+
+
+NEST_SHAPES = ["parens", "summands", "factors", "type-parens"]
+
+
+@pytest.mark.parametrize("shape", NEST_SHAPES)
+def test_deep_nesting_exits_two(capsys, shape):
+    # 3,000 levels used to overrun the recursion limit in the parser
+    code, out, err = run(capsys, *_nested(shape, 3000))
+    assert code == 2 and out == ""
+    assert err.startswith("error: parse error: ") and err.count("\n") == 1
+    assert f"limit of {lang.MAX_NESTING} levels (MAX_NESTING)" in err
+
+
+@pytest.mark.parametrize("shape", NEST_SHAPES)
+def test_nesting_budget_boundary(capsys, shape):
+    limit = lang.MAX_NESTING
+    argv = _nested(shape, limit)
+    assert run(capsys, *argv)[0] == 0
+    # what parses also evaluates, infers, translates and prints in bounds
+    for cmd in (["sem"], ["equiv", argv[1]], ["translate", "--from", "qpi", "--to", "words"]):
+        assert run(capsys, cmd[0], argv[1], *cmd[1:], *argv[2:])[0] == 0
+    code, _, err = run(capsys, *_nested(shape, limit + 1))
+    assert code == 2 and "MAX_NESTING" in err
+
+
+def test_mixed_nesting_at_the_limit_runs(capsys):
+    half = lang.MAX_NESTING // 2
+    term = "id + (id ; " * half + "had" + ")" * half
+    in_type = "1+" * half + "(1+1)"
+    for argv in (
+        ["check", term], ["sem", term], ["normalize", term], ["equiv", term, term],
+        ["translate", term, "--from", "qpi", "--to", "words"],
+        ["translate", term, "--from", "qpi", "--to", "hpi"],
+        ["translate", term, "--from", "hpi", "--to", "qpi"],
+    ):
+        assert run(capsys, *argv, "--in-type", in_type)[0] == 0
+    code, _, err = run(capsys, "check", "id + (" + term + ")", "--in-type", "1+" + in_type)
+    assert code == 2 and "MAX_NESTING" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "uniti+^1000", "--in-type", "1"],
+    ["check", "neg1 ; uniti+^1000"],  # the same growth, met by inference
+    ["sem", "had ; uniti*^1000"],
+])
+def test_types_grown_past_the_nesting_budget_are_type_errors(capsys, argv):
+    # a short chain used to build a type too deep to print or compare
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"deeper than the limit of {lang.MAX_NESTING} levels (MAX_NESTING)" in err
+
+
+def bounded_child(env, body: str, *args: str, timeout: float):
+    """Run Python code in a child limited to 1 GiB of address space, so an
+    input that escapes every budget fails a test instead of exhausting the
+    machine; subprocess.run kills the child when the timeout expires."""
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    return subprocess.run(
+        [sys.executable, "-c", limit + body, *args], capture_output=True, text=True,
+        env=env, cwd=Path(__file__).parent, timeout=timeout,
+    )
+
+
+@pytest.mark.parametrize("term", ["had^99999999", "had^1000^1000^1000"])
+def test_huge_powers_exit_two_before_expanding(pkg_env, term):
+    body = "import sys\nfrom hadpi.cli import main\nsys.exit(main(sys.argv[1:]))"
+    proc = bounded_child(pkg_env, body, "sem", term, timeout=30)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: parse error: ") and proc.stderr.count("\n") == 1
+    assert f"limit of {lang.MAX_TERM_LEAVES} leaves (MAX_TERM_LEAVES)" in proc.stderr
+
+
+def test_power_budget_counts_the_whole_expansion(capsys):
+    limit = lang.MAX_TERM_LEAVES
+    parse_term(f"had^{limit}")
+    for term in (
+        f"had^{limit + 1}",
+        f"(had ; had)^{limit // 2 + 1}",  # c^m counts m times the size of c
+        f"had^{limit // 2} ; had^{limit // 2 + 1}",  # sizes add up
+        "had^" + "9" * 5000,  # past the digits int() accepts
+    ):
+        code, _, err = run(capsys, "check", term)
+        assert code == 2 and "MAX_TERM_LEAVES" in err
+    assert parse_term("had^" + "0" * 5000 + "2") == parse_term("had^2")
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +352,20 @@ def test_relations_verify_small_sample(capsys):
     assert lines[-1] == "22 of 22 relations verified (n=6, 0 skipped, 0 failed)"
 
 
+@pytest.mark.parametrize("args, rejected", [
+    (["--max-assignments", "-1"], "--max-assignments"),
+    (["--n", "-2"], "--n"),
+    (["--n", "0", "--max-assignments", "1"], "--n"),
+    (["--n", "9", "--max-assignments", "1"], "--n"),  # one past MAX_RELATIONS_N
+], ids=["negative-cap", "negative-n", "zero-n", "n-past-max"])
+def test_relations_verify_rejects_out_of_range(capsys, args, rejected):
+    # they used to report relations verified having checked nothing
+    code, out, err = run(capsys, "relations-verify", *args)
+    assert (code, out) == (2, "")
+    assert f"argument {rejected}: " in err and "out of range" in err
+    assert cli.MAX_RELATIONS_N == 8
+
+
 def test_relations_verify_skips_below_arity(capsys):
     code, out, _ = run(capsys, "relations-verify", "--n", "3")
     assert code == 0
@@ -305,13 +430,16 @@ def test_translate_gates_source_language(capsys):
 
 
 def test_translate_output_reparses(capsys):
-    code, out, _ = run(
-        capsys, "translate", "dist ; id + id * swap+ ; factor",
-        "--from", "qpi", "--to", "hpi", "--in-type", "(1+1)*(1+1)",
-    )
-    assert code == 0
-    term = parse_term(out.splitlines()[0])
-    assert format_term(term) == out.splitlines()[0]
+    for argv in (
+        ["dist ; id + id * swap+ ; factor", "--from", "qpi", "--to", "hpi",
+         "--in-type", "(1+1)*(1+1)"],
+        # t_q nests about n levels deep, within MAX_NESTING up to n = 99
+        ["n=99 H[1,99] Z[99]", "--from", "words", "--to", "qpi"],
+    ):
+        code, out, _ = run(capsys, "translate", *argv)
+        assert code == 0
+        term = parse_term(out.splitlines()[0])
+        assert format_term(term) == out.splitlines()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +505,54 @@ def test_missing_arguments_exit_two():
     assert e.value.code == 2
 
 
+@pytest.fixture
+def fresh_parser():
+    cli._build_parser.cache_clear()
+    yield
+    cli._build_parser.cache_clear()
+
+
+def test_parser_is_built_once_per_process(capsys, monkeypatch, fresh_parser):
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert run(capsys, "sem", "had")[0] == 0
+    first = len(built)
+    for argv in (["check", "had"], ["equiv", "had", "id"], ["sem", "had", "--float"],
+                 ["equiv", "had"]):
+        run(capsys, *argv)
+    assert built.count("hadpi") == 1 and len(built) == first
+
+
+def test_calls_share_no_state(capsys, fresh_parser):
+    calls = [
+        ["equiv", "had"],  # usage error
+        ["check", "had ; neg1 + id", "--lang", "pi"],
+        ["check", "had ; neg1 + id"],  # back to the default qpi
+        ["sem", "had", "--float"],
+        ["sem", "had"],  # no float block
+        ["relations-verify", "--n", "3"],
+        ["relations-verify", "--n", "4", "--max-assignments", "2"],
+    ]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv))
+    cli._build_parser.cache_clear()
+    shared = [run(capsys, *argv) for argv in calls]
+    assert shared == alone
+    codes = [code for code, _, _ in shared]
+    assert codes == [2, 2, 0, 0, 0, 0, 0]
+    assert "float" in shared[3][1] and "float" not in shared[4][1]
+    assert shared[5][1].splitlines()[-1].endswith("(n=3, 7 skipped, 0 failed)")
+    assert "PASS b2 assignments=2" in shared[6][1].splitlines()
+
+
 def test_module_entry_point(pkg_env):
     proc = subprocess.run(
         [sys.executable, "-m", "hadpi.cli", "sem", "had"],
@@ -384,3 +560,131 @@ def test_module_entry_point(pkg_env):
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("dim 2")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argv ends in exit 0, 1 or 2, promptly
+
+CALL_SECONDS = 10  # generous: the slowest drawn call takes well under a second
+
+PRIMS = sorted(lang.primitives("qpi")) + ["factorz", "factorz{1+1}"]
+TERMS = ["had ; neg1 + id", "(had ; swap+)^8", "dist ; id + id * swap+ ; factor",
+         "had + had", "uniti+ ; unite+ ; had", "swap* ; had * neg1 ; swap*", "had * had"]
+TYPES = ["0", "1", "1+1", "1+1+1", "(1+1)*(1+1)", "(1+1)*0", "1*(1+1)", "0+1"]
+WORDS = ["n=1 Z[1]", "n=2 H[1,2] X[1,2]", "n=3 H[2,3] Z[1]", "n=2 eps", "n=0 eps",
+         "n=3 H[3,1]", "n=2 X[1,3]", "n=2 Q[1]", "n=x eps"]
+MATRICES = ["dim 2/lde 1/1 1/1 -1", "dim 1/lde 0/1", "dim 2/lde 0/0 1/1 0",
+            "dim 2/lde 0/1 1/0 1", "dim 1/lde 1/√2", "dim 2/lde 0/1 0", "dim -1/lde 0"]
+JUNK = ["(", ")", ";", "+", "*", "^", "{", "}", "0", "1", "2", "x", "", "--", "-h"]
+
+
+def _deep_text(shape: str, past_limit: int) -> str:
+    term_or_type = _nested(shape, lang.MAX_NESTING + past_limit)
+    return term_or_type[-1] if shape == "type-parens" else term_or_type[1]
+
+
+@st.composite
+def _term_texts(draw):
+    term = st.recursive(
+        st.sampled_from(PRIMS),
+        lambda t: st.one_of(
+            st.tuples(t, st.sampled_from([" ; ", " + ", " * "]), t).map("".join),
+            st.tuples(t, st.sampled_from([0, 1, 2, 3, 150, 2000])).map(
+                lambda p: f"({p[0]})^{p[1]}"
+            ),
+            t.map(lambda s: f"({s})"),
+        ),
+        max_leaves=6,
+    )
+    nests = st.builds(
+        _deep_text, st.sampled_from(NEST_SHAPES[:3]), st.integers(-2, 100)
+    )
+    powers = st.sampled_from([
+        "had^99999999", "had^1000^1000^1000", "(had ; swap+)^50001",
+        "had^" + "9" * 5000, "id^0", "neg1 ; uniti+^2000", "had ; uniti*^2000",
+    ])
+    soup = st.lists(st.sampled_from(PRIMS + JUNK), max_size=8).map(" ".join)
+    return draw(st.one_of(st.sampled_from(TERMS), term, nests, powers, soup))
+
+
+_type_texts = st.one_of(
+    st.sampled_from(TYPES),
+    st.builds(_deep_text, st.just("type-parens"), st.integers(-2, 100)),
+    st.lists(st.sampled_from(["0", "1", "+", "*", "(", ")", "x"]), max_size=6).map("".join),
+)
+
+
+def _typed(draw, argv):
+    if draw(st.booleans()):
+        argv += ["--in-type", draw(_type_texts)]
+    if draw(st.booleans()):
+        argv += ["--lang", draw(st.sampled_from(["pi", "qpi", "hpi", "q"]))]
+    return argv
+
+
+@st.composite
+def _argvs(draw):
+    cmd = draw(st.sampled_from([
+        "check", "sem", "synth", "normalize", "equiv", "relations-verify",
+        "translate", "derive-check", "junk",
+    ]))
+    word = st.sampled_from(WORDS)
+    if cmd in ("check", "sem"):
+        argv = _typed(draw, [cmd, draw(_term_texts())])
+        if cmd == "sem" and draw(st.booleans()):
+            argv.append("--float")
+    elif cmd == "synth":
+        argv = ["synth", draw(st.sampled_from(MATRICES))]
+        if draw(st.booleans()):
+            argv.append("--trace")
+    elif cmd in ("normalize", "equiv"):
+        arity = 1 if cmd == "normalize" else 2
+        if draw(st.booleans()):
+            argv = [cmd, *(draw(word) for _ in range(arity)), "--kind", "word"]
+        else:
+            argv = _typed(draw, [cmd, *(draw(_term_texts()) for _ in range(arity))])
+    elif cmd == "relations-verify":
+        # always capped: a full enumeration at n = 8 takes seconds
+        counts = st.sampled_from(["-2", "0", "1", "3", "4", "8", "9", "1000000000", "x"])
+        argv = [cmd, "--n", draw(counts), "--max-assignments",
+                draw(st.sampled_from(["-1", "1", "2"]))]
+    elif cmd == "translate":
+        text = draw(st.one_of(word, _term_texts()))
+        argv = [cmd, text, "--from", draw(st.sampled_from(["qpi", "hpi", "words", "pi"])),
+                "--to", draw(st.sampled_from(["qpi", "hpi", "words", "term"]))]
+        if draw(st.booleans()):
+            argv += ["--in-type", draw(_type_texts)]
+    elif cmd == "derive-check":
+        step = draw(st.sampled_from([
+            "step a3 L->R at 0 with a=1,b=2", "step a1 L->R at 5 with a=9", "step z",
+        ]))
+        argv = [cmd, f"{draw(word)}\n{step}\n{draw(word)}"]
+    else:
+        argv = draw(st.lists(st.sampled_from(JUNK + PRIMS + ["check", "--n"]), max_size=5))
+    return argv
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argvs())
+def fuzz_main(argv):
+    def expire(signum, frame):
+        raise TimeoutError(f"{argv} ran past the {CALL_SECONDS} s budget")
+
+    signal.signal(signal.SIGALRM, expire)
+    signal.alarm(CALL_SECONDS)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        signal.alarm(0)
+    assert code in (0, 1, 2), argv
+
+
+def test_main_fuzz_keeps_the_exit_code_contract(pkg_env):
+    # one child runs every example, so they share one parser as a session does
+    proc = bounded_child(pkg_env, "import test_cli\ntest_cli.fuzz_main()", timeout=120)
+    assert proc.returncode == 0, proc.stderr[-4000:]
