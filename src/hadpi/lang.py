@@ -93,13 +93,15 @@ TWO = Sum(ONE, ONE)
 
 # The nesting budget, past which parsing and typing raise LangError.  Each
 # parenthesis, `+` operand and `*` operand of a parsed term or type opens
-# one level, and no primitive may make a type deeper than both this and its
-# input (a long chain of uniti+ would).  The parser spends at most six stack
-# frames per level; evaluation, inference, rendering and type comparison
-# spend at most three per level of a type, which the sums and products of
-# the term around it can take to 200.  The deepest case needs about 610
-# frames, inside the default recursion limit of 1000.  Every term t_q
-# prints for a word with n <= 99 re-parses.
+# one level.  Within one typecheck, sem or inference pass a type may grow
+# to MAX_NESTING levels past the deeper of its source and MAX_NESTING (see
+# _depth_limit): a long chain of uniti+ would otherwise build a type too
+# deep to print or compare, while a program built over a deeper source
+# still runs.  The parser spends at most six stack frames per level;
+# evaluation, inference, rendering and type comparison spend at most three
+# per level of a type, which a parsed source keeps within 200.  The deepest
+# case needs about 610 frames, inside the default recursion limit of 1000.
+# Every term t_q prints for a word with n <= 99 re-parses.
 MAX_NESTING = 100
 
 
@@ -251,8 +253,25 @@ class CombinatorType:
 _Path = tuple
 
 
-def _too_deep(name: str) -> str:
-    return f"{name} nests the type deeper than the limit of {MAX_NESTING} levels (MAX_NESTING)"
+# the primitives whose target can be deeper than their source; so can
+# factorz, which is not a Prim
+_DEEPENING = frozenset({"uniti+", "uniti*", "assocr+", "assocl+", "assocr*", "assocl*", "dist"})
+
+
+def _depth_limit(source) -> int:
+    """Deepest type one pass over a term may build from this source."""
+    return max(getattr(source, "depth", 0), MAX_NESTING) + MAX_NESTING
+
+
+def _check_depth(name: str, dst, limit: int, path: _Path) -> None:
+    """Refuse a target deeper than limit, the levels left to the subtype
+    that a primitive in _DEEPENING rewrites."""
+    if getattr(dst, "depth", 0) > limit:
+        raise _fail(
+            path,
+            f"{name} nests the type more than {MAX_NESTING} levels (MAX_NESTING)"
+            " past the deeper of its source and MAX_NESTING",
+        )
 
 
 def _fail(path: _Path, msg: str) -> "LangError":
@@ -375,16 +394,18 @@ def _run(
     b: ValueType,
     lang: str,
     path: _Path,
+    limit: int,
     state: Optional[RowState] = None,
     offs: Sequence[int] = (0,),
     stride: int = 1,
 ) -> ValueType:
-    """Target type of c on input b; with a state, also apply c's row
-    operations to it, local row j of copy i being row offs[i] + j*stride."""
+    """Target type of c on input b, no deeper than limit; with a state, also
+    apply c's row operations to it, local row j of copy i being row
+    offs[i] + j*stride."""
     if isinstance(c, Prim):
         dst = _prim_step(c.name, b, lang, path)
-        if dst.depth > b.depth and dst.depth > MAX_NESTING:
-            raise _fail(path, _too_deep(c.name))
+        if c.name in _DEEPENING:
+            _check_depth(c.name, dst, limit, path)
         if state is None or c.name not in ("had", "neg1", "swap+", "swap*"):
             return dst  # every other primitive denotes an identity
         if c.name == "had":
@@ -402,21 +423,25 @@ def _run(
     if isinstance(c, Factorz):
         if not isinstance(b, Zero):
             raise _fail(path, f"factorz needs input 0, got {format_type(b)}")
-        return Prod(c.operand, ZERO)
+        dst = Prod(c.operand, ZERO)
+        _check_depth("factorz", dst, limit, path)
+        return dst
     if isinstance(c, Seq):
         # walk the whole spine iteratively: translated words compose
         # thousands of factors and would overrun the recursion limit
         cur = b
         for node, p in _seq_items(c, path):
-            cur = _run(node, cur, lang, p, state, offs, stride)
+            cur = _run(node, cur, lang, p, limit, state, offs, stride)
         return cur
     if isinstance(c, SumC):
         if not isinstance(b, Sum):
             raise _fail(path, f"sum of terms needs a sum input, got {format_type(b)}")
-        ld = _run(c.left, b.left, lang, (path, "sum.left"), state, offs, stride)
+        limit -= 1
+        ld = _run(c.left, b.left, lang, (path, "sum.left"), limit, state, offs, stride)
         if state is not None:
             offs = [o + hdim(b.left) * stride for o in offs]
-        return Sum(ld, _run(c.right, b.right, lang, (path, "sum.right"), state, offs, stride))
+        rd = _run(c.right, b.right, lang, (path, "sum.right"), limit, state, offs, stride)
+        return Sum(ld, rd)
     if isinstance(c, ProdC):
         if not isinstance(b, Prod):
             raise _fail(
@@ -428,20 +453,21 @@ def _run(
             n1, n2 = hdim(b.left), hdim(b.right)
             left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
             right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
-        ld = _run(c.left, b.left, lang, (path, "prod.left"), state, *left)
-        return Prod(ld, _run(c.right, b.right, lang, (path, "prod.right"), state, *right))
+        limit -= 1
+        ld = _run(c.left, b.left, lang, (path, "prod.left"), limit, state, *left)
+        return Prod(ld, _run(c.right, b.right, lang, (path, "prod.right"), limit, state, *right))
     raise _fail(path, f"not a term: {c!r}")
 
 
 def typecheck(c: Term, input: ValueType, lang: str = "qpi") -> CombinatorType:
     """Propagate the source type through c; the target is determined."""
-    return CombinatorType(input, _run(c, input, lang, ()))
+    return CombinatorType(input, _run(c, input, lang, (), _depth_limit(input)))
 
 
 def sem(c: Term, input: ValueType, lang: str = "qpi") -> ExactMatrix:
     """Exact matrix denotation of c at the given source type."""
     state = RowState(ExactMatrix.identity(hdim(input)))
-    _run(c, input, lang, (), state)
+    _run(c, input, lang, (), _depth_limit(input), state)
     return state.snapshot()
 
 
@@ -497,7 +523,7 @@ def _inv(c: Term, b: ValueType, lang: str) -> Term:
         invs = []
         for node, _ in _seq_items(c, ()):
             invs.append(_inv(node, cur, lang))
-            cur = _run(node, cur, lang, ())
+            cur = _run(node, cur, lang, (), _depth_limit(cur))  # typed already
         return seqs(*reversed(invs))
     if isinstance(c, SumC):
         assert isinstance(b, Sum)
@@ -843,17 +869,21 @@ def _render_pattern(p) -> str:
     return f"({_render_pattern(p.left)}{op}{_render_pattern(p.right)})"
 
 
-def _flow(c: Term, pat, forward: bool):
-    """Refine a source (forward) or target (backward) pattern through c.
-    Returns (refined given pattern, pattern on the other side)."""
+def _flow(c: Term, pat, forward: bool, limit: int):
+    """Refine a source (forward) or target (backward) pattern through c, no
+    pattern deeper than limit.  Returns (refined given pattern, pattern on
+    the other side)."""
     if isinstance(c, Prim):
         got, other = _flow_prim(c.name, pat, forward)
-        if getattr(other, "depth", 0) > max(getattr(pat, "depth", 0), MAX_NESTING):
-            raise LangError(_too_deep(c.name))
+        # backwards, unite+ rewrites as uniti+ does forwards
+        if (c.name if forward else _PRIM_INV.get(c.name)) in _DEEPENING:
+            _check_depth(c.name, other, limit, ())
         return got, other
     if isinstance(c, Factorz):
         if forward:
-            return _unify(pat, ZERO, "factorz"), Prod(c.operand, ZERO)
+            other = Prod(c.operand, ZERO)
+            _check_depth("factorz", other, limit, ())
+            return _unify(pat, ZERO, "factorz"), other
         return _unify(pat, Prod(c.operand, ZERO), "factorz"), ZERO
     if isinstance(c, Seq):
         items = [node for node, _ in _seq_items(c, ())]
@@ -862,7 +892,7 @@ def _flow(c: Term, pat, forward: bool):
         refined = pat
         cur = pat
         for pos, node in enumerate(items):
-            got, cur = _flow(node, cur, forward)
+            got, cur = _flow(node, cur, forward, limit)
             if pos == 0:
                 refined = got
         return refined, cur
@@ -870,8 +900,8 @@ def _flow(c: Term, pat, forward: bool):
         shape = Sum if isinstance(c, SumC) else Prod
         name = "a sum of terms" if shape is Sum else "a product of terms"
         pat = _unify(pat, shape(None, None), name)
-        _, lo = _flow(c.left, pat.left, forward)
-        _, ro = _flow(c.right, pat.right, forward)
+        _, lo = _flow(c.left, pat.left, forward, limit - 1)
+        _, ro = _flow(c.right, pat.right, forward, limit - 1)
         return pat, shape(lo, ro)
     raise LangError(f"not a term: {c!r}")
 
@@ -949,11 +979,15 @@ def _fill(p) -> Optional[ValueType]:
 
 def infer_source(c: Term) -> ValueType:
     """Pin down the source type forced by a term's structure, when unique.
-    Raises if the term constrains it incompletely (e.g. a bare id)."""
+    Raises if the term constrains it incompletely (e.g. a bare id).  The
+    source is unknown, so every pass keeps to the depth limit of a shallow
+    one; the last forward pass then bounds every type that typing the
+    inferred source meets."""
     pin = _HOLE
+    limit = _depth_limit(_HOLE)
     for _ in range(1000):
-        refined, pout = _flow(c, pin, True)
-        _, back = _flow(c, pout, False)
+        refined, pout = _flow(c, pin, True, limit)
+        _, back = _flow(c, pout, False, limit)
         merged = _unify(_unify(refined, back, "term"), pin, "term")
         if merged == pin:
             break

@@ -16,6 +16,7 @@ from hadpi import cli, lang
 from hadpi.cli import main
 from hadpi.lang import format_term, parse_term
 from hadpi.linalg import format_matrix
+from hadpi.translate import t_q
 from hadpi.words import parse_word, word_sem
 
 
@@ -128,7 +129,32 @@ def test_types_grown_past_the_nesting_budget_are_type_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert f"deeper than the limit of {lang.MAX_NESTING} levels (MAX_NESTING)" in err
+    assert f"more than {lang.MAX_NESTING} levels (MAX_NESTING) past the deeper of" in err
+
+
+def test_type_growth_is_bounded_by_the_source_of_the_whole_call(capsys):
+    limit = lang.MAX_NESTING
+    deep = "+".join(["1"] * (limit + 1))  # a source type of depth MAX_NESTING
+    # the whole type may reach MAX_NESTING levels past the source, wherever
+    # in it the growth happens, and not one level more
+    for term, in_type in (
+        (f"uniti+^{limit}", deep),
+        ("id+" * (limit - 1) + f"uniti+^{limit + 1}", "1+" * (limit - 1) + "1"),
+    ):
+        for cmd in (["check"], ["sem"], ["equiv", term]):
+            assert run(capsys, cmd[0], term, *cmd[1:], "--in-type", in_type)[0] == 0
+        code, _, err = run(capsys, "check", term + " ; uniti+", "--in-type", in_type)
+        assert code == 1 and "MAX_NESTING" in err
+
+
+def test_programs_built_over_deep_sources_run(capsys):
+    # t_q lowers the depth of nsum(n) (depth n-1) with assocl+ and restores
+    # it with assocr+; past MAX_NESTING that is still no growth
+    n = 150
+    code, out, _ = run(capsys, "translate", f"n={n} X[1,2] H[1,{n}] Z[{n}]", "--from", "words", "--to", "qpi")
+    assert code == 0 and out.count("\n") > 1
+    w = parse_word(f"n={n} X[1,{n}] H[2,{n - 1}]")
+    assert lang.sem(t_q(w), lang.nsum(n)) == word_sem(w)
 
 
 def bounded_child(env, body: str, *args: str, timeout: float):
