@@ -14,7 +14,6 @@ from pathlib import Path
 
 from .lang import (
     LangError,
-    Prim,
     Term,
     ValueType,
     format_term,
@@ -25,6 +24,7 @@ from .lang import (
     parse_type,
     primitives,
     sem,
+    term_prims,
     typecheck,
 )
 from .linalg import LinAlgError, format_matrix, parse_matrix
@@ -71,15 +71,9 @@ def _term_arg(value: str, lang: str) -> Term:
     except LangError as exc:
         raise UsageError(f"parse error: {exc}") from None
     allowed = primitives(lang)
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prim) and node.name not in allowed:
-            raise UsageError(f"parse error: {node.name} is not in {lang}")
-        for attr in ("fst", "snd", "left", "right"):
-            child = getattr(node, attr, None)
-            if child is not None:
-                stack.append(child)
+    for prim in term_prims(c):
+        if prim.name not in allowed:
+            raise UsageError(f"parse error: {prim.name} is not in {lang}")
     return c
 
 

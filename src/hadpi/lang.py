@@ -274,12 +274,20 @@ def _check_depth(name: str, dst, limit: int, path: _Path) -> None:
         )
 
 
+# a longer path prints its first and last _PATH_ENDS steps around a count
+_PATH_ENDS = 5
+
+
 def _fail(path: _Path, msg: str) -> "LangError":
     steps = []
     while path:
         path, step = path
         steps.append(step)
-    where = ".".join(reversed(steps)) if steps else "term"
+    steps.reverse()
+    if len(steps) > 3 * _PATH_ENDS:
+        cut = len(steps) - 2 * _PATH_ENDS
+        steps[_PATH_ENDS:-_PATH_ENDS] = [f"<{cut} steps>"]
+    where = ".".join(steps) if steps else "term"
     return LangError(f"at {where}: {msg}")
 
 
@@ -373,6 +381,22 @@ def _prim_step(name: str, b: ValueType, lang: str, path: _Path) -> ValueType:
             raise _fail(path, f"had needs input 1+1, got {format_type(b)}")
         return b
     raise _fail(path, f"unknown primitive {name}")
+
+
+def term_prims(c: Term):
+    """Every primitive node of a term, walked without recursion: seq
+    spines run far deeper than the interpreter's recursion limit."""
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Prim):
+            yield node
+        elif isinstance(node, Seq):
+            stack.append(node.fst)
+            stack.append(node.snd)
+        elif isinstance(node, (SumC, ProdC)):
+            stack.append(node.left)
+            stack.append(node.right)
 
 
 def _seq_items(c: Term, path: _Path) -> list[tuple[Term, _Path]]:
@@ -977,6 +1001,10 @@ def _fill(p) -> Optional[ValueType]:
     return type(p)(left, right)
 
 
+# rounds of forward and backward flow before infer_source gives up
+MAX_INFER_ROUNDS = 1000
+
+
 def infer_source(c: Term) -> ValueType:
     """Pin down the source type forced by a term's structure, when unique.
     Raises if the term constrains it incompletely (e.g. a bare id).  The
@@ -985,13 +1013,18 @@ def infer_source(c: Term) -> ValueType:
     inferred source meets."""
     pin = _HOLE
     limit = _depth_limit(_HOLE)
-    for _ in range(1000):
+    for _ in range(MAX_INFER_ROUNDS):
         refined, pout = _flow(c, pin, True, limit)
         _, back = _flow(c, pout, False, limit)
         merged = _unify(_unify(refined, back, "term"), pin, "term")
         if merged == pin:
             break
         pin = merged
+    else:
+        raise LangError(
+            f"source inference did not settle within {MAX_INFER_ROUNDS} rounds"
+            " (MAX_INFER_ROUNDS); supply the source type explicitly"
+        )
     out = _fill(pin)
     if out is None:
         raise LangError(

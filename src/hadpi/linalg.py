@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from ._core import kron_nums, mat_mul_nums, reduce_nums
-from .ring import Dyadic, RingInt, dyadic, format_ringint, parse_ringint
+from .ring import RingInt, format_ringint, parse_ringint
 
 SQRT2 = 2.0**0.5
 
@@ -45,27 +45,7 @@ class ExactMatrix:
             aa[i * n + i] = 1
         return cls(n, 0, aa, [0] * (n * n))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Dyadic]]) -> "ExactMatrix":
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise LinAlgError("matrix must be square")
-        k = max((v.k for r in rows for v in r), default=0)
-        aa = [0] * (n * n)
-        bb = [0] * (n * n)
-        for i, r in enumerate(rows):
-            for j, v in enumerate(r):
-                num = v.num.mul_pow_rt2(k - v.k)
-                aa[i * n + j] = num.a
-                bb[i * n + j] = num.b
-        return cls(n, k, aa, bb)
-
-    def entry(self, i: int, j: int) -> Dyadic:
-        """Entry at 1-based (i, j), reduced to its own exponent."""
-        p = (i - 1) * self.n + (j - 1)
-        return dyadic(RingInt(self.aa[p], self.bb[p]), self.k)
-
-    def column(self, j: int) -> tuple[int, list[RingInt]]:
+    def column(self, j: int) -> tuple[int, list[int], list[int]]:
         """Column j (1-based) with its own least exponent."""
         return _column(self.n, (self.k,) * self.n, self.aa, self.bb, j)
 
@@ -89,14 +69,12 @@ class ExactMatrix:
         aa = [0] * (n * n)
         bb = [0] * (n * n)
         for block, off in ((self, 0), (other, self.n)):
-            shift = k - block.k
-            for i in range(block.n):
-                for j in range(block.n):
-                    p = i * block.n + j
-                    num = RingInt(block.aa[p], block.bb[p]).mul_pow_rt2(shift)
-                    q = (i + off) * n + (j + off)
-                    aa[q] = num.a
-                    bb[q] = num.b
+            m = block.n
+            ba, bl = _lift(block.aa, block.bb, k - block.k)
+            for i in range(m):
+                q = (i + off) * n + off
+                aa[q : q + m] = ba[i * m : i * m + m]
+                bb[q : q + m] = bl[i * m : i * m + m]
         return ExactMatrix(n, k, aa, bb)
 
     def tensor(self, other: "ExactMatrix") -> "ExactMatrix":
@@ -153,12 +131,12 @@ def m_level_embed(small: ExactMatrix, rows: Sequence[int], n: int) -> ExactMatri
         raise LinAlgError("index list must have one distinct entry per row")
     if not all(1 <= r <= n for r in rows):
         raise LinAlgError(f"indices must lie in 1..{n}")
-    one = RingInt(1, 0).mul_pow_rt2(small.k)
+    (one_a,), (one_b,) = _lift([1], [0], small.k)
     aa = [0] * (n * n)
     bb = [0] * (n * n)
     for i in range(n):
-        aa[i * n + i] = one.a
-        bb[i * n + i] = one.b
+        aa[i * n + i] = one_a
+        bb[i * n + i] = one_b
     for p in range(m):
         for q in range(m):
             t = (rows[p] - 1) * n + (rows[q] - 1)
@@ -189,9 +167,11 @@ def level(M: ExactMatrix) -> Level:
     return _level_unchecked(RowState(M))[0]
 
 
-def _level_unchecked(state: "RowState", top: int = 0) -> tuple[Level, list[RingInt]]:
-    """Level of the orthogonal matrix held by state, with column Level.j
-    scaled by rt2^Level.k (empty for the identity).
+def _level_unchecked(
+    state: "RowState", top: int = 0
+) -> tuple[Level, list[int], list[int]]:
+    """Level of the orthogonal matrix held by state, with the numerators
+    ca, cb of column Level.j scaled by rt2^Level.k (empty for the identity).
 
     Columns are scanned from top (default n) down; the caller vouches that
     every column above top is a unit column.
@@ -205,9 +185,9 @@ def _level_unchecked(state: "RowState", top: int = 0) -> tuple[Level, list[RingI
         one = (0, 1 << half) if ks[p] & 1 else (1 << half, 0)
         if (ca[p], cb[p]) == one and ca.count(0) + cb.count(0) == 2 * n - 1:
             continue
-        k, col = state.column(j)
-        return Level(j, k, sum(x.a & 1 for x in col) if k else 0), col
-    return Level(0, 0, 0), []
+        k, ca, cb = state.column(j)
+        return Level(j, k, sum(a & 1 for a in ca) if k else 0), ca, cb
+    return Level(0, 0, 0), [], []
 
 
 # Generator matrices: the 1x1 sign flip and the 2x2 swap and Hadamard blocks.
@@ -232,8 +212,10 @@ class Generator(NamedTuple):
         return f"{self.kind}[{','.join(map(str, self.idx))}]"
 
 
-def _lift(ra: list[int], rb: list[int], d: int) -> tuple[list[int], list[int]]:
-    """Multiply numerators a + b*rt2 by rt2^d."""
+def _lift(
+    ra: Sequence[int], rb: Sequence[int], d: int
+) -> tuple[Sequence[int], Sequence[int]]:
+    """Multiply numerators a + b*rt2 by rt2^d (d >= 0); d = 0 returns them."""
     h = d >> 1
     if d & 1:
         return [b << (h + 1) for b in rb], [a << h for a in ra]
@@ -244,17 +226,16 @@ def _lift(ra: list[int], rb: list[int], d: int) -> tuple[list[int], list[int]]:
 
 def _column(
     n: int, ks: Sequence[int], aa: Sequence[int], bb: Sequence[int], j: int
-) -> tuple[int, list[RingInt]]:
-    """Column j (1-based) of the rows rt2^-ks[i] * (aa + bb*rt2), with its
-    own least exponent."""
+) -> tuple[int, list[int], list[int]]:
+    """Column j (1-based) of the rows rt2^-ks[i] * (aa + bb*rt2): its least
+    exponent k and numerators ca, cb, entry i being rt2^-k * (ca[i] + cb[i]*rt2)."""
     p = j - 1
     ca, cb = list(aa[p::n]), list(bb[p::n])
     top = max((k for k, a, b in zip(ks, ca, cb) if a or b), default=0)
     for i, k in enumerate(ks):
         if k < top and (ca[i] or cb[i]):
-            ca[i], cb[i] = RingInt(ca[i], cb[i]).mul_pow_rt2(top - k)
-    k, ca, cb = reduce_nums(top, ca, cb)
-    return k, [RingInt(a, b) for a, b in zip(ca, cb)]
+            (ca[i],), (cb[i],) = _lift((ca[i],), (cb[i],), top - k)
+    return reduce_nums(top, ca, cb)
 
 
 def apply_generator_rows(
@@ -323,7 +304,7 @@ class RowState:
             bb += rb
         return ExactMatrix(n, top, aa, bb)
 
-    def column(self, j: int) -> tuple[int, list[RingInt]]:
+    def column(self, j: int) -> tuple[int, list[int], list[int]]:
         """Column j (1-based) with its own least exponent."""
         return _column(self.n, self.ks, self.aa, self.bb, j)
 

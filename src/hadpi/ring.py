@@ -1,37 +1,19 @@
-"""Exact arithmetic in Z[rt2] and its localization Z[1/rt2].
+"""Elements of the ring Z[rt2] and their text form.
 
-Elements of Z[rt2] are pairs (a, b) standing for a + b*rt2. Elements of
-Z[1/rt2] are stored as a numerator in Z[rt2] together with a denominator
-exponent k, the value being (a + b*rt2) / rt2^k. Dyadic values are kept
-canonical: k is the least denominator exponent, so equality is structural.
+An element is a pair (a, b) standing for a + b*rt2.  Exact scalars of
+Z[1/rt2] are never boxed one at a time: the package carries them as rows
+of such numerators over a shared power of rt2 (see linalg), and this module
+only reads and writes the numerators of the matrix dump format.
 """
 
 from __future__ import annotations
 
-import enum
-import math
 import re
 from typing import NamedTuple
 
-RT2 = math.sqrt(2.0)
-
 
 class RingError(ValueError):
-    """Raised on malformed ring input (parse errors, bad exponents)."""
-
-
-class Residue(enum.Enum):
-    """Residue class of a + b*rt2 modulo 2, determined by the parities (a%2, b%2)."""
-
-    ZERO = (0, 0)
-    ONE = (1, 0)
-    RT2 = (0, 1)
-    ONE_PLUS_RT2 = (1, 1)
-
-    @property
-    def is_odd(self) -> bool:
-        """True for the classes ONE and ONE_PLUS_RT2 (odd unit coefficient)."""
-        return self.value[0] == 1
+    """Raised on malformed ring input."""
 
 
 class RingInt(NamedTuple):
@@ -39,117 +21,6 @@ class RingInt(NamedTuple):
 
     a: int
     b: int
-
-    def __add__(self, other: RingInt) -> RingInt:  # type: ignore[override]
-        return RingInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: RingInt) -> RingInt:
-        return RingInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> RingInt:
-        return RingInt(-self.a, -self.b)
-
-    def __mul__(self, other: RingInt) -> RingInt:  # type: ignore[override]
-        a1, b1 = self
-        a2, b2 = other
-        return RingInt(a1 * a2 + 2 * b1 * b2, a1 * b2 + a2 * b1)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    @property
-    def divisible_by_rt2(self) -> bool:
-        # rt2 | (a + b*rt2) iff a is even; the quotient is then b + (a/2)*rt2
-        return self.a % 2 == 0
-
-    def div_rt2(self) -> RingInt:
-        if self.a % 2 != 0:
-            raise RingError(f"{self!r} is not divisible by rt2")
-        return RingInt(self.b, self.a // 2)
-
-    def mul_rt2(self) -> RingInt:
-        return RingInt(2 * self.b, self.a)
-
-    def mul_pow_rt2(self, m: int) -> RingInt:
-        if m < 0:
-            raise RingError("negative power of rt2")
-        a, b = self
-        if m % 2 == 1:
-            a, b = 2 * b, a
-        half = m // 2
-        if half:
-            a <<= half
-            b <<= half
-        return RingInt(a, b)
-
-    def residue(self) -> Residue:
-        return Residue((self.a % 2, self.b % 2))
-
-    def to_float(self) -> float:
-        return self.a + self.b * RT2
-
-    def __str__(self) -> str:
-        return format_ringint(self)
-
-
-RING_ZERO = RingInt(0, 0)
-RING_ONE = RingInt(1, 0)
-
-
-class Dyadic(NamedTuple):
-    """Canonical (a + b*rt2) / rt2^k; construct through dyadic() to keep k minimal."""
-
-    num: RingInt
-    k: int
-
-    def __add__(self, other: Dyadic) -> Dyadic:  # type: ignore[override]
-        x, y = self, other
-        k = max(x.k, y.k)
-        return dyadic(x.num.mul_pow_rt2(k - x.k) + y.num.mul_pow_rt2(k - y.k), k)
-
-    def __sub__(self, other: Dyadic) -> Dyadic:
-        return self + (-other)
-
-    def __neg__(self) -> Dyadic:
-        return Dyadic(-self.num, self.k)
-
-    def __mul__(self, other: Dyadic) -> Dyadic:  # type: ignore[override]
-        return dyadic(self.num * other.num, self.k + other.k)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @classmethod
-    def from_int(cls, x: int) -> Dyadic:
-        return cls(RingInt(x, 0), 0)
-
-    def to_float(self) -> float:
-        return self.num.to_float() / RT2**self.k
-
-    def __str__(self) -> str:
-        return format_dyadic(self)
-
-
-DYADIC_ZERO = Dyadic(RING_ZERO, 0)
-DYADIC_ONE = Dyadic(RING_ONE, 0)
-
-
-def dyadic(num: RingInt, k: int) -> Dyadic:
-    """Canonicalize num / rt2^k by dividing out rt2 while possible."""
-    if k < 0:
-        raise RingError("denominator exponent must be a natural number")
-    a, b = num
-    while k > 0 and a % 2 == 0:
-        a, b = b, a // 2
-        k -= 1
-    return Dyadic(RingInt(a, b), k)
-
-
-def lde(v: Dyadic) -> int:
-    """Least denominator exponent of a canonical Dyadic."""
-    return v.k
 
 
 _RINGINT_RE = re.compile(
@@ -162,13 +33,9 @@ _RINGINT_RE = re.compile(
 )
 
 
-def normalize_rt2_text(text: str) -> str:
-    """Accept the UTF-8 radical spelling on input; rt2 is the canonical ASCII form."""
-    return text.replace("√2", "rt2")
-
-
 def parse_ringint(text: str) -> RingInt:
-    s = normalize_rt2_text(text).strip()
+    # the UTF-8 radical is accepted on input; rt2 is the canonical ASCII form
+    s = text.replace("√2", "rt2").strip()
     m = _RINGINT_RE.match(s)
     if not m or (m.group("a") is None and m.group("rt") is None):
         raise RingError(f"malformed ring element: {text!r}")
@@ -192,28 +59,3 @@ def format_ringint(x: RingInt) -> str:
         return f"{b}*rt2"
     sign = "+" if b >= 0 else "-"
     return f"{a}{sign}{abs(b)}*rt2"
-
-
-def parse_dyadic(text: str) -> Dyadic:
-    s = normalize_rt2_text(text).strip()
-    num_part, sep, exp_part = s.partition("/")
-    if sep:
-        m = re.match(r"^\s*rt2\s*\^\s*(\d+)\s*$", exp_part)
-        if not m:
-            raise RingError(f"malformed denominator: {text!r}")
-        k = int(m.group(1))
-    else:
-        k = 0
-    num_part = num_part.strip()
-    if num_part.startswith("(") and num_part.endswith(")"):
-        num_part = num_part[1:-1]
-    return dyadic(parse_ringint(num_part), k)
-
-
-def format_dyadic(v: Dyadic) -> str:
-    num = format_ringint(v.num)
-    if v.k == 0:
-        return num
-    if v.num.a != 0 and v.num.b != 0:
-        num = f"({num})"
-    return f"{num}/rt2^{v.k}"

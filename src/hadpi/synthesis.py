@@ -55,33 +55,52 @@ class SynthesisTrace(NamedTuple):
 
 
 def synthesize(M: ExactMatrix) -> SynthesisTrace:
-    """Decompose an orthogonal matrix into syllables driving it to identity."""
-    if not M.is_orthogonal():
-        raise SynthesisError("synthesis requires an orthogonal matrix")
+    """Decompose an orthogonal matrix into syllables driving it to identity.
+
+    Reaching the identity through generator syllables proves M orthogonal,
+    so the dense O(n^3) check runs only to name the cause of a failure.
+    """
+    try:
+        return _synthesize(M)
+    except SynthesisError:
+        if not M.is_orthogonal():
+            raise SynthesisError("synthesis requires an orthogonal matrix") from None
+        raise
+
+
+def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     n = M.n
+    # A unit column at exponent k has sum(a*a + 2*b*b) = 2^k, so k is at
+    # most 2*bits + log2(3n) for numerators of at most `bits` bits.  A larger
+    # k cannot be orthogonal, and the row operations would build numerators
+    # of k/2 bits from it.
+    bits = max(map(abs, M.aa + M.bb), default=0).bit_length()
+    if M.k > 2 * bits + (3 * n).bit_length():
+        raise SynthesisError("exponent too large for a unit column")
     work = RowState(M)
     syllables: list[Syllable] = []
     levels: list[Level] = []
-    # the level names the column to fix next, j, and brings it scaled by rt2^k
-    current, col = _level_unchecked(work)
+    # the level names the column to fix next, j, and brings its numerators
+    # ca, cb scaled by rt2^k
+    current, ca, cb = _level_unchecked(work)
     initial = current
     while current.j:
         j = current.j
         if current.k > 0:
-            odd = [i for i in range(1, n + 1) if col[i - 1].a & 1]
+            odd = [i for i in range(1, n + 1) if ca[i - 1] & 1]
             if not odd:
                 raise SynthesisError("positive exponent requires an odd entry")
             i1 = odd[0]
             # the same residue mod 2: both odd, b of the same parity
-            i2 = next((i for i in odd[1:] if (col[i - 1].b - col[i1 - 1].b) & 1 == 0), None)
+            i2 = next((i for i in odd[1:] if (cb[i - 1] - cb[i1 - 1]) & 1 == 0), None)
             if i2 is None:
                 raise SynthesisError("odd residues must pair up in a unit column")
             gens = [gen_h(1, i2)] if i1 == 1 else [gen_h(1, i2), gen_x(1, i1)]
         else:
-            a = next(i for i in range(1, n + 1) if not col[i - 1].is_zero)
-            if not (a <= j and col[a - 1].a in (1, -1) and col[a - 1].b == 0):
+            a = next((i for i in range(1, n + 1) if ca[i - 1] or cb[i - 1]), 0)
+            if not (a and a <= j and ca[a - 1] in (1, -1) and cb[a - 1] == 0):
                 raise SynthesisError(f"column {j} is not a signed basis vector")
-            tau = col[a - 1].a < 0
+            tau = ca[a - 1] < 0
             if a == j:
                 gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
             else:
@@ -91,7 +110,7 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
         # and every column above current.j is a unit column, so the scan
         # may start at the higher of current.j and the top touched row.
         top = max(current.j, *(i for g in gens for i in g.idx))
-        lv, col = _level_unchecked(work, top)
+        lv, ca, cb = _level_unchecked(work, top)
         if not lv < current:
             raise SynthesisError(f"syllable did not lower the level: {lv} !< {current}")
         current = lv

@@ -32,6 +32,7 @@ from .lang import (
     sem,
     seqs,
     swap_plus_at,
+    term_prims,
     typecheck,
 )
 from .linalg import ExactMatrix, Generator, gen_h, gen_z
@@ -197,23 +198,9 @@ def roundtrip_check(c: Term, input: ValueType) -> TranslationReport:
 
 def qsem(c: Term) -> Term:
     """The identity embedding; rejects programs that mention neg1."""
-    for node in _all_nodes(c):
-        if isinstance(node, Prim) and node.name == "neg1":
-            raise LangError("neg1 is not part of hpi")
+    if any(prim.name == "neg1" for prim in term_prims(c)):
+        raise LangError("neg1 is not part of hpi")
     return c
-
-
-def _all_nodes(c: Term):
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        yield node
-        if isinstance(node, Seq):
-            stack.append(node.fst)
-            stack.append(node.snd)
-        elif isinstance(node, (SumC, ProdC)):
-            stack.append(node.left)
-            stack.append(node.right)
 
 
 # ---------------------------------------------------------------------------

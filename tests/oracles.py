@@ -1,16 +1,15 @@
 """Independent exact oracles used across the test suite.
 
 Everything here works with Fractions in the form p + q*sqrt(2) and plain
-list-of-lists matrices.  No numerator/exponent splitting, no shared code
-with the package internals: agreement between the two is the evidence.
+list-of-lists matrices.  Package values enter only as plain integers: a
+numerator pair (a, b) with its exponent k, or the fields n, k, aa, bb of
+an ExactMatrix.  No code is shared with the package internals: agreement
+between the two is the evidence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-from hadpi.linalg import ExactMatrix
-from hadpi.ring import Dyadic
 
 
 class FracRT2:
@@ -21,13 +20,13 @@ class FracRT2:
         self.q = Fraction(q)
 
     @classmethod
-    def of(cls, v: Dyadic) -> "FracRT2":
-        a, b = v.num
-        if v.k % 2 == 0:
-            d = 2 ** (v.k // 2)
+    def of(cls, a: int, b: int, k: int) -> "FracRT2":
+        """The value (a + b*rt2) / rt2^k."""
+        if k % 2 == 0:
+            d = 2 ** (k // 2)
             return cls(Fraction(a, d), Fraction(b, d))
         # (a + b*rt2) / (m*rt2) = b/m + (a/(2m))*rt2
-        m = 2 ** ((v.k - 1) // 2)
+        m = 2 ** ((k - 1) // 2)
         return cls(Fraction(b, m), Fraction(a, 2 * m))
 
     def __add__(self, other):
@@ -68,18 +67,22 @@ FR_ZERO = FracRT2(0)
 FR_ONE = FracRT2(1)
 
 
-def oracle_lde(v: Dyadic, bound: int = 200) -> int:
-    """Minimal k with rt2^k * v integral, found by brute-force scan."""
-    w = FracRT2.of(v)
+def oracle_lde(*ws: FracRT2, bound: int = 200) -> int:
+    """Minimal k with rt2^k * w integral for every w, by brute-force scan."""
     for k in range(bound):
-        if w.scaled_by_rt2_pow(k).in_z_rt2():
+        if all(w.in_z_rt2() for w in ws):
             return k
+        ws = tuple(w.scaled_by_rt2_pow(1) for w in ws)
     raise AssertionError("no exponent found within bound")
 
 
-def frac_of_matrix(M: ExactMatrix) -> list[list[FracRT2]]:
+def frac_of_matrix(M) -> list[list[FracRT2]]:
+    """The entries of an ExactMatrix, read from its n, k, aa, bb fields."""
     n = M.n
-    return [[FracRT2.of(M.entry(i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return [
+        [FracRT2.of(M.aa[i * n + j], M.bb[i * n + j], M.k) for j in range(n)]
+        for i in range(n)
+    ]
 
 
 def frac_identity(n: int) -> list[list[FracRT2]]:
@@ -123,7 +126,7 @@ def frac_eq(A, B) -> bool:
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def oracle_level(M: ExactMatrix) -> tuple[int, int, int]:
+def oracle_level(M) -> tuple[int, int, int]:
     """Level triple computed from the Fraction form, by the definition."""
     F = frac_of_matrix(M)
     n = len(F)

@@ -7,6 +7,7 @@ tolerances anywhere in this file.
 
 import random
 import time
+from fractions import Fraction
 
 from hadpi.cli import main
 from hadpi.lang import (
@@ -31,8 +32,7 @@ from hadpi.lang import (
     seqs,
     typecheck,
 )
-from hadpi.linalg import H_BLOCK, X_BLOCK, m_level_embed
-from hadpi.ring import RingInt, dyadic
+from hadpi.linalg import H_BLOCK, X_BLOCK, ExactMatrix, RowState, m_level_embed
 from hadpi.synthesis import normal_form_word, synthesize
 from hadpi.translate import qsem, t_h, t_q, wsem
 from hadpi.words import (
@@ -61,16 +61,16 @@ def _report(n, detail):
     print(f"criterion {n} PASS: {detail}")
 
 
+def _rand_gen(rng, n):
+    kind = rng.choice("ZXH") if n >= 2 else "Z"
+    if kind == "Z":
+        return gen_z(rng.randint(1, n))
+    b = rng.randint(1, n - 1)
+    return Generator(kind, (b, rng.randint(b + 1, n)))
+
+
 def _rand_word(rng, n, max_len):
-    gens = []
-    for _ in range(rng.randint(0, max_len)):
-        kind = rng.choice("ZXH") if n >= 2 else "Z"
-        if kind == "Z":
-            gens.append(gen_z(rng.randint(1, n)))
-        else:
-            b = rng.randint(1, n - 1)
-            gens.append(Generator(kind, (b, rng.randint(b + 1, n))))
-    return Word(n, tuple(gens))
+    return Word(n, tuple(_rand_gen(rng, n) for _ in range(rng.randint(0, max_len))))
 
 
 def test_criterion_1_relation_catalog_exhaustive():
@@ -384,19 +384,56 @@ def test_criterion_8_level2_law_suite():
 
 
 def test_criterion_9_ring_oracle_cross_check():
+    """The exact arithmetic the product runs, against the rational oracle:
+    reduce_nums (each value and the least exponent of each row), the
+    H/Z/X row operations of RowState.apply_word and apply_generator_rows,
+    and linalg._column through RowState.column."""
+    t0 = time.monotonic()
     rng = random.Random(999)
-    ops = 0
-    for _ in range(10_000):
-        x = dyadic(
-            RingInt(rng.randint(-99, 99), rng.randint(-99, 99)), rng.randint(0, 12)
-        )
-        y = dyadic(
-            RingInt(rng.randint(-99, 99), rng.randint(-99, 99)), rng.randint(0, 12)
-        )
-        assert FracRT2.of(x + y) == FracRT2.of(x) + FracRT2.of(y)
-        assert FracRT2.of(x - y) == FracRT2.of(x) - FracRT2.of(y)
-        assert FracRT2.of(x * y) == FracRT2.of(x) * FracRT2.of(y)
-        assert FracRT2.of(-x) == -FracRT2.of(x)
-        assert x.k == oracle_lde(x)
-        ops += 5
-    _report(9, f"{ops} dyadic operations match the rational oracle")
+    over_rt2 = FracRT2(0, Fraction(1, 2))  # 1/rt2 = rt2/2
+    checked = 0
+    while checked < 50_000:
+        n = rng.randint(1, 6)
+        aa = [rng.randint(-99, 99) for _ in range(n * n)]
+        bb = [rng.randint(-99, 99) for _ in range(n * n)]
+        # numerators times rt2^pad, so that rt2 factors are there to strip
+        for _ in range(rng.randint(0, 8)):
+            aa, bb = [2 * b for b in bb], aa
+        k = rng.randint(0, 18)
+        F = [[FracRT2.of(aa[i * n + j], bb[i * n + j], k) for j in range(n)] for i in range(n)]
+        state = RowState(ExactMatrix(n, k, aa, bb))
+        rows = list(range(n))
+        for step in range(4):
+            # every row after the reduction, then the rows each generator touched
+            for i in rows:
+                row = [
+                    FracRT2.of(state.aa[i * n + j], state.bb[i * n + j], state.ks[i])
+                    for j in range(n)
+                ]
+                assert row == F[i]
+                assert state.ks[i] == oracle_lde(*row)
+                checked += n + 1
+            if step == 3:
+                break
+            g = _rand_gen(rng, n)
+            state.apply_word([g])
+            rows = [i - 1 for i in g.idx]
+            if g.kind == "Z":
+                F[rows[0]] = [-x for x in F[rows[0]]]
+            elif g.kind == "X":
+                F[rows[0]], F[rows[1]] = F[rows[1]], F[rows[0]]
+            else:
+                r1, r2 = F[rows[0]], F[rows[1]]
+                F[rows[0]] = [(x + y) * over_rt2 for x, y in zip(r1, r2)]
+                F[rows[1]] = [(x - y) * over_rt2 for x, y in zip(r1, r2)]
+        j = rng.randint(1, n)
+        ck, ca, cb = state.column(j)
+        col = [FracRT2.of(a, b, ck) for a, b in zip(ca, cb)]
+        assert col == [F[i][j - 1] for i in range(n)]
+        assert ck == oracle_lde(*col)
+        checked += n + 1
+    _report(
+        9,
+        f"{checked} values and exponents of row reductions, H/Z/X row operations"
+        f" and columns match the rational oracle in {time.monotonic() - t0:.2f}s",
+    )

@@ -43,13 +43,24 @@ def test_check_locates_type_errors(capsys):
     code, out, err = run(capsys, "check", "had ; swap*", "--in-type", "1+1")
     assert code == 1
     assert out == ""
-    assert "at seq.snd" in err and "swap*" in err
+    assert err == "error: at seq.snd: swap* needs a product input, got 1+1\n"
+
+
+def test_long_type_error_paths_are_cut(capsys):
+    # 201 path steps, once a 1,722-character line
+    code, out, err = run(capsys, "check", "uniti+^1000", "--in-type", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and len(err) < 300
+    assert err.startswith("error: at seq.snd.seq.snd.seq.snd.seq.snd.seq.snd.<191 steps>.")
+    assert "uniti+ nests the type more than 100 levels" in err
 
 
 def test_check_language_gate_is_a_parse_error(capsys):
     code, _, err = run(capsys, "check", "neg1", "--lang", "hpi")
     assert code == 2
-    assert "neg1 is not in hpi" in err
+    assert err == "error: parse error: neg1 is not in hpi\n"
+    code, _, err = run(capsys, "check", "had ; (id + (neg1 * had))", "--lang", "hpi")
+    assert (code, err) == (2, "error: parse error: neg1 is not in hpi\n")
     code, _, err = run(capsys, "check", "had", "--lang", "pi")
     assert code == 2
 
@@ -280,6 +291,28 @@ def test_synth_rejects_non_orthogonal(capsys):
     code, _, err = run(capsys, "synth", "dim 2/lde 0/1 1/0 1")
     assert code == 1
     assert "orthogonal" in err
+
+
+# synthesis itself fails on each of these, and only then runs the dense
+# orthogonality check that names the cause
+NON_ORTHOGONAL = [
+    "dim 2/lde 0/1 0/0 0",  # column 2 is zero
+    "dim 3/lde 0/1 0 0/0 1 0/0 0 0",  # column 3 is zero
+    "dim 3/lde 1/1 1 0/1 -1 0/0 0 1",  # H[1,2] with (3,3) perturbed
+    "dim 3/lde 1/1 1 0/1 -1 1/0 0 2*rt2",  # H[1,2] with (2,3) and (3,3) perturbed
+    # an exponent no unit column allows: row operations would build 6 GB
+    "dim 1/lde 99999999999/1",
+]
+
+
+@pytest.mark.parametrize("matrix", NON_ORTHOGONAL)
+def test_synth_names_non_orthogonal_input(pkg_env, matrix):
+    body = "import sys\nfrom hadpi.cli import main\nsys.exit(main(sys.argv[1:]))"
+    # PYTHONOPTIMIZE=1 is python -O, which strips asserts
+    for env in (pkg_env, {**pkg_env, "PYTHONOPTIMIZE": "1"}):
+        proc = bounded_child(env, body, "synth", matrix, timeout=60)
+        want = (1, "", "error: synthesis requires an orthogonal matrix\n")
+        assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 def test_synth_rejects_garbage(capsys):

@@ -37,8 +37,10 @@ from hadpi.lang import (
     sem,
     seqs,
     swap_plus_at,
+    term_prims,
     typecheck,
 )
+import hadpi.lang
 import hadpi.linalg
 import hadpi.words
 from hadpi.linalg import ExactMatrix, Generator, H_BLOCK, MINUS_ONE, X_BLOCK, m_level_embed
@@ -118,9 +120,7 @@ def test_sem_swap_sum_blocks():
     m = sem(SWP, Sum(nsum(2), nsum(3)))
     want = [(1, 4), (2, 5), (3, 1), (4, 2), (5, 3)]
     for j, image in want:
-        k, col = m.column(j)
-        assert k == 0
-        assert [x.a for x in col] == [1 if i == image else 0 for i in range(1, 6)]
+        assert m.column(j) == (0, [1 if i == image else 0 for i in range(1, 6)], [0] * 5)
 
 
 def test_sem_swap_prod_transposes_pairs():
@@ -133,7 +133,7 @@ def test_sem_swap_prod_transposes_pairs():
             for i2 in range(1, n2 + 1):
                 src = (i1 - 1) * n2 + i2
                 dst = (i2 - 1) * n1 + i1
-                assert m.entry(dst, src).num.a == 1
+                assert (m.k, m.aa[(dst - 1) * m.n + src - 1]) == (0, 1)
 
 
 def test_sem_swap_prod_is_4x4_swap_gate():
@@ -307,6 +307,42 @@ def test_infer_source():
             infer_source(ambiguous)
     with pytest.raises(LangError, match="cannot type"):
         infer_source(Seq(NEG1, HAD))
+
+
+def test_infer_source_names_its_round_cap(monkeypatch):
+    # had settles in two rounds: one that pins 1+1 and one that confirms it
+    monkeypatch.setattr(hadpi.lang, "MAX_INFER_ROUNDS", 1)
+    with pytest.raises(LangError, match=r"did not settle within 1 rounds \(MAX_INFER_ROUNDS\)"):
+        infer_source(HAD)
+    # a term that pins nothing settles in its first round: still ambiguous
+    with pytest.raises(LangError, match="ambiguous"):
+        infer_source(ID)
+    monkeypatch.setattr(hadpi.lang, "MAX_INFER_ROUNDS", 2)
+    assert infer_source(HAD) == TWO
+
+
+def test_long_error_paths_keep_their_ends():
+    def fail_at(depth):
+        path = ()
+        for i in range(depth):
+            path = (path, f"s{i}")
+        return str(hadpi.lang._fail(path, "msg"))
+
+    assert fail_at(0) == "at term: msg"
+    assert fail_at(15) == "at " + ".".join(f"s{i}" for i in range(15)) + ": msg"
+    assert fail_at(16) == "at s0.s1.s2.s3.s4.<6 steps>.s11.s12.s13.s14.s15: msg"
+    assert fail_at(5000).startswith("at s0.s1.s2.s3.s4.<4990 steps>.s4995.")
+
+
+def test_term_prims_walks_every_node():
+    c = seqs(HAD, SumC(NEG1, ProdC(ID, Factorz(TWO))), Prim("swap+"))
+    assert sorted(p.name for p in term_prims(c)) == ["had", "id", "neg1", "swap+"]
+    assert list(term_prims(Factorz(TWO))) == []
+    # a spine far deeper than the recursion limit
+    deep = ID
+    for _ in range(20_000):
+        deep = Seq(deep, HAD)
+    assert sum(1 for _ in term_prims(deep)) == 20_001
 
 
 def test_infer_source_agrees_with_typecheck_random():

@@ -34,7 +34,6 @@ from hadpi.linalg import (
     m_level_embed,
     parse_matrix,
 )
-from hadpi.ring import Dyadic, RingInt, dyadic
 from hadpi.synthesis import permutation_matrix
 
 
@@ -54,17 +53,13 @@ def rand_orthogonal(rng: random.Random, n: int, length: int) -> ExactMatrix:
 
 
 def rand_general(rng: random.Random, n: int) -> ExactMatrix:
-    return ExactMatrix.from_rows(
-        [
-            [
-                dyadic(
-                    RingInt(rng.randint(-9, 9), rng.randint(-9, 9)), rng.randint(0, 5)
-                )
-                for _ in range(n)
-            ]
-            for _ in range(n)
-        ]
-    )
+    # entry (a + b*rt2) / rt2^e with its own e in 0..5, over the shared rt2^5
+    aa, bb = [], []
+    for _ in range(n * n):
+        (a,), (b,) = _times_rt2_pow([rng.randint(-9, 9)], [rng.randint(-9, 9)], rng.randint(0, 5))
+        aa.append(a)
+        bb.append(b)
+    return ExactMatrix(n, 5, aa, bb)
 
 
 def test_identity_and_equality():
@@ -159,10 +154,8 @@ def test_matmul_dimension_mismatch():
 def test_column_has_own_exponent():
     # H at column 1 has exponent 1; after squaring, columns are integral
     M = gen_h(1, 2).matrix(3)
-    k, col = M.column(3)
-    assert k == 0 and col == [RingInt(0, 0), RingInt(0, 0), RingInt(1, 0)]
-    k, col = M.column(1)
-    assert k == 1 and col == [RingInt(1, 0), RingInt(1, 0), RingInt(0, 0)]
+    assert M.column(3) == (0, [0, 0, 1], [0, 0, 0])
+    assert M.column(1) == (1, [1, 1, 0], [0, 0, 0])
 
 
 def test_embed_disjoint_blocks_commute():
@@ -209,8 +202,9 @@ def test_matrix_dump_round_trip():
 
 def test_entry_and_float_view():
     H = gen_h(1, 2).matrix(2)
-    assert H.entry(1, 1) == dyadic(RingInt(1, 0), 1)
-    assert H.entry(2, 2) == dyadic(RingInt(-1, 0), 1)
+    # entry (i, j) is rt2^-k * (aa + bb*rt2) at the flat index (i-1)*n + (j-1)
+    assert (H.k, H.aa[0], H.bb[0]) == (1, 1, 0)
+    assert (H.k, H.aa[3], H.bb[3]) == (1, -1, 0)
     approx = H.to_float()
     assert abs(approx[0][0] - 2**-0.5) < 1e-12
     assert abs(approx[1][1] + 2**-0.5) < 1e-12
@@ -290,15 +284,13 @@ def _dense(gens: list[Generator], n: int) -> ExactMatrix:
 def _percolumn_level(M: ExactMatrix) -> Level:
     """The level by its definition, one reduced column at a time."""
     for j in range(M.n, 0, -1):
-        k, col = M.column(j)
-        if k == 0 and all(
-            x == (RingInt(1, 0) if i == j else RingInt(0, 0))
-            for i, x in enumerate(col, start=1)
-        ):
+        k, ca, cb = M.column(j)
+        if k == 0 and not any(cb) and ca == [int(i == j) for i in range(1, M.n + 1)]:
             continue
         if k == 0:
             return Level(j, 0, 0)
-        return Level(j, k, sum(1 for x in col if x.residue().is_odd))
+        # a + b*rt2 is odd mod 2 (residue 1 or 1+rt2) exactly when a is odd
+        return Level(j, k, sum(a % 2 for a in ca))
     return Level(0, 0, 0)
 
 

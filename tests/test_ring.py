@@ -1,8 +1,11 @@
-"""Ring arithmetic against an independent exact oracle.
+"""Scalar arithmetic of Z[1/rt2], as the package runs it, against an
+independent exact oracle.
 
-The oracle represents values as p + q*sqrt(2) with exact Fractions p, q.
-It shares no code or representation with hadpi.ring (no numerator/exponent
-split, no canonicalization), so agreement is a genuine cross-check.
+A value is a numerator a + b*rt2 over rt2^k.  The package never boxes one:
+it reduces rows of numerators with `_core.reduce_nums`, multiplies them in
+`mat_mul_nums`, adds and subtracts them in the H row operation, and writes
+them in the matrix dump format.  The oracle represents values as
+p + q*sqrt(2) with exact Fractions p, q and shares no code with hadpi.
 """
 
 from __future__ import annotations
@@ -12,124 +15,139 @@ import random
 import pytest
 from oracles import FracRT2, oracle_lde
 
-from hadpi.ring import (
-    Dyadic,
-    Residue,
-    RingError,
-    RingInt,
-    dyadic,
-    format_dyadic,
-    format_ringint,
-    lde,
-    parse_dyadic,
-    parse_ringint,
+from hadpi._core import mat_mul_nums, reduce_nums
+from hadpi.linalg import (
+    ExactMatrix,
+    _lift,
+    apply_generator_rows,
+    format_matrix,
+    gen_h,
+    gen_z,
+    parse_matrix,
 )
+from hadpi.ring import RingError, RingInt, format_ringint, parse_ringint
 
 
-def rand_dyadic(rng: random.Random) -> Dyadic:
-    return dyadic(
-        RingInt(rng.randint(-99, 99), rng.randint(-99, 99)), rng.randint(0, 12)
-    )
+def rand_value(rng: random.Random) -> tuple[int, int, int]:
+    """Numerator a, b and exponent k of a random value."""
+    return rng.randint(-99, 99), rng.randint(-99, 99), rng.randint(0, 12)
+
+
+def reduced(a: int, b: int, k: int) -> tuple[int, int, int]:
+    """The value at its least exponent."""
+    k, (a,), (b,) = reduce_nums(k, [a], [b])
+    return a, b, k
+
+
+def times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, int]:
+    """Product of two values through the 1x1 matrix product kernel."""
+    (a,), (b,) = mat_mul_nums(1, [x[0]], [x[1]], [y[0]], [y[1]])
+    return reduced(a, b, x[2] + y[2])
+
+
+def h_rows(x: tuple[int, int, int], y: tuple[int, int, int]):
+    """The H row operation on the one-entry rows x, y: (x+y)/rt2, (x-y)/rt2."""
+    ks, aa, bb = [x[2], y[2]], [x[0], y[0]], [x[1], y[1]]
+    apply_generator_rows(gen_h(1, 2), ks, aa, bb, 1)
+    return (aa[0], bb[0], ks[0]), (aa[1], bb[1], ks[1])
+
+
+def frac(x: tuple[int, int, int]) -> FracRT2:
+    return FracRT2.of(*x)
 
 
 def test_ringint_examples():
-    assert RingInt(1, 0) + RingInt(0, 1) == RingInt(1, 1)
-    assert RingInt(0, 0) + RingInt(-7, 3) == RingInt(-7, 3)
-    assert RingInt(2, 3) + RingInt(-2, -3) == RingInt(0, 0)
-    assert RingInt(0, 1) * RingInt(0, 1) == RingInt(2, 0)
-    assert RingInt(1, 1) * RingInt(1, -1) == RingInt(-1, 0)
-    assert RingInt(1, 0) * RingInt(5, -4) == RingInt(5, -4)
+    # products in Z[rt2], exponent 0
+    assert times((0, 1, 0), (0, 1, 0)) == (2, 0, 0)
+    assert times((1, 1, 0), (1, -1, 0)) == (-1, 0, 0)
+    assert times((1, 0, 0), (5, -4, 0)) == (5, -4, 0)
+    assert times((0, 0, 0), (-7, 3, 0)) == (0, 0, 0)
 
 
 def test_dyadic_reduce_examples():
-    assert dyadic(RingInt(2, 0), 2) == Dyadic(RingInt(1, 0), 0)
-    assert dyadic(RingInt(1, 1), 2) == Dyadic(RingInt(1, 1), 2)
-    assert dyadic(RingInt(0, 0), 5) == Dyadic(RingInt(0, 0), 0)
+    assert reduced(2, 0, 2) == (1, 0, 0)
+    assert reduced(1, 1, 2) == (1, 1, 2)
+    assert reduced(0, 0, 5) == (0, 0, 0)
 
 
 def test_lde_examples():
-    assert lde(Dyadic.from_int(3)) == 0
-    assert lde(dyadic(RingInt(1, 0), 1)) == 1
+    assert reduced(3, 0, 0)[2] == 0
+    assert reduced(1, 0, 1)[2] == 1
     # (1 + rt2)/2 stored as (1+rt2)/rt2^2
-    assert lde(dyadic(RingInt(1, 1), 2)) == 2
-
-
-def test_residue_classes():
-    assert RingInt(3, 2).residue() is Residue.ONE
-    assert RingInt(1, 1).residue() is Residue.ONE_PLUS_RT2
-    assert RingInt(4, 6).residue() is Residue.ZERO
-    assert RingInt(0, 3).residue() is Residue.RT2
-    assert Residue.ONE.is_odd and Residue.ONE_PLUS_RT2.is_odd
-    assert not Residue.ZERO.is_odd and not Residue.RT2.is_odd
-
-
-def test_residue_unchanged_by_even_shift():
-    rng = random.Random(7)
-    for _ in range(200):
-        x = RingInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        y = RingInt(rng.randint(-50, 50), rng.randint(-50, 50))
-        shifted = x + RingInt(2, 0) * y
-        assert shifted.residue() is x.residue()
+    assert reduced(1, 1, 2)[2] == 2
 
 
 def test_dyadic_add_aligns_and_reduces():
-    half_rt2 = dyadic(RingInt(1, 0), 1)
-    assert half_rt2 + half_rt2 == Dyadic(RingInt(0, 1), 0)  # 1/rt2 + 1/rt2 = rt2
-    assert half_rt2 * half_rt2 == Dyadic(RingInt(1, 0), 2)  # 1/2
-    x = dyadic(RingInt(3, -2), 4)
-    assert x + Dyadic.from_int(0) == x
+    # 1/rt2 and 1: the H operation lifts both rows to exponent 1 first
+    plus, minus = h_rows((1, 0, 1), (1, 0, 0))
+    # (1/rt2 + 1)/rt2 = (1 + rt2)/2 and (1/rt2 - 1)/rt2 = (1 - rt2)/2
+    assert plus == (1, 1, 2) and minus == (1, -1, 2)
+    # 1/rt2 + 1/rt2 = rt2, then divided by rt2: exactly 1, at exponent 0
+    assert h_rows((1, 0, 1), (1, 0, 1)) == ((1, 0, 0), (0, 0, 0))
 
 
 def test_canonicalization_padding_insensitive():
     rng = random.Random(11)
     for _ in range(200):
-        v = rand_dyadic(rng)
+        v = reduced(*rand_value(rng))
         for m in (0, 1, 2, 5):
-            assert dyadic(v.num.mul_pow_rt2(m), v.k + m) == v
+            (a,), (b,) = _lift([v[0]], [v[1]], m)
+            assert reduced(a, b, v[2] + m) == v
 
 
 def test_lde_matches_bruteforce_oracle():
     rng = random.Random(13)
     for _ in range(300):
-        v = rand_dyadic(rng)
-        assert v.k == oracle_lde(v)
+        x = rand_value(rng)
+        v = reduced(*x)
+        assert frac(v) == frac(x)
+        assert v[2] == oracle_lde(frac(x))
 
 
 def test_product_denominator_bound():
     rng = random.Random(17)
     for _ in range(200):
-        x, y = rand_dyadic(rng), rand_dyadic(rng)
-        prod = x * y
-        assert prod.k <= x.k + y.k
+        x, y = reduced(*rand_value(rng)), reduced(*rand_value(rng))
+        prod = times(x, y)
+        assert prod[2] <= x[2] + y[2]
         # rt2^(lde x + lde y) * (x*y) lands in Z[rt2]
-        assert FracRT2.of(prod).scaled_by_rt2_pow(x.k + y.k).in_z_rt2()
+        assert frac(prod).scaled_by_rt2_pow(x[2] + y[2]).in_z_rt2()
 
 
 def test_ops_against_fraction_oracle():
     rng = random.Random(19)
+    rt2 = FracRT2(0, 1)
     for _ in range(500):
-        x, y = rand_dyadic(rng), rand_dyadic(rng)
-        assert FracRT2.of(x + y) == FracRT2.of(x) + FracRT2.of(y)
-        assert FracRT2.of(x - y) == FracRT2.of(x) - FracRT2.of(y)
-        assert FracRT2.of(x * y) == FracRT2.of(x) * FracRT2.of(y)
-        assert FracRT2.of(-x) == -FracRT2.of(x)
+        x, y = reduced(*rand_value(rng)), reduced(*rand_value(rng))
+        plus, minus = h_rows(x, y)
+        assert frac(plus) * rt2 == frac(x) + frac(y)
+        assert frac(minus) * rt2 == frac(x) - frac(y)
+        assert frac(times(x, y)) == frac(x) * frac(y)
+        ks, aa, bb = [x[2]], [x[0]], [x[1]]
+        apply_generator_rows(gen_z(1), ks, aa, bb, 1)
+        assert frac((aa[0], bb[0], ks[0])) == -frac(x)
 
 
 @pytest.mark.parametrize(
     "text,value",
     [
-        ("0", Dyadic(RingInt(0, 0), 0)),
-        ("3", Dyadic(RingInt(3, 0), 0)),
-        ("-2*rt2", Dyadic(RingInt(0, -2), 0)),
-        ("1/rt2^1", Dyadic(RingInt(1, 0), 1)),
-        ("(1+1*rt2)/rt2^2", Dyadic(RingInt(1, 1), 2)),
-        ("(1-1*rt2)/rt2^3", Dyadic(RingInt(1, -1), 3)),
+        ("0", (0, 0, 0)),
+        ("3", (3, 0, 0)),
+        ("-2*rt2", (0, -2, 0)),
+        ("1/rt2^1", (1, 0, 1)),
+        ("(1+1*rt2)/rt2^2", (1, 1, 2)),
+        ("(1-1*rt2)/rt2^3", (1, -1, 3)),
     ],
 )
 def test_dyadic_text_round_trip(text, value):
-    assert parse_dyadic(text) == value
-    assert parse_dyadic(format_dyadic(value)) == value
-    assert format_dyadic(value) == text
+    # a value num/rt2^k is written in the matrix dump as lde k over num
+    a, b, k = value
+    num = text.partition("/")[0].strip("()")
+    dump = f"dim 1\nlde {k}\n{num}"
+    M = ExactMatrix(1, k, [a], [b])
+    assert format_matrix(M) == dump
+    assert parse_matrix(dump) == M
+    assert parse_ringint(num) == RingInt(a, b)
 
 
 def test_parse_leniencies():
@@ -137,13 +155,13 @@ def test_parse_leniencies():
     assert parse_ringint("-rt2") == RingInt(0, -1)
     assert parse_ringint("1+rt2") == RingInt(1, 1)
     assert parse_ringint("√2") == RingInt(0, 1)  # UTF-8 radical accepted
-    assert parse_dyadic("(2+2*√2)/√2^2") == dyadic(RingInt(2, 2), 2)
+    assert parse_ringint(" 2 + 2*√2 ") == RingInt(2, 2)
 
 
 def test_parse_rejects_malformed():
-    for bad in ["", "xyz", "1 2*rt2", "1/rt2", "1/rt2^-1", "2*rt2-1"]:
+    for bad in ["", "xyz", "1 2*rt2", "1/rt2", "1/rt2^-1", "2*rt2-1", "(1+rt2)"]:
         with pytest.raises(RingError):
-            parse_dyadic(bad)
+            parse_ringint(bad)
 
 
 def test_format_ringint_signs():
@@ -155,5 +173,5 @@ def test_format_ringint_signs():
 def test_random_format_round_trip():
     rng = random.Random(23)
     for _ in range(300):
-        v = rand_dyadic(rng)
-        assert parse_dyadic(format_dyadic(v)) == v
+        x = RingInt(*rand_value(rng)[:2])
+        assert parse_ringint(format_ringint(x)) == x

@@ -225,9 +225,9 @@ def test_qsem_is_identity_on_hadamard_programs():
 
 
 def test_qsem_rejects_neg1():
-    with pytest.raises(LangError):
+    with pytest.raises(LangError, match="^neg1 is not part of hpi$"):
         qsem(seqs(HAD, SumC(NEG1, ID)))
-    with pytest.raises(LangError):
+    with pytest.raises(LangError, match="^neg1 is not part of hpi$"):
         qsem(ProdC(ID, NEG1))
 
 
