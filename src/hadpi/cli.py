@@ -35,7 +35,7 @@ from .synthesis import (
     normal_form_word,
     synthesize,
 )
-from .translate import TranslateError, TranslationReport, qsem, t_h, t_q, wsem
+from .translate import TranslateError, TranslationReport, qsem, t_h, t_h_sem, t_q, wsem
 from .words import (
     CATALOG,
     Word,
@@ -253,9 +253,7 @@ def cmd_translate(args) -> int:
         c = _term_arg(args.input, "qpi")
         b = _source_type(args, c)
         h = t_h(c, b)
-        from .lang import ONE, Sum
-
-        TranslationReport(c, h, sem(c, b), sem(h, Sum(ONE, b), "hpi"), padding=1)
+        TranslationReport(c, h, sem(c, b), t_h_sem(h, b), padding=1)
         print(format_term(h))
         print("verified: I1 (+) source")
         return 0

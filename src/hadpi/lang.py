@@ -9,7 +9,7 @@ Evaluation is exact and composition runs left to right, so the matrix of
 
 from dataclasses import dataclass
 import re
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .linalg import ExactMatrix, Generator, RowState
 
@@ -400,7 +400,8 @@ def term_prims(c: Term):
 
 
 def _seq_items(c: Term, path: _Path) -> list[tuple[Term, _Path]]:
-    """Non-seq leaves of a seq spine in application order, iteratively."""
+    """Non-seq leaves of a seq spine in application order, iteratively, each
+    with its path."""
     out: list[tuple[Term, _Path]] = []
     stack = [(c, path)]
     while stack:
@@ -413,85 +414,251 @@ def _seq_items(c: Term, path: _Path) -> list[tuple[Term, _Path]]:
     return out
 
 
-def _run(
-    c: Term,
-    b: ValueType,
-    lang: str,
-    path: _Path,
-    limit: int,
-    state: Optional[RowState] = None,
-    offs: Sequence[int] = (0,),
-    stride: int = 1,
-) -> ValueType:
-    """Target type of c on input b, no deeper than limit; with a state, also
-    apply c's row operations to it, local row j of copy i being row
-    offs[i] + j*stride."""
-    if isinstance(c, Prim):
-        dst = _prim_step(c.name, b, lang, path)
-        if c.name in _DEEPENING:
-            _check_depth(c.name, dst, limit, path)
-        if state is None or c.name not in ("had", "neg1", "swap+", "swap*"):
-            return dst  # every other primitive denotes an identity
-        if c.name == "had":
-            state.apply_word([Generator("H", (o + 1, o + stride + 1)) for o in offs])
-        elif c.name == "neg1":
-            state.apply_word([Generator("Z", (o + 1,)) for o in offs])
+def _spine(c: Term) -> list[Term]:
+    """Non-seq leaves of a seq spine in application order, iteratively."""
+    out: list[Term] = []
+    stack = [c]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Seq):
+            stack.append(node.snd)
+            stack.append(node.fst)
         else:
-            swap = _swap_sum_perm if c.name == "swap+" else _swap_prod_perm
-            perm = swap(hdim(b.left), hdim(b.right))
-            state.permute(
-                [o + j * stride for o in offs for j in range(len(perm))],
-                [o + (p - 1) * stride for o in offs for p in perm],
-            )
+            out.append(node)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# lowering: one memoized walk behind typecheck, sem, inverse and translation
+#
+# A subterm runs at a placement (offs, stride) in the rows of the source's
+# basis, 0-based: its local row j of copy i is row offs[i] + j*stride.
+# Inside a product of terms a factor runs once per basis vector of the
+# other.  A lowered program is a flat list of the primitives that move rows,
+# each placed once for all its copies, applied in order:
+#   ("had", offs, stride, 0, 0)       H on rows o and o + stride
+#   ("neg1", offs, stride, 0, 0)      Z on row o
+#   ("swap+", offs, stride, n1, n2)   the permutation of swap+ on n1 + n2
+#   ("swap*", offs, stride, n1, n2)   the permutation of swap* on n1 * n2
+# for each o in offs.  An op's offs are grouped by the copies of every
+# subterm around it, so the first len(offs) / k of them belong to the first
+# copy of an enclosing subterm placed k times.
+
+
+def _place(
+    rows: list[int], offs0: list[int], stride0: int, offs: list[int], stride: int
+) -> list[int]:
+    """Rows inside a subterm placed at (offs0, stride0), moved with it to
+    (offs, stride)."""
+    m = len(rows) // len(offs0)
+    o0 = offs0[0]
+    if len(offs) == 1 and stride == stride0:
+        d = offs[0] - o0
+        return [r + d for r in rows[:m]]
+    local = [(r - o0) // stride0 for r in rows[:m]]
+    return [o + j * stride for o in offs for j in local]
+
+
+def _reuse(entry: Optional[list], b: ValueType, limit: float) -> Optional[list]:
+    """The memo entry, in the chain from entry, recorded at an input equal to
+    b under a depth limit no larger than limit; None if there is none."""
+    while entry is not None:
+        sb = entry[1]
+        if entry[2] <= limit and (sb is b or sb == b):
+            if entry[8] is None:
+                entry[8] = entry[3] is sb or entry[3] == sb
+            # key the entry on this input object: a node that keeps its
+            # input type hands the object on, so that along a spine the
+            # next lookups match by identity, not level by level
+            entry[1] = b
+            return entry
+        entry = entry[9]
+    return None
+
+
+class _Walk:
+    """A walk of c at input b in a language, no type deeper than limit
+    (default _depth_limit(b)): dst is c's target type and, with emit, ops is
+    its program of placed primitives.  The walk is kept for questions about
+    the nodes of c (target).
+
+    Nodes other than primitives are memoized by identity: a node met again
+    at an equal input type and no tighter depth limit returns its recorded
+    target and re-emits its recorded ops at the new placement.  Paths are
+    tracked only when one is given, so only a failing walk pays for them:
+    it walks again with paths to name the failing subterm."""
+
+    __slots__ = ("lang", "emit", "ops", "memo", "dst")
+
+    def __init__(
+        self, c: Term, b: ValueType, lang: str, emit: bool = False, limit: Optional[int] = None
+    ):
+        self.lang = lang
+        self.emit = emit
+        self.ops: list[tuple] = []
+        # id(node) -> [node, input, limit, target, offs, stride, start, end,
+        # whether target == input once the node is reused, the entry for the
+        # node's previous input or None]; holding the node keeps its id unique
+        self.memo: dict[int, list] = {}
+        if limit is None:
+            limit = _depth_limit(b)
+        try:
+            self.dst = self.node(c, b, limit, None, [0], 1)
+            return
+        except LangError as exc:
+            err = exc
+        # walk again, tracking paths, to name the failing subterm; the memo
+        # holds only nodes that succeeded, so this walk meets the same failure
+        self.node(c, b, limit, (), [0], 1)
+        raise err
+
+    def node(
+        self,
+        c: Term,
+        b: ValueType,
+        limit: int,
+        path: Optional[_Path],
+        offs: list[int],
+        stride: int,
+    ) -> ValueType:
+        """Target type of c on input b, no deeper than limit; local row j of
+        copy i is row offs[i] + j*stride."""
+        if isinstance(c, Prim):
+            name = c.name
+            dst = _prim_step(name, b, self.lang, path)
+            if name in _DEEPENING:
+                _check_depth(name, dst, limit, path)
+            if self.emit:
+                if name in ("swap+", "swap*"):
+                    self.ops.append((name, offs, stride, hdim(b.left), hdim(b.right)))
+                elif name in ("had", "neg1"):
+                    self.ops.append((name, offs, stride, 0, 0))
+            return dst  # every other primitive denotes an identity
+        if isinstance(c, Factorz):
+            if not isinstance(b, Zero):
+                raise _fail(path, f"factorz needs input 0, got {format_type(b)}")
+            dst = Prod(c.operand, ZERO)
+            _check_depth("factorz", dst, limit, path)
+            return dst
+
+        key = id(c)
+        seen = self.memo.get(key)
+        if seen is not None:
+            entry = _reuse(seen, b, limit)
+            if entry is not None:
+                _, _, _, dst, soffs, sstride, start, end, kept, _ = entry
+                if start < end:
+                    self._reemit(start, end, soffs, sstride, offs, stride)
+                return b if kept else dst
+        start = len(self.ops)
+        if isinstance(c, Seq):
+            # walk the whole spine iteratively: translated words compose
+            # thousands of factors and would overrun the recursion limit
+            dst = b
+            if path is None:
+                for node in _spine(c):
+                    dst = self.node(node, dst, limit, None, offs, stride)
+            else:
+                for node, p in _seq_items(c, path):
+                    dst = self.node(node, dst, limit, p, offs, stride)
+        elif isinstance(c, SumC):
+            if not isinstance(b, Sum):
+                raise _fail(path, f"sum of terms needs a sum input, got {format_type(b)}")
+            lp = rp = None
+            if path is not None:
+                lp, rp = (path, "sum.left"), (path, "sum.right")
+            ld = self.node(c.left, b.left, limit - 1, lp, offs, stride)
+            roffs = offs
+            if self.emit:
+                roffs = [o + hdim(b.left) * stride for o in offs]
+            rd = self.node(c.right, b.right, limit - 1, rp, roffs, stride)
+            dst = b if ld is b.left and rd is b.right else Sum(ld, rd)
+        elif isinstance(c, ProdC):
+            if not isinstance(b, Prod):
+                raise _fail(
+                    path, f"product of terms needs a product input, got {format_type(b)}"
+                )
+            left = right = (offs, stride)
+            if self.emit:
+                # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
+                n1, n2 = hdim(b.left), hdim(b.right)
+                left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
+                right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
+            lp = rp = None
+            if path is not None:
+                lp, rp = (path, "prod.left"), (path, "prod.right")
+            ld = self.node(c.left, b.left, limit - 1, lp, *left)
+            rd = self.node(c.right, b.right, limit - 1, rp, *right)
+            dst = b if ld is b.left and rd is b.right else Prod(ld, rd)
+        else:
+            raise _fail(path, f"not a term: {c!r}")
+        self.memo[key] = [c, b, limit, dst, offs, stride, start, len(self.ops), None, seen]
         return dst
-    if isinstance(c, Factorz):
-        if not isinstance(b, Zero):
-            raise _fail(path, f"factorz needs input 0, got {format_type(b)}")
-        dst = Prod(c.operand, ZERO)
-        _check_depth("factorz", dst, limit, path)
-        return dst
-    if isinstance(c, Seq):
-        # walk the whole spine iteratively: translated words compose
-        # thousands of factors and would overrun the recursion limit
-        cur = b
-        for node, p in _seq_items(c, path):
-            cur = _run(node, cur, lang, p, limit, state, offs, stride)
-        return cur
-    if isinstance(c, SumC):
-        if not isinstance(b, Sum):
-            raise _fail(path, f"sum of terms needs a sum input, got {format_type(b)}")
-        limit -= 1
-        ld = _run(c.left, b.left, lang, (path, "sum.left"), limit, state, offs, stride)
-        if state is not None:
-            offs = [o + hdim(b.left) * stride for o in offs]
-        rd = _run(c.right, b.right, lang, (path, "sum.right"), limit, state, offs, stride)
-        return Sum(ld, rd)
-    if isinstance(c, ProdC):
-        if not isinstance(b, Prod):
-            raise _fail(
-                path, f"product of terms needs a product input, got {format_type(b)}"
-            )
-        left = right = (offs, stride)
-        if state is not None:
-            # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
-            n1, n2 = hdim(b.left), hdim(b.right)
-            left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
-            right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
-        limit -= 1
-        ld = _run(c.left, b.left, lang, (path, "prod.left"), limit, state, *left)
-        return Prod(ld, _run(c.right, b.right, lang, (path, "prod.right"), limit, state, *right))
-    raise _fail(path, f"not a term: {c!r}")
+
+    def target(self, c: Term, b: ValueType) -> ValueType:
+        """Target type of a node of a term this walk has checked, at input b."""
+        entry = _reuse(self.memo.get(id(c)), b, float("inf"))
+        if entry is not None:
+            return b if entry[8] else entry[3]
+        return self.node(c, b, _depth_limit(b), None, [0], 1)
+
+    def _reemit(self, start, end, offs0, stride0, offs, stride) -> None:
+        """Append ops[start:end], emitted at (offs0, stride0), at (offs, stride)."""
+        ops = self.ops
+        if stride == stride0 and offs == offs0:
+            ops += ops[start:end]
+            return
+        for name, rows, s, n1, n2 in ops[start:end]:
+            rows = _place(rows, offs0, stride0, offs, stride)
+            ops.append((name, rows, s // stride0 * stride, n1, n2))
+
+
+def lower(
+    c: Term, b: ValueType, lang: str = "qpi", limit: Optional[int] = None
+) -> tuple[ValueType, list[tuple]]:
+    """Target type of c on input b, no type deeper than limit (default
+    _depth_limit(b)), and its program of placed primitives (see the comment
+    above _place); each distinct subterm is walked once per input type."""
+    walk = _Walk(c, b, lang, True, limit)
+    return walk.dst, walk.ops
 
 
 def typecheck(c: Term, input: ValueType, lang: str = "qpi") -> CombinatorType:
     """Propagate the source type through c; the target is determined."""
-    return CombinatorType(input, _run(c, input, lang, (), _depth_limit(input)))
+    return CombinatorType(input, _Walk(c, input, lang).dst)
 
 
-def sem(c: Term, input: ValueType, lang: str = "qpi") -> ExactMatrix:
-    """Exact matrix denotation of c at the given source type."""
-    state = RowState(ExactMatrix.identity(hdim(input)))
-    _run(c, input, lang, (), _depth_limit(input), state)
+def sem(
+    c: Term, input: ValueType, lang: str = "qpi", limit: Optional[int] = None
+) -> ExactMatrix:
+    """Exact matrix denotation of c at the given source type, no type deeper
+    than limit (default _depth_limit(input))."""
+    ops = lower(c, input, lang, limit)[1]
+    n = hdim(input)
+    state = RowState(ExactMatrix.identity(n))
+    # permutations only relabel rows: program row r is state row at[r] - 1
+    rows0 = list(range(1, n + 1))
+    at = rows0[:]
+    for name, offs, stride, n1, n2 in ops:
+        if name == "had":
+            state.apply_word([Generator("H", (at[o], at[o + stride])) for o in offs])
+        elif name == "neg1":
+            state.apply_word([Generator("Z", (at[o],)) for o in offs])
+        elif name == "swap+":
+            # the left block of n1 rows moves past the right one
+            for o in offs:
+                block = at[o : o + (n1 + n2) * stride : stride]
+                at[o : o + (n1 + n2) * stride : stride] = block[n1:] + block[:n1]
+        else:
+            # row (i1, i2) of the n1 x n2 grid moves to row (i2, i1)
+            for o in offs:
+                block = at[o : o + n1 * n2 * stride : stride]
+                at[o : o + n1 * n2 * stride : stride] = [
+                    a for i2 in range(n2) for a in block[i2::n2]
+                ]
+    if at != rows0:
+        moved = [r for r in range(n) if at[r] != r + 1]
+        state.permute([at[r] - 1 for r in moved], moved)
     return state.snapshot()
 
 
@@ -530,11 +697,10 @@ _PRIM_INV = {
 
 def inverse(c: Term, input: ValueType, lang: str = "qpi") -> Term:
     """Type-directed syntactic inverse: sem(inverse(c)) @ sem(c) = I."""
-    typecheck(c, input, lang)
-    return _inv(c, input, lang)
+    return _inv(c, input, _Walk(c, input, lang))
 
 
-def _inv(c: Term, b: ValueType, lang: str) -> Term:
+def _inv(c: Term, b: ValueType, walk: _Walk) -> Term:
     if isinstance(c, Prim):
         if c.name == "absorb":
             assert isinstance(b, Prod)
@@ -545,16 +711,16 @@ def _inv(c: Term, b: ValueType, lang: str) -> Term:
     if isinstance(c, Seq):
         cur = b
         invs = []
-        for node, _ in _seq_items(c, ()):
-            invs.append(_inv(node, cur, lang))
-            cur = _run(node, cur, lang, (), _depth_limit(cur))  # typed already
+        for node in _spine(c):
+            invs.append(_inv(node, cur, walk))
+            cur = walk.target(node, cur)
         return seqs(*reversed(invs))
     if isinstance(c, SumC):
         assert isinstance(b, Sum)
-        return SumC(_inv(c.left, b.left, lang), _inv(c.right, b.right, lang))
+        return SumC(_inv(c.left, b.left, walk), _inv(c.right, b.right, walk))
     if isinstance(c, ProdC):
         assert isinstance(b, Prod)
-        return ProdC(_inv(c.left, b.left, lang), _inv(c.right, b.right, lang))
+        return ProdC(_inv(c.left, b.left, walk), _inv(c.right, b.right, walk))
     raise LangError(f"not a term: {c!r}")
 
 
@@ -606,17 +772,24 @@ def _adj(k: int, n: int) -> Term:
     return seqs(Prim("assocl+"), SumC(Prim("swap+"), Prim("id")), Prim("assocr+"))
 
 
-def swap_plus_at(j: int, k: int, n: int) -> Term:
+def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
     """Transposition (j k) on the type nsum(n), as a palindrome of
-    adjacent swaps; sem equals the two-level permutation matrix."""
+    adjacent swaps; sem equals the two-level permutation matrix.  Calls for
+    one n that pass the same dict as rungs share each adjacent swap, so a
+    walk over their terms lowers it once."""
     if not (1 <= j <= n and 1 <= k <= n):
         raise LangError(f"positions must lie in 1..{n}")
     if j > k:
         j, k = k, j
     if j == k:
         return Prim("id")
-    rungs = [_adj(i, n) for i in range(j, k)]
-    return seqs(*rungs, *reversed(rungs[:-1]))
+    if rungs is None:
+        rungs = {}
+    for i in range(j, k):
+        if i not in rungs:
+            rungs[i] = _adj(i, n)
+    swaps = [rungs[i] for i in range(j, k)]
+    return seqs(*swaps, *reversed(swaps[:-1]))
 
 
 # ---------------------------------------------------------------------------
@@ -882,6 +1055,18 @@ def _unify(p, q, what: str):
     )
 
 
+# a longer rendered pattern prints its first and last _PATTERN_ENDS
+# characters around a count, as a long path does with its steps
+_PATTERN_ENDS = 40
+
+
+def _clip(text: str) -> str:
+    if len(text) > 3 * _PATTERN_ENDS:
+        cut = len(text) - 2 * _PATTERN_ENDS
+        return f"{text[:_PATTERN_ENDS]}<{cut} characters>{text[-_PATTERN_ENDS:]}"
+    return text
+
+
 def _render_pattern(p) -> str:
     if p is None:
         return "?"
@@ -910,7 +1095,7 @@ def _flow(c: Term, pat, forward: bool, limit: int):
             return _unify(pat, ZERO, "factorz"), other
         return _unify(pat, Prod(c.operand, ZERO), "factorz"), ZERO
     if isinstance(c, Seq):
-        items = [node for node, _ in _seq_items(c, ())]
+        items = _spine(c)
         if not forward:
             items.reverse()
         refined = pat
@@ -1028,7 +1213,7 @@ def infer_source(c: Term) -> ValueType:
     out = _fill(pin)
     if out is None:
         raise LangError(
-            f"source type is ambiguous: inferred only {_render_pattern(pin)};"
+            f"source type is ambiguous: inferred only {_clip(_render_pattern(pin))};"
             " supply it explicitly"
         )
     return out

@@ -45,10 +45,6 @@ class ExactMatrix:
             aa[i * n + i] = 1
         return cls(n, 0, aa, [0] * (n * n))
 
-    def column(self, j: int) -> tuple[int, list[int], list[int]]:
-        """Column j (1-based) with its own least exponent."""
-        return _column(self.n, (self.k,) * self.n, self.aa, self.bb, j)
-
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise LinAlgError(f"dimension mismatch {self.n} vs {other.n}")

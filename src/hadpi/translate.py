@@ -14,6 +14,7 @@ from functools import cache
 from .lang import (
     Factorz,
     LangError,
+    ONE,
     One,
     Prim,
     Prod,
@@ -24,7 +25,9 @@ from .lang import (
     Term,
     ValueType,
     Zero,
-    _seq_items,
+    _Walk,
+    _depth_limit,
+    _spine,
     _swap_prod_perm,
     _swap_sum_perm,
     hdim,
@@ -33,8 +36,10 @@ from .lang import (
     seqs,
     swap_plus_at,
     term_prims,
-    typecheck,
 )
+
+# re-exported unused: hadpibench/tracing.py patches this binding
+from .lang import typecheck  # noqa: F401
 from .linalg import ExactMatrix, Generator, gen_h, gen_z
 from .synthesis import hpermute
 from .words import Word, WordError, embed, shift
@@ -80,11 +85,12 @@ class TranslationReport:
 
 def wsem(c: Term, input: ValueType) -> Word:
     """Generator word with the same matrix as c at the given source type."""
-    typecheck(c, input, "qpi")
-    return _w(c, input)
+    return _w(c, input, _Walk(c, input, "qpi"), {})
 
 
-def _w(c: Term, b: ValueType) -> Word:
+def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
+    # done: id(node) -> [[node, input, word], ...] for the composite nodes met
+    # so far, so that a shared subterm is translated once per input type
     n = hdim(b)
     if isinstance(c, Prim):
         name = c.name
@@ -97,30 +103,39 @@ def _w(c: Term, b: ValueType) -> Word:
         return Word(n, ())
     if isinstance(c, Factorz):
         return Word(0, ())
+    seen = done.setdefault(id(c), [])
+    for entry in seen:
+        if entry[1] is b or entry[1] == b:
+            entry[1] = b  # so that the next lookup matches by identity
+            return entry[2]
     if isinstance(c, Seq):
-        gens: tuple[Generator, ...] = ()
+        parts = []
         cur = b
-        for node, _ in _seq_items(c, ()):
-            gens = _w(node, cur).gens + gens
-            cur = typecheck(node, cur, "qpi").dst
-        return Word(n, gens)
-    if isinstance(c, SumC):
+        for node in _spine(c):
+            parts.append(_w(node, cur, walk, done).gens)
+            cur = walk.target(node, cur)
+        word = Word(n, tuple(g for gens in reversed(parts) for g in gens))
+    elif isinstance(c, SumC):
         n1 = hdim(b.left)
-        w1 = embed(_w(c.left, b.left), n)
-        w2 = shift(_w(c.right, b.right), n1)
-        return Word(n, w1.gens + embed(w2, n).gens)
-    if isinstance(c, ProdC):
+        w1 = embed(_w(c.left, b.left, walk, done), n)
+        w2 = shift(_w(c.right, b.right, walk, done), n1)
+        word = Word(n, w1.gens + embed(w2, n).gens)
+    elif isinstance(c, ProdC):
         b1, b2 = b.left, b.right
         if c.left == _ID:
-            return _w_id_times(b1, c.right, b2)
-        n1, n2 = hdim(b1), hdim(b2)
-        b4 = typecheck(c.right, b2, "qpi").dst
-        first = _w_id_times(b1, c.right, b2)
-        mid = _swap_word("swap*", n1, n2)
-        second = _w_id_times(b4, c.left, b1)
-        last = _swap_word("swap*", n2, n1)
-        return Word(n, last.gens + second.gens + mid.gens + first.gens)
-    raise LangError(f"not a term: {c!r}")
+            word = _w_id_times(b1, c.right, b2, walk, done)
+        else:
+            n1, n2 = hdim(b1), hdim(b2)
+            b4 = walk.target(c.right, b2)
+            first = _w_id_times(b1, c.right, b2, walk, done)
+            mid = _swap_word("swap*", n1, n2)
+            second = _w_id_times(b4, c.left, b1, walk, done)
+            last = _swap_word("swap*", n2, n1)
+            word = Word(n, last.gens + second.gens + mid.gens + first.gens)
+    else:
+        raise LangError(f"not a term: {c!r}")
+    seen.append([c, b, word])
+    return word
 
 
 @cache
@@ -130,9 +145,9 @@ def _swap_word(name: str, n1: int, n2: int) -> Word:
     return hpermute(swap(n1, n2))
 
 
-def _w_id_times(b: ValueType, c: Term, cb: ValueType) -> Word:
+def _w_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -> Word:
     # one copy of the word of c per basis vector of b, shifted blockwise
-    w = _w(c, cb)
+    w = _w(c, cb, walk, done)
     d = hdim(cb)
     gens = []
     for i in range(hdim(b)):
@@ -151,7 +166,11 @@ def t_q(w: Word) -> Term:
     for g in w.gens:
         if not all(1 <= i <= n for i in g.idx):
             raise WordError(f"generator {g} out of range for n={n}")
-    parts = [_t_gen(g, n) for g in reversed(w.gens)]
+    # the generators share their adjacent swaps and their neg1 and had
+    # tails, so that lowering the program walks each of them once
+    rungs: dict[int, Term] = {}
+    tails: dict[str, Term] = {}
+    parts = [_t_gen(g, n, rungs, tails) for g in reversed(w.gens)]
     if not parts:
         return _ID
     return seqs(*parts)
@@ -171,18 +190,22 @@ def _at_last_two(c: Term, n: int) -> Term:
     return SumC(_ID, _at_last_two(c, n - 1))
 
 
-def _t_gen(g: Generator, n: int) -> Term:
+def _t_gen(g: Generator, n: int, rungs: dict[int, Term], tails: dict[str, Term]) -> Term:
     if g.kind == "Z":
-        move = swap_plus_at(g.idx[0], n, n)
-        return seqs(move, _at_last(Prim("neg1"), n), move)
+        move = swap_plus_at(g.idx[0], n, n, rungs)
+        if "Z" not in tails:
+            tails["Z"] = _at_last(Prim("neg1"), n)
+        return seqs(move, tails["Z"], move)
     if g.kind == "X":
-        return swap_plus_at(g.idx[0], g.idx[1], n)
+        return swap_plus_at(g.idx[0], g.idx[1], n, rungs)
     b, c = g.idx
     # conjugate so b lands on position n-1 and c on n; moving c first
     # keeps the two transpositions from colliding when c = n-1
-    outer = swap_plus_at(c, n, n)
-    inner = swap_plus_at(b, n - 1, n)
-    return seqs(outer, inner, _at_last_two(Prim("had"), n), inner, outer)
+    outer = swap_plus_at(c, n, n, rungs)
+    inner = swap_plus_at(b, n - 1, n, rungs)
+    if "H" not in tails:
+        tails["H"] = _at_last_two(Prim("had"), n)
+    return seqs(outer, inner, tails["H"], inner, outer)
 
 
 def roundtrip_check(c: Term, input: ValueType) -> TranslationReport:
@@ -209,11 +232,17 @@ def qsem(c: Term) -> Term:
 
 def t_h(c: Term, input: ValueType) -> Term:
     """Hadamard-program of type 1+b1 <-> 1+b2 whose matrix is I1 (+) sem(c)."""
-    typecheck(c, input, "qpi")
-    return _th(c, input)
+    return _th(c, input, _Walk(c, input, "qpi"))
 
 
-def _th(c: Term, b: ValueType) -> Term:
+def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
+    """Matrix of h = t_h(c, input), on the padded source 1+input.  h puts
+    each primitive of c one sum of terms deeper, so its types get the
+    depth budget of input plus that one level."""
+    return sem(h, Sum(ONE, input), "hpi", _depth_limit(input) + 1)
+
+
+def _th(c: Term, b: ValueType, walk: _Walk) -> Term:
     if isinstance(c, Prim):
         if c.name == "neg1":
             return seqs(Prim("had"), Prim("swap+"), Prim("had"))
@@ -223,18 +252,18 @@ def _th(c: Term, b: ValueType) -> Term:
     if isinstance(c, Seq):
         parts = []
         cur = b
-        for node, _ in _seq_items(c, ()):
-            parts.append(_th(node, cur))
-            cur = typecheck(node, cur, "qpi").dst
+        for node in _spine(c):
+            parts.append(_th(node, cur, walk))
+            cur = walk.target(node, cur)
         return seqs(*parts)
     if isinstance(c, SumC):
         b1, b2 = b.left, b.right
         return seqs(
             Prim("assocl+"),
-            SumC(_th(c.left, b1), _ID),
+            SumC(_th(c.left, b1, walk), _ID),
             SumC(Prim("swap+"), _ID),
             Prim("assocr+"),
-            SumC(_ID, _th(c.right, b2)),
+            SumC(_ID, _th(c.right, b2, walk)),
             Prim("assocl+"),
             SumC(Prim("swap+"), _ID),
             Prim("assocr+"),
@@ -242,13 +271,13 @@ def _th(c: Term, b: ValueType) -> Term:
     if isinstance(c, ProdC):
         b1, b2 = b.left, b.right
         if c.left == _ID:
-            return _th_id_times(b1, c.right, b2)
-        b3 = typecheck(c.left, b1, "qpi").dst
+            return _th_id_times(b1, c.right, b2, walk)
+        b3 = walk.target(c.left, b1)
         return seqs(
             SumC(_ID, Prim("swap*")),
-            _th_id_times(b2, c.left, b1),
+            _th_id_times(b2, c.left, b1, walk),
             SumC(_ID, Prim("swap*")),
-            _th_id_times(b3, c.right, b2),
+            _th_id_times(b3, c.right, b2, walk),
         )
     raise LangError(f"not a term: {c!r}")
 
@@ -264,22 +293,22 @@ def rank(b: ValueType) -> int:
     return (rank(b.left) + 1) ** 2 * rank(b.right)
 
 
-def _th_id_times(b: ValueType, c: Term, cb: ValueType) -> Term:
+def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk) -> Term:
     r = rank(b)
-    cd = typecheck(c, cb, "qpi").dst
+    cd = walk.target(c, cb)
     if isinstance(b, Zero):
         chain = seqs(Prim("swap*"), Prim("absorb"), _ID, Factorz(cd), Prim("swap*"))
         return SumC(_ID, chain)
     if isinstance(b, One):
         return seqs(
-            SumC(_ID, Prim("unite*")), _th(c, cb), SumC(_ID, Prim("uniti*"))
+            SumC(_ID, Prim("unite*")), _th(c, cb, walk), SumC(_ID, Prim("uniti*"))
         )
     if isinstance(b, Sum):
         assert rank(b.left) < r and rank(b.right) < r
         inner = SumC(ProdC(_ID, c), ProdC(_ID, c))
         mid_src = Sum(Prod(b.left, cb), Prod(b.right, cb))
         return seqs(
-            SumC(_ID, Prim("dist")), _th(inner, mid_src), SumC(_ID, Prim("factor"))
+            SumC(_ID, Prim("dist")), _th(inner, mid_src, walk), SumC(_ID, Prim("factor"))
         )
     bl, br = b.left, b.right
     if isinstance(bl, Zero):
@@ -297,7 +326,7 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType) -> Term:
         assert rank(br) < r
         return seqs(
             SumC(_ID, Seq(Prim("assocr*"), Prim("unite*"))),
-            _th_id_times(br, c, cb),
+            _th_id_times(br, c, cb, walk),
             SumC(_ID, Seq(Prim("uniti*"), Prim("assocl*"))),
         )
     if isinstance(bl, Sum):
@@ -305,13 +334,13 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType) -> Term:
         assert rank(split) < r
         return seqs(
             SumC(_ID, ProdC(Prim("dist"), _ID)),
-            _th_id_times(split, c, cb),
+            _th_id_times(split, c, cb, walk),
             SumC(_ID, ProdC(Prim("factor"), _ID)),
         )
     reassoc = Prod(bl.left, Prod(bl.right, br))
     assert rank(reassoc) < r
     return seqs(
         SumC(_ID, ProdC(Prim("assocr*"), _ID)),
-        _th_id_times(reassoc, c, cb),
+        _th_id_times(reassoc, c, cb, walk),
         SumC(_ID, ProdC(Prim("assocl*"), _ID)),
     )

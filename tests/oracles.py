@@ -3,8 +3,9 @@
 Everything here works with Fractions in the form p + q*sqrt(2) and plain
 list-of-lists matrices.  Package values enter only as plain integers: a
 numerator pair (a, b) with its exponent k, or the fields n, k, aa, bb of
-an ExactMatrix.  No code is shared with the package internals: agreement
-between the two is the evidence.
+an ExactMatrix; package terms and types are read by class name and fields.
+No code is shared with the package internals: agreement between the two is
+the evidence.
 """
 
 from __future__ import annotations
@@ -155,3 +156,133 @@ def reduce_nums_stepwise(k: int, aa: list[int], bb: list[int]):
         aa, bb = list(bb), [a >> 1 for a in aa]
         k -= 1
     return k, aa, bb
+
+
+# ---------------------------------------------------------------------------
+# programs, by their denotation
+#
+# Types are nested tuples: ("0",), ("1",), ("+", left, right), ("*", left,
+# right).  Package types and terms are read by class name and fields only.
+
+
+class OracleTypeError(ValueError):
+    """The oracle found a term ill-typed at its input."""
+
+
+def oracle_type(b) -> tuple:
+    """A package value type as a nested tuple."""
+    kind = type(b).__name__
+    if kind == "Zero":
+        return ("0",)
+    if kind == "One":
+        return ("1",)
+    return ("+" if kind == "Sum" else "*", oracle_type(b.left), oracle_type(b.right))
+
+
+def oracle_dim(t: tuple) -> int:
+    if t[0] in ("0", "1"):
+        return int(t[0])
+    left, right = oracle_dim(t[1]), oracle_dim(t[2])
+    return left + right if t[0] == "+" else left * right
+
+
+def _perm_matrix(images: list[int]) -> list[list[FracRT2]]:
+    """Basis vector j goes to basis vector images[j] (0-based)."""
+    n = len(images)
+    out = [[FR_ZERO] * n for _ in range(n)]
+    for j, i in enumerate(images):
+        out[i][j] = FR_ONE
+    return out
+
+
+_ORACLE_PRIMS = {
+    "pi": {
+        "id", "swap+", "assocr+", "assocl+", "unite+", "uniti+", "swap*",
+        "assocr*", "assocl*", "unite*", "uniti*", "dist", "factor", "absorb",
+    },
+}
+_ORACLE_PRIMS["hpi"] = _ORACLE_PRIMS["pi"] | {"had"}
+_ORACLE_PRIMS["qpi"] = _ORACLE_PRIMS["hpi"] | {"neg1"}
+
+
+def _oracle_prim(name: str, t: tuple, lang: str):
+    """Target type and matrix of one primitive at input t."""
+    if name not in _ORACLE_PRIMS[lang]:
+        raise OracleTypeError(f"{name} is not in {lang}")
+
+    def need(ok):
+        if not ok:
+            raise OracleTypeError(f"{name} does not accept {t}")
+
+    ident = frac_identity(oracle_dim(t))
+    op = t[0]
+    if name == "id":
+        return t, ident
+    if name == "swap+":
+        need(op == "+")
+        n1, n2 = oracle_dim(t[1]), oracle_dim(t[2])
+        images = [j + n2 for j in range(n1)] + [j - n1 for j in range(n1, n1 + n2)]
+        return ("+", t[2], t[1]), _perm_matrix(images)
+    if name == "swap*":
+        need(op == "*")
+        n1, n2 = oracle_dim(t[1]), oracle_dim(t[2])
+        images = [(j % n2) * n1 + j // n2 for j in range(n1 * n2)]
+        return ("*", t[2], t[1]), _perm_matrix(images)
+    if name in ("assocr+", "assocr*"):
+        need(op == name[-1] and t[1][0] == op)
+        return (op, t[1][1], (op, t[1][2], t[2])), ident
+    if name in ("assocl+", "assocl*"):
+        need(op == name[-1] and t[2][0] == op)
+        return (op, (op, t[1], t[2][1]), t[2][2]), ident
+    if name == "unite+":
+        need(op == "+" and t[1] == ("0",))
+        return t[2], ident
+    if name == "unite*":
+        need(op == "*" and t[1] == ("1",))
+        return t[2], ident
+    if name == "uniti+":
+        return ("+", ("0",), t), ident
+    if name == "uniti*":
+        return ("*", ("1",), t), ident
+    if name == "dist":
+        need(op == "*" and t[1][0] == "+")
+        (_, b1, b2), b3 = t[1], t[2]
+        return ("+", ("*", b1, b3), ("*", b2, b3)), ident
+    if name == "factor":
+        need(op == "+" and t[1][0] == t[2][0] == "*" and t[1][2] == t[2][2])
+        return ("*", ("+", t[1][1], t[2][1]), t[1][2]), ident
+    if name == "absorb":
+        need(op == "*" and t[2] == ("0",))
+        return ("0",), []
+    if name == "neg1":
+        need(t == ("1",))
+        return t, [[-FR_ONE]]
+    # had
+    need(t == ("+", ("1",), ("1",)))
+    h = FracRT2.of(1, 0, 1)
+    return t, [[h, h], [h, -h]]
+
+
+def oracle_term(c, t: tuple, lang: str = "qpi"):
+    """Target type and matrix of the package term c at the input t, from
+    the definitions: a primitive's matrix moves basis vectors (or is neg1 or
+    had), c1 ; c2 is sem(c2) sem(c1), c1 + c2 is a direct sum and c1 * c2 a
+    Kronecker product."""
+    kind = type(c).__name__
+    if kind == "Prim":
+        return _oracle_prim(c.name, t, lang)
+    if kind == "Factorz":
+        if t != ("0",):
+            raise OracleTypeError(f"factorz does not accept {t}")
+        return ("*", oracle_type(c.operand), ("0",)), []
+    if kind == "Seq":
+        mid, m1 = oracle_term(c.fst, t, lang)
+        dst, m2 = oracle_term(c.snd, mid, lang)
+        return dst, frac_mul(m2, m1)
+    op = "+" if kind == "SumC" else "*"
+    if t[0] != op:
+        raise OracleTypeError(f"{kind} does not accept {t}")
+    d1, m1 = oracle_term(c.left, t[1], lang)
+    d2, m2 = oracle_term(c.right, t[2], lang)
+    both = frac_direct_sum if op == "+" else frac_kron
+    return (op, d1, d2), both(m1, m2)

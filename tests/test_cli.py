@@ -158,6 +158,41 @@ def test_type_growth_is_bounded_by_the_source_of_the_whole_call(capsys):
         assert code == 1 and "MAX_NESTING" in err
 
 
+def test_hpi_translation_accepts_what_check_accepts_at_the_growth_edge(capsys):
+    # t_h puts each primitive one sum of terms deeper; the padded source
+    # 1+b is one level deeper too, which the max with MAX_NESTING absorbed
+    limit = lang.MAX_NESTING
+    term = "id + " * (limit - 1) + f"uniti+^{limit + 1}"
+    in_type = "+".join(["1"] * limit)
+    assert run(capsys, "check", term, "--in-type", in_type)[0] == 0
+    code, out, err = run(
+        capsys, "translate", term, "--from", "qpi", "--to", "hpi", "--in-type", in_type
+    )
+    assert (code, err) == (0, "")
+    assert out.endswith("\nverified: I1 (+) source\n")
+    # one level more is refused by both
+    over = "id + " * (limit - 1) + f"uniti+^{limit + 2}"
+    assert run(capsys, "check", over, "--in-type", in_type)[0] == 1
+    argv = ("translate", over, "--from", "qpi", "--to", "hpi", "--in-type", in_type)
+    assert run(capsys, *argv)[0] == 1
+
+
+def test_ambiguous_source_patterns_are_cut(capsys):
+    # assocr+^m infers the pattern ((...(?+?)+?...)+?) of 4m+5 characters
+    def pattern(m):
+        code, out, err = run(capsys, "check", f"assocr+^{m}")
+        assert (code, out) == (1, "")
+        head = "error: source type is ambiguous: inferred only "
+        assert err.startswith(head) and err.endswith("; supply it explicitly\n")
+        return err[len(head) : -len("; supply it explicitly\n")]
+
+    whole = "(" * 29 + "?+?)" + "+?)" * 28
+    assert pattern(28) == whole and len(whole) == 117
+    assert pattern(29) == "(" * 30 + "?+?)+?)+?)<41 characters>" + ")+?" * 13 + ")"
+    # once a 674-character pattern
+    assert pattern(150) == "(" * 40 + "<525 characters>" + ")+?" * 13 + ")"
+
+
 def test_programs_built_over_deep_sources_run(capsys):
     # t_q lowers the depth of nsum(n) (depth n-1) with assocl+ and restores
     # it with assocr+; past MAX_NESTING that is still no growth

@@ -43,7 +43,9 @@ from hadpi.lang import (
 import hadpi.lang
 import hadpi.linalg
 import hadpi.words
-from hadpi.linalg import ExactMatrix, Generator, H_BLOCK, MINUS_ONE, X_BLOCK, m_level_embed
+from hadpi.linalg import (
+    ExactMatrix, Generator, H_BLOCK, MINUS_ONE, RowState, X_BLOCK, m_level_embed,
+)
 from hadpi.translate import t_h, t_q
 from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
 from termgen import rand_term, rand_type
@@ -117,7 +119,7 @@ def test_sem_base_cases():
 
 def test_sem_swap_sum_blocks():
     # left block of size 2 rotates past the right block of size 3
-    m = sem(SWP, Sum(nsum(2), nsum(3)))
+    m = RowState(sem(SWP, Sum(nsum(2), nsum(3))))
     want = [(1, 4), (2, 5), (3, 1), (4, 2), (5, 3)]
     for j, image in want:
         assert m.column(j) == (0, [1 if i == image else 0 for i in range(1, 6)], [0] * 5)

@@ -8,12 +8,14 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 from oracles import (
+    FracRT2,
     frac_direct_sum,
     frac_eq,
     frac_identity,
     frac_kron,
     frac_mul,
     frac_of_matrix,
+    oracle_lde,
     oracle_level,
     reduce_nums_stepwise,
 )
@@ -153,9 +155,9 @@ def test_matmul_dimension_mismatch():
 
 def test_column_has_own_exponent():
     # H at column 1 has exponent 1; after squaring, columns are integral
-    M = gen_h(1, 2).matrix(3)
-    assert M.column(3) == (0, [0, 0, 1], [0, 0, 0])
-    assert M.column(1) == (1, [1, 1, 0], [0, 0, 0])
+    state = RowState(gen_h(1, 2).matrix(3))
+    assert state.column(3) == (0, [0, 0, 1], [0, 0, 0])
+    assert state.column(1) == (1, [1, 1, 0], [0, 0, 0])
 
 
 def test_embed_disjoint_blocks_commute():
@@ -281,19 +283,6 @@ def _dense(gens: list[Generator], n: int) -> ExactMatrix:
     return M
 
 
-def _percolumn_level(M: ExactMatrix) -> Level:
-    """The level by its definition, one reduced column at a time."""
-    for j in range(M.n, 0, -1):
-        k, ca, cb = M.column(j)
-        if k == 0 and not any(cb) and ca == [int(i == j) for i in range(1, M.n + 1)]:
-            continue
-        if k == 0:
-            return Level(j, 0, 0)
-        # a + b*rt2 is odd mod 2 (residue 1 or 1+rt2) exactly when a is odd
-        return Level(j, k, sum(a % 2 for a in ca))
-    return Level(0, 0, 0)
-
-
 def _deep_cases() -> list[tuple[int, list[Generator]]]:
     rng = random.Random(61)
     sizes = [n for n in (4, 5, 6, 8, 10, 12) for _ in range(2)]
@@ -331,6 +320,11 @@ def test_level_matches_percolumn_definition_deep():
     for n, gens in _deep_cases():
         M = _dense(gens, n)
         assert M.k >= 15
-        assert level(M) == _percolumn_level(M)
+        assert tuple(level(M)) == oracle_level(M)
+        F = frac_of_matrix(M)
+        state = RowState(M)
         for j in range(1, n + 1):
-            assert RowState(M).column(j) == M.column(j)
+            k, ca, cb = state.column(j)
+            col = [F[i][j - 1] for i in range(n)]
+            assert [FracRT2.of(a, b, k) for a, b in zip(ca, cb)] == col
+            assert k == oracle_lde(*col)

@@ -1,0 +1,254 @@
+"""The memoized walk behind typecheck and sem, against a dense oracle.
+
+lang.lower walks each node object once per input type and re-emits its row
+operations wherever the node is met again.  The hazards are a node shared
+at different input types, at different rows, inside the copies a product
+of terms makes, and under a tighter depth budget; each case here is
+checked against oracles.oracle_term, which shares no code with lang.
+"""
+
+import random
+
+import pytest
+from oracles import (
+    OracleTypeError,
+    frac_direct_sum,
+    frac_eq,
+    frac_identity,
+    frac_of_matrix,
+    oracle_term,
+    oracle_type,
+)
+from termgen import rand_type
+
+import hadpi.lang
+from hadpi.lang import (
+    ONE,
+    TWO,
+    Factorz,
+    LangError,
+    Prim,
+    Prod,
+    ProdC,
+    Seq,
+    Sum,
+    SumC,
+    ZERO,
+    format_type,
+    inverse,
+    iterate,
+    lower,
+    nsum,
+    primitives,
+    sem,
+    seqs,
+    term_prims,
+    typecheck,
+)
+from hadpi.linalg import gen_h, gen_x, gen_z
+from hadpi.translate import t_h, t_q, wsem
+from hadpi.words import Word, word_sem
+
+ID, HAD, NEG1, SWP = Prim("id"), Prim("had"), Prim("neg1"), Prim("swap+")
+
+
+def assert_matches_oracle(c, b, lang="qpi"):
+    dst, want = oracle_term(c, oracle_type(b), lang)
+    assert oracle_type(typecheck(c, b, lang).dst) == dst
+    assert frac_eq(frac_of_matrix(sem(c, b, lang)), want)
+    return want
+
+
+# ---------------------------------------------------------------------------
+# random terms that reuse node objects
+
+
+def _accepts(c, b, lang) -> bool:
+    try:
+        typecheck(c, b, lang)
+    except LangError:
+        return False
+    return True
+
+
+def _seeds(lang):
+    """Small nodes that typecheck at many input types."""
+    rung = seqs(Prim("assocl+"), SumC(SWP, ID), Prim("assocr+"))
+    out = [SumC(SWP, ID), Seq(SWP, SWP), ProdC(ID, SWP), ProdC(SWP, ID), rung, SumC(ID, rung)]
+    if lang != "pi":
+        out += [SumC(HAD, ID), SumC(ID, HAD), ProdC(ID, HAD)]
+    if lang == "qpi":
+        out += [SumC(NEG1, SWP), Seq(SumC(ID, NEG1), SWP)]
+    return out
+
+
+def shared_term(rng, b, lang, depth, pool):
+    """A random term accepted at b that, where it can, reuses a node object
+    from pool; the composite nodes it builds join the pool."""
+    fits = [s for s in pool if _accepts(s, b, lang)]
+    if fits and rng.random() < 0.5:
+        return rng.choice(fits)
+    prims = [Prim(name) for name in sorted(primitives(lang)) if _accepts(Prim(name), b, lang)]
+    if b == ZERO:
+        prims.append(Factorz(rng.choice((ONE, TWO))))
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(prims)
+    if r < 0.65:
+        fst = shared_term(rng, b, lang, depth - 1, pool)
+        mid = typecheck(fst, b, lang).dst
+        c = Seq(fst, shared_term(rng, mid, lang, depth - 1, pool))
+    elif isinstance(b, (Sum, Prod)):
+        ctor = SumC if isinstance(b, Sum) else ProdC
+        left = shared_term(rng, b.left, lang, depth - 1, pool)
+        if b.left == b.right and rng.random() < 0.5:
+            c = ctor(left, left)  # one node on both halves
+        else:
+            c = ctor(left, shared_term(rng, b.right, lang, depth - 1, pool))
+    else:
+        return rng.choice(prims)
+    pool.append(c)
+    return c
+
+
+def _uses(c, t, lang, row, copies, out):
+    """(input type, first row, copies) of every run of every node object."""
+    out.setdefault(id(c), set()).add((t, row, copies))
+    kind = type(c).__name__
+    if kind == "Seq":
+        _uses(c.fst, t, lang, row, copies, out)
+        _uses(c.snd, oracle_term(c.fst, t, lang)[0], lang, row, copies, out)
+    elif kind in ("SumC", "ProdC"):
+        n1 = len(oracle_term(ID, t[1], lang)[1])
+        n2 = len(oracle_term(ID, t[2], lang)[1])
+        if kind == "SumC":
+            _uses(c.left, t[1], lang, row, copies, out)
+            _uses(c.right, t[2], lang, row + n1, copies, out)
+        else:
+            _uses(c.left, t[1], lang, row, copies * n2, out)
+            _uses(c.right, t[2], lang, row, copies * n1, out)
+
+
+@pytest.mark.parametrize("lang", ["pi", "qpi", "hpi"])
+def test_shared_nodes_match_the_oracle(lang):
+    rng = random.Random({"pi": 71, "qpi": 72, "hpi": 73}[lang])
+    types, rows, copies = set(), set(), set()
+    for _ in range(100):
+        b = rand_type(rng, 8, 1)
+        pool = _seeds(lang)
+        c = shared_term(rng, b, lang, 5, pool)
+        want = assert_matches_oracle(c, b, lang)
+        uses: dict = {}
+        _uses(c, oracle_type(b), lang, 0, 1, uses)
+        for runs in uses.values():
+            if len({t for t, _, _ in runs}) > 1:
+                types.add(id(runs))
+            if len({(t, r) for t, r, _ in runs}) > len({t for t, _, _ in runs}):
+                rows.add(id(runs))
+            if len(runs) > 1 and max(k for _, _, k in runs) > 1:
+                copies.add(id(runs))
+        # the walks behind inverse, wsem and t_h read the same shared nodes
+        dst = typecheck(c, b, lang).dst
+        assert sem(inverse(c, b, lang), dst, lang) @ sem(c, b, lang) == sem(ID, b)
+        if lang != "hpi":
+            assert frac_eq(frac_of_matrix(word_sem(wsem(c, b))), want)
+        if lang != "pi":
+            padded = frac_direct_sum(frac_identity(1), want)
+            assert frac_eq(frac_of_matrix(sem(t_h(c, b), Sum(ONE, b), "hpi")), padded)
+    # every hazard occurred: one node at several types, at several rows for
+    # one type, and run more than once with copies made by a product
+    assert types and rows and copies
+
+
+def test_a_shared_node_at_other_rows_strides_and_types():
+    s = SumC(HAD, NEG1)  # at (1+1)+1
+    t3 = Sum(TWO, ONE)
+    swap = SumC(SWP, ID)
+    cases = [
+        (SumC(s, s), Sum(t3, t3)),  # the second copy three rows down
+        (seqs(s, SumC(SWP, ID), s), t3),  # again at the same rows
+        (ProdC(s, ID), Prod(t3, TWO)),  # twice, at stride 2
+        (ProdC(ID, s), Prod(TWO, t3)),  # twice, three rows apart
+        (
+            seqs(ProdC(s, ID), Prim("swap*"), ProdC(ID, s), Prim("swap*"), ProdC(s, ID)),
+            Prod(t3, TWO),
+        ),
+        (seqs(SumC(ProdC(s, s), s), SumC(ProdC(ID, s), ID)), Sum(Prod(t3, t3), t3)),
+        # one node at two input types
+        (SumC(swap, swap), Sum(Sum(TWO, ONE), Sum(Sum(ONE, TWO), TWO))),
+    ]
+    for c, b in cases:
+        assert_matches_oracle(c, b)
+        dst, ops = lower(c, b)
+        assert dst == typecheck(c, b).dst and ops
+
+
+def test_lower_emits_row_operations_on_global_rows():
+    b = Sum(ONE, Prod(TWO, TWO))
+    c = SumC(NEG1, seqs(ProdC(HAD, ID), Prim("swap*")))
+    dst, ops = lower(c, b)
+    assert dst == b
+    # had once per right index at stride 2, then the pair swap of 2x2
+    assert ops == [("neg1", [0], 1, 0, 0), ("had", [1, 2], 2, 0, 0), ("swap*", [1], 1, 2, 2)]
+
+
+def test_a_shared_node_failing_at_its_second_use_names_that_use():
+    s = SumC(HAD, ID)
+    b = Sum(Sum(TWO, ONE), Sum(Sum(ONE, TWO), ONE))
+    with pytest.raises(LangError) as exc:
+        typecheck(SumC(s, s), b)
+    assert str(exc.value) == "at sum.right.sum.left: had needs input 1+1, got 1+1+1"
+    with pytest.raises(OracleTypeError):
+        oracle_term(SumC(s, s), oracle_type(b))
+    # the same input type under a tighter depth budget: the first use has
+    # 199 levels to spare, the second 197
+    grow = iterate(Prim("uniti+"), 199)
+    c = SumC(grow, SumC(ID, SumC(ID, grow)))
+    b = nsum(4)
+    for call in (typecheck, sem):
+        with pytest.raises(LangError) as exc:
+            call(c, b)
+        msg = str(exc.value)
+        assert msg.startswith("at sum.right.sum.right.sum.right.seq.snd.")
+        assert msg.endswith("uniti+ nests the type more than 100 levels (MAX_NESTING)"
+                            " past the deeper of its source and MAX_NESTING")
+    # met first under the tighter budget, the node is reused under the looser
+    grow = iterate(Prim("uniti+"), 197)
+    ok = SumC(SumC(ID, SumC(ID, grow)), grow)
+    dst = typecheck(ok, Sum(nsum(3), ONE)).dst
+    assert dst.right is dst.left.right.right and dst.right.depth == 197
+
+
+# ---------------------------------------------------------------------------
+# t_q shares its rungs, so lowering its output walks each rung once
+
+
+def _word(rng, n, g):
+    gens = []
+    for _ in range(g):
+        kind = rng.choice("ZXH")
+        if kind == "Z":
+            gens.append(gen_z(rng.randint(1, n)))
+        else:
+            i, j = sorted(rng.sample(range(1, n + 1), 2))
+            gens.append(gen_h(i, j) if kind == "H" else gen_x(i, j))
+    return Word(n, tuple(gens))
+
+
+def test_lowering_t_q_output_types_few_primitives(monkeypatch):
+    w = _word(random.Random(32), 32, 64)
+    c = t_q(w)
+    leaves = sum(1 for _ in term_prims(c))
+    steps = 0
+    prim_step = hadpi.lang._prim_step
+
+    def counting(*args):
+        nonlocal steps
+        steps += 1
+        return prim_step(*args)
+
+    monkeypatch.setattr(hadpi.lang, "_prim_step", counting)
+    assert sem(c, nsum(32)) == word_sem(w)
+    # without shared rungs or without the memo, every leaf is typed again
+    assert steps < leaves / 5, (steps, leaves)
+    assert format_type(typecheck(c, nsum(32)).dst) == format_type(nsum(32))
