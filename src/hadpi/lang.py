@@ -9,9 +9,9 @@ Evaluation is exact and composition runs left to right, so the matrix of
 
 from dataclasses import dataclass
 import re
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
-from .linalg import ExactMatrix, Generator, RowState
+from .linalg import MAX_DIM, ExactMatrix, Generator, RowState
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .synthesis import permutation_matrix  # noqa: F401
@@ -191,30 +191,113 @@ class ProdC:
 
 Term = Union[Prim, Factorz, Seq, SumC, ProdC]
 
-# primitives of the shared reversible core
-_CORE_PRIMS = frozenset(
-    {
-        "id",
-        "swap+",
-        "assocr+",
-        "assocl+",
-        "unite+",
-        "uniti+",
-        "swap*",
-        "assocr*",
-        "assocl*",
-        "unite*",
-        "uniti*",
-        "dist",
-        "factor",
-        "absorb",
-    }
-)
 
+# ---------------------------------------------------------------------------
+# typing rules
+#
+# Each primitive is an isomorphism between two type shapes, written once in
+# _RULES over the pattern variables b1, b2 and b3.  typecheck runs a step
+# generated from the two shapes (_compile); source inference unifies a
+# partial type with either shape and builds the other (_flow_prim); inverse
+# reads the inverse's name.  A shape holds a variable exactly when its dim
+# is None.
+
+
+class _Var:
+    """A pattern variable of a typing rule; it stands for any type."""
+
+    dim = None
+    depth = 0
+
+
+class _Rule(NamedTuple):
+    src: object
+    dst: object
+    inv: str  # absorb's inverse is factorz{b1}, which is not a Prim
+    needs: str  # what a typecheck error says the source must be
+    langs: tuple = ("pi", "qpi", "hpi")
+
+
+_b1, _b2, _b3 = _Var(), _Var(), _Var()
+
+_RULES = {
+    "id": _Rule(_b1, _b1, "id", ""),
+    "swap+": _Rule(Sum(_b1, _b2), Sum(_b2, _b1), "swap+", "a sum input"),
+    "assocr+": _Rule(
+        Sum(Sum(_b1, _b2), _b3), Sum(_b1, Sum(_b2, _b3)), "assocl+", "input (b1+b2)+b3"
+    ),
+    "assocl+": _Rule(
+        Sum(_b1, Sum(_b2, _b3)), Sum(Sum(_b1, _b2), _b3), "assocr+", "input b1+(b2+b3)"
+    ),
+    "unite+": _Rule(Sum(ZERO, _b1), _b1, "uniti+", "input 0+b"),
+    "uniti+": _Rule(_b1, Sum(ZERO, _b1), "unite+", ""),
+    "swap*": _Rule(Prod(_b1, _b2), Prod(_b2, _b1), "swap*", "a product input"),
+    "assocr*": _Rule(
+        Prod(Prod(_b1, _b2), _b3), Prod(_b1, Prod(_b2, _b3)), "assocl*", "input (b1*b2)*b3"
+    ),
+    "assocl*": _Rule(
+        Prod(_b1, Prod(_b2, _b3)), Prod(Prod(_b1, _b2), _b3), "assocr*", "input b1*(b2*b3)"
+    ),
+    "unite*": _Rule(Prod(ONE, _b1), _b1, "uniti*", "input 1*b"),
+    "uniti*": _Rule(_b1, Prod(ONE, _b1), "unite*", ""),
+    "dist": _Rule(
+        Prod(Sum(_b1, _b2), _b3),
+        Sum(Prod(_b1, _b3), Prod(_b2, _b3)),
+        "factor",
+        "input (b1+b2)*b3",
+    ),
+    "factor": _Rule(
+        Sum(Prod(_b1, _b3), Prod(_b2, _b3)),
+        Prod(Sum(_b1, _b2), _b3),
+        "dist",
+        "input (b1*b3)+(b2*b3)",
+    ),
+    "absorb": _Rule(Prod(_b1, ZERO), ZERO, "factorz", "input b*0"),
+    "neg1": _Rule(ONE, ONE, "neg1", "input 1", ("qpi",)),
+    "had": _Rule(TWO, TWO, "had", "input 1+1", ("qpi", "hpi")),
+}
+
+
+def _compile(rule: _Rule):
+    """typecheck's reading of a rule: a function from an input type b to
+    its target, or to None when b does not have the source shape.  It is
+    generated from the patterns as the one expression a hand-written step
+    would be: walking the patterns at every step made typecheck of
+    unshared terms about 30% slower."""
+    tests: list[str] = []
+    at: dict = {}  # pattern variable -> where in b it is bound
+
+    def visit(p, where: str) -> None:
+        if type(p) is _Var:
+            if p in at:  # met twice, as b3 in factor
+                tests.append(f"{at[p]} == {where}")
+            else:
+                at[p] = where
+            return
+        tests.append(f"type({where}) is {type(p).__name__}")
+        if p.depth:
+            visit(p.left, where + ".left")
+            visit(p.right, where + ".right")
+
+    def build(p) -> str:
+        if type(p) is _Var:
+            return at[p]
+        if not p.depth:
+            return type(p).__name__.upper()  # ZERO or ONE
+        return f"{type(p).__name__}({build(p.left)}, {build(p.right)})"
+
+    visit(rule.src, "b")
+    target = "b" if rule.dst is rule.src else build(rule.dst)
+    code = f"lambda b: {target} if {' and '.join(tests) or 'True'} else None"
+    names = {"Sum": Sum, "Prod": Prod, "Zero": Zero, "One": One, "ZERO": ZERO, "ONE": ONE}
+    return eval(code, names)
+
+
+# language tag -> primitive name -> its typing step
+_STEPS = {name: _compile(rule) for name, rule in _RULES.items()}
 _LANG_PRIMS = {
-    "pi": _CORE_PRIMS,
-    "qpi": _CORE_PRIMS | {"neg1", "had"},
-    "hpi": _CORE_PRIMS | {"had"},
+    lang: {name: _STEPS[name] for name, rule in _RULES.items() if lang in rule.langs}
+    for lang in ("pi", "qpi", "hpi")
 }
 
 
@@ -253,25 +336,19 @@ class CombinatorType:
 _Path = tuple
 
 
-# the primitives whose target can be deeper than their source; so can
-# factorz, which is not a Prim
-_DEEPENING = frozenset({"uniti+", "uniti*", "assocr+", "assocl+", "assocr*", "assocl*", "dist"})
-
-
 def _depth_limit(source) -> int:
     """Deepest type one pass over a term may build from this source."""
     return max(getattr(source, "depth", 0), MAX_NESTING) + MAX_NESTING
 
 
-def _check_depth(name: str, dst, limit: int, path: _Path) -> None:
-    """Refuse a target deeper than limit, the levels left to the subtype
-    that a primitive in _DEEPENING rewrites."""
-    if getattr(dst, "depth", 0) > limit:
-        raise _fail(
-            path,
-            f"{name} nests the type more than {MAX_NESTING} levels (MAX_NESTING)"
-            " past the deeper of its source and MAX_NESTING",
-        )
+def _too_deep(name: str, path: _Path) -> "LangError":
+    """The error for a primitive or factorz whose target is deeper than the
+    levels left to the subtype it rewrites."""
+    return _fail(
+        path,
+        f"{name} nests the type more than {MAX_NESTING} levels (MAX_NESTING)"
+        " past the deeper of its source and MAX_NESTING",
+    )
 
 
 # a longer path prints its first and last _PATH_ENDS steps around a count
@@ -305,82 +382,18 @@ def _swap_prod_perm(n1: int, n2: int) -> list[int]:
 
 def _prim_step(name: str, b: ValueType, lang: str, path: _Path) -> ValueType:
     """Target type of one primitive on input b."""
-    allowed = _LANG_PRIMS.get(lang)
-    if allowed is None:
-        raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi")
-    if name not in allowed:
-        if name in _LANG_PRIMS["qpi"]:
-            raise _fail(path, f"primitive {name} is not part of {lang}")
-        raise _fail(path, f"unknown primitive {name}")
-
-    if name == "id":
-        return b
-    if name == "swap+":
-        if not isinstance(b, Sum):
-            raise _fail(path, f"swap+ needs a sum input, got {format_type(b)}")
-        return Sum(b.right, b.left)
-    if name == "assocr+":
-        if not (isinstance(b, Sum) and isinstance(b.left, Sum)):
-            raise _fail(path, f"assocr+ needs input (b1+b2)+b3, got {format_type(b)}")
-        return Sum(b.left.left, Sum(b.left.right, b.right))
-    if name == "assocl+":
-        if not (isinstance(b, Sum) and isinstance(b.right, Sum)):
-            raise _fail(path, f"assocl+ needs input b1+(b2+b3), got {format_type(b)}")
-        return Sum(Sum(b.left, b.right.left), b.right.right)
-    if name == "unite+":
-        if not (isinstance(b, Sum) and isinstance(b.left, Zero)):
-            raise _fail(path, f"unite+ needs input 0+b, got {format_type(b)}")
-        return b.right
-    if name == "uniti+":
-        return Sum(ZERO, b)
-    if name == "swap*":
-        if not isinstance(b, Prod):
-            raise _fail(path, f"swap* needs a product input, got {format_type(b)}")
-        return Prod(b.right, b.left)
-    if name == "assocr*":
-        if not (isinstance(b, Prod) and isinstance(b.left, Prod)):
-            raise _fail(path, f"assocr* needs input (b1*b2)*b3, got {format_type(b)}")
-        return Prod(b.left.left, Prod(b.left.right, b.right))
-    if name == "assocl*":
-        if not (isinstance(b, Prod) and isinstance(b.right, Prod)):
-            raise _fail(path, f"assocl* needs input b1*(b2*b3), got {format_type(b)}")
-        return Prod(Prod(b.left, b.right.left), b.right.right)
-    if name == "unite*":
-        if not (isinstance(b, Prod) and isinstance(b.left, One)):
-            raise _fail(path, f"unite* needs input 1*b, got {format_type(b)}")
-        return b.right
-    if name == "uniti*":
-        return Prod(ONE, b)
-    if name == "dist":
-        if not (isinstance(b, Prod) and isinstance(b.left, Sum)):
-            raise _fail(path, f"dist needs input (b1+b2)*b3, got {format_type(b)}")
-        b3 = b.right
-        return Sum(Prod(b.left.left, b3), Prod(b.left.right, b3))
-    if name == "factor":
-        ok = (
-            isinstance(b, Sum)
-            and isinstance(b.left, Prod)
-            and isinstance(b.right, Prod)
-            and b.left.right == b.right.right
-        )
-        if not ok:
-            raise _fail(
-                path, f"factor needs input (b1*b3)+(b2*b3), got {format_type(b)}"
-            )
-        return Prod(Sum(b.left.left, b.right.left), b.left.right)
-    if name == "absorb":
-        if not (isinstance(b, Prod) and isinstance(b.right, Zero)):
-            raise _fail(path, f"absorb needs input b*0, got {format_type(b)}")
-        return ZERO
-    if name == "neg1":
-        if not isinstance(b, One):
-            raise _fail(path, f"neg1 needs input 1, got {format_type(b)}")
-        return b
-    if name == "had":
-        if b != TWO:
-            raise _fail(path, f"had needs input 1+1, got {format_type(b)}")
-        return b
-    raise _fail(path, f"unknown primitive {name}")
+    try:
+        step = _LANG_PRIMS[lang][name]
+    except KeyError:
+        if lang not in _LANG_PRIMS:
+            raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
+        if name in _RULES:
+            raise _fail(path, f"primitive {name} is not part of {lang}") from None
+        raise _fail(path, f"unknown primitive {name}") from None
+    dst = step(b)
+    if dst is None:
+        raise _fail(path, f"{name} needs {_RULES[name].needs}, got {format_type(b)}")
+    return dst
 
 
 def term_prims(c: Term):
@@ -502,6 +515,10 @@ class _Walk:
         self.memo: dict[int, list] = {}
         if limit is None:
             limit = _depth_limit(b)
+        if hdim(b) > MAX_DIM:
+            raise LangError(
+                f"the source type's dimension is past the limit of {MAX_DIM} (MAX_DIM)"
+            )
         try:
             self.dst = self.node(c, b, limit, None, [0], 1)
             return
@@ -526,8 +543,8 @@ class _Walk:
         if isinstance(c, Prim):
             name = c.name
             dst = _prim_step(name, b, self.lang, path)
-            if name in _DEEPENING:
-                _check_depth(name, dst, limit, path)
+            if dst.depth > limit:
+                raise _too_deep(name, path)
             if self.emit:
                 if name in ("swap+", "swap*"):
                     self.ops.append((name, offs, stride, hdim(b.left), hdim(b.right)))
@@ -538,7 +555,8 @@ class _Walk:
             if not isinstance(b, Zero):
                 raise _fail(path, f"factorz needs input 0, got {format_type(b)}")
             dst = Prod(c.operand, ZERO)
-            _check_depth("factorz", dst, limit, path)
+            if dst.depth > limit:
+                raise _too_deep("factorz", path)
             return dst
 
         key = id(c)
@@ -577,6 +595,14 @@ class _Walk:
             if not isinstance(b, Prod):
                 raise _fail(
                     path, f"product of terms needs a product input, got {format_type(b)}"
+                )
+            # a factor outgrows the source only beside a 0 factor, and each
+            # term below still runs once per row of the other factor
+            if b.left.dim > MAX_DIM or b.right.dim > MAX_DIM:
+                raise _fail(
+                    path,
+                    f"product of terms has a factor whose dimension is past the limit of"
+                    f" {MAX_DIM} (MAX_DIM)",
                 )
             left = right = (offs, stride)
             if self.emit:
@@ -676,25 +702,6 @@ def equiv_terms(c1: Term, c2: Term, input: ValueType, lang: str = "qpi") -> bool
 # ---------------------------------------------------------------------------
 # syntactic inverse
 
-_PRIM_INV = {
-    "id": "id",
-    "swap+": "swap+",
-    "assocr+": "assocl+",
-    "assocl+": "assocr+",
-    "unite+": "uniti+",
-    "uniti+": "unite+",
-    "swap*": "swap*",
-    "assocr*": "assocl*",
-    "assocl*": "assocr*",
-    "unite*": "uniti*",
-    "uniti*": "unite*",
-    "dist": "factor",
-    "factor": "dist",
-    "neg1": "neg1",
-    "had": "had",
-}
-
-
 def inverse(c: Term, input: ValueType, lang: str = "qpi") -> Term:
     """Type-directed syntactic inverse: sem(inverse(c)) @ sem(c) = I."""
     return _inv(c, input, _Walk(c, input, lang))
@@ -705,7 +712,7 @@ def _inv(c: Term, b: ValueType, walk: _Walk) -> Term:
         if c.name == "absorb":
             assert isinstance(b, Prod)
             return Factorz(b.left)
-        return Prim(_PRIM_INV[c.name])
+        return Prim(_RULES[c.name].inv)
     if isinstance(c, Factorz):
         return Prim("absorb")
     if isinstance(c, Seq):
@@ -800,13 +807,9 @@ def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
 # this many primitive leaves once a power is applied.
 MAX_TERM_LEAVES = 100_000
 
-_TOKEN_RE = re.compile(
-    r"""(assocr\+|assocl\+|unite\+|uniti\+
-        |assocr\*|assocl\*|unite\*|uniti\*
-        |swap\+|swap\*|factorz|factor|absorb|dist|neg1|had|id
-        |\d+|[;+*^(){}])""",
-    re.VERBOSE,
-)
+# names longest first, so that factorz is not read as factor
+_NAMES = sorted([*_RULES, "factorz"], key=len, reverse=True)
+_TOKEN_RE = re.compile("(" + "|".join(map(re.escape, _NAMES)) + r"|\d+|[;+*^(){}])")
 
 
 def _tokenize(text: str, what: str) -> list[tuple[str, int]]:
@@ -908,6 +911,8 @@ def parse_type(text: str) -> ValueType:
     p = _Parser(text, "type")
     out = _parse_vtype(p)
     p.done()
+    if out.dim > MAX_DIM:
+        raise LangError(f"type: its dimension is past the limit of {MAX_DIM} (MAX_DIM)")
     return out
 
 
@@ -987,7 +992,7 @@ def _parse_atom(p: _Parser) -> Term:
             p.expect("}")
             return Factorz(operand)
         return Factorz(ONE)
-    if tok in _LANG_PRIMS["qpi"]:
+    if tok in _RULES:
         p.leaves += 1
         return Prim(tok)
     raise LangError(f"{p.what}: expected a term, got {tok!r}")
@@ -1045,14 +1050,41 @@ def _unify(p, q, what: str):
     if q is None:
         return p
     if type(p) is not type(q):
-        raise LangError(
-            f"cannot type {what}: {_render_pattern(p)} clashes with {_render_pattern(q)}"
-        )
+        raise _clash(what, p, q)
     if isinstance(p, (Zero, One)):
         return p
     return type(p)(
         _unify(p.left, q.left, what), _unify(p.right, q.right, what)
     )
+
+
+def _clash(what: str, p, q) -> LangError:
+    return LangError(
+        f"cannot type {what}: {_render_pattern(p)} clashes with {_render_pattern(q)}"
+    )
+
+
+def _bind(p, q, env: dict, what: str) -> None:
+    """Unify the pattern q with rule pattern p, binding the variables of p
+    to the parts of q in env; a variable met twice unifies its parts."""
+    if type(p) is _Var:
+        env[p] = _unify(env[p], q, what) if p in env else q
+    elif q is not None:
+        if type(q) is not type(p):
+            raise _clash(what, q, p)
+        if p.depth:
+            _bind(p.left, q.left, env, what)
+            _bind(p.right, q.right, env, what)
+
+
+def _build(p, env: dict):
+    """Rule pattern p with its variables replaced by their bindings in env;
+    an unbound variable becomes an inference hole."""
+    if type(p) is _Var:
+        return env.get(p)
+    if p.dim is not None:
+        return p
+    return type(p)(_build(p.left, env), _build(p.right, env))
 
 
 # a longer rendered pattern prints its first and last _PATTERN_ENDS
@@ -1068,7 +1100,7 @@ def _clip(text: str) -> str:
 
 
 def _render_pattern(p) -> str:
-    if p is None:
+    if p is None or type(p) is _Var:
         return "?"
     if isinstance(p, Zero):
         return "0"
@@ -1084,14 +1116,14 @@ def _flow(c: Term, pat, forward: bool, limit: int):
     the other side)."""
     if isinstance(c, Prim):
         got, other = _flow_prim(c.name, pat, forward)
-        # backwards, unite+ rewrites as uniti+ does forwards
-        if (c.name if forward else _PRIM_INV.get(c.name)) in _DEEPENING:
-            _check_depth(c.name, other, limit, ())
+        if getattr(other, "depth", 0) > limit:
+            raise _too_deep(c.name, ())
         return got, other
     if isinstance(c, Factorz):
         if forward:
             other = Prod(c.operand, ZERO)
-            _check_depth("factorz", other, limit, ())
+            if other.depth > limit:
+                raise _too_deep("factorz", ())
             return _unify(pat, ZERO, "factorz"), other
         return _unify(pat, Prod(c.operand, ZERO), "factorz"), ZERO
     if isinstance(c, Seq):
@@ -1116,74 +1148,16 @@ def _flow(c: Term, pat, forward: bool, limit: int):
 
 
 def _flow_prim(name: str, pat, forward: bool):
-    if name not in _LANG_PRIMS["qpi"]:
+    """Refine pat through one primitive, as its source (forward) or its
+    target (backward).  Returns (refined pat, pattern on the other side)."""
+    rule = _RULES.get(name)
+    if rule is None:
         raise LangError(f"unknown primitive {name}")
-    if not forward and name != "absorb":
-        inv = _PRIM_INV[name]
-        got, other = _flow_prim(inv, pat, True)
-        return got, other
-    if not forward:  # absorb backwards
-        pat = _unify(pat, ZERO, name)
-        return pat, Prod(None, ZERO)
-    if name == "id":
-        return pat, pat
-    if name == "swap+":
-        pat = _unify(pat, Sum(None, None), name)
-        return pat, Sum(pat.right, pat.left)
-    if name == "assocr+":
-        pat = _unify(pat, Sum(Sum(None, None), None), name)
-        return pat, Sum(pat.left.left, Sum(pat.left.right, pat.right))
-    if name == "assocl+":
-        pat = _unify(pat, Sum(None, Sum(None, None)), name)
-        return pat, Sum(Sum(pat.left, pat.right.left), pat.right.right)
-    if name == "unite+":
-        pat = _unify(pat, Sum(ZERO, None), name)
-        return pat, pat.right
-    if name == "uniti+":
-        return pat, Sum(ZERO, pat)
-    if name == "swap*":
-        pat = _unify(pat, Prod(None, None), name)
-        return pat, Prod(pat.right, pat.left)
-    if name == "assocr*":
-        pat = _unify(pat, Prod(Prod(None, None), None), name)
-        return pat, Prod(pat.left.left, Prod(pat.left.right, pat.right))
-    if name == "assocl*":
-        pat = _unify(pat, Prod(None, Prod(None, None)), name)
-        return pat, Prod(Prod(pat.left, pat.right.left), pat.right.right)
-    if name == "unite*":
-        pat = _unify(pat, Prod(ONE, None), name)
-        return pat, pat.right
-    if name == "uniti*":
-        return pat, Prod(ONE, pat)
-    if name == "dist":
-        pat = _unify(pat, Prod(Sum(None, None), None), name)
-        return pat, Sum(Prod(pat.left.left, pat.right), Prod(pat.left.right, pat.right))
-    if name == "factor":
-        pat = _unify(pat, Sum(Prod(None, None), Prod(None, None)), name)
-        b3 = _unify(pat.left.right, pat.right.right, name)
-        pat = Sum(Prod(pat.left.left, b3), Prod(pat.right.left, b3))
-        return pat, Prod(Sum(pat.left.left, pat.right.left), b3)
-    if name == "absorb":
-        pat = _unify(pat, Prod(None, ZERO), name)
-        return pat, ZERO
-    if name == "neg1":
-        return _unify(pat, ONE, name), ONE
-    if name == "had":
-        pat = _unify(pat, Sum(ONE, ONE), name)
-        return pat, pat
-    raise LangError(f"unknown primitive {name}")
-
-
-def _fill(p) -> Optional[ValueType]:
-    if p is None:
-        return None
-    if isinstance(p, (Zero, One)):
-        return p
-    left = _fill(p.left)
-    right = _fill(p.right)
-    if left is None or right is None:
-        return None
-    return type(p)(left, right)
+    given, other = (rule.src, rule.dst) if forward else (rule.dst, rule.src)
+    env: dict = {}
+    _bind(given, pat, env, name)
+    got = _build(given, env)
+    return got, got if other is given else _build(other, env)
 
 
 # rounds of forward and backward flow before infer_source gives up
@@ -1210,10 +1184,10 @@ def infer_source(c: Term) -> ValueType:
             f"source inference did not settle within {MAX_INFER_ROUNDS} rounds"
             " (MAX_INFER_ROUNDS); supply the source type explicitly"
         )
-    out = _fill(pin)
-    if out is None:
+    # a pattern without holes has a dimension
+    if getattr(pin, "dim", None) is None:
         raise LangError(
             f"source type is ambiguous: inferred only {_clip(_render_pattern(pin))};"
             " supply it explicitly"
         )
-    return out
+    return pin

@@ -21,6 +21,13 @@ class LinAlgError(ValueError):
     pass
 
 
+# The dimension budget.  parse_matrix, words.parse_word and lang.parse_type
+# refuse a larger dimension before they allocate anything of that size, and
+# every walk of a term refuses a larger source type, such as an inferred
+# one.  A dense matrix at the limit holds 2 * 1024^2 coefficients.
+MAX_DIM = 1024
+
+
 class ExactMatrix:
     """Square matrix rt2^-k * (aa + bb*rt2), canonical shared exponent."""
 
@@ -349,6 +356,8 @@ def parse_matrix(text: str) -> ExactMatrix:
         k = int(lines[1][4:])
     except ValueError as exc:
         raise LinAlgError(f"bad matrix header: {exc}") from None
+    if n > MAX_DIM:
+        raise LinAlgError(f"dimension {n} is past the limit of {MAX_DIM} (MAX_DIM)")
     if n < 0 or k < 0 or len(lines) != 2 + n:
         raise LinAlgError(f"expected {max(n, 0)} rows after the header")
     aa = [0] * (n * n)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, NamedTuple, Sequence
 
-from .linalg import ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
+from .linalg import MAX_DIM, ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
 
 # re-exported unused: hadpibench/tracing.py patches these bindings
 from .linalg import apply_generator_rows, m_level_embed  # noqa: F401
@@ -255,6 +255,8 @@ def parse_word(text: str) -> Word:
         raise WordError(f"bad dimension {toks[0]!r}") from None
     if n < 1:
         raise WordError("dimension must be at least 1")
+    if n > MAX_DIM:
+        raise WordError(f"dimension {n} is past the limit of {MAX_DIM} (MAX_DIM)")
     gens: list[Generator] = []
     for tok in toks[1:]:
         if tok in ("eps", "ε"):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hadpi import cli, lang
+from hadpi import cli, lang, linalg
 from hadpi.cli import main
 from hadpi.lang import format_term, parse_term
 from hadpi.linalg import format_matrix
@@ -69,6 +69,13 @@ def test_check_infers_source(capsys):
     code, out, _ = run(capsys, "check", "had ; neg1 + id")
     assert code == 0
     assert out == "src 1+1\ndst 1+1\n"
+
+
+def test_inference_errors_name_the_primitive_in_the_term(capsys):
+    # backward flow through dist once borrowed factor's rule, and its name
+    code, out, err = run(capsys, "check", "dist ; (absorb + assocl*)")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot type dist: 0 clashes with (?*?)\n"
 
 
 def test_check_bad_syntax(capsys):
@@ -221,6 +228,51 @@ def test_huge_powers_exit_two_before_expanding(pkg_env, term):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith("error: parse error: ") and proc.stderr.count("\n") == 1
     assert f"limit of {lang.MAX_TERM_LEAVES} leaves (MAX_TERM_LEAVES)" in proc.stderr
+
+
+# (argv, exit code): a word, a matrix and a type past MAX_DIM are parse
+# errors; the matrix is 40 kB of text whose dense form would need 2 x 4e8
+# entries.  A source inferred past it is a domain failure, and so is a
+# product of terms over a 0-dimensional type with a factor past it, given
+# or built by assocl*, which would run one factor 2^30 times.
+FACTOR_1024 = "(" + "*".join(["(1+1)"] * 10) + ")"
+PAST_MAX_DIM = [
+    (["normalize", "n=20000 eps", "--kind", "word"], 2),
+    (["synth", "dim 20000\nlde 0\n" + "1\n" * 20000], 2),
+    (["sem", "id", "--in-type", "*".join(["(1+1)"] * 11)], 2),
+    (["sem", " * ".join(["had"] * 12)], 1),
+    (["sem", "id * id", "--in-type", "(" + "*".join(["(1+1)"] * 30) + ")*0"], 1),
+    (["sem", "assocl* ; assocl* ; id * id", "--in-type", "*".join([FACTOR_1024] * 3) + "*0"], 1),
+]
+
+
+@pytest.mark.parametrize("argv, code", PAST_MAX_DIM)
+def test_dimensions_past_the_budget_are_refused(pkg_env, argv, code):
+    body = "import sys\nfrom hadpi.cli import main\nsys.exit(main(sys.argv[1:]))"
+    proc = bounded_child(pkg_env, body, *argv, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert f"past the limit of {linalg.MAX_DIM} (MAX_DIM)" in proc.stderr
+
+
+def test_dimension_budget_boundary(capsys):
+    limit = linalg.MAX_DIM
+    assert limit == 1024 == 2**10
+    assert parse_word(f"n={limit} X[1,{limit}]").n == limit
+    assert lang.parse_type("*".join(["(1+1)"] * 10)).dim == limit
+    code, out, _ = run(capsys, "check", " * ".join(["had"] * 10))
+    assert code == 0 and out.startswith("src (1+1)*(1+1)*")
+    for argv in (
+        ["normalize", f"n={limit + 1} eps", "--kind", "word"],
+        ["synth", f"dim {limit + 1}/lde 0"],
+        ["check", "had", "--in-type", "1+" + "*".join(["(1+1)"] * 10)],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and "MAX_DIM" in err
+    # a type built past it through the API is refused by the walk
+    b = lang.Sum(lang.ONE, lang.parse_type("*".join(["(1+1)"] * 10)))
+    with pytest.raises(lang.LangError, match=r"source type's dimension .* \(MAX_DIM\)"):
+        lang.typecheck(lang.Prim("id"), b)
 
 
 def test_power_budget_counts_the_whole_expansion(capsys):
@@ -663,12 +715,17 @@ CALL_SECONDS = 10  # generous: the slowest drawn call takes well under a second
 
 PRIMS = sorted(lang.primitives("qpi")) + ["factorz", "factorz{1+1}"]
 TERMS = ["had ; neg1 + id", "(had ; swap+)^8", "dist ; id + id * swap+ ; factor",
-         "had + had", "uniti+ ; unite+ ; had", "swap* ; had * neg1 ; swap*", "had * had"]
-TYPES = ["0", "1", "1+1", "1+1+1", "(1+1)*(1+1)", "(1+1)*0", "1*(1+1)", "0+1"]
+         "had + had", "uniti+ ; unite+ ; had", "swap* ; had * neg1 ; swap*", "had * had",
+         " * ".join(["had"] * 12)]  # its inferred source is past MAX_DIM
+TYPES = ["0", "1", "1+1", "1+1+1", "(1+1)*(1+1)", "(1+1)*0", "1*(1+1)", "0+1",
+         "*".join(["(1+1)"] * 11),  # past MAX_DIM
+         "(" + "*".join(["(1+1)"] * 30) + ")*0"]  # with a factor past MAX_DIM
 WORDS = ["n=1 Z[1]", "n=2 H[1,2] X[1,2]", "n=3 H[2,3] Z[1]", "n=2 eps", "n=0 eps",
-         "n=3 H[3,1]", "n=2 X[1,3]", "n=2 Q[1]", "n=x eps"]
+         "n=3 H[3,1]", "n=2 X[1,3]", "n=2 Q[1]", "n=x eps",
+         "n=20000 eps"]  # past MAX_DIM
 MATRICES = ["dim 2/lde 1/1 1/1 -1", "dim 1/lde 0/1", "dim 2/lde 0/0 1/1 0",
-            "dim 2/lde 0/1 1/0 1", "dim 1/lde 1/√2", "dim 2/lde 0/1 0", "dim -1/lde 0"]
+            "dim 2/lde 0/1 1/0 1", "dim 1/lde 1/√2", "dim 2/lde 0/1 0", "dim -1/lde 0",
+            "dim 20000/lde 0/" + "/".join(["1"] * 20000)]  # past MAX_DIM
 JUNK = ["(", ")", ";", "+", "*", "^", "{", "}", "0", "1", "2", "x", "", "--", "-h"]
 
 

@@ -48,6 +48,7 @@ from hadpi.linalg import (
 )
 from hadpi.translate import t_h, t_q
 from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
+from oracles import _ORACLE_PRIMS, OracleTypeError, _oracle_prim, oracle_type
 from termgen import rand_term, rand_type
 
 HAD = Prim("had")
@@ -90,6 +91,46 @@ def test_typecheck_error_paths():
         typecheck(Prim("factor"), Sum(Prod(ONE, TWO), Prod(ONE, ONE)))
     with pytest.raises(LangError, match="unknown primitive"):
         typecheck(Prim("swap"), TWO)
+
+
+def _types_to_depth(depth: int) -> list:
+    """Every value type over 0 and 1 of depth at most depth."""
+    if depth == 0:
+        return [ZERO, ONE]
+    sub = _types_to_depth(depth - 1)
+    return [ZERO, ONE] + [ctor(l, r) for ctor in (Sum, Prod) for l in sub for r in sub]
+
+
+def test_rule_table_agrees_with_the_oracle():
+    # every type of depth <= 2, and a fixed sample of depth 3: all 81,610
+    # types of depth <= 3 in three languages would take minutes
+    shallow = _types_to_depth(2)
+    rng = random.Random(3)
+    deep = [rng.choice((Sum, Prod))(*rng.choices(shallow, k=2)) for _ in range(300)]
+    # equal right factors, as factor needs
+    for _ in range(100):
+        x, y, z = rng.choices(shallow, k=3)
+        deep.append(Sum(Prod(x, z), Prod(y, z)))
+    flow = hadpi.lang._flow_prim
+    for lang in ("pi", "qpi", "hpi"):
+        assert primitives(lang) == _ORACLE_PRIMS[lang]
+        for name in sorted(_ORACLE_PRIMS["qpi"]):
+            for b in shallow + deep:
+                try:
+                    want = _oracle_prim(name, oracle_type(b), lang)[0]
+                except OracleTypeError:
+                    want = None
+                try:
+                    dst = typecheck(Prim(name), b, lang).dst
+                except LangError:
+                    assert want is None, (name, b, lang)
+                    continue
+                assert oracle_type(dst) == want, (name, b, lang)
+                # inference runs the same rule forwards and backwards
+                assert flow(name, b, True) == (b, dst)
+                back = flow(name, dst, False)[1]
+                assert back == (Prod(None, b.right) if name == "absorb" else b)
+                assert typecheck(inverse(Prim(name), b, lang), dst, lang).dst == b
 
 
 def test_language_gating():
