@@ -563,9 +563,11 @@ class _Walk:
         seen = self.memo.get(key)
         if seen is not None:
             entry = _reuse(seen, b, limit)
-            if entry is not None:
+            # a node walked with no copies (beside a 0 factor) recorded ops
+            # on no rows, which cannot be moved to rows: walk it again
+            if entry is not None and (entry[4] or not offs):
                 _, _, _, dst, soffs, sstride, start, end, kept, _ = entry
-                if start < end:
+                if start < end and offs:
                     self._reemit(start, end, soffs, sstride, offs, stride)
                 return b if kept else dst
         start = len(self.ops)
@@ -1008,10 +1010,10 @@ def parse_term(text: str) -> Term:
 
 
 def format_term(c: Term) -> str:
-    return _render_term(c, 1)
+    return _render_term(c, 1, {})
 
 
-def _render_term(c: Term, minlvl: int) -> str:
+def _render_term(c: Term, minlvl: int, done: dict) -> str:
     # binding levels: ; = 1 (left-assoc), + = 2, * = 3 (both right-assoc)
     if isinstance(c, Prim):
         return c.name
@@ -1019,23 +1021,30 @@ def _render_term(c: Term, minlvl: int) -> str:
         if c.operand == ONE:
             return "factorz"
         return "factorz{" + format_type(c.operand) + "}"
+    # done: (id(node), minlvl) -> text, so that a shared subterm is rendered
+    # once per call; c is part of the term rendered, so its id stays unique
+    key = (id(c), minlvl)
+    out = done.get(key)
+    if out is not None:
+        return out
     if isinstance(c, Seq):
         # render the left spine iteratively; long chains are common
         lvl = 1
         parts = []
         node: Term = c
         while isinstance(node, Seq):
-            parts.append(_render_term(node.snd, 2))
+            parts.append(_render_term(node.snd, 2, done))
             node = node.fst
-        parts.append(_render_term(node, 1))
+        parts.append(_render_term(node, 1, done))
         s = " ; ".join(reversed(parts))
     elif isinstance(c, SumC):
         lvl = 2
-        s = _render_term(c.left, 3) + " + " + _render_term(c.right, 2)
+        s = _render_term(c.left, 3, done) + " + " + _render_term(c.right, 2, done)
     else:
         lvl = 3
-        s = _render_term(c.left, 4) + " * " + _render_term(c.right, 3)
-    return f"({s})" if lvl < minlvl else s
+        s = _render_term(c.left, 4, done) + " * " + _render_term(c.right, 3, done)
+    out = done[key] = f"({s})" if lvl < minlvl else s
+    return out
 
 
 # ---------------------------------------------------------------------------

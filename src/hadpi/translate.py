@@ -88,9 +88,22 @@ def wsem(c: Term, input: ValueType) -> Word:
     return _w(c, input, _Walk(c, input, "qpi"), {})
 
 
+def _recall(done: dict, node: Term, key: tuple) -> tuple[list, object]:
+    """The result recorded in done for node at inputs equal to key, or None,
+    and the list that records node's results.  done maps id(node) to
+    [[node, key, result], ...]; holding the node keeps its id unique.  Keys
+    are tuples of types, compared element by element with `is`, then `==`."""
+    seen = done.setdefault(id(node), [])
+    for entry in seen:
+        if entry[1] == key:
+            entry[1] = key  # so that the next lookup matches by identity
+            return seen, entry[2]
+    return seen, None
+
+
 def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
-    # done: id(node) -> [[node, input, word], ...] for the composite nodes met
-    # so far, so that a shared subterm is translated once per input type
+    # done (see _recall) holds the composite nodes met so far, so that a
+    # shared subterm is translated once per input type
     n = hdim(b)
     if isinstance(c, Prim):
         name = c.name
@@ -103,11 +116,10 @@ def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
         return Word(n, ())
     if isinstance(c, Factorz):
         return Word(0, ())
-    seen = done.setdefault(id(c), [])
-    for entry in seen:
-        if entry[1] is b or entry[1] == b:
-            entry[1] = b  # so that the next lookup matches by identity
-            return entry[2]
+    key = (b,)
+    seen, word = _recall(done, c, key)
+    if word is not None:
+        return word
     if isinstance(c, Seq):
         parts = []
         cur = b
@@ -134,7 +146,7 @@ def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
             word = Word(n, last.gens + second.gens + mid.gens + first.gens)
     else:
         raise LangError(f"not a term: {c!r}")
-    seen.append([c, b, word])
+    seen.append([c, key, word])
     return word
 
 
@@ -232,7 +244,7 @@ def qsem(c: Term) -> Term:
 
 def t_h(c: Term, input: ValueType) -> Term:
     """Hadamard-program of type 1+b1 <-> 1+b2 whose matrix is I1 (+) sem(c)."""
-    return _th(c, input, _Walk(c, input, "qpi"))
+    return _th(c, input, _Walk(c, input, "qpi"), {})
 
 
 def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
@@ -242,44 +254,56 @@ def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
     return sem(h, Sum(ONE, input), "hpi", _depth_limit(input) + 1)
 
 
-def _th(c: Term, b: ValueType, walk: _Walk) -> Term:
+def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
+    # done (see _recall) holds each composite node's translation per input
+    # type, and each id_b * c clause per (b, input type of c): id_b * c
+    # translates c once per basis vector of b, and the copies are one
+    # object, so lowering the output walks c's translation once
     if isinstance(c, Prim):
         if c.name == "neg1":
             return seqs(Prim("had"), Prim("swap+"), Prim("had"))
         return SumC(_ID, c)
     if isinstance(c, Factorz):
         return SumC(_ID, c)
+    key = (b,)
+    seen, out = _recall(done, c, key)
+    if out is not None:
+        return out
     if isinstance(c, Seq):
         parts = []
         cur = b
         for node in _spine(c):
-            parts.append(_th(node, cur, walk))
+            parts.append(_th(node, cur, walk, done))
             cur = walk.target(node, cur)
-        return seqs(*parts)
-    if isinstance(c, SumC):
+        out = seqs(*parts)
+    elif isinstance(c, SumC):
         b1, b2 = b.left, b.right
-        return seqs(
+        out = seqs(
             Prim("assocl+"),
-            SumC(_th(c.left, b1, walk), _ID),
+            SumC(_th(c.left, b1, walk, done), _ID),
             SumC(Prim("swap+"), _ID),
             Prim("assocr+"),
-            SumC(_ID, _th(c.right, b2, walk)),
+            SumC(_ID, _th(c.right, b2, walk, done)),
             Prim("assocl+"),
             SumC(Prim("swap+"), _ID),
             Prim("assocr+"),
         )
-    if isinstance(c, ProdC):
+    elif isinstance(c, ProdC):
         b1, b2 = b.left, b.right
         if c.left == _ID:
-            return _th_id_times(b1, c.right, b2, walk)
-        b3 = walk.target(c.left, b1)
-        return seqs(
-            SumC(_ID, Prim("swap*")),
-            _th_id_times(b2, c.left, b1, walk),
-            SumC(_ID, Prim("swap*")),
-            _th_id_times(b3, c.right, b2, walk),
-        )
-    raise LangError(f"not a term: {c!r}")
+            out = _th_id_times(b1, c.right, b2, walk, done)
+        else:
+            b3 = walk.target(c.left, b1)
+            out = seqs(
+                SumC(_ID, Prim("swap*")),
+                _th_id_times(b2, c.left, b1, walk, done),
+                SumC(_ID, Prim("swap*")),
+                _th_id_times(b3, c.right, b2, walk, done),
+            )
+    else:
+        raise LangError(f"not a term: {c!r}")
+    seen.append([c, key, out])
+    return out
 
 
 def rank(b: ValueType) -> int:
@@ -293,25 +317,33 @@ def rank(b: ValueType) -> int:
     return (rank(b.left) + 1) ** 2 * rank(b.right)
 
 
-def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk) -> Term:
+def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -> Term:
+    # keyed (b, cb) on c in done, which no (input,) key of _th on c equals
+    key = (b, cb)
+    seen, out = _recall(done, c, key)
+    if out is not None:
+        return out
     r = rank(b)
-    cd = walk.target(c, cb)
+    bl, br = getattr(b, "left", None), getattr(b, "right", None)
     if isinstance(b, Zero):
+        cd = walk.target(c, cb)
         chain = seqs(Prim("swap*"), Prim("absorb"), _ID, Factorz(cd), Prim("swap*"))
-        return SumC(_ID, chain)
-    if isinstance(b, One):
-        return seqs(
-            SumC(_ID, Prim("unite*")), _th(c, cb, walk), SumC(_ID, Prim("uniti*"))
+        out = SumC(_ID, chain)
+    elif isinstance(b, One):
+        out = seqs(
+            SumC(_ID, Prim("unite*")), _th(c, cb, walk, done), SumC(_ID, Prim("uniti*"))
         )
-    if isinstance(b, Sum):
-        assert rank(b.left) < r and rank(b.right) < r
+    elif isinstance(b, Sum):
+        assert rank(bl) < r and rank(br) < r
         inner = SumC(ProdC(_ID, c), ProdC(_ID, c))
-        mid_src = Sum(Prod(b.left, cb), Prod(b.right, cb))
-        return seqs(
-            SumC(_ID, Prim("dist")), _th(inner, mid_src, walk), SumC(_ID, Prim("factor"))
+        mid_src = Sum(Prod(bl, cb), Prod(br, cb))
+        out = seqs(
+            SumC(_ID, Prim("dist")),
+            _th(inner, mid_src, walk, done),
+            SumC(_ID, Prim("factor")),
         )
-    bl, br = b.left, b.right
-    if isinstance(bl, Zero):
+    elif isinstance(bl, Zero):
+        cd = walk.target(c, cb)
         chain = seqs(
             Prim("assocr*"),
             Prim("swap*"),
@@ -321,26 +353,29 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk) -> Term:
             Prim("swap*"),
             Prim("assocl*"),
         )
-        return SumC(_ID, chain)
-    if isinstance(bl, One):
+        out = SumC(_ID, chain)
+    elif isinstance(bl, One):
         assert rank(br) < r
-        return seqs(
+        out = seqs(
             SumC(_ID, Seq(Prim("assocr*"), Prim("unite*"))),
-            _th_id_times(br, c, cb, walk),
+            _th_id_times(br, c, cb, walk, done),
             SumC(_ID, Seq(Prim("uniti*"), Prim("assocl*"))),
         )
-    if isinstance(bl, Sum):
+    elif isinstance(bl, Sum):
         split = Sum(Prod(bl.left, br), Prod(bl.right, br))
         assert rank(split) < r
-        return seqs(
+        out = seqs(
             SumC(_ID, ProdC(Prim("dist"), _ID)),
-            _th_id_times(split, c, cb, walk),
+            _th_id_times(split, c, cb, walk, done),
             SumC(_ID, ProdC(Prim("factor"), _ID)),
         )
-    reassoc = Prod(bl.left, Prod(bl.right, br))
-    assert rank(reassoc) < r
-    return seqs(
-        SumC(_ID, ProdC(Prim("assocr*"), _ID)),
-        _th_id_times(reassoc, c, cb, walk),
-        SumC(_ID, ProdC(Prim("assocl*"), _ID)),
-    )
+    else:
+        reassoc = Prod(bl.left, Prod(bl.right, br))
+        assert rank(reassoc) < r
+        out = seqs(
+            SumC(_ID, ProdC(Prim("assocr*"), _ID)),
+            _th_id_times(reassoc, c, cb, walk, done),
+            SumC(_ID, ProdC(Prim("assocl*"), _ID)),
+        )
+    seen.append([c, key, out])
+    return out

@@ -50,7 +50,8 @@ def word_sem(w: Word) -> ExactMatrix:
 
 def shift(w: Word, m: int) -> Word:
     """Raise every index by m; semantics becomes I_m (+) [[w]]."""
-    assert m >= 0
+    if m < 0:
+        raise WordError(f"cannot shift a word by {m}; the shift must be a natural number")
     return Word(
         w.n + m,
         tuple(Generator(g.kind, tuple(i + m for i in g.idx)) for g in w.gens),

@@ -3,7 +3,7 @@
 Generation is input-driven, mirroring the type checker: at each node the
 choices are the primitives that structurally match the current source type
 plus the three combinators, so every emitted term typechecks by
-construction.
+construction.  qubit_circuits builds fixed gate circuits on three qubits.
 """
 
 import random
@@ -23,8 +23,10 @@ from hadpi.lang import (
     ValueType,
     ZERO,
     Zero,
+    ctrl,
     hdim,
     primitives,
+    seqs,
     typecheck,
 )
 
@@ -82,3 +84,46 @@ def rand_term(rng: random.Random, b: ValueType, lang: str = "qpi", depth: int = 
             rand_term(rng, b.right, lang, depth - 1),
         )
     return rng.choice(prims)
+
+
+# ---------------------------------------------------------------------------
+# gate circuits on three qubits
+
+QUBITS3 = Prod(TWO, Prod(TWO, TWO))
+_GATES = {"H": Prim("had"), "X": Prim("swap+"), "Z": SumC(Prim("id"), Prim("neg1"))}
+
+
+def _on_wire(g: Term, i: int, k: int) -> Term:
+    """One-qubit gate g on wire i of k qubits, (1+1)*((1+1)*...)."""
+    if k == 1:
+        return g
+    if i == 0:
+        return ProdC(g, Prim("id"))
+    return ProdC(Prim("id"), _on_wire(g, i - 1, k - 1))
+
+
+def qubit_circuits() -> list[Term]:
+    """Fixed circuits on QUBITS3: GHZ preparation, Toffoli, a conjugated
+    controlled-controlled Z and a conjugated controlled H*Z, then 12 seeded
+    ones of four one-qubit gates and three gates controlled by wire 0."""
+    h = [_on_wire(_GATES["H"], i, 3) for i in range(3)]
+    cx = [ctrl(_on_wire(_GATES["X"], i, 2)) for i in range(2)]
+    out = [
+        seqs(h[0], cx[0], cx[1]),
+        ctrl(ctrl(_GATES["X"])),
+        seqs(h[2], ctrl(ctrl(_GATES["Z"])), h[2]),
+        seqs(*h, ctrl(ProdC(_GATES["H"], _GATES["Z"])), *h),
+    ]
+    rng = random.Random(3)
+    for _ in range(12):
+        kinds = [False] * 4 + [True] * 3
+        rng.shuffle(kinds)
+        gates = []
+        for controlled in kinds:
+            g = _GATES[rng.choice("HXZ")]
+            if controlled:
+                gates.append(ctrl(_on_wire(g, rng.randrange(2), 2)))
+            else:
+                gates.append(_on_wire(g, rng.randrange(3), 3))
+        out.append(seqs(*gates))
+    return out

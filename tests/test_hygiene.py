@@ -1,4 +1,5 @@
-"""Tooling checks over the package source: traced bindings and unused imports."""
+"""Tooling checks over the package source: traced bindings, unused imports
+and asserts in public functions."""
 
 import ast
 import importlib.util
@@ -82,3 +83,29 @@ def test_no_unused_imports():
         if (path.stem, name) not in traced
     )
     assert not unused
+
+
+def _public_asserts(path: Path) -> list[str]:
+    """name:line of each assert whose innermost enclosing function is public:
+    its name has no leading underscore, or it is a dunder method."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif isinstance(node, ast.Assert) and fn is not None:
+            if not fn.startswith("_") or (fn.startswith("__") and fn.endswith("__")):
+                out.append(f"{path.stem}.{fn}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_no_assert_in_public_functions():
+    # python -O strips asserts, so a check a caller can trip must raise;
+    # private helpers keep asserts that state invariants their callers hold
+    paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
+    found = [a for path in paths for a in _public_asserts(path)]
+    assert not found, f"asserts in public functions: {found}"

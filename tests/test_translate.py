@@ -1,9 +1,11 @@
 """Translations between programs and generator words."""
 
+import hashlib
 import random
 
 import pytest
 
+import hadpi.lang
 from hadpi.lang import (
     Factorz,
     GATE_CX,
@@ -19,6 +21,7 @@ from hadpi.lang import (
     TWO,
     ZERO,
     format_term,
+    format_type,
     hdim,
     nsum,
     sem,
@@ -45,7 +48,7 @@ from hadpi.translate import (
     wsem,
 )
 from hadpi.words import Word, WordError, word_sem
-from termgen import rand_term, rand_type
+from termgen import QUBITS3, qubit_circuits, rand_term, rand_type
 
 HAD = Prim("had")
 NEG1 = Prim("neg1")
@@ -345,6 +348,104 @@ def test_t_h_deep_chain():
     c = seqs(*([HAD] * 1200))
     h = t_h(c, TWO)
     assert sem(h, Sum(ONE, TWO)) == pad(sem(c, TWO))
+
+
+# ---------------------------------------------------------------------------
+# printed translations: shared subterms print as the tree they stand for
+
+
+def _hpi_corpus():
+    """(source type, qpi program): 40 seeded random terms, then the fixed
+    three-qubit circuits."""
+    rng = random.Random(2609)
+    out = []
+    for _ in range(40):
+        b = rand_type(rng, 8, 1)
+        out.append((b, rand_term(rng, b, "qpi", 4)))
+    return out + [(QUBITS3, c) for c in qubit_circuits()]
+
+
+# sha256 of the printed corpus below, recorded before t_h shared subterms;
+# it changes only if the printed hpi translation changes
+HPI_GOLDEN_SHA256 = "755c2c85274d6157b1913a3d00509412107bea1907eddde7799d65782300a678"
+
+
+def test_t_h_output_text_is_pinned():
+    text = "".join(
+        f"{format_type(b)} | {format_term(c)} -> {format_term(t_h(c, b))}\n"
+        for b, c in _hpi_corpus()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == HPI_GOLDEN_SHA256
+
+
+def _unshared(c):
+    """A copy of c with a fresh object at every node of its tree."""
+    if isinstance(c, Prim):
+        return Prim(c.name)
+    if isinstance(c, Factorz):
+        return Factorz(c.operand)
+    if isinstance(c, Seq):
+        snds = []
+        while isinstance(c, Seq):
+            snds.append(c.snd)
+            c = c.fst
+        out = _unshared(c)
+        for snd in reversed(snds):
+            out = Seq(out, _unshared(snd))
+        return out
+    return type(c)(_unshared(c.left), _unshared(c.right))
+
+
+def _rand_word(rng, n, length):
+    gens = []
+    for _ in range(length):
+        b, c = sorted(rng.sample(range(1, n + 1), 2))
+        gens.append(rng.choice((gen_z(b), gen_x(b, c), gen_h(b, c))))
+    return Word(n, tuple(gens))
+
+
+def _node_counts(c):
+    """(composite nodes of c's tree, distinct composite node objects)."""
+    nodes = [n for n in _walk(c) if isinstance(n, (Seq, SumC, ProdC))]
+    return len(nodes), len({id(n) for n in nodes})
+
+
+def test_shared_outputs_print_as_their_unshared_copies():
+    rng = random.Random(4)
+    terms = [t_h(c, QUBITS3) for c in qubit_circuits()]
+    terms += [t_h(c, b) for b, c in _hpi_corpus()[:40:4]]
+    terms += [t_q(_rand_word(rng, n, 2 * n)) for n in (3, 6, 12)]
+    # one node at every binding level: bare, and in parentheses
+    s = SumC(HAD, ID)
+    x = Seq(HAD, HAD)
+    terms.append(seqs(s, ProdC(s, s), SumC(s, s), SumC(x, x), ProdC(x, SumC(ID, x)), s))
+    for c in terms:
+        copy = _unshared(c)
+        tree, distinct = _node_counts(copy)
+        assert distinct == tree and (tree, copy) == (_node_counts(c)[0], c)
+        assert format_term(c) == format_term(copy)
+    # the circuits' translations and the words' programs do share nodes
+    shared = [c for c in terms if _node_counts(c)[1] < _node_counts(c)[0]]
+    assert len(shared) >= len(qubit_circuits())
+
+
+def test_printing_a_shared_program_renders_each_node_once(monkeypatch):
+    c = t_q(_rand_word(random.Random(32), 32, 64))
+    calls = 0
+    render = hadpi.lang._render_term
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return render(*args)
+
+    monkeypatch.setattr(hadpi.lang, "_render_term", counting)
+    text = format_term(c)
+    # a rendering per tree node would be one call per leaf at least
+    leaves = sum(1 for node in _walk(c) if isinstance(node, Prim))
+    assert calls < leaves / 10, (calls, leaves)
+    # one separator per binary node of the tree
+    assert sum(text.count(op) for op in (" ; ", " + ", " * ")) + 1 == leaves
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,12 @@ def test_shift_examples():
     assert shift(Word(2, ()), 4) == Word(6, ())
 
 
+def test_shift_refuses_a_negative_shift():
+    # a WordError, not an assert that python -O strips
+    with pytest.raises(WordError, match="shift"):
+        shift(Word(1, (gen_z(1),)), -1)
+
+
 def test_shift_semantics_lemma():
     rng = random.Random(223)
     for _ in range(40):
