@@ -10,6 +10,7 @@ stdin when the argument is "-".
 import argparse
 import functools
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .lang import (
@@ -24,6 +25,7 @@ from .lang import (
     parse_type,
     primitives,
     sem,
+    term_equivalence,
     term_prims,
     typecheck,
 )
@@ -34,20 +36,24 @@ from .synthesis import (
     format_trace,
     normal_form_word,
     synthesize,
+    word_equivalence,
 )
 from .translate import TranslateError, TranslationReport, qsem, t_h, t_h_sem, t_q, wsem
 from .words import (
     CATALOG,
     Word,
     WordError,
-    apply_step,
     enumerate_assignments,
     format_word,
     parse_derivation,
     parse_word,
+    replay,
     verify_relation,
     word_sem,
 )
+
+# re-exported unused: hadpibench/tracing.py patches this binding
+from .words import apply_step  # noqa: F401
 
 
 class UsageError(ValueError):
@@ -65,11 +71,15 @@ def _read_input(value: str) -> str:
     return p.read_text() if is_file else value
 
 
-def _term_arg(value: str, lang: str) -> Term:
+def _parsed(parse, text: str):
     try:
-        c = parse_term(_read_input(value))
-    except LangError as exc:
+        return parse(text)
+    except (LangError, WordError, LinAlgError) as exc:
         raise UsageError(f"parse error: {exc}") from None
+
+
+def _term_arg(value: str, lang: str) -> Term:
+    c = _parsed(parse_term, _read_input(value))
     allowed = primitives(lang)
     for prim in term_prims(c):
         if prim.name not in allowed:
@@ -77,40 +87,14 @@ def _term_arg(value: str, lang: str) -> Term:
     return c
 
 
-def _type_arg(value: str) -> ValueType:
-    try:
-        return parse_type(_read_input(value))
-    except LangError as exc:
-        raise UsageError(f"parse error: {exc}") from None
-
-
 def _word_arg(value: str) -> Word:
-    try:
-        return parse_word(_read_input(value))
-    except WordError as exc:
-        raise UsageError(f"parse error: {exc}") from None
-
-
-def _matrix_arg(value: str):
-    text = _read_input(value)
-    if "\n" not in text:
-        text = text.replace("/", "\n")
-    try:
-        return parse_matrix(text)
-    except LinAlgError as exc:
-        raise UsageError(f"parse error: {exc}") from None
+    return _parsed(parse_word, _read_input(value))
 
 
 def _source_type(args, c: Term) -> ValueType:
     if args.in_type is not None:
-        return _type_arg(args.in_type)
+        return _parsed(parse_type, _read_input(args.in_type))
     return infer_source(c)
-
-
-def _print_float(m) -> None:
-    print("# float approx (non-authoritative)")
-    for row in m.to_float():
-        print(" ".join(f"{x:.10g}" for x in row))
 
 
 # ---------------------------------------------------------------------------
@@ -119,8 +103,7 @@ def _print_float(m) -> None:
 
 def cmd_check(args) -> int:
     c = _term_arg(args.term, args.lang)
-    b = _source_type(args, c)
-    ty = typecheck(c, b, args.lang)
+    ty = typecheck(c, _source_type(args, c), args.lang)
     print(f"src {format_type(ty.src)}")
     print(f"dst {format_type(ty.dst)}")
     return 0
@@ -128,17 +111,20 @@ def cmd_check(args) -> int:
 
 def cmd_sem(args) -> int:
     c = _term_arg(args.term, args.lang)
-    b = _source_type(args, c)
-    m = sem(c, b, args.lang)
+    m = sem(c, _source_type(args, c), args.lang)
     print(format_matrix(m))
     if args.float:
-        _print_float(m)
+        print("# float approx (non-authoritative)")
+        for row in m.to_float():
+            print(" ".join(f"{x:.10g}" for x in row))
     return 0
 
 
 def cmd_synth(args) -> int:
-    m = _matrix_arg(args.matrix)
-    trace = synthesize(m)
+    text = _read_input(args.matrix)
+    if "\n" not in text:
+        text = text.replace("/", "\n")
+    trace = synthesize(_parsed(parse_matrix, text))
     print(format_word(_trace_word(trace)))
     if args.trace:
         print(format_trace(trace))
@@ -147,8 +133,7 @@ def cmd_synth(args) -> int:
 
 def cmd_normalize(args) -> int:
     if args.kind == "word":
-        w = _word_arg(args.input)
-        m = word_sem(w)
+        m = word_sem(_word_arg(args.input))
     else:
         c = _term_arg(args.input, args.lang)
         m = sem(c, _source_type(args, c), args.lang)
@@ -158,38 +143,23 @@ def cmd_normalize(args) -> int:
 
 def cmd_equiv(args) -> int:
     if args.kind == "word":
-        w1, w2 = _word_arg(args.a), _word_arg(args.b)
-        if w1.n != w2.n:
-            raise UsageError(f"ambient dimensions differ: {w1.n} vs {w2.n}")
-        m1, m2 = word_sem(w1), word_sem(w2)
+        decide, inputs = word_equivalence, (_word_arg(args.a), _word_arg(args.b))
     else:
-        c1 = _term_arg(args.a, args.lang)
-        c2 = _term_arg(args.b, args.lang)
-        if args.in_type is not None:
-            b = _type_arg(args.in_type)
-        else:
-            try:
-                b = infer_source(c1)
-            except LangError:
-                b = infer_source(c2)
+        c1, c2 = _term_arg(args.a, args.lang), _term_arg(args.b, args.lang)
         try:
-            t1 = typecheck(c1, b, args.lang)
-            t2 = typecheck(c2, b, args.lang)
-        except LangError as exc:
-            raise UsageError(f"incompatible at {format_type(b)}: {exc}") from None
-        if t1.dst != t2.dst:
-            raise UsageError(
-                f"target types differ: {format_type(t1.dst)} vs {format_type(t2.dst)}"
-            )
-        m1, m2 = sem(c1, b, args.lang), sem(c2, b, args.lang)
-    nf1, nf2 = normal_form_word(m1), normal_form_word(m2)
-    print(f"lhs {format_word(nf1)}")
-    print(f"rhs {format_word(nf2)}")
-    if nf1.gens == nf2.gens:
-        print("EQUIV")
-        return 0
-    print("DISTINCT")
-    return 1
+            b = _source_type(args, c1)
+        except LangError:
+            b = infer_source(c2)
+        decide, inputs = term_equivalence, (c1, c2, b, args.lang)
+    try:
+        verdict = decide(*inputs)
+    except (LangError, WordError) as exc:
+        # the inputs have no one type to compare them at
+        raise UsageError(str(exc)) from None
+    print(f"lhs {format_word(verdict.lhs)}")
+    print(f"rhs {format_word(verdict.rhs)}")
+    print("EQUIV" if verdict.equal else "DISTINCT")
+    return 0 if verdict.equal else 1
 
 
 def cmd_relations_verify(args) -> int:
@@ -200,18 +170,13 @@ def cmd_relations_verify(args) -> int:
             skipped += 1
             continue
         checked = 0
-        bad = None
-        for indices in enumerate_assignments(rel, args.n):
-            if args.max_assignments and checked >= args.max_assignments:
-                break
+        for indices in islice(enumerate_assignments(rel, args.n), args.max_assignments or None):
             if not verify_relation(rel, indices, args.n):
-                bad = indices
+                binding = ",".join(f"{f}={i}" for f, i in zip(rel.formals, indices))
+                print(f"FAIL {rel.id} at {binding}")
+                failed += 1
                 break
             checked += 1
-        if bad is not None:
-            binding = ",".join(f"{f}={i}" for f, i in zip(rel.formals, bad))
-            print(f"FAIL {rel.id} at {binding}")
-            failed += 1
         else:
             print(f"PASS {rel.id} assignments={checked}")
     total = len(CATALOG)
@@ -223,41 +188,33 @@ def cmd_relations_verify(args) -> int:
 
 
 def cmd_translate(args) -> int:
-    src, dst = args.from_, args.to
-    if dst == "term":
-        dst = "qpi"
+    src, dst = args.from_, "qpi" if args.to == "term" else args.to
+    contract = "semantics preserved"
     if src in ("qpi", "hpi") and dst == "words":
         c = _term_arg(args.input, src)
         b = _source_type(args, c)
-        w = wsem(c, b)
-        TranslationReport(c, w, sem(c, b), word_sem(w))
-        print(format_word(w))
-        print("verified: semantics preserved")
-        return 0
-    if src == "words" and dst == "qpi":
+        out = wsem(c, b)
+        TranslationReport(c, out, sem(c, b), word_sem(out))
+    elif src == "words" and dst == "qpi":
         w = _word_arg(args.input)
-        c = t_q(w)
-        TranslationReport(w, c, word_sem(w), sem(c, nsum(w.n)))
-        print(format_term(c))
-        print("verified: semantics preserved")
-        return 0
-    if src == "hpi" and dst == "qpi":
+        out = t_q(w)
+        TranslationReport(w, out, word_sem(w), sem(out, nsum(w.n)))
+    elif src == "hpi" and dst == "qpi":
         c = _term_arg(args.input, "hpi")
         out = qsem(c)
         b = _source_type(args, c)
         TranslationReport(c, out, sem(c, b, "hpi"), sem(out, b))
-        print(format_term(out))
-        print("verified: semantics preserved")
-        return 0
-    if src == "qpi" and dst == "hpi":
+    elif src == "qpi" and dst == "hpi":
         c = _term_arg(args.input, "qpi")
         b = _source_type(args, c)
-        h = t_h(c, b)
-        TranslationReport(c, h, sem(c, b), t_h_sem(h, b), padding=1)
-        print(format_term(h))
-        print("verified: I1 (+) source")
-        return 0
-    raise UsageError(f"unsupported direction: {args.from_} -> {args.to}")
+        out = t_h(c, b)
+        TranslationReport(c, out, sem(c, b), t_h_sem(out, b), padding=1)
+        contract = "I1 (+) source"
+    else:
+        raise UsageError(f"unsupported direction: {args.from_} -> {args.to}")
+    print(format_word(out) if dst == "words" else format_term(out))
+    print(f"verified: {contract}")
+    return 0
 
 
 def cmd_derive_check(args) -> int:
@@ -270,22 +227,13 @@ def cmd_derive_check(args) -> int:
         raise UsageError(
             "derivation file needs a word on the first and last line, steps between"
         )
-    w = _word_arg(lines[0])
-    final = _word_arg(lines[-1])
-    steps = parse_derivation("\n".join(lines[1:-1]))
-    reference = word_sem(w)
-    if args.trace:
-        print(format_word(w))
-    for i, step in enumerate(steps, start=1):
-        w = apply_step(w, step)
+    start, final = _parsed(parse_word, lines[0]), _parsed(parse_word, lines[-1])
+    steps = _parsed(parse_derivation, "\n".join(lines[1:-1]))
+    for w in replay(start, steps):
         if args.trace:
             print(format_word(w))
-        if word_sem(w) != reference:
-            print(f"step {i} changed the semantics", file=sys.stderr)
-            return 1
     if w != final:
-        print(f"final word differs: got {format_word(w)}", file=sys.stderr)
-        return 1
+        raise WordError(f"final word differs: got {format_word(w)}")
     print(f"ok: {len(steps)} steps verified, final word matches")
     return 0
 

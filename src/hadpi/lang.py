@@ -12,6 +12,7 @@ import re
 from typing import NamedTuple, Optional, Union
 
 from .linalg import MAX_DIM, ExactMatrix, Generator, RowState
+from .synthesis import Equivalence, equivalence
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .synthesis import permutation_matrix  # noqa: F401
@@ -661,8 +662,11 @@ def sem(
 ) -> ExactMatrix:
     """Exact matrix denotation of c at the given source type, no type deeper
     than limit (default _depth_limit(input))."""
-    ops = lower(c, input, lang, limit)[1]
-    n = hdim(input)
+    return _apply(lower(c, input, lang, limit)[1], hdim(input))
+
+
+def _apply(ops: list[tuple], n: int) -> ExactMatrix:
+    """The matrix of a program of placed primitives (see lower) on n rows."""
     state = RowState(ExactMatrix.identity(n))
     # permutations only relabel rows: program row r is state row at[r] - 1
     rows0 = list(range(1, n + 1))
@@ -690,15 +694,22 @@ def sem(
     return state.snapshot()
 
 
+def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equivalence:
+    """Decide whether two programs at one source type are equal, with their
+    normal forms; each term is walked once.  Raises LangError unless both
+    type at input with one target."""
+    try:
+        (d1, ops1), (d2, ops2) = lower(c1, input, lang), lower(c2, input, lang)
+    except LangError as exc:
+        raise LangError(f"incompatible at {format_type(input)}: {exc}") from None
+    if d1 != d2:
+        raise LangError(f"target types differ: {format_type(d1)} vs {format_type(d2)}")
+    return equivalence(_apply(ops1, hdim(input)), _apply(ops2, hdim(input)))
+
+
 def equiv_terms(c1: Term, c2: Term, input: ValueType, lang: str = "qpi") -> bool:
     """Decide whether two programs of the same type are extensionally equal."""
-    t1 = typecheck(c1, input, lang)
-    t2 = typecheck(c2, input, lang)
-    if t1.dst != t2.dst:
-        raise LangError(
-            f"target types differ: {format_type(t1.dst)} vs {format_type(t2.dst)}"
-        )
-    return sem(c1, input, lang) == sem(c2, input, lang)
+    return term_equivalence(c1, c2, input, lang).equal
 
 
 # ---------------------------------------------------------------------------

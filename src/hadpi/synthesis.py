@@ -22,7 +22,9 @@ from .linalg import (
     gen_x,
     gen_z,
 )
-from .words import Word
+# words.word_sem is looked up per call, where hadpibench/tracing.py patches it
+from . import words
+from .words import Word, WordError
 
 # re-exported unused: hadpibench/tracing.py patches these bindings
 from .linalg import apply_generator_rows, reduce_nums  # noqa: F401
@@ -132,6 +134,32 @@ def normal_form_word(M: ExactMatrix) -> Word:
     return _trace_word(synthesize(M))
 
 
+class Equivalence(NamedTuple):
+    """Whether two matrices are equal, with the normal forms that decided it."""
+
+    equal: bool
+    lhs: Word
+    rhs: Word
+
+
+def equivalence(m1: ExactMatrix, m2: ExactMatrix) -> Equivalence:
+    """Decide m1 = m2 by comparing canonical normal forms.  Raises unless the
+    forms agree exactly when the matrices do, so a fault in synthesis cannot
+    turn into a wrong verdict."""
+    nf1, nf2 = normal_form_word(m1), normal_form_word(m2)
+    equal = nf1.gens == nf2.gens
+    if equal != (m1 == m2):
+        raise SynthesisError("normal forms disagree with matrix equality")
+    return Equivalence(equal, nf1, nf2)
+
+
+def word_equivalence(w1: Word, w2: Word) -> Equivalence:
+    """Decide [[w1]] = [[w2]], with the normal forms that decided it."""
+    if w1.n != w2.n:
+        raise WordError(f"ambient dimensions differ: {w1.n} vs {w2.n}")
+    return equivalence(words.word_sem(w1), words.word_sem(w2))
+
+
 def _trace_word(trace: SynthesisTrace) -> Word:
     """The word of the trace's input matrix: each syllable inverted in turn."""
     gens = [g for syl in trace.syllables for g in reversed(syl.gens)]
@@ -153,9 +181,7 @@ def hpermute(perm: Sequence[int]) -> Word:
     """Canonical word whose semantics is the permutation matrix of perm."""
     target = permutation_matrix(perm)
     word = normal_form_word(target)
-    from .words import word_sem
-
-    if word_sem(word) != target:
+    if words.word_sem(word) != target:
         raise SynthesisError(f"word for permutation {list(perm)} has the wrong matrix")
     return word
 

@@ -11,7 +11,7 @@ comparing synthesized normal forms.
 from __future__ import annotations
 
 import re
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import MAX_DIM, ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
 
@@ -210,40 +210,47 @@ def apply_step(w: Word, step: DerivationStep) -> Word:
     return Word(w.n, w.gens[: step.pos] + replacement + w.gens[step.pos + len(pattern) :])
 
 
-def check_derivation(
-    w0: Word, steps: Sequence[DerivationStep], w_final: Word
-) -> bool:
-    """Run the steps from w0; true iff the result is exactly w_final."""
-    current = w0
+def replay(w0: Word, steps: Iterable[DerivationStep]) -> Iterator[Word]:
+    """The words of a derivation, w0 first.  Raises StepError, naming the
+    step, at the first step that does not apply or changes the semantics."""
+    yield w0
     reference = word_sem(w0)
-    for i, step in enumerate(steps):
+    for i, step in enumerate(steps, start=1):
         try:
-            current = apply_step(current, step)
-        except StepError as exc:
-            raise StepError(f"step {i + 1}: {exc}") from None
-        if word_sem(current) != reference:
-            raise StepError(f"step {i + 1}: changed the semantics")
-    return current == w_final
+            w0 = apply_step(w0, step)
+        except WordError as exc:
+            raise StepError(f"step {i}: {exc}") from None
+        if word_sem(w0) != reference:
+            raise StepError(f"step {i}: changed the semantics")
+        yield w0
+
+
+def check_derivation(w0: Word, steps: Sequence[DerivationStep], w_final: Word) -> bool:
+    """Run the steps from w0; true iff the result is exactly w_final."""
+    for last in replay(w0, steps):
+        pass
+    return last == w_final
 
 
 def words_equiv(w1: Word, w2: Word) -> bool:
     """Decide [[w1]] = [[w2]] by comparing canonical normal forms."""
-    if w1.n != w2.n:
-        raise WordError(f"ambient dimensions differ: {w1.n} vs {w2.n}")
-    from .synthesis import normal_form_word
+    from .synthesis import word_equivalence
 
-    m1, m2 = word_sem(w1), word_sem(w2)
-    nf1, nf2 = normal_form_word(m1), normal_form_word(m2)
-    same = nf1.gens == nf2.gens
-    if same != (m1 == m2):
-        raise WordError("normal forms disagree with matrix equality")
-    return same
+    return word_equivalence(w1, w2).equal
 
 
 # Text formats: a word is "n=<dim>" followed by generator tokens; the
 # empty word prints as eps.  A derivation file holds one step per line.
 
 _GEN_TOKEN_RE = re.compile(r"^([ZXH])\[(\d+)(?:,(\d+))?\]$")
+
+
+def _natural(digits: str, what: str) -> int:
+    # int() refuses texts of over 4,300 digits; no index or position in a
+    # word that fits in memory has more than 18
+    if len(digits.lstrip("0")) > 18:
+        raise WordError(f"{what} has more than 18 digits")
+    return int(digits)
 
 
 def parse_word(text: str) -> Word:
@@ -265,7 +272,7 @@ def parse_word(text: str) -> Word:
         m = _GEN_TOKEN_RE.match(tok)
         if not m:
             raise WordError(f"bad generator token {tok!r}")
-        kind, i1, i2 = m.group(1), int(m.group(2)), m.group(3)
+        kind, i1, i2 = m.group(1), _natural(m.group(2), "a generator index"), m.group(3)
         if kind == "Z":
             if i2 is not None:
                 raise WordError(f"Z takes one index: {tok!r}")
@@ -273,9 +280,10 @@ def parse_word(text: str) -> Word:
         else:
             if i2 is None:
                 raise WordError(f"{kind} takes two indices: {tok!r}")
-            if int(i2) == i1:
+            i2 = _natural(i2, "a generator index")
+            if i2 == i1:
                 raise WordError(f"indices must differ: {tok!r}")
-            idx = (i1, int(i2))
+            idx = (i1, i2)
         if not all(1 <= i <= n for i in idx):
             raise WordError(f"index out of range in {tok!r} for n={n}")
         gens.extend(_normalize_token(kind, idx))
@@ -320,7 +328,8 @@ def parse_derivation(text: str) -> list[DerivationStep]:
                 f"{','.join(rel.formals)}"
             )
         indices = tuple(pairs[f] for f in rel.formals)
-        steps.append(DerivationStep(rel_id, direction, indices, int(pos)))
+        pos = _natural(pos, f"line {lineno}: the position")
+        steps.append(DerivationStep(rel_id, direction, indices, pos))
     return steps
 
 

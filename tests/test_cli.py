@@ -12,12 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hadpi import cli, lang, linalg
+from hadpi import cli, lang, linalg, synthesis, words
 from hadpi.cli import main
 from hadpi.lang import format_term, parse_term
-from hadpi.linalg import format_matrix
+from hadpi.linalg import format_matrix, gen_h
 from hadpi.translate import t_q
-from hadpi.words import parse_word, word_sem
+from hadpi.words import Word, parse_word, word_sem
 
 
 def run(capsys, *argv):
@@ -475,6 +475,32 @@ def test_equiv_incompatible_terms(capsys):
     assert "incompatible" in err
 
 
+def test_equiv_checks_normal_forms_against_the_matrices(capsys, monkeypatch):
+    # a synthesis that gives one word for distinct matrices must not decide
+    one_word = lambda m: Word(m.n, ())  # noqa: E731
+    monkeypatch.setattr(synthesis, "normal_form_word", one_word)
+    monkeypatch.setattr(cli, "normal_form_word", one_word)
+    code, out, err = run(capsys, "equiv", "had", "swap+")
+    assert (code, out) == (1, "")
+    assert err == "error: normal forms disagree with matrix equality\n"
+
+
+def test_equiv_walks_each_term_once(capsys, monkeypatch):
+    walks = []
+
+    class CountingWalk(lang._Walk):
+        __slots__ = ()
+
+        def __init__(self, c, *args):
+            walks.append(c)
+            super().__init__(c, *args)
+
+    monkeypatch.setattr(lang, "_Walk", CountingWalk)
+    code, out, _ = run(capsys, "equiv", "had ; neg1 + id", "had", "--in-type", "1+1")
+    assert code == 1 and out.endswith("DISTINCT\n")
+    assert len(walks) == 2 and walks[0] is not walks[1]
+
+
 def test_long_inline_arguments_are_text(capsys):
     # longer than a path name may be, so asking the file system about it fails
     term = " ; ".join(["had"] * 80)
@@ -641,6 +667,47 @@ def test_derive_check_rejects_malformed_file(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("step, message", [
+    ("step garbage", "line 1: bad step syntax"),
+    ("step q9 L->R at 0 with a=1", "line 1: unknown relation 'q9'"),
+    ("step a3 L->R at 0 with a=1,b", "line 1: bad binding 'b'"),
+    ("step a3 L->R at 0 with a=1", "line 1: relation a3 needs indices a,b"),
+])
+def test_derive_check_malformed_step_is_a_parse_error(capsys, step, message):
+    code, out, err = run(capsys, "derive-check", f"n=2 H[1,2] H[1,2]\n{step}\nn=2 eps")
+    assert (code, out, err) == (2, "", f"error: parse error: {message}\n")
+
+
+@pytest.mark.parametrize("step, message", [
+    ("step a1 L->R at 0 with a=1", "step 1: relation a1 L->R does not match at 0"),
+    ("step a3 L->R at 5 with a=1,b=2", "step 1: position 5 out of range"),
+    ("step a3 L->R at 0 with a=1,b=9", "step 1: indices must lie in 1..2: [1, 9]"),
+])
+def test_derive_check_failures_name_their_step(capsys, step, message):
+    code, out, err = run(capsys, "derive-check", f"n=2 H[1,2] H[1,2]\n{step}\nn=2 eps")
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+def test_derive_check_reports_a_semantics_change(capsys, monkeypatch):
+    monkeypatch.setattr(words, "apply_step", lambda w, step: Word(w.n, w.gens + (gen_h(1, 2),)))
+    code, out, err = run(capsys, "derive-check", "n=2 eps\nstep a3 L->R at 0 with a=1,b=2\nn=2 eps")
+    assert (code, out, err) == (1, "", "error: step 1: changed the semantics\n")
+
+
+NINES = "9" * 5000  # past the 4,300 digits that int() converts
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["normalize", f"n=3 Z[{NINES}]", "--kind", "word"], "a generator index"),
+    (["equiv", "n=3 eps", f"n=3 H[1,{NINES}]", "--kind", "word"], "a generator index"),
+    (["derive-check", f"n=2 eps\nstep a3 L->R at {NINES} with a=1,b=2\nn=2 eps"],
+     "line 1: the position"),
+])
+def test_long_integer_tokens_are_parse_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: parse error: {message} has more than 18 digits\n")
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -722,7 +789,8 @@ TYPES = ["0", "1", "1+1", "1+1+1", "(1+1)*(1+1)", "(1+1)*0", "1*(1+1)", "0+1",
          "(" + "*".join(["(1+1)"] * 30) + ")*0"]  # with a factor past MAX_DIM
 WORDS = ["n=1 Z[1]", "n=2 H[1,2] X[1,2]", "n=3 H[2,3] Z[1]", "n=2 eps", "n=0 eps",
          "n=3 H[3,1]", "n=2 X[1,3]", "n=2 Q[1]", "n=x eps",
-         "n=20000 eps"]  # past MAX_DIM
+         "n=20000 eps",  # past MAX_DIM
+         f"n=3 Z[{NINES}]"]  # past what int() converts
 MATRICES = ["dim 2/lde 1/1 1/1 -1", "dim 1/lde 0/1", "dim 2/lde 0/0 1/1 0",
             "dim 2/lde 0/1 1/0 1", "dim 1/lde 1/√2", "dim 2/lde 0/1 0", "dim -1/lde 0",
             "dim 20000/lde 0/" + "/".join(["1"] * 20000)]  # past MAX_DIM
@@ -808,6 +876,7 @@ def _argvs(draw):
     elif cmd == "derive-check":
         step = draw(st.sampled_from([
             "step a3 L->R at 0 with a=1,b=2", "step a1 L->R at 5 with a=9", "step z",
+            f"step a3 L->R at {NINES} with a=1,b=2",
         ]))
         argv = [cmd, f"{draw(word)}\n{step}\n{draw(word)}"]
     else:

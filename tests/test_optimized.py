@@ -45,6 +45,16 @@ else:
     raise SystemExit("synthesize accepted a syllable that disturbs a fixed column")
 RowState.apply_word = apply_word
 
+# a synthesis that gives one word for distinct matrices: equiv must not decide
+import hadpi.synthesis as synthesis
+from hadpi.cli import main
+
+normal_form_word = synthesis.normal_form_word
+synthesis.normal_form_word = lambda m: Word(m.n, ())
+if main(["equiv", "had", "swap+"]) != 1:
+    raise SystemExit("equiv decided on normal forms that disagree with the matrices")
+synthesis.normal_form_word = normal_form_word
+
 # a rewrite that appends a Hadamard changes the matrix
 words.apply_step = lambda w, step: Word(w.n, w.gens + (gen_h(1, 2),))
 step = DerivationStep("a3", "L->R", (1, 2), 0)

@@ -8,6 +8,7 @@ import pytest
 from oracles import frac_direct_sum, frac_eq, frac_identity, frac_of_matrix
 
 from hadpi.linalg import ExactMatrix, gen_h, gen_x, gen_z
+from hadpi.synthesis import word_equivalence
 from hadpi.words import (
     CATALOG,
     RELATION_BY_ID,
@@ -23,6 +24,7 @@ from hadpi.words import (
     format_word,
     parse_derivation,
     parse_word,
+    replay,
     shift,
     verify_relation,
     word_sem,
@@ -205,6 +207,38 @@ def test_check_derivation():
             DerivationStep("a3", "L->R", (1, 2), 0),
         ]
         check_derivation(start, bad, Word(2, ()))
+
+
+def test_replay_yields_each_word_and_names_the_failing_step():
+    start = Word(2, (gen_h(1, 2), gen_h(1, 2), gen_x(1, 2), gen_x(1, 2)))
+    xx = Word(2, (gen_x(1, 2), gen_x(1, 2)))
+    a3 = DerivationStep("a3", "L->R", (1, 2), 0)
+    assert list(replay(start, [a3])) == [start, xx]
+    trail = replay(start, [a3, a3])
+    assert next(trail) == start and next(trail) == xx
+    with pytest.raises(StepError, match=r"^step 2: relation a3 L->R does not match at 0$"):
+        next(trail)
+    # an index error of the relation's instantiation names its step too
+    with pytest.raises(StepError, match=r"^step 1: indices must lie in 1\.\.2: \[1, 3\]$"):
+        check_derivation(start, [a3._replace(indices=(1, 3))], start)
+
+
+def test_word_equivalence_returns_the_normal_forms():
+    hx = Word(2, (gen_h(1, 2), gen_x(1, 2)))
+    same = word_equivalence(Word(2, hx.gens * 8), Word(2, ()))
+    assert same == (True, Word(2, ()), Word(2, ()))
+    differ = word_equivalence(hx, Word(2, ()))
+    assert not differ.equal and word_sem(differ.lhs) == word_sem(hx)
+
+
+def test_long_integer_tokens_are_word_errors():
+    nines = "9" * 5000
+    with pytest.raises(WordError, match="a generator index has more than 18 digits"):
+        parse_word(f"n=3 X[1,{nines}]")
+    with pytest.raises(WordError, match="line 1: the position has more than 18 digits"):
+        parse_derivation(f"step a3 L->R at {nines} with a=1,b=2")
+    # leading zeros are not digits of the value
+    assert parse_word("n=3 Z[" + "0" * 30 + "2]") == Word(3, (gen_z(2),))
 
 
 def test_words_equiv():
