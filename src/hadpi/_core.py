@@ -2,9 +2,12 @@
 
 A matrix over Z[1/rt2] is carried as a shared exponent k plus two flat
 row-major lists aa, bb holding the integer and rt2 coefficients of the
-numerators.  These three loops dominate evaluation time.  Coefficients
-must stay Python ints: entries grow with the exponent and overflow any
-fixed width.
+numerators.  Evaluation and synthesis apply row operations
+(linalg.RowState), so reduce_nums is the one kernel on their path;
+mat_mul_nums serves dense products, such as the orthogonality check that
+runs when synthesis fails; kron_nums serves ExactMatrix.tensor, which only
+the tests call.  Coefficients must stay Python ints: entries grow with the
+exponent and overflow any fixed width.
 """
 
 from __future__ import annotations

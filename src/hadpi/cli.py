@@ -14,6 +14,7 @@ from itertools import islice
 from pathlib import Path
 
 from .lang import (
+    BudgetError,
     LangError,
     Term,
     ValueType,
@@ -153,6 +154,8 @@ def cmd_equiv(args) -> int:
         decide, inputs = term_equivalence, (c1, c2, b, args.lang)
     try:
         verdict = decide(*inputs)
+    except BudgetError:
+        raise  # a domain failure, as in check and sem
     except (LangError, WordError) as exc:
         # the inputs have no one type to compare them at
         raise UsageError(str(exc)) from None
@@ -218,17 +221,19 @@ def cmd_translate(args) -> int:
 
 
 def cmd_derive_check(args) -> int:
-    text = _read_input(args.derivation)
-    lines = [
-        ln for ln in (raw.strip() for raw in text.splitlines())
-        if ln and not ln.startswith("#")
-    ]
-    if len(lines) < 2 or not lines[0].startswith("n=") or not lines[-1].startswith("n="):
+    lines = [raw.strip() for raw in _read_input(args.derivation).splitlines()]
+    # indices of the lines that are neither blank nor comments
+    body = [i for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
+    if len(body) < 2 or not all(lines[i].startswith("n=") for i in (body[0], body[-1])):
         raise UsageError(
             "derivation file needs a word on the first and last line, steps between"
         )
-    start, final = _parsed(parse_word, lines[0]), _parsed(parse_word, lines[-1])
-    steps = _parsed(parse_derivation, "\n".join(lines[1:-1]))
+    first, last = body[0], body[-1]
+    start, final = _parsed(parse_word, lines[first]), _parsed(parse_word, lines[last])
+    # errors number lines as the file does: the steps start on line first + 2
+    steps = _parsed(
+        functools.partial(parse_derivation, first=first + 2), "\n".join(lines[first + 1 : last])
+    )
     for w in replay(start, steps):
         if args.trace:
             print(format_word(w))

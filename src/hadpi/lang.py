@@ -22,6 +22,10 @@ class LangError(ValueError):
     """Raised for ill-typed terms, bad syntax, or out-of-range indices."""
 
 
+class BudgetError(LangError):
+    """Raised when walking a term would pass MAX_DIM or MAX_NESTING."""
+
+
 # ---------------------------------------------------------------------------
 # value types
 
@@ -52,7 +56,7 @@ class Sum:
     def __init__(self, left: "ValueType", right: "ValueType"):
         # Frozen, so the fields go straight into the instance dict.  dim and
         # depth are not fields (equality, hashing and repr ignore them); dim
-        # is None while a child is an inference hole, which has depth 0.
+        # is None while a child is a hole of inference or a rule variable.
         d = self.__dict__
         d["left"] = left
         d["right"] = right
@@ -198,10 +202,10 @@ Term = Union[Prim, Factorz, Seq, SumC, ProdC]
 #
 # Each primitive is an isomorphism between two type shapes, written once in
 # _RULES over the pattern variables b1, b2 and b3.  typecheck runs a step
-# generated from the two shapes (_compile); source inference unifies a
-# partial type with either shape and builds the other (_flow_prim); inverse
-# reads the inverse's name.  A shape holds a variable exactly when its dim
-# is None.
+# generated from the two shapes (_compile); source inference unifies its
+# input with a fresh copy of the source shape and builds the target from the
+# bindings, in one pass (_infer); inverse reads the inverse's name.  A shape
+# holds a variable exactly when its dim is None.
 
 
 class _Var:
@@ -349,6 +353,7 @@ def _too_deep(name: str, path: _Path) -> "LangError":
         path,
         f"{name} nests the type more than {MAX_NESTING} levels (MAX_NESTING)"
         " past the deeper of its source and MAX_NESTING",
+        BudgetError,
     )
 
 
@@ -356,7 +361,7 @@ def _too_deep(name: str, path: _Path) -> "LangError":
 _PATH_ENDS = 5
 
 
-def _fail(path: _Path, msg: str) -> "LangError":
+def _fail(path: _Path, msg: str, error: type = LangError) -> "LangError":
     steps = []
     while path:
         path, step = path
@@ -366,7 +371,7 @@ def _fail(path: _Path, msg: str) -> "LangError":
         cut = len(steps) - 2 * _PATH_ENDS
         steps[_PATH_ENDS:-_PATH_ENDS] = [f"<{cut} steps>"]
     where = ".".join(steps) if steps else "term"
-    return LangError(f"at {where}: {msg}")
+    return error(f"at {where}: {msg}")
 
 
 def _swap_sum_perm(n1: int, n2: int) -> list[int]:
@@ -517,7 +522,7 @@ class _Walk:
         if limit is None:
             limit = _depth_limit(b)
         if hdim(b) > MAX_DIM:
-            raise LangError(
+            raise BudgetError(
                 f"the source type's dimension is past the limit of {MAX_DIM} (MAX_DIM)"
             )
         try:
@@ -606,6 +611,7 @@ class _Walk:
                     path,
                     f"product of terms has a factor whose dimension is past the limit of"
                     f" {MAX_DIM} (MAX_DIM)",
+                    BudgetError,
                 )
             left = right = (offs, stride)
             if self.emit:
@@ -697,9 +703,11 @@ def _apply(ops: list[tuple], n: int) -> ExactMatrix:
 def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equivalence:
     """Decide whether two programs at one source type are equal, with their
     normal forms; each term is walked once.  Raises LangError unless both
-    type at input with one target."""
+    type at input with one target, and BudgetError past a budget."""
     try:
         (d1, ops1), (d2, ops2) = lower(c1, input, lang), lower(c2, input, lang)
+    except BudgetError:
+        raise
     except LangError as exc:
         raise LangError(f"incompatible at {format_type(input)}: {exc}") from None
     if d1 != d2:
@@ -1060,51 +1068,74 @@ def _render_term(c: Term, minlvl: int, done: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # source-type inference
-
-_HOLE = None
-
-
-def _unify(p, q, what: str):
-    if p is None:
-        return q
-    if q is None:
-        return p
-    if type(p) is not type(q):
-        raise _clash(what, p, q)
-    if isinstance(p, (Zero, One)):
-        return p
-    return type(p)(
-        _unify(p.left, q.left, what), _unify(p.right, q.right, what)
-    )
+#
+# One pass of first-order unification (Robinson 1965), left to right: the
+# source is a hole, and each node unifies its input with a fresh copy of the
+# shape it needs.  A part two places share is one hole, bound once for both.
 
 
-def _clash(what: str, p, q) -> LangError:
-    return LangError(
-        f"cannot type {what}: {_render_pattern(p)} clashes with {_render_pattern(q)}"
-    )
+class _Hole:
+    """An unknown part of a type, bound at most once (to).  room: the levels the
+    source has left below the hole's shallowest place in it, inf while in none."""
+
+    dim = None
+    depth = 0
+    to = None
+    room = float("inf")
 
 
-def _bind(p, q, env: dict, what: str) -> None:
-    """Unify the pattern q with rule pattern p, binding the variables of p
-    to the parts of q in env; a variable met twice unifies its parts."""
+def _find(t):
+    while type(t) is _Hole and t.to is not None:
+        t = t.to
+    return t
+
+
+def _instance(p, env: dict):
+    """Rule pattern p with each variable v replaced by _find(env[v]), new or not."""
     if type(p) is _Var:
-        env[p] = _unify(env[p], q, what) if p in env else q
-    elif q is not None:
-        if type(q) is not type(p):
-            raise _clash(what, q, p)
-        if p.depth:
-            _bind(p.left, q.left, env, what)
-            _bind(p.right, q.right, env, what)
-
-
-def _build(p, env: dict):
-    """Rule pattern p with its variables replaced by their bindings in env;
-    an unbound variable becomes an inference hole."""
-    if type(p) is _Var:
-        return env.get(p)
+        if p not in env:
+            env[p] = _Hole()
+        return _find(env[p])
     if p.dim is not None:
         return p
-    return type(p)(_build(p.left, env), _build(p.right, env))
+    return type(p)(_instance(p.left, env), _instance(p.right, env))
+
+
+def _equate(a, b, what: str) -> None:
+    """Unify the input's pattern a with b, binding holes of b before those of a."""
+    a, b = _find(a), _find(b)
+    if type(a) is _Hole and type(b) is not _Hole:
+        a, b = b, a
+    if a is b:
+        return
+    if type(b) is _Hole:
+        if b.room != _Hole.room and _holds(a, b, b.room, what):
+            p = _clip(_render_pattern(a))
+            raise LangError(f"cannot type {what}: the type ? would contain itself as {p}")
+        b.to = a
+    elif type(a) is not type(b):
+        p, q = _clip(_render_pattern(a)), _clip(_render_pattern(b))
+        raise LangError(f"cannot type {what}: {p} clashes with {q}")
+    elif a.depth:
+        _equate(a.left, b.left, what)
+        _equate(a.right, b.right, what)
+
+
+def _holds(t, h: _Hole, room, what: str) -> bool:
+    """Whether t holds the hole h.  t goes where room levels are left: a
+    deeper t raises, and each hole in t keeps the room left at its place."""
+    t = _find(t)
+    if t is h:
+        return True
+    if t.depth > room:
+        raise _too_deep(what, ())
+    if type(t) is _Hole:
+        t.room = min(t.room, room)
+        return False
+    # a part with a dimension holds no hole
+    return t.dim is None and (
+        _holds(t.left, h, room - 1, what) or _holds(t.right, h, room - 1, what)
+    )
 
 
 # a longer rendered pattern prints its first and last _PATTERN_ENDS
@@ -1120,94 +1151,62 @@ def _clip(text: str) -> str:
 
 
 def _render_pattern(p) -> str:
-    if p is None or type(p) is _Var:
-        return "?"
-    if isinstance(p, Zero):
-        return "0"
-    if isinstance(p, One):
-        return "1"
+    p = _find(p)
+    if not p.depth:  # 0, 1, or a hole or variable, which has no dim
+        return "?" if p.dim is None else str(p.dim)
     op = "+" if isinstance(p, Sum) else "*"
     return f"({_render_pattern(p.left)}{op}{_render_pattern(p.right)})"
 
 
-def _flow(c: Term, pat, forward: bool, limit: int):
-    """Refine a source (forward) or target (backward) pattern through c, no
-    pattern deeper than limit.  Returns (refined given pattern, pattern on
-    the other side)."""
-    if isinstance(c, Prim):
-        got, other = _flow_prim(c.name, pat, forward)
-        if getattr(other, "depth", 0) > limit:
-            raise _too_deep(c.name, ())
-        return got, other
-    if isinstance(c, Factorz):
-        if forward:
-            other = Prod(c.operand, ZERO)
-            if other.depth > limit:
-                raise _too_deep("factorz", ())
-            return _unify(pat, ZERO, "factorz"), other
-        return _unify(pat, Prod(c.operand, ZERO), "factorz"), ZERO
+def _infer(c: Term, t, limit: int):
+    """Target pattern of c on the input pattern t, no deeper than limit."""
     if isinstance(c, Seq):
-        items = _spine(c)
-        if not forward:
-            items.reverse()
-        refined = pat
-        cur = pat
-        for pos, node in enumerate(items):
-            got, cur = _flow(node, cur, forward, limit)
-            if pos == 0:
-                refined = got
-        return refined, cur
-    if isinstance(c, (SumC, ProdC)):
-        shape = Sum if isinstance(c, SumC) else Prod
-        name = "a sum of terms" if shape is Sum else "a product of terms"
-        pat = _unify(pat, shape(None, None), name)
-        _, lo = _flow(c.left, pat.left, forward, limit - 1)
-        _, ro = _flow(c.right, pat.right, forward, limit - 1)
-        return pat, shape(lo, ro)
-    raise LangError(f"not a term: {c!r}")
-
-
-def _flow_prim(name: str, pat, forward: bool):
-    """Refine pat through one primitive, as its source (forward) or its
-    target (backward).  Returns (refined pat, pattern on the other side)."""
-    rule = _RULES.get(name)
-    if rule is None:
-        raise LangError(f"unknown primitive {name}")
-    given, other = (rule.src, rule.dst) if forward else (rule.dst, rule.src)
+        for node in _spine(c):
+            t = _infer(node, t, limit)
+        return t
     env: dict = {}
-    _bind(given, pat, env, name)
-    got = _build(given, env)
-    return got, got if other is given else _build(other, env)
+    if isinstance(c, Prim):
+        what = c.name
+        if what not in _RULES:
+            raise LangError(f"unknown primitive {what}")
+        src, dst = _RULES[what].src, _RULES[what].dst
+    elif isinstance(c, Factorz):
+        what, src, dst = "factorz", ZERO, Prod(c.operand, ZERO)
+    elif isinstance(c, (SumC, ProdC)):
+        shape, what = (Sum, "a sum") if isinstance(c, SumC) else (Prod, "a product")
+        left, right = _Hole(), _Hole()
+        _equate(t, shape(left, right), what + " of terms")
+        left = _infer(c.left, _find(left), limit - 1)
+        return shape(left, _infer(c.right, _find(right), limit - 1))
+    else:
+        raise LangError(f"not a term: {c!r}")
+    _equate(t, _instance(src, env), what)
+    out = t if dst is src else _instance(dst, env)
+    if out.depth > limit:
+        raise _too_deep(what, ())
+    return out
 
 
-# rounds of forward and backward flow before infer_source gives up
-MAX_INFER_ROUNDS = 1000
+def _resolve(t):
+    """t with each bound hole replaced by what it is bound to."""
+    t = _find(t)
+    if t.dim is not None or not t.depth:
+        return t
+    left, right = _resolve(t.left), _resolve(t.right)
+    return t if left is t.left and right is t.right else type(t)(left, right)
 
 
 def infer_source(c: Term) -> ValueType:
-    """Pin down the source type forced by a term's structure, when unique.
-    Raises if the term constrains it incompletely (e.g. a bare id).  The
-    source is unknown, so every pass keeps to the depth limit of a shallow
-    one; the last forward pass then bounds every type that typing the
-    inferred source meets."""
-    pin = _HOLE
-    limit = _depth_limit(_HOLE)
-    for _ in range(MAX_INFER_ROUNDS):
-        refined, pout = _flow(c, pin, True, limit)
-        _, back = _flow(c, pout, False, limit)
-        merged = _unify(_unify(refined, back, "term"), pin, "term")
-        if merged == pin:
-            break
-        pin = merged
-    else:
+    """The most general source type of a term, which must be unique (a bare id
+    leaves it open).  The pass keeps every type to the depth limit of a shallow
+    source; typing the inferred one then bounds every type typing meets."""
+    source = _Hole()
+    source.room = limit = _depth_limit(ZERO)
+    _infer(c, source, limit)
+    source = _resolve(source)
+    if source.dim is None:  # it still holds a hole
         raise LangError(
-            f"source inference did not settle within {MAX_INFER_ROUNDS} rounds"
-            " (MAX_INFER_ROUNDS); supply the source type explicitly"
-        )
-    # a pattern without holes has a dimension
-    if getattr(pin, "dim", None) is None:
-        raise LangError(
-            f"source type is ambiguous: inferred only {_clip(_render_pattern(pin))};"
+            f"source type is ambiguous: inferred only {_clip(_render_pattern(source))};"
             " supply it explicitly"
         )
-    return pin
+    return source

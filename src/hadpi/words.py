@@ -246,6 +246,10 @@ _GEN_TOKEN_RE = re.compile(r"^([ZXH])\[(\d+)(?:,(\d+))?\]$")
 
 
 def _natural(digits: str, what: str) -> int:
+    # ASCII digits only: int() also takes a sign, underscores, spaces and the
+    # digits of other scripts
+    if not (digits.isascii() and digits.isdigit()):
+        raise WordError(f"{what} is not a natural number")
     # int() refuses texts of over 4,300 digits; no index or position in a
     # word that fits in memory has more than 18
     if len(digits.lstrip("0")) > 18:
@@ -300,9 +304,11 @@ _STEP_RE = re.compile(
 )
 
 
-def parse_derivation(text: str) -> list[DerivationStep]:
+def parse_derivation(text: str, first: int = 1) -> list[DerivationStep]:
+    """The steps of a derivation's step lines; errors number text's first
+    line as line first."""
     steps = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=first):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -313,20 +319,17 @@ def parse_derivation(text: str) -> list[DerivationStep]:
         rel = RELATION_BY_ID.get(rel_id)
         if rel is None:
             raise WordError(f"line {lineno}: unknown relation {rel_id!r}")
+        needs = f"line {lineno}: relation {rel_id} needs indices {','.join(rel.formals)}"
         pairs: dict[str, int] = {}
         for part in asg_text.replace(",", " ").split():
-            if "=" not in part:
+            name, eq, val = part.partition("=")
+            if not eq:
                 raise WordError(f"line {lineno}: bad binding {part!r}")
-            name, _, val = part.partition("=")
-            try:
-                pairs[name.strip()] = int(val)
-            except ValueError:
-                raise WordError(f"line {lineno}: bad binding {part!r}") from None
+            if name not in rel.formals:
+                raise WordError(needs)
+            pairs[name] = _natural(val, f"line {lineno}: the index {name}")
         if set(pairs) != set(rel.formals):
-            raise WordError(
-                f"line {lineno}: relation {rel_id} needs indices "
-                f"{','.join(rel.formals)}"
-            )
+            raise WordError(needs)
         indices = tuple(pairs[f] for f in rel.formals)
         pos = _natural(pos, f"line {lineno}: the position")
         steps.append(DerivationStep(rel_id, direction, indices, pos))

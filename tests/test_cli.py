@@ -72,10 +72,10 @@ def test_check_infers_source(capsys):
 
 
 def test_inference_errors_name_the_primitive_in_the_term(capsys):
-    # backward flow through dist once borrowed factor's rule, and its name
+    # absorb pins dist's shared right factor to 0; assocl* meets it there
     code, out, err = run(capsys, "check", "dist ; (absorb + assocl*)")
     assert (code, out) == (1, "")
-    assert err == "error: cannot type dist: 0 clashes with (?*?)\n"
+    assert err == "error: cannot type assocl*: 0 clashes with (?*?)\n"
 
 
 def test_check_bad_syntax(capsys):
@@ -475,6 +475,19 @@ def test_equiv_incompatible_terms(capsys):
     assert "incompatible" in err
 
 
+@pytest.mark.parametrize("argv", [
+    [" * ".join(["had"] * 12), "id"],  # an inferred source past MAX_DIM
+    ["id * id", "id", "--in-type", "(" + "*".join(["(1+1)"] * 30) + ")*0"],
+    ["uniti+^201", "uniti+^201", "--in-type", "1"],  # past MAX_NESTING of growth
+])
+def test_equiv_past_a_budget_is_a_domain_failure(capsys, argv):
+    # exit 1 and the error check reports, not the exit 2 of terms that
+    # do not type at the source
+    code, out, err = run(capsys, "equiv", *argv)
+    assert (code, out) == (1, "") and "MAX_" in err
+    assert run(capsys, "check", argv[0], *argv[2:]) == (1, "", err)
+
+
 def test_equiv_checks_normal_forms_against_the_matrices(capsys, monkeypatch):
     # a synthesis that gives one word for distinct matrices must not decide
     one_word = lambda m: Word(m.n, ())  # noqa: E731
@@ -668,14 +681,25 @@ def test_derive_check_rejects_malformed_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("step, message", [
-    ("step garbage", "line 1: bad step syntax"),
-    ("step q9 L->R at 0 with a=1", "line 1: unknown relation 'q9'"),
-    ("step a3 L->R at 0 with a=1,b", "line 1: bad binding 'b'"),
-    ("step a3 L->R at 0 with a=1", "line 1: relation a3 needs indices a,b"),
+    ("step garbage", "line 2: bad step syntax"),
+    ("step q9 L->R at 0 with a=1", "line 2: unknown relation 'q9'"),
+    ("step a3 L->R at 0 with a=1,b", "line 2: bad binding 'b'"),
+    ("step a3 L->R at 0 with a=1", "line 2: relation a3 needs indices a,b"),
+    ("step a3 L->R at 0 with a=1,c=2", "line 2: relation a3 needs indices a,b"),
+    # int() reads these as 10, 1 and 2; an index is ASCII digits only
+    ("step a3 L->R at 0 with a=1_0,b=2", "line 2: the index a is not a natural number"),
+    ("step a3 L->R at 0 with a=+1,b=2", "line 2: the index a is not a natural number"),
 ])
 def test_derive_check_malformed_step_is_a_parse_error(capsys, step, message):
     code, out, err = run(capsys, "derive-check", f"n=2 H[1,2] H[1,2]\n{step}\nn=2 eps")
     assert (code, out, err) == (2, "", f"error: parse error: {message}\n")
+
+
+def test_derive_check_parse_errors_name_the_file_line(capsys):
+    # comments and blank lines count: the bad step is line 5 of the file
+    text = "# a comment\nn=2 H[1,2] H[1,2]\n\n# another\nstep zz\nn=2 eps\n"
+    code, out, err = run(capsys, "derive-check", text)
+    assert (code, out, err) == (2, "", "error: parse error: line 5: bad step syntax\n")
 
 
 @pytest.mark.parametrize("step, message", [
@@ -701,7 +725,9 @@ NINES = "9" * 5000  # past the 4,300 digits that int() converts
     (["normalize", f"n=3 Z[{NINES}]", "--kind", "word"], "a generator index"),
     (["equiv", "n=3 eps", f"n=3 H[1,{NINES}]", "--kind", "word"], "a generator index"),
     (["derive-check", f"n=2 eps\nstep a3 L->R at {NINES} with a=1,b=2\nn=2 eps"],
-     "line 1: the position"),
+     "line 2: the position"),
+    (["derive-check", f"n=2 eps\nstep a3 L->R at 0 with a=1,b={NINES}\nn=2 eps"],
+     "line 2: the index b"),
 ])
 def test_long_integer_tokens_are_parse_errors(capsys, argv, message):
     code, out, err = run(capsys, *argv)

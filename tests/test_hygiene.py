@@ -1,8 +1,10 @@
-"""Tooling checks over the package source: traced bindings, unused imports
-and asserts in public functions."""
+"""Tooling checks over the package source: traced bindings, unused imports,
+asserts in public functions and the README's budget table."""
 
 import ast
+import importlib
 import importlib.util
+import re
 from pathlib import Path
 from types import ModuleType
 
@@ -109,3 +111,33 @@ def test_no_assert_in_public_functions():
     paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
     found = [a for path in paths for a in _public_asserts(path)]
     assert not found, f"asserts in public functions: {found}"
+
+
+def _budget_rows() -> list[tuple[str, str, str]]:
+    """(module, constant, value cell) of each row of the README's budget table
+    that names a constant."""
+    rows = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        m = re.match(r"\| `(\w+)\.(MAX_\w+)` \| ([^|]*)\|", line)
+        if m:
+            rows.append((m[1], m[2], m[3].strip()))
+    return rows
+
+
+def test_readme_budget_table_matches_the_code():
+    # each row states its constant's value, and each constant has a row
+    rows = _budget_rows()
+    for module, name, cell in rows:
+        stated = re.match(r"[\d,]+", cell)
+        assert stated, f"{module}.{name}: no value in {cell!r}"
+        actual = getattr(importlib.import_module(f"hadpi.{module}"), name, None)
+        assert actual == int(stated[0].replace(",", "")), f"{module}.{name} is {actual}"
+    defined = set()
+    for path in (ROOT / "src" / "hadpi").glob("*.py"):
+        for node in ast.parse(path.read_text()).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            defined.update(
+                (path.stem, t.id) for t in targets
+                if isinstance(t, ast.Name) and t.id.startswith("MAX_")
+            )
+    assert defined == {(module, name) for module, name, _ in rows}

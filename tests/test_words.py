@@ -237,6 +237,9 @@ def test_long_integer_tokens_are_word_errors():
         parse_word(f"n=3 X[1,{nines}]")
     with pytest.raises(WordError, match="line 1: the position has more than 18 digits"):
         parse_derivation(f"step a3 L->R at {nines} with a=1,b=2")
+    # the caller names the line text starts on, as derive-check does for a file
+    with pytest.raises(WordError, match="line 7: the index a has more than 18 digits"):
+        parse_derivation(f"# comment\nstep a3 L->R at 0 with a={nines},b=2", first=6)
     # leading zeros are not digits of the value
     assert parse_word("n=3 Z[" + "0" * 30 + "2]") == Word(3, (gen_z(2),))
 
