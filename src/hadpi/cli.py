@@ -31,6 +31,7 @@ from .lang import (
     typecheck,
 )
 from .linalg import LinAlgError, format_matrix, parse_matrix
+from .ring import parse_natural
 from .synthesis import (
     SynthesisError,
     _trace_word,
@@ -149,6 +150,8 @@ def cmd_equiv(args) -> int:
         c1, c2 = _term_arg(args.a, args.lang), _term_arg(args.b, args.lang)
         try:
             b = _source_type(args, c1)
+        except BudgetError:
+            raise  # past a budget, c2 cannot stand in for c1
         except LangError:
             b = infer_source(c2)
         decide, inputs = term_equivalence, (c1, c2, b, args.lang)
@@ -221,25 +224,13 @@ def cmd_translate(args) -> int:
 
 
 def cmd_derive_check(args) -> int:
-    lines = [raw.strip() for raw in _read_input(args.derivation).splitlines()]
-    # indices of the lines that are neither blank nor comments
-    body = [i for i, ln in enumerate(lines) if ln and not ln.startswith("#")]
-    if len(body) < 2 or not all(lines[i].startswith("n=") for i in (body[0], body[-1])):
-        raise UsageError(
-            "derivation file needs a word on the first and last line, steps between"
-        )
-    first, last = body[0], body[-1]
-    start, final = _parsed(parse_word, lines[first]), _parsed(parse_word, lines[last])
-    # errors number lines as the file does: the steps start on line first + 2
-    steps = _parsed(
-        functools.partial(parse_derivation, first=first + 2), "\n".join(lines[first + 1 : last])
-    )
-    for w in replay(start, steps):
+    d = _parsed(parse_derivation, _read_input(args.derivation))
+    for w in replay(d.start, d.steps):
         if args.trace:
             print(format_word(w))
-    if w != final:
+    if w != d.final:
         raise WordError(f"final word differs: got {format_word(w)}")
-    print(f"ok: {len(steps)} steps verified, final word matches")
+    print(f"ok: {len(d.steps)} steps verified, final word matches")
     return 0
 
 
@@ -252,16 +243,14 @@ MAX_RELATIONS_N = 8
 
 
 def _count(low: int, high=None):
-    """argparse type: an integer in [low, high]."""
+    """argparse type: a count in [low, high]."""
 
     def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-        if value < low or (high is not None and value > high):
+        # a minus sign is read only to say that the value is out of range
+        value = parse_natural(text.removeprefix("-"), repr(text), argparse.ArgumentTypeError)
+        if text.startswith("-") or value < low or (high is not None and value > high):
             bound = f"at least {low}" if high is None else f"between {low} and {high}"
-            raise argparse.ArgumentTypeError(f"{value} is out of range: must be {bound}")
+            raise argparse.ArgumentTypeError(f"{text} is out of range: must be {bound}")
         return value
 
     return parse
@@ -330,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--from", dest="from_", required=True, choices=["qpi", "hpi", "words"])
     p.add_argument("--to", required=True, choices=["qpi", "hpi", "words", "term"])
-    p.add_argument("--in-type", default=None, help="source type; inferred if omitted")
+    typed(p, with_lang=False)
     p.set_defaults(func=cmd_translate)
 
     p = sub.add_parser("derive-check", help="replay a relation derivation file")

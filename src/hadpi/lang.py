@@ -715,11 +715,6 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
     return equivalence(_apply(ops1, hdim(input)), _apply(ops2, hdim(input)))
 
 
-def equiv_terms(c1: Term, c2: Term, input: ValueType, lang: str = "qpi") -> bool:
-    """Decide whether two programs of the same type are extensionally equal."""
-    return term_equivalence(c1, c2, input, lang).equal
-
-
 # ---------------------------------------------------------------------------
 # syntactic inverse
 
@@ -790,14 +785,23 @@ GATE_CH = ctrl(GATE_H)
 GATE_CCX = ctrl(GATE_CX)
 
 
+def _at_tail(c: Term, m: int) -> Term:
+    """id + (id + ... (id + c)) with m ids: c on a right-associated sum of 1
+    past its first m coordinates."""
+    ident = Prim("id")
+    for _ in range(m):
+        c = SumC(ident, c)
+    return c
+
+
 def _adj(k: int, n: int) -> Term:
     # swap coordinates k and k+1 of the right-associated n-fold sum of 1
     assert 1 <= k < n
-    if k > 1:
-        return SumC(Prim("id"), _adj(k - 1, n - 1))
-    if n == 2:
-        return Prim("swap+")
-    return seqs(Prim("assocl+"), SumC(Prim("swap+"), Prim("id")), Prim("assocr+"))
+    if k == n - 1:
+        swap = Prim("swap+")
+    else:
+        swap = seqs(Prim("assocl+"), SumC(Prim("swap+"), Prim("id")), Prim("assocr+"))
+    return _at_tail(swap, k - 1)
 
 
 def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
@@ -830,7 +834,7 @@ MAX_TERM_LEAVES = 100_000
 
 # names longest first, so that factorz is not read as factor
 _NAMES = sorted([*_RULES, "factorz"], key=len, reverse=True)
-_TOKEN_RE = re.compile("(" + "|".join(map(re.escape, _NAMES)) + r"|\d+|[;+*^(){}])")
+_TOKEN_RE = re.compile("(" + "|".join(map(re.escape, _NAMES)) + r"|[0-9]+|[;+*^(){}])")
 
 
 def _tokenize(text: str, what: str) -> list[tuple[str, int]]:

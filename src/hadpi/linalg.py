@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from ._core import kron_nums, mat_mul_nums, reduce_nums
-from .ring import RingInt, format_ringint, parse_ringint
+from .ring import RingInt, format_ringint, parse_natural, parse_ringint
 
 SQRT2 = 2.0**0.5
 
@@ -351,15 +351,12 @@ def parse_matrix(text: str) -> ExactMatrix:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2 or not lines[0].startswith("dim ") or not lines[1].startswith("lde "):
         raise LinAlgError("expected 'dim <n>' then 'lde <k>' header lines")
-    try:
-        n = int(lines[0][4:])
-        k = int(lines[1][4:])
-    except ValueError as exc:
-        raise LinAlgError(f"bad matrix header: {exc}") from None
+    n = parse_natural(lines[0][4:].strip(), "the dimension", LinAlgError)
+    k = parse_natural(lines[1][4:].strip(), "the lde", LinAlgError)
     if n > MAX_DIM:
         raise LinAlgError(f"dimension {n} is past the limit of {MAX_DIM} (MAX_DIM)")
-    if n < 0 or k < 0 or len(lines) != 2 + n:
-        raise LinAlgError(f"expected {max(n, 0)} rows after the header")
+    if len(lines) != 2 + n:
+        raise LinAlgError(f"expected {n} rows after the header")
     aa = [0] * (n * n)
     bb = [0] * (n * n)
     for i, ln in enumerate(lines[2:]):

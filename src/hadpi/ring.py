@@ -1,9 +1,10 @@
-"""Elements of the ring Z[rt2] and their text form.
+"""Elements of the ring Z[rt2], and the text form of numbers.
 
 An element is a pair (a, b) standing for a + b*rt2.  Exact scalars of
 Z[1/rt2] are never boxed one at a time: the package carries them as rows
 of such numerators over a shared power of rt2 (see linalg), and this module
-only reads and writes the numerators of the matrix dump format.
+only reads and writes the numerators of the matrix dump format.  It also
+holds parse_natural, the one reader of the counts in every input format.
 """
 
 from __future__ import annotations
@@ -23,11 +24,24 @@ class RingInt(NamedTuple):
     b: int
 
 
+def parse_natural(digits: str, what: str, error: type[Exception]) -> int:
+    """The count written in digits; raises the caller's error class, naming
+    what.  A count is ASCII digits only: int() also takes a sign,
+    underscores, spaces and the digits of other scripts."""
+    if not (digits.isascii() and digits.isdigit()):
+        raise error(f"{what} is not a natural number")
+    # int() refuses texts of over 4,300 digits; no count that fits in
+    # memory has more than 18
+    if len(digits.lstrip("0")) > 18:
+        raise error(f"{what} has more than 18 digits")
+    return int(digits)
+
+
 _RINGINT_RE = re.compile(
     r"""^\s*
-    (?:(?P<a>[+-]?\d+)(?!\s*\*|\d))?         # unit part, not followed by '*'
+    (?:(?P<a>[+-]?[0-9]+)(?!\s*\*|[0-9]))?   # unit part, not followed by '*'
     \s*
-    (?:(?P<sb>[+-])?\s*(?:(?P<b>\d+)\s*\*\s*)?(?P<rt>rt2))?
+    (?:(?P<sb>[+-])?\s*(?:(?P<b>[0-9]+)\s*\*\s*)?(?P<rt>rt2))?
     \s*$""",
     re.VERBOSE,
 )

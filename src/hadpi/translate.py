@@ -26,6 +26,7 @@ from .lang import (
     ValueType,
     Zero,
     _Walk,
+    _at_tail,
     _depth_limit,
     _spine,
     _swap_prod_perm,
@@ -42,7 +43,7 @@ from .lang import (
 from .lang import typecheck  # noqa: F401
 from .linalg import ExactMatrix, Generator, gen_h, gen_z
 from .synthesis import hpermute
-from .words import Word, WordError, embed, shift
+from .words import Word, _check, embed, shift
 
 _ID = Prim("id")
 
@@ -161,11 +162,7 @@ def _w_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -
     # one copy of the word of c per basis vector of b, shifted blockwise
     w = _w(c, cb, walk, done)
     d = hdim(cb)
-    gens = []
-    for i in range(hdim(b)):
-        s = i * d
-        gens.extend(Generator(g.kind, tuple(t + s for t in g.idx)) for g in w.gens)
-    return Word(hdim(b) * d, tuple(gens))
+    return Word(hdim(b) * d, tuple(g for i in range(hdim(b)) for g in shift(w, i * d).gens))
 
 
 # ---------------------------------------------------------------------------
@@ -174,10 +171,8 @@ def _w_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -
 
 def t_q(w: Word) -> Term:
     """Program over nsum(w.n) denoting the same matrix as w."""
+    _check(w)
     n = w.n
-    for g in w.gens:
-        if not all(1 <= i <= n for i in g.idx):
-            raise WordError(f"generator {g} out of range for n={n}")
     # the generators share their adjacent swaps and their neg1 and had
     # tails, so that lowering the program walks each of them once
     rungs: dict[int, Term] = {}
@@ -188,25 +183,11 @@ def t_q(w: Word) -> Term:
     return seqs(*parts)
 
 
-def _at_last(c: Term, n: int) -> Term:
-    # c on the deepest right summand of nsum(n)
-    if n == 1:
-        return c
-    return SumC(_ID, _at_last(c, n - 1))
-
-
-def _at_last_two(c: Term, n: int) -> Term:
-    # c on the deepest 1+1 tail of nsum(n)
-    if n == 2:
-        return c
-    return SumC(_ID, _at_last_two(c, n - 1))
-
-
 def _t_gen(g: Generator, n: int, rungs: dict[int, Term], tails: dict[str, Term]) -> Term:
     if g.kind == "Z":
         move = swap_plus_at(g.idx[0], n, n, rungs)
         if "Z" not in tails:
-            tails["Z"] = _at_last(Prim("neg1"), n)
+            tails["Z"] = _at_tail(Prim("neg1"), n - 1)
         return seqs(move, tails["Z"], move)
     if g.kind == "X":
         return swap_plus_at(g.idx[0], g.idx[1], n, rungs)
@@ -216,7 +197,7 @@ def _t_gen(g: Generator, n: int, rungs: dict[int, Term], tails: dict[str, Term])
     outer = swap_plus_at(c, n, n, rungs)
     inner = swap_plus_at(b, n - 1, n, rungs)
     if "H" not in tails:
-        tails["H"] = _at_last_two(Prim("had"), n)
+        tails["H"] = _at_tail(Prim("had"), n - 2)
     return seqs(outer, inner, tails["H"], inner, outer)
 
 

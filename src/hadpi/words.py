@@ -1,11 +1,11 @@
-"""Words over the generators, the relation catalog, and word equivalence.
+"""Words over the generators, the relation catalog, and derivations.
 
 A word reads left to right as G1 G2 ... Gl and denotes the matrix product
 in that order.  The catalog lists every axiomatic identity between words
 as index-schematic data; instantiating a schematic with distinct concrete
 indices yields two words with equal semantics.  Derivations are sequences
-of such rewrite steps, and equivalence of words is decided canonically by
-comparing synthesized normal forms.
+of such rewrite steps; this module replays them and reads and writes their
+file format.  Equivalence of words is decided in synthesis.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ import re
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import MAX_DIM, ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
+from .ring import parse_natural
 
 # re-exported unused: hadpibench/tracing.py patches these bindings
 from .linalg import apply_generator_rows, m_level_embed  # noqa: F401
@@ -225,46 +226,18 @@ def replay(w0: Word, steps: Iterable[DerivationStep]) -> Iterator[Word]:
         yield w0
 
 
-def check_derivation(w0: Word, steps: Sequence[DerivationStep], w_final: Word) -> bool:
-    """Run the steps from w0; true iff the result is exactly w_final."""
-    for last in replay(w0, steps):
-        pass
-    return last == w_final
-
-
-def words_equiv(w1: Word, w2: Word) -> bool:
-    """Decide [[w1]] = [[w2]] by comparing canonical normal forms."""
-    from .synthesis import word_equivalence
-
-    return word_equivalence(w1, w2).equal
-
-
 # Text formats: a word is "n=<dim>" followed by generator tokens; the
-# empty word prints as eps.  A derivation file holds one step per line.
+# empty word prints as eps.  A derivation file holds the start word, one
+# step per line, and the final word.
 
 _GEN_TOKEN_RE = re.compile(r"^([ZXH])\[(\d+)(?:,(\d+))?\]$")
-
-
-def _natural(digits: str, what: str) -> int:
-    # ASCII digits only: int() also takes a sign, underscores, spaces and the
-    # digits of other scripts
-    if not (digits.isascii() and digits.isdigit()):
-        raise WordError(f"{what} is not a natural number")
-    # int() refuses texts of over 4,300 digits; no index or position in a
-    # word that fits in memory has more than 18
-    if len(digits.lstrip("0")) > 18:
-        raise WordError(f"{what} has more than 18 digits")
-    return int(digits)
 
 
 def parse_word(text: str) -> Word:
     toks = text.split()
     if not toks or not toks[0].startswith("n="):
         raise WordError("word must start with its dimension, n=<dim>")
-    try:
-        n = int(toks[0][2:])
-    except ValueError:
-        raise WordError(f"bad dimension {toks[0]!r}") from None
+    n = parse_natural(toks[0][2:], "the dimension", WordError)
     if n < 1:
         raise WordError("dimension must be at least 1")
     if n > MAX_DIM:
@@ -276,7 +249,8 @@ def parse_word(text: str) -> Word:
         m = _GEN_TOKEN_RE.match(tok)
         if not m:
             raise WordError(f"bad generator token {tok!r}")
-        kind, i1, i2 = m.group(1), _natural(m.group(2), "a generator index"), m.group(3)
+        kind, i1, i2 = m.groups()
+        i1 = parse_natural(i1, "a generator index", WordError)
         if kind == "Z":
             if i2 is not None:
                 raise WordError(f"Z takes one index: {tok!r}")
@@ -284,7 +258,7 @@ def parse_word(text: str) -> Word:
         else:
             if i2 is None:
                 raise WordError(f"{kind} takes two indices: {tok!r}")
-            i2 = _natural(i2, "a generator index")
+            i2 = parse_natural(i2, "a generator index", WordError)
             if i2 == i1:
                 raise WordError(f"indices must differ: {tok!r}")
             idx = (i1, i2)
@@ -304,14 +278,26 @@ _STEP_RE = re.compile(
 )
 
 
-def parse_derivation(text: str, first: int = 1) -> list[DerivationStep]:
-    """The steps of a derivation's step lines; errors number text's first
-    line as line first."""
+class Derivation(NamedTuple):
+    """A derivation file: rewrite steps that should take start to final."""
+
+    start: Word
+    steps: tuple[DerivationStep, ...]
+    final: Word
+
+
+def parse_derivation(text: str) -> Derivation:
+    """Read a derivation file.  Blank lines and lines that start with # are
+    skipped; errors in a step name its line of the file."""
+    lines = [(lineno, line.strip()) for lineno, line in enumerate(text.splitlines(), start=1)]
+    body = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    if len(body) < 2 or not all(line.startswith("n=") for _, line in (body[0], body[-1])):
+        raise WordError(
+            "derivation file needs a word on the first and last line, steps between"
+        )
+    start, final = parse_word(body[0][1]), parse_word(body[-1][1])
     steps = []
-    for lineno, line in enumerate(text.splitlines(), start=first):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in body[1:-1]:
         m = _STEP_RE.match(line)
         if not m:
             raise WordError(f"line {lineno}: bad step syntax")
@@ -327,19 +313,20 @@ def parse_derivation(text: str, first: int = 1) -> list[DerivationStep]:
                 raise WordError(f"line {lineno}: bad binding {part!r}")
             if name not in rel.formals:
                 raise WordError(needs)
-            pairs[name] = _natural(val, f"line {lineno}: the index {name}")
+            pairs[name] = parse_natural(val, f"line {lineno}: the index {name}", WordError)
         if set(pairs) != set(rel.formals):
             raise WordError(needs)
         indices = tuple(pairs[f] for f in rel.formals)
-        pos = _natural(pos, f"line {lineno}: the position")
+        pos = parse_natural(pos, f"line {lineno}: the position", WordError)
         steps.append(DerivationStep(rel_id, direction, indices, pos))
-    return steps
+    return Derivation(start, tuple(steps), final)
 
 
-def format_derivation(steps: Sequence[DerivationStep]) -> str:
-    lines = []
-    for s in steps:
+def format_derivation(d: Derivation) -> str:
+    lines = [format_word(d.start)]
+    for s in d.steps:
         rel = RELATION_BY_ID[s.rel_id]
         asg = ",".join(f"{f}={i}" for f, i in zip(rel.formals, s.indices))
         lines.append(f"step {s.rel_id} {s.direction} at {s.pos} with {asg}")
+    lines.append(format_word(d.final))
     return "\n".join(lines)

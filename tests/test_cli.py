@@ -551,6 +551,14 @@ def test_relations_verify_rejects_out_of_range(capsys, args, rejected):
     assert cli.MAX_RELATIONS_N == 8
 
 
+@pytest.mark.parametrize("count", ["\u0663", "+3", "3_0", " 3", "3.0", "1" * 19])
+def test_relations_verify_reads_counts_as_ascii_digits(capsys, count):
+    # int() takes all but the last; a count option is ASCII digits only
+    code, out, err = run(capsys, "relations-verify", "--n", count, "--max-assignments", "1")
+    assert (code, out) == (2, "")
+    assert f"argument --n: {count!r} " in err
+
+
 def test_relations_verify_skips_below_arity(capsys):
     code, out, _ = run(capsys, "relations-verify", "--n", "3")
     assert code == 0

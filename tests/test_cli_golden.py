@@ -77,6 +77,7 @@ CASES: dict[str, tuple[list[str], str]] = {
     "equiv-targets-differ": (["equiv", "uniti+", "id", "--in-type", "1"], ""),
     "equiv-source-past-max-dim": (["equiv", " * ".join(["had"] * 12), "id"], ""),
     "equiv-language-gate": (["equiv", "had", "had", "--lang", "pi"], ""),
+    "equiv-budget-in-lhs": (["equiv", "neg1 ; uniti+^1000", "id"], ""),
     "equiv-words": (["equiv", "n=2 H[1,2] H[1,2]", "n=2 eps", "--kind", "word"], ""),
     "equiv-words-distinct": (["equiv", "n=2 H[1,2]", "n=2 X[1,2]", "--kind", "word"], ""),
     "equiv-words-dimensions-differ": (["equiv", "n=2 eps", "n=3 eps", "--kind", "word"], ""),
@@ -107,9 +108,19 @@ CASES: dict[str, tuple[list[str], str]] = {
     "derive-check-unknown-relation": derive(derivation("step q9 L->R at 0 with a=1")),
     "derive-check-bad-binding": derive(derivation("step a3 L->R at 0 with a=1,b")),
     "derive-check-missing-indices": derive(derivation("step a3 L->R at 0 with a=1")),
+    "derive-check-line-after-comments": derive(
+        "# a3 twice\n\n" + derivation(A3, "step zz", final="n=2 eps")
+    ),
     # integer tokens past what int() converts
     "long-generator-index": (["normalize", f"n=3 Z[{NINES}]", "--kind", "word"], ""),
     "long-step-position": derive(derivation(f"step a3 L->R at {NINES} with a=1,b=2")),
+    # counts in every format: ASCII digits, no sign or underscore
+    "count-word-dimension": (["normalize", "n=1_0 X[1,2]", "--kind", "word"], ""),
+    "count-matrix-dim": (["synth", "dim 0_2/lde 1/1 1/1 -1"], ""),
+    "count-matrix-lde": (["synth", "dim 2/lde +1/1 1/1 -1"], ""),
+    "count-matrix-entry": (["synth", "dim 1/lde 0/\u0661"], ""),
+    "count-term-power": (["check", "had^\u0663"], ""),
+    "count-relations-n": (["relations-verify", "--n", "\u0663"], ""),
     # one input per row of the README's budget table
     "budget-nesting-parse": (["check", "(" * 101 + "had" + ")" * 101], ""),
     "budget-nesting-growth": (["check", "neg1 ; uniti+^1000"], ""),

@@ -1,5 +1,6 @@
 """Tooling checks over the package source: traced bindings, unused imports,
-asserts in public functions and the README's budget table."""
+asserts in public functions, readers of counts and the README's budget
+table."""
 
 import ast
 import importlib
@@ -111,6 +112,37 @@ def test_no_assert_in_public_functions():
     paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
     found = [a for path in paths for a in _public_asserts(path)]
     assert not found, f"asserts in public functions: {found}"
+
+
+def _int_calls(path: Path) -> list[str]:
+    """module.function:line of each int(...) call, named by its innermost
+    enclosing function."""
+    out = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "int"
+        ):
+            out.append(f"{path.stem}.{fn}:{node.lineno}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text()), None)
+    return out
+
+
+def test_counts_are_read_by_one_reader():
+    # int() also takes a sign, underscores, spaces and other scripts' digits,
+    # so every count goes through ring.parse_natural; signed ring entries and
+    # the capped power of a term read their own digits
+    readers = {"ring.parse_natural", "ring.parse_ringint", "lang._parse_power"}
+    paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
+    found = [c for path in paths for c in _int_calls(path) if c.partition(":")[0] not in readers]
+    assert not found, f"int() outside the readers of counts: {found}"
 
 
 def _budget_rows() -> list[tuple[str, str, str]]:

@@ -200,6 +200,15 @@ def test_matrix_dump_round_trip():
         parse_matrix("dim 2\n1 0\n0 1")
     with pytest.raises(LinAlgError):
         parse_matrix("dim 2\nlde 0\n1 0\n0")
+    # int() reads each of these header counts; a count is ASCII digits only
+    for header, what in [("dim 0_2\nlde 1", "dimension"), ("dim +2\nlde 1", "dimension"),
+                         ("dim 2\nlde +1", "lde"), ("dim 2\nlde \u0661", "lde"),
+                         ("dim 2\nlde -1", "lde")]:
+        with pytest.raises(LinAlgError, match=f"^the {what} is not a natural number$"):
+            parse_matrix(header + "\n1 1\n1 -1")
+    assert parse_matrix("dim  2\nlde 01\n1 1\n1 -1") == gen_h(1, 2).matrix(2)
+    with pytest.raises(LinAlgError, match="entry 1: malformed ring element"):
+        parse_matrix("dim 1\nlde 0\n\u0661")
 
 
 def test_entry_and_float_view():

@@ -25,7 +25,7 @@ from hadpi.linalg import (
     gen_z,
     parse_matrix,
 )
-from hadpi.ring import RingError, RingInt, format_ringint, parse_ringint
+from hadpi.ring import RingError, RingInt, format_ringint, parse_natural, parse_ringint
 
 
 def rand_value(rng: random.Random) -> tuple[int, int, int]:
@@ -159,9 +159,23 @@ def test_parse_leniencies():
 
 
 def test_parse_rejects_malformed():
-    for bad in ["", "xyz", "1 2*rt2", "1/rt2", "1/rt2^-1", "2*rt2-1", "(1+rt2)"]:
+    # int() reads the digits of other scripts; an entry is ASCII digits only
+    for bad in ["", "xyz", "1 2*rt2", "1/rt2", "1/rt2^-1", "2*rt2-1", "(1+rt2)",
+                "\u0661", "1+\u0662*rt2", "1_0"]:
         with pytest.raises(RingError):
             parse_ringint(bad)
+
+
+def test_parse_natural_reads_ascii_digits_only():
+    assert parse_natural("0", "n", RingError) == 0
+    assert parse_natural("007", "n", RingError) == 7
+    assert parse_natural("0" * 40 + "9" * 18, "n", RingError) == 10**18 - 1
+    # int() takes every one of these
+    for bad in ["", "+1", "-1", "1_0", " 1", "1 ", "\u0663", "1\u0663"]:
+        with pytest.raises(RingError, match="^the count is not a natural number$"):
+            parse_natural(bad, "the count", RingError)
+    with pytest.raises(KeyError, match="the count has more than 18 digits"):
+        parse_natural("1" + "0" * 18, "the count", KeyError)
 
 
 def test_format_ringint_signs():

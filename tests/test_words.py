@@ -12,12 +12,12 @@ from hadpi.synthesis import word_equivalence
 from hadpi.words import (
     CATALOG,
     RELATION_BY_ID,
+    Derivation,
     DerivationStep,
     StepError,
     Word,
     WordError,
     apply_step,
-    check_derivation,
     embed,
     enumerate_assignments,
     format_derivation,
@@ -28,7 +28,6 @@ from hadpi.words import (
     shift,
     verify_relation,
     word_sem,
-    words_equiv,
 )
 
 
@@ -190,23 +189,28 @@ def test_apply_step_reversed_index_instantiation():
     assert rel.min_dim == 2
 
 
+def _last(w0, steps):
+    *_, last = replay(w0, steps)
+    return last
+
+
 def test_check_derivation():
     w = Word(2, ())
-    assert check_derivation(w, [], w)
+    assert _last(w, []) == w
     # grow then shrink: H H X X  ->  eps
     start = Word(2, (gen_h(1, 2), gen_h(1, 2), gen_x(1, 2), gen_x(1, 2)))
     steps = [
         DerivationStep("a3", "L->R", (1, 2), 0),
         DerivationStep("a2", "L->R", (1, 2), 0),
     ]
-    assert check_derivation(start, steps, Word(2, ()))
-    assert not check_derivation(start, steps, Word(2, (gen_z(1),)))
+    assert _last(start, steps) == Word(2, ())
+    assert _last(start, steps) != Word(2, (gen_z(1),))
     with pytest.raises(StepError, match="step 2"):
         bad = [
             DerivationStep("a3", "L->R", (1, 2), 0),
             DerivationStep("a3", "L->R", (1, 2), 0),
         ]
-        check_derivation(start, bad, Word(2, ()))
+        _last(start, bad)
 
 
 def test_replay_yields_each_word_and_names_the_failing_step():
@@ -220,7 +224,7 @@ def test_replay_yields_each_word_and_names_the_failing_step():
         next(trail)
     # an index error of the relation's instantiation names its step too
     with pytest.raises(StepError, match=r"^step 1: indices must lie in 1\.\.2: \[1, 3\]$"):
-        check_derivation(start, [a3._replace(indices=(1, 3))], start)
+        _last(start, [a3._replace(indices=(1, 3))])
 
 
 def test_word_equivalence_returns_the_normal_forms():
@@ -235,33 +239,33 @@ def test_long_integer_tokens_are_word_errors():
     nines = "9" * 5000
     with pytest.raises(WordError, match="a generator index has more than 18 digits"):
         parse_word(f"n=3 X[1,{nines}]")
-    with pytest.raises(WordError, match="line 1: the position has more than 18 digits"):
-        parse_derivation(f"step a3 L->R at {nines} with a=1,b=2")
-    # the caller names the line text starts on, as derive-check does for a file
-    with pytest.raises(WordError, match="line 7: the index a has more than 18 digits"):
-        parse_derivation(f"# comment\nstep a3 L->R at 0 with a={nines},b=2", first=6)
+    with pytest.raises(WordError, match="line 2: the position has more than 18 digits"):
+        parse_derivation(f"n=2 eps\nstep a3 L->R at {nines} with a=1,b=2\nn=2 eps")
+    # errors name the line of the file, comments and blank lines included
+    with pytest.raises(WordError, match="line 5: the index a has more than 18 digits"):
+        parse_derivation(f"# comment\n\nn=2 eps\n#\nstep a3 L->R at 0 with a={nines},b=2\nn=2 eps")
     # leading zeros are not digits of the value
     assert parse_word("n=3 Z[" + "0" * 30 + "2]") == Word(3, (gen_z(2),))
 
 
 def test_words_equiv():
-    assert words_equiv(Word(1, (gen_z(1), gen_z(1))), Word(1, ()))
-    assert not words_equiv(Word(2, (gen_h(1, 2),)), Word(2, (gen_x(1, 2),)))
+    assert word_equivalence(Word(1, (gen_z(1), gen_z(1))), Word(1, ())).equal
+    assert not word_equivalence(Word(2, (gen_h(1, 2),)), Word(2, (gen_x(1, 2),))).equal
     hx = (gen_h(1, 2), gen_x(1, 2))
-    assert words_equiv(Word(2, hx * 8), Word(2, ()))
-    assert not words_equiv(Word(2, hx * 4), Word(2, ()))
+    assert word_equivalence(Word(2, hx * 8), Word(2, ())).equal
+    assert not word_equivalence(Word(2, hx * 4), Word(2, ())).equal
     with pytest.raises(WordError):
-        words_equiv(Word(2, ()), Word(3, ()))
+        word_equivalence(Word(2, ()), Word(3, ()))
 
 
 def test_words_equiv_is_equivalence():
     rng = random.Random(239)
     ws = [rand_word(rng, 3, 12) for _ in range(8)]
     for w in ws:
-        assert words_equiv(w, w)
+        assert word_equivalence(w, w).equal
     for w1 in ws:
         for w2 in ws:
-            assert words_equiv(w1, w2) == words_equiv(w2, w1)
+            assert word_equivalence(w1, w2).equal == word_equivalence(w2, w1).equal
 
 
 def test_parse_and_format_word():
@@ -296,6 +300,10 @@ def test_parse_word_errors():
     ]:
         with pytest.raises(WordError):
             parse_word(bad)
+    # int() reads these as 10, 2, 3 and 2; a dimension is ASCII digits only
+    for bad in ["n=1_0 X[1,2]", "n=+2 eps", "n=\u0663 eps", "n= 2 eps", "n=2.0 eps"]:
+        with pytest.raises(WordError, match="^the dimension is not a natural number$"):
+            parse_word(bad)
 
 
 def test_word_format_round_trip_random():
@@ -306,19 +314,25 @@ def test_word_format_round_trip_random():
 
 
 def test_derivation_text_round_trip():
-    steps = [
+    steps = (
         DerivationStep("a3", "L->R", (1, 2), 0),
         DerivationStep("d4", "R->L", (1, 2, 3, 4, 5, 6), 7),
-    ]
-    text = format_derivation(steps)
-    assert text.splitlines()[0] == "step a3 L->R at 0 with a=1,b=2"
-    assert parse_derivation(text) == steps
-    assert parse_derivation("# comment\n\n" + text) == steps
+    )
+    d = Derivation(Word(6, (gen_z(1),)), steps, Word(6, ()))
+    text = format_derivation(d)
+    assert text.splitlines()[:2] == ["n=6 Z[1]", "step a3 L->R at 0 with a=1,b=2"]
+    assert text.splitlines()[-1] == "n=6 eps"
+    assert parse_derivation(text) == d
+    assert parse_derivation("# comment\n\n" + text + "\n# end\n") == d
     for bad in [
         "step a3 L->R at 0 with a=1",
         "step nope L->R at 0 with a=1,b=2",
         "step a3 up at 0 with a=1,b=2",
         "a3 L->R 0 a=1,b=2",
     ]:
-        with pytest.raises(WordError):
+        with pytest.raises(WordError, match="^line 3: "):
+            parse_derivation(f"# start\nn=2 eps\n{bad}\nn=2 eps")
+    # a word on the first and on the last line that is not a comment
+    for bad in ["", "n=2 eps", "step a3 L->R at 0 with a=1,b=2\nn=2 eps", "n=2 eps\n# n=2 eps"]:
+        with pytest.raises(WordError, match="needs a word on the first and last line"):
             parse_derivation(bad)
