@@ -8,7 +8,11 @@ Evaluation is exact and composition runs left to right, so the matrix of
 """
 
 from dataclasses import dataclass
+import functools
+import itertools
+import operator
 import re
+import weakref
 from typing import NamedTuple, Optional, Union
 
 from .linalg import MAX_DIM, ExactMatrix, Generator, RowState
@@ -30,70 +34,95 @@ class BudgetError(LangError):
 # value types
 
 
-@dataclass(frozen=True)
+# Types are hash-consed (Filliâtre and Conchon, "Type-safe modular
+# hash-consing", 2006): building a type returns the one live object with its
+# structure, so equal types are one object, and equality and hashing are
+# identity.  A pattern that holds a hole of inference or a rule variable (its
+# dim is None) is not interned.
+
+
 class Zero:
+    __slots__ = ()
     dim = 0
     depth = 0
+
+    def __new__(cls):
+        return ZERO
 
     def __repr__(self) -> str:
         return "Zero"
 
 
-@dataclass(frozen=True)
 class One:
+    __slots__ = ()
     dim = 1
     depth = 0
+
+    def __new__(cls):
+        return ONE
 
     def __repr__(self) -> str:
         return "One"
 
 
-@dataclass(frozen=True, init=False)
-class Sum:
-    left: "ValueType"
-    right: "ValueType"
+# (class, id(left), id(right)) -> a weak reference to the live type; a type
+# holds its parts, so their ids stay unique while it lives, and its entry
+# leaves the table when it dies
+_TYPES: dict = {}
 
-    def __init__(self, left: "ValueType", right: "ValueType"):
-        # Frozen, so the fields go straight into the instance dict.  dim and
-        # depth are not fields (equality, hashing and repr ignore them); dim
-        # is None while a child is a hole of inference or a rule variable.
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
+
+class _Pair:
+    """A sum or product type: immutable, and interned unless dim is None."""
+
+    __slots__ = ("left", "right", "dim", "depth", "__weakref__")
+
+    def __new__(cls, left: "ValueType", right: "ValueType"):
         l, r = getattr(left, "dim", None), getattr(right, "dim", None)
-        d["dim"] = None if l is None or r is None else l + r
+        if l is None or r is None:
+            key = None
+        else:
+            key = (cls, id(left), id(right))
+            ref = _TYPES.get(key)
+            if ref is not None and (t := ref()) is not None:
+                return t
+        t = object.__new__(cls)
+        put = object.__setattr__
+        put(t, "left", left)
+        put(t, "right", right)
+        put(t, "dim", None if key is None else cls._dim(l, r))
         l = 0 if left is None else left.depth
         r = 0 if right is None else right.depth
-        d["depth"] = (l if l > r else r) + 1
+        put(t, "depth", (l if l > r else r) + 1)
+        if key is not None:
+            _TYPES[key] = weakref.ref(t, functools.partial(_TYPES.pop, key))
+        return t
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"value types are immutable: cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # copies and pickles rebuild the interned type
+        return type(self), (self.left, self.right)
 
     def __repr__(self) -> str:
-        return f"Sum({self.left!r}, {self.right!r})"
+        return f"{type(self).__name__}({self.left!r}, {self.right!r})"
 
 
-@dataclass(frozen=True, init=False)
-class Prod:
-    left: "ValueType"
-    right: "ValueType"
+class Sum(_Pair):
+    __slots__ = ()
+    _dim = operator.add
 
-    def __init__(self, left: "ValueType", right: "ValueType"):
-        # Frozen, so the fields go straight into the instance dict; see Sum.
-        d = self.__dict__
-        d["left"] = left
-        d["right"] = right
-        l, r = getattr(left, "dim", None), getattr(right, "dim", None)
-        d["dim"] = None if l is None or r is None else l * r
-        l = 0 if left is None else left.depth
-        r = 0 if right is None else right.depth
-        d["depth"] = (l if l > r else r) + 1
 
-    def __repr__(self) -> str:
-        return f"Prod({self.left!r}, {self.right!r})"
+class Prod(_Pair):
+    __slots__ = ()
+    _dim = operator.mul
 
 
 ValueType = Union[Zero, One, Sum, Prod]
 
-ZERO = Zero()
-ONE = One()
+ZERO = object.__new__(Zero)
+ONE = object.__new__(One)
 TWO = Sum(ONE, ONE)
 
 # The nesting budget, past which parsing and typing raise LangError.  Each
@@ -275,7 +304,7 @@ def _compile(rule: _Rule):
     def visit(p, where: str) -> None:
         if type(p) is _Var:
             if p in at:  # met twice, as b3 in factor
-                tests.append(f"{at[p]} == {where}")
+                tests.append(f"{at[p]} is {where}")
             else:
                 at[p] = where
             return
@@ -478,34 +507,18 @@ def _place(
     return [o + j * stride for o in offs for j in local]
 
 
-def _reuse(entry: Optional[list], b: ValueType, limit: float) -> Optional[list]:
-    """The memo entry, in the chain from entry, recorded at an input equal to
-    b under a depth limit no larger than limit; None if there is none."""
-    while entry is not None:
-        sb = entry[1]
-        if entry[2] <= limit and (sb is b or sb == b):
-            if entry[8] is None:
-                entry[8] = entry[3] is sb or entry[3] == sb
-            # key the entry on this input object: a node that keeps its
-            # input type hands the object on, so that along a spine the
-            # next lookups match by identity, not level by level
-            entry[1] = b
-            return entry
-        entry = entry[9]
-    return None
-
-
 class _Walk:
     """A walk of c at input b in a language, no type deeper than limit
     (default _depth_limit(b)): dst is c's target type and, with emit, ops is
     its program of placed primitives.  The walk is kept for questions about
     the nodes of c (target).
 
-    Nodes other than primitives are memoized by identity: a node met again
-    at an equal input type and no tighter depth limit returns its recorded
-    target and re-emits its recorded ops at the new placement.  Paths are
-    tracked only when one is given, so only a failing walk pays for them:
-    it walks again with paths to name the failing subterm."""
+    Nodes other than primitives are memoized on node and input type
+    identity (equal types are one object): a node met again at its input
+    type and no tighter depth limit returns its recorded target and re-emits
+    its recorded ops at the new placement.  Paths are tracked only when one
+    is given, so only a failing walk pays for them: it walks again with
+    paths to name the failing subterm."""
 
     __slots__ = ("lang", "emit", "ops", "memo", "dst")
 
@@ -515,10 +528,9 @@ class _Walk:
         self.lang = lang
         self.emit = emit
         self.ops: list[tuple] = []
-        # id(node) -> [node, input, limit, target, offs, stride, start, end,
-        # whether target == input once the node is reused, the entry for the
-        # node's previous input or None]; holding the node keeps its id unique
-        self.memo: dict[int, list] = {}
+        # (id(node), id(input)) -> (node, input, limit, target, offs, stride,
+        # start, end); holding the node and the input keeps their ids unique
+        self.memo: dict[tuple, tuple] = {}
         if limit is None:
             limit = _depth_limit(b)
         if hdim(b) > MAX_DIM:
@@ -565,17 +577,16 @@ class _Walk:
                 raise _too_deep("factorz", path)
             return dst
 
-        key = id(c)
-        seen = self.memo.get(key)
-        if seen is not None:
-            entry = _reuse(seen, b, limit)
-            # a node walked with no copies (beside a 0 factor) recorded ops
-            # on no rows, which cannot be moved to rows: walk it again
-            if entry is not None and (entry[4] or not offs):
-                _, _, _, dst, soffs, sstride, start, end, kept, _ = entry
-                if start < end and offs:
-                    self._reemit(start, end, soffs, sstride, offs, stride)
-                return b if kept else dst
+        key = (id(c), id(b))
+        entry = self.memo.get(key)
+        # an entry recorded under a tighter depth limit serves any looser one;
+        # a node walked with no copies (beside a 0 factor) recorded ops on no
+        # rows, which cannot be moved to rows: walk it again
+        if entry is not None and entry[2] <= limit and (entry[4] or not offs):
+            _, _, _, dst, soffs, sstride, start, end = entry
+            if start < end and offs:
+                self._reemit(start, end, soffs, sstride, offs, stride)
+            return dst
         start = len(self.ops)
         if isinstance(c, Seq):
             # walk the whole spine iteratively: translated words compose
@@ -627,14 +638,14 @@ class _Walk:
             dst = b if ld is b.left and rd is b.right else Prod(ld, rd)
         else:
             raise _fail(path, f"not a term: {c!r}")
-        self.memo[key] = [c, b, limit, dst, offs, stride, start, len(self.ops), None, seen]
+        self.memo[key] = (c, b, limit, dst, offs, stride, start, len(self.ops))
         return dst
 
     def target(self, c: Term, b: ValueType) -> ValueType:
         """Target type of a node of a term this walk has checked, at input b."""
-        entry = _reuse(self.memo.get(id(c)), b, float("inf"))
+        entry = self.memo.get((id(c), id(b)))
         if entry is not None:
-            return b if entry[8] else entry[3]
+            return entry[3]
         return self.node(c, b, _depth_limit(b), None, [0], 1)
 
     def _reemit(self, start, end, offs0, stride0, offs, stride) -> None:
@@ -1105,29 +1116,39 @@ def _instance(p, env: dict):
     return type(p)(_instance(p.left, env), _instance(p.right, env))
 
 
-def _equate(a, b, what: str) -> None:
-    """Unify the input's pattern a with b, binding holes of b before those of a."""
+# Parts of a pattern may be shared (factor's b3 puts one part in two
+# places), so each walk over a pattern below visits a part once, or once per
+# tighter room, and not once per place.
+
+
+def _equate(a, b, what: str, done: set) -> None:
+    """Unify the input's pattern a with b, binding holes of b before those of
+    a; done holds the pairs of parts already unified."""
     a, b = _find(a), _find(b)
     if type(a) is _Hole and type(b) is not _Hole:
         a, b = b, a
     if a is b:
         return
     if type(b) is _Hole:
-        if b.room != _Hole.room and _holds(a, b, b.room, what):
-            p = _clip(_render_pattern(a))
+        if b.room != _Hole.room and _holds(a, b, b.room, what, {}):
+            p = _clip(a)
             raise LangError(f"cannot type {what}: the type ? would contain itself as {p}")
         b.to = a
     elif type(a) is not type(b):
-        p, q = _clip(_render_pattern(a)), _clip(_render_pattern(b))
+        p, q = _clip(a), _clip(b)
         raise LangError(f"cannot type {what}: {p} clashes with {q}")
     elif a.depth:
-        _equate(a.left, b.left, what)
-        _equate(a.right, b.right, what)
+        if (id(a), id(b)) in done:
+            return
+        done.add((id(a), id(b)))
+        _equate(a.left, b.left, what, done)
+        _equate(a.right, b.right, what, done)
 
 
-def _holds(t, h: _Hole, room, what: str) -> bool:
+def _holds(t, h: _Hole, room, what: str, seen: dict) -> bool:
     """Whether t holds the hole h.  t goes where room levels are left: a
-    deeper t raises, and each hole in t keeps the room left at its place."""
+    deeper t raises, and each hole in t keeps the room left at its place.
+    seen maps each part found not to hold h to the most room it had."""
     t = _find(t)
     if t is h:
         return True
@@ -1137,9 +1158,10 @@ def _holds(t, h: _Hole, room, what: str) -> bool:
         t.room = min(t.room, room)
         return False
     # a part with a dimension holds no hole
-    return t.dim is None and (
-        _holds(t.left, h, room - 1, what) or _holds(t.right, h, room - 1, what)
-    )
+    if t.dim is not None or seen.get(id(t), 0) >= room:
+        return False
+    seen[id(t)] = room
+    return _holds(t.left, h, room - 1, what, seen) or _holds(t.right, h, room - 1, what, seen)
 
 
 # a longer rendered pattern prints its first and last _PATTERN_ENDS
@@ -1147,19 +1169,40 @@ def _holds(t, h: _Hole, room, what: str) -> bool:
 _PATTERN_ENDS = 40
 
 
-def _clip(text: str) -> str:
-    if len(text) > 3 * _PATTERN_ENDS:
-        cut = len(text) - 2 * _PATTERN_ENDS
-        return f"{text[:_PATTERN_ENDS]}<{cut} characters>{text[-_PATTERN_ENDS:]}"
-    return text
+def _clip(p) -> str:
+    """The text of pattern p.  Parts of a pattern may be shared (factor's b3),
+    so the text may be exponentially long: it is measured from lengths
+    memoized per node, and only its ends are rendered."""
+    size = _text_length(p, {})
+    if size <= 3 * _PATTERN_ENDS:
+        return "".join(_chars(p, False))
+    head = "".join(itertools.islice(_chars(p, False), _PATTERN_ENDS))
+    tail = "".join(itertools.islice(_chars(p, True), _PATTERN_ENDS))[::-1]
+    return f"{head}<{size - 2 * _PATTERN_ENDS} characters>{tail}"
 
 
-def _render_pattern(p) -> str:
+def _text_length(p, done: dict) -> int:
+    p = _find(p)
+    if not p.depth:
+        return 1
+    size = done.get(id(p))
+    if size is None:
+        size = done[id(p)] = 3 + _text_length(p.left, done) + _text_length(p.right, done)
+    return size
+
+
+def _chars(p, backward: bool):
+    """The characters of the text of pattern p, from its end if backward."""
     p = _find(p)
     if not p.depth:  # 0, 1, or a hole or variable, which has no dim
-        return "?" if p.dim is None else str(p.dim)
-    op = "+" if isinstance(p, Sum) else "*"
-    return f"({_render_pattern(p.left)}{op}{_render_pattern(p.right)})"
+        yield "?" if p.dim is None else str(p.dim)
+        return
+    parts = ("(", p.left, "+" if isinstance(p, Sum) else "*", p.right, ")")
+    for part in reversed(parts) if backward else parts:
+        if type(part) is str:
+            yield part
+        else:
+            yield from _chars(part, backward)
 
 
 def _infer(c: Term, t, limit: int):
@@ -1179,25 +1222,30 @@ def _infer(c: Term, t, limit: int):
     elif isinstance(c, (SumC, ProdC)):
         shape, what = (Sum, "a sum") if isinstance(c, SumC) else (Prod, "a product")
         left, right = _Hole(), _Hole()
-        _equate(t, shape(left, right), what + " of terms")
+        _equate(t, shape(left, right), what + " of terms", set())
         left = _infer(c.left, _find(left), limit - 1)
         return shape(left, _infer(c.right, _find(right), limit - 1))
     else:
         raise LangError(f"not a term: {c!r}")
-    _equate(t, _instance(src, env), what)
+    _equate(t, _instance(src, env), what, set())
     out = t if dst is src else _instance(dst, env)
     if out.depth > limit:
         raise _too_deep(what, ())
     return out
 
 
-def _resolve(t):
-    """t with each bound hole replaced by what it is bound to."""
+def _resolve(t, done: dict):
+    """t with each bound hole replaced by what it is bound to; done holds the
+    parts resolved so far by id, as parts of a pattern may be shared."""
     t = _find(t)
     if t.dim is not None or not t.depth:
         return t
-    left, right = _resolve(t.left), _resolve(t.right)
-    return t if left is t.left and right is t.right else type(t)(left, right)
+    out = done.get(id(t))
+    if out is None:
+        left, right = _resolve(t.left, done), _resolve(t.right, done)
+        out = t if left is t.left and right is t.right else type(t)(left, right)
+        done[id(t)] = out
+    return out
 
 
 def infer_source(c: Term) -> ValueType:
@@ -1207,10 +1255,10 @@ def infer_source(c: Term) -> ValueType:
     source = _Hole()
     source.room = limit = _depth_limit(ZERO)
     _infer(c, source, limit)
-    source = _resolve(source)
+    source = _resolve(source, {})
     if source.dim is None:  # it still holds a hole
         raise LangError(
-            f"source type is ambiguous: inferred only {_clip(_render_pattern(source))};"
+            f"source type is ambiguous: inferred only {_clip(source)};"
             " supply it explicitly"
         )
     return source

@@ -98,13 +98,17 @@ class ExactMatrix:
         return self.transpose().matmul(self).is_identity()
 
     def to_float(self) -> list[list[float]]:
-        n, scale = self.n, SQRT2**-self.k
+        # an entry is p + q*rt2 with p, q dyadic: a/2^h and b/2^h for k = 2h,
+        # b/2^h and a/2^(h+1) for k = 2h+1.  The Galois conjugate of an
+        # orthogonal matrix is orthogonal, so |p| and |q| are at most 1, and
+        # integer true division rounds them correctly without overflow.
+        n, h = self.n, 2 ** (self.k // 2)
+        if self.k % 2 == 0:
+            ps, qs, qh = self.aa, self.bb, h
+        else:
+            ps, qs, qh = self.bb, self.aa, 2 * h
         return [
-            [
-                (self.aa[i * n + j] + self.bb[i * n + j] * SQRT2) * scale
-                for j in range(n)
-            ]
-            for i in range(n)
+            [ps[i * n + j] / h + qs[i * n + j] / qh * SQRT2 for j in range(n)] for i in range(n)
         ]
 
     def __eq__(self, other) -> bool:

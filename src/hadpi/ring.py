@@ -37,6 +37,11 @@ def parse_natural(digits: str, what: str, error: type[Exception]) -> int:
     return int(digits)
 
 
+# The most digits either part of a matrix entry may have: int() refuses a
+# longer text by default, with advice a user of the command line cannot
+# act on, and an entry is held to it whatever the interpreter's setting.
+MAX_ENTRY_DIGITS = 4300
+
 _RINGINT_RE = re.compile(
     r"""^\s*
     (?:(?P<a>[+-]?[0-9]+)(?!\s*\*|[0-9]))?   # unit part, not followed by '*'
@@ -53,6 +58,12 @@ def parse_ringint(text: str) -> RingInt:
     m = _RINGINT_RE.match(s)
     if not m or (m.group("a") is None and m.group("rt") is None):
         raise RingError(f"malformed ring element: {text!r}")
+    for part in (m.group("a"), m.group("b")):
+        if part is not None and len(part.lstrip("+-")) > MAX_ENTRY_DIGITS:
+            raise RingError(
+                f"ring element has a part of more than {MAX_ENTRY_DIGITS} digits"
+                " (MAX_ENTRY_DIGITS)"
+            )
     a = int(m.group("a")) if m.group("a") is not None else 0
     if m.group("rt") is None:
         b = 0

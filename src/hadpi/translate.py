@@ -89,22 +89,10 @@ def wsem(c: Term, input: ValueType) -> Word:
     return _w(c, input, _Walk(c, input, "qpi"), {})
 
 
-def _recall(done: dict, node: Term, key: tuple) -> tuple[list, object]:
-    """The result recorded in done for node at inputs equal to key, or None,
-    and the list that records node's results.  done maps id(node) to
-    [[node, key, result], ...]; holding the node keeps its id unique.  Keys
-    are tuples of types, compared element by element with `is`, then `==`."""
-    seen = done.setdefault(id(node), [])
-    for entry in seen:
-        if entry[1] == key:
-            entry[1] = key  # so that the next lookup matches by identity
-            return seen, entry[2]
-    return seen, None
-
-
 def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
-    # done (see _recall) holds the composite nodes met so far, so that a
-    # shared subterm is translated once per input type
+    # done maps (id(node), id(input)) to (node, input, word) for each
+    # composite node met so far, so that a shared subterm is translated once
+    # per input type; holding the node and the input keeps their ids unique
     n = hdim(b)
     if isinstance(c, Prim):
         name = c.name
@@ -117,10 +105,9 @@ def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
         return Word(n, ())
     if isinstance(c, Factorz):
         return Word(0, ())
-    key = (b,)
-    seen, word = _recall(done, c, key)
-    if word is not None:
-        return word
+    key = (id(c), id(b))
+    if (hit := done.get(key)) is not None:
+        return hit[-1]
     if isinstance(c, Seq):
         parts = []
         cur = b
@@ -147,7 +134,7 @@ def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
             word = Word(n, last.gens + second.gens + mid.gens + first.gens)
     else:
         raise LangError(f"not a term: {c!r}")
-    seen.append([c, key, word])
+    done[key] = (c, b, word)
     return word
 
 
@@ -236,7 +223,7 @@ def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
 
 
 def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
-    # done (see _recall) holds each composite node's translation per input
+    # done (see _w) holds each composite node's translation per input
     # type, and each id_b * c clause per (b, input type of c): id_b * c
     # translates c once per basis vector of b, and the copies are one
     # object, so lowering the output walks c's translation once
@@ -246,10 +233,9 @@ def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
         return SumC(_ID, c)
     if isinstance(c, Factorz):
         return SumC(_ID, c)
-    key = (b,)
-    seen, out = _recall(done, c, key)
-    if out is not None:
-        return out
+    key = (id(c), id(b))
+    if (hit := done.get(key)) is not None:
+        return hit[-1]
     if isinstance(c, Seq):
         parts = []
         cur = b
@@ -283,7 +269,7 @@ def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
             )
     else:
         raise LangError(f"not a term: {c!r}")
-    seen.append([c, key, out])
+    done[key] = (c, b, out)
     return out
 
 
@@ -299,11 +285,10 @@ def rank(b: ValueType) -> int:
 
 
 def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -> Term:
-    # keyed (b, cb) on c in done, which no (input,) key of _th on c equals
-    key = (b, cb)
-    seen, out = _recall(done, c, key)
-    if out is not None:
-        return out
+    # keyed (id(c), id(b), id(cb)) in done, longer than any key of _th
+    key = (id(c), id(b), id(cb))
+    if (hit := done.get(key)) is not None:
+        return hit[-1]
     r = rank(b)
     bl, br = getattr(b, "left", None), getattr(b, "right", None)
     if isinstance(b, Zero):
@@ -358,5 +343,5 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) 
             _th_id_times(reassoc, c, cb, walk, done),
             SumC(_ID, ProdC(Prim("assocl*"), _ID)),
         )
-    seen.append([c, key, out])
+    done[key] = (c, b, cb, out)
     return out

@@ -42,6 +42,21 @@ def derive(text: str, *flags: str) -> tuple[list[str], str]:
 
 A3 = "step a3 L->R at 0 with a=1,b=2"
 
+
+def factor_nest(k: int) -> str:
+    # factor's shared right factor makes the inferred source a pattern whose
+    # text grows 4x every two levels
+    term = "factor"
+    for _ in range(k):
+        term = f"factor ; swap* ; ({term}) * id"
+    return term
+
+
+# one round adds 2 to the lde; 1,500 rounds pass the float range
+LDE_3000 = (
+    "(assocl+ ; (had + id) ; assocr+ ; (id + had) ; assocl+ ; (swap+ + id) ; assocr+)^1500"
+)
+
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     # the README's examples
@@ -60,9 +75,12 @@ CASES: dict[str, tuple[list[str], str]] = {
     "check-ambiguous-source": (["check", "id"], ""),
     "check-language-gate": (["check", "neg1", "--lang", "hpi"], ""),
     "check-parse-error": (["check", "had ;"], ""),
+    "check-shared-pattern-14": (["check", factor_nest(14)], ""),
+    "check-shared-pattern-30": (["check", factor_nest(30)], ""),
     # sem
     "sem-sum": (["sem", "had + neg1"], ""),
     "sem-type-error": (["sem", "swap*", "--in-type", "1+1"], ""),
+    "sem-float-large-exponent": (["sem", LDE_3000, "--in-type", "1+(1+1)", "--float"], ""),
     # synth
     "synth-not-orthogonal": (["synth", "dim 2/lde 0/1 1/0 1"], ""),
     "synth-parse-error": (["synth", "dim x"], ""),
@@ -119,6 +137,7 @@ CASES: dict[str, tuple[list[str], str]] = {
     "count-matrix-dim": (["synth", "dim 0_2/lde 1/1 1/1 -1"], ""),
     "count-matrix-lde": (["synth", "dim 2/lde +1/1 1/1 -1"], ""),
     "count-matrix-entry": (["synth", "dim 1/lde 0/\u0661"], ""),
+    "count-matrix-entry-digits": (["synth", f"dim 1/lde 0/{NINES}"], ""),
     "count-term-power": (["check", "had^\u0663"], ""),
     "count-relations-n": (["relations-verify", "--n", "\u0663"], ""),
     # one input per row of the README's budget table

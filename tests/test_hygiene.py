@@ -1,6 +1,6 @@
 """Tooling checks over the package source: traced bindings, unused imports,
-asserts in public functions, readers of counts and the README's budget
-table."""
+asserts in public functions, readers of counts, and the README's budget and
+library layout tables."""
 
 import ast
 import importlib
@@ -173,3 +173,11 @@ def test_readme_budget_table_matches_the_code():
                 if isinstance(t, ast.Name) and t.id.startswith("MAX_")
             )
     assert defined == {(module, name) for module, name, _ in rows}
+
+
+def test_readme_library_layout_names_every_module():
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Library layout", 1)[1]
+    rows = set(re.findall(r"^\| `hadpi\.(\w+)`", table, re.MULTILINE))
+    modules = {p.stem for p in (ROOT / "src" / "hadpi").glob("*.py")} - {"__init__"}
+    assert modules <= rows, f"modules with no row in the library layout: {modules - rows}"

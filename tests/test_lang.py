@@ -1,5 +1,8 @@
 """Typing, semantics, and syntax of the combinator languages."""
 
+import copy
+import gc
+import pickle
 import random
 
 import pytest
@@ -396,6 +399,27 @@ def test_deep_inference_patterns_are_lang_errors(text):
         infer_source(parse_term(text))
 
 
+def _factor_nest(k: int) -> tuple[str, str]:
+    # t and its inverse u; factor's shared right factor makes the source of
+    # t a pattern whose text grows 4x every two levels
+    t, u = "factor", "dist"
+    for _ in range(k):
+        t, u = f"factor ; swap* ; ({t}) * id", f"({u}) * id ; swap* ; dist"
+    return t, u
+
+
+@pytest.mark.parametrize("form", [
+    "T",  # resolved and rendered
+    "(id * (T ; U)) + (id * id) ; factor",  # the occurs check walks the pattern
+    "(id * (T ; U)) + (id * (T ; U)) ; factor",  # two such patterns unify
+])
+def test_inference_visits_shared_parts_once(form):
+    # a tree walk of these patterns would visit about 4^15 parts
+    t, u = _factor_nest(30)
+    with pytest.raises(LangError, match=r"ambiguous: .*<\d+ characters>"):
+        infer_source(parse_term(form.replace("T", t).replace("U", u)))
+
+
 def test_long_error_paths_keep_their_ends():
     def fail_at(depth):
         path = ()
@@ -482,6 +506,48 @@ def test_evaluation_builds_no_dense_product(monkeypatch):
     b = Prod(TWO, Prod(TWO, TWO))
     assert sem(t_h(GATE_CCX, b), Sum(ONE, b)) == toffoli
     assert verify_relation(RELATION_BY_ID["d4"], (1, 2, 3, 4, 5, 6), 6)
+
+
+def test_equal_types_are_one_object():
+    assert parse_type("(1+1)*(1+1)") is Prod(TWO, TWO)
+    assert Sum(ONE, ONE) is TWO and Sum(ONE, TWO) is not Sum(TWO, ONE)
+    c = parse_term("dist ; (had * had + (neg1 * id ; swap* ; swap*)) ; factor")
+    source = infer_source(c)
+    assert source is parse_type("((1+1)+1)*(1+1)")
+    assert typecheck(c, parse_type("((1+1)+1)*(1+1)")).dst is source
+    # a walk memoized on type identity returns the target it recorded
+    assert typecheck(HXH, TWO).dst is TWO
+    four = Prod(TWO, TWO)
+    assert copy.deepcopy(four) is four and pickle.loads(pickle.dumps(four)) is four
+    assert copy.copy(ZERO) is ZERO and pickle.loads(pickle.dumps(ONE)) is ONE
+
+
+def test_types_are_immutable():
+    for t, field in ((TWO, "left"), (Prod(TWO, ONE), "dim"), (ZERO, "dim")):
+        with pytest.raises(AttributeError):
+            setattr(t, field, ONE)
+        with pytest.raises(AttributeError):
+            delattr(t, field)
+    assert TWO.left is ONE and TWO.dim == 2
+
+
+def test_patterns_with_holes_are_not_interned():
+    hole = hadpi.lang._Hole()
+    assert Sum(hole, ONE) is not Sum(hole, ONE)
+    assert Sum(None, ONE) is not Sum(None, ONE)
+    assert Sum(hole, ONE).dim is None
+
+
+def test_dropped_types_leave_the_table():
+    gc.collect()
+    size = len(hadpi.lang._TYPES)
+    deep = ZERO
+    for _ in range(500):
+        deep = Prod(Sum(deep, ZERO), ONE)
+    assert len(hadpi.lang._TYPES) == size + 1000
+    del deep
+    gc.collect()
+    assert len(hadpi.lang._TYPES) == size
 
 
 def test_type_holds_its_dimension():

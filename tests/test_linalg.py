@@ -221,6 +221,21 @@ def test_entry_and_float_view():
     assert abs(approx[1][1] + 2**-0.5) < 1e-12
 
 
+def test_float_view_of_a_large_exponent():
+    # lde 3000: rt2^3000 and the numerators are far past the float range,
+    # while every entry of an orthogonal matrix lies in [-1, 1]
+    state = RowState(ExactMatrix.identity(3))
+    state.apply_word([gen_h(1, 2), gen_h(2, 3), gen_x(1, 2)] * 1500)
+    m = state.snapshot()
+    assert m.k == 3000
+    approx = m.to_float()
+    for i in range(3):
+        for j in range(3):
+            x = FracRT2.of(m.aa[i * 3 + j], m.bb[i * 3 + j], m.k)
+            assert abs(approx[i][j] - (float(x.p) + float(x.q) * 2**0.5)) < 1e-12
+            assert abs(approx[i][j]) <= 1
+
+
 def test_matmul_padding_invariance():
     # multiplying by differently padded but equal operands gives equal results
     A = ExactMatrix(2, 0, [0, 1, 1, 0], [0] * 4)
