@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from ._core import kron_nums, mat_mul_nums, reduce_nums
-from .ring import RingInt, format_ringint, parse_natural, parse_ringint
+from .ring import RingError, RingInt, format_ringint, parse_natural, parse_ringint
 
 SQRT2 = 2.0**0.5
 
@@ -246,7 +246,7 @@ def _column(
 
 
 def apply_generator_rows(
-    g: Generator, ks: list[int], aa: list[int], bb: list[int], n: int
+    g: Generator, ks: list[int], aa: list[int], bb: list[int], n: int, width: int = 0
 ) -> None:
     """Left-multiply the row state by g in place: row i is
     rt2^-ks[i] * (aa + bb*rt2) over entries i*n .. i*n+n-1.
@@ -254,15 +254,19 @@ def apply_generator_rows(
     Z negates a row, X swaps two rows with their exponents, H sends rows
     (r1, r2) to ((r1+r2)/rt2, (r1-r2)/rt2).  Only those rows change, and
     each keeps its own least exponent, so every generator costs O(n).
+
+    A width of w > 0 edits only the first w entries of each row: exact when
+    the caller vouches that the rows g touches are zero past entry w.
     """
+    w = width or n
     i1 = g.idx[0] - 1
-    s1 = slice(i1 * n, i1 * n + n)
+    s1 = slice(i1 * n, i1 * n + w)
     if g.kind == "Z":
         aa[s1] = [-a for a in aa[s1]]
         bb[s1] = [-b for b in bb[s1]]
         return
     i2 = g.idx[1] - 1
-    s2 = slice(i2 * n, i2 * n + n)
+    s2 = slice(i2 * n, i2 * n + w)
     if g.kind == "X":
         aa[s1], aa[s2] = aa[s2], aa[s1]
         bb[s1], bb[s2] = bb[s2], bb[s1]
@@ -315,10 +319,14 @@ class RowState:
         """Column j (1-based) with its own least exponent."""
         return _column(self.n, self.ks, self.aa, self.bb, j)
 
-    def apply_word(self, gens: Sequence[Generator]) -> None:
-        """Left-multiply by the word's matrix: rightmost generator acts first."""
+    def apply_word(self, gens: Sequence[Generator], width: int = 0) -> None:
+        """Left-multiply by the word's matrix: rightmost generator acts first.
+
+        A width w > 0 edits the first w entries of each row only, which is
+        exact when every row the word touches is zero past entry w.
+        """
         for g in reversed(gens):
-            apply_generator_rows(g, self.ks, self.aa, self.bb, self.n)
+            apply_generator_rows(g, self.ks, self.aa, self.bb, self.n, width)
 
     def permute(self, rows: Sequence[int], images: Sequence[int]) -> None:
         """Move row rows[t] to row images[t] (0-based); both list one row set."""
@@ -378,12 +386,16 @@ def parse_matrix(text: str) -> ExactMatrix:
 
 
 def format_matrix(M: ExactMatrix) -> str:
-    out = [f"dim {M.n}", f"lde {M.k}"]
-    for i in range(M.n):
-        out.append(
-            " ".join(
-                format_ringint(RingInt(M.aa[i * M.n + j], M.bb[i * M.n + j]))
-                for j in range(M.n)
-            )
-        )
+    """The dim/lde/rows dump format that parse_matrix reads; refuses an
+    entry that parse_matrix would refuse for its length."""
+    n = M.n
+    out = [f"dim {n}", f"lde {M.k}"]
+    for i in range(n):
+        row = []
+        for j in range(n):
+            try:
+                row.append(format_ringint(RingInt(M.aa[i * n + j], M.bb[i * n + j])))
+            except RingError as exc:
+                raise LinAlgError(f"row {i + 1} entry {j + 1}: {exc}") from None
+        out.append(" ".join(row))
     return "\n".join(out)

@@ -37,10 +37,13 @@ def parse_natural(digits: str, what: str, error: type[Exception]) -> int:
     return int(digits)
 
 
-# The most digits either part of a matrix entry may have: int() refuses a
-# longer text by default, with advice a user of the command line cannot
-# act on, and an entry is held to it whatever the interpreter's setting.
+# The most digits either part of a matrix entry may have, read or written:
+# int() and str() refuse a longer text by default, with advice a user of
+# the command line cannot act on, and an entry is held to it whatever the
+# interpreter's setting.
 MAX_ENTRY_DIGITS = 4300
+_TOO_LONG = f"ring element has a part of more than {MAX_ENTRY_DIGITS} digits (MAX_ENTRY_DIGITS)"
+_PAST_DIGITS = 10**MAX_ENTRY_DIGITS  # the least magnitude with one digit more
 
 _RINGINT_RE = re.compile(
     r"""^\s*
@@ -60,10 +63,7 @@ def parse_ringint(text: str) -> RingInt:
         raise RingError(f"malformed ring element: {text!r}")
     for part in (m.group("a"), m.group("b")):
         if part is not None and len(part.lstrip("+-")) > MAX_ENTRY_DIGITS:
-            raise RingError(
-                f"ring element has a part of more than {MAX_ENTRY_DIGITS} digits"
-                " (MAX_ENTRY_DIGITS)"
-            )
+            raise RingError(_TOO_LONG)
     a = int(m.group("a")) if m.group("a") is not None else 0
     if m.group("rt") is None:
         b = 0
@@ -78,6 +78,8 @@ def parse_ringint(text: str) -> RingInt:
 
 def format_ringint(x: RingInt) -> str:
     a, b = x
+    if not (-_PAST_DIGITS < a < _PAST_DIGITS and -_PAST_DIGITS < b < _PAST_DIGITS):
+        raise RingError(_TOO_LONG)
     if b == 0:
         return str(a)
     if a == 0:

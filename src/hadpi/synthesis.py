@@ -6,6 +6,15 @@ odd (residue 1 or 1+rt2 mod 2) and emits a Hadamard step that lowers the
 exponent; once the column is integral it is a signed basis vector, fixed
 by a signed transposition.  Every emitted syllable strictly decreases the
 level triple, which is what makes the output word canonical.
+
+The loop works on the active column j.  It keeps that column as
+numerators at its exponent, so a syllable updates it in O(1) and one O(n)
+reduction follows each drop of the exponent.  The columns above j are
+unit columns, zero in rows 1..j, so a syllable's row operations edit the
+first j entries of their rows: O(j) each.  The matrix is scanned once per
+fixed column, and after each signed transposition or each syllable that
+touches a row past j (which only a matrix that is not orthogonal has);
+every scan checks that the level went down.
 """
 
 from __future__ import annotations
@@ -26,7 +35,8 @@ from .linalg import (
 from . import words
 from .words import Word, WordError
 
-# re-exported unused: hadpibench/tracing.py patches these bindings
+# hadpibench/tracing.py patches these bindings; apply_generator_rows is
+# re-exported unused
 from .linalg import apply_generator_rows, reduce_nums  # noqa: F401
 
 
@@ -83,13 +93,14 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     syllables: list[Syllable] = []
     levels: list[Level] = []
     # the level names the column to fix next, j, and brings its numerators
-    # ca, cb scaled by rt2^k
+    # ca, cb scaled by rt2^k; odd lists the rows whose ca is odd
     current, ca, cb = _level_unchecked(work)
+    odd = _odd_rows(current.k, ca)
     initial = current
     while current.j:
-        j = current.j
-        if current.k > 0:
-            odd = [i for i in range(1, n + 1) if ca[i - 1] & 1]
+        j, k = current.j, current.k
+        lv = None
+        if k > 0:
             if not odd:
                 raise SynthesisError("positive exponent requires an odd entry")
             i1 = odd[0]
@@ -107,12 +118,33 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
                 gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
             else:
                 gens = [gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)]
-        work.apply_word(gens)
-        # A row operation changes a unit column c only if it touches row c,
-        # and every column above current.j is a unit column, so the scan
-        # may start at the higher of current.j and the top touched row.
-        top = max(current.j, *(i for g in gens for i in g.idx))
-        lv, ca, cb = _level_unchecked(work, top)
+        if k > 0 and i2 <= j:
+            # Every column above j is a unit column, zero in the rows up to
+            # j, so the syllable edits the first j entries of its rows only.
+            # In column j, X[1,i1] swaps entries 1 and i1 and H[1,i2] sends
+            # the odd pair to (x1 +- x2)/rt2, whose numerators at rt2^-k
+            # are b1 +- b2 and (a1 +- a2)/2: both a-parts are even.
+            work.apply_word(gens, j)
+            a1, b1, a2, b2 = ca[i1 - 1], cb[i1 - 1], ca[i2 - 1], cb[i2 - 1]
+            ca[i1 - 1], cb[i1 - 1] = ca[0], cb[0]
+            ca[0], cb[0] = b1 + b2, (a1 + a2) >> 1
+            ca[i2 - 1], cb[i2 - 1] = b1 - b2, (a1 - a2) >> 1
+            odd = [i for i in odd if i != i1 and i != i2]
+            if not odd:
+                k, ca, cb = reduce_nums(k, ca, cb)
+                odd = _odd_rows(k, ca)
+            # a column that became e_j is left to the scan below
+            if k or ca[j - 1] != 1 or ca.count(0) + cb.count(0) != 2 * n - 1:
+                lv = Level(j, k, len(odd))
+        else:
+            work.apply_word(gens)
+        if lv is None:
+            # A row operation changes a unit column c only if it touches row
+            # c, and every column above j is a unit column, so the scan may
+            # start at the higher of j and the top touched row.
+            top = max(j, *(i for g in gens for i in g.idx))
+            lv, ca, cb = _level_unchecked(work, top)
+            odd = _odd_rows(lv.k, ca)
         if not lv < current:
             raise SynthesisError(f"syllable did not lower the level: {lv} !< {current}")
         current = lv
@@ -121,6 +153,12 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     if not work.snapshot().is_identity():
         raise SynthesisError("synthesis did not reach identity")
     return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))
+
+
+def _odd_rows(k: int, ca: list[int]) -> list[int]:
+    """The rows (1-based, ascending) of a column at exponent k > 0 whose
+    scaled a-part is odd; none at k = 0, where no row is paired."""
+    return [i for i, a in enumerate(ca, 1) if a & 1] if k else []
 
 
 def normal_form_word(M: ExactMatrix) -> Word:

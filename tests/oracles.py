@@ -129,22 +129,74 @@ def frac_eq(A, B) -> bool:
 
 def oracle_level(M) -> tuple[int, int, int]:
     """Level triple computed from the Fraction form, by the definition."""
-    F = frac_of_matrix(M)
+    return _frac_level(frac_of_matrix(M))[0]
+
+
+def _frac_level(F) -> tuple[tuple[int, int, int], list[FracRT2]]:
+    """Level triple of the Fraction matrix F, with the column it names
+    scaled by rt2^k into Z[rt2] (empty for the identity).  The columns are
+    read from n down; nothing is carried over from an earlier call."""
     n = len(F)
-    ident = frac_identity(n)
-    moved = [j for j in range(n) if [F[i][j] for i in range(n)] != [ident[i][j] for i in range(n)]]
-    if not moved:
-        return (0, 0, 0)
-    j = max(moved)
-    col = [F[i][j] for i in range(n)]
-    k = 0
-    while not all(x.in_z_rt2() for x in col):
-        col = [x.scaled_by_rt2_pow(1) for x in col]
-        k += 1
-    if k == 0:
-        return (j + 1, 0, 0)
-    odd = sum(1 for x in col if int(x.p) % 2 == 1)
-    return (j + 1, k, odd)
+    for j in reversed(range(n)):
+        col = [F[i][j] for i in range(n)]
+        if col == [FR_ONE if i == j else FR_ZERO for i in range(n)]:
+            continue
+        k = 0
+        while not all(x.in_z_rt2() for x in col):
+            col = [x.scaled_by_rt2_pow(1) for x in col]
+            k += 1
+        odd = sum(1 for x in col if int(x.p) % 2 == 1) if k else 0
+        return (j + 1, k, odd), col
+    return (0, 0, 0), []
+
+
+_HALF_RT2 = FracRT2(0, Fraction(1, 2))  # 1/rt2
+
+
+def oracle_synthesize(M):
+    """The synthesis algorithm run on Fractions, with full rows and the
+    level read afresh from the whole matrix after every syllable.
+
+    Returns (initial, syllables, levels): level triples, and each syllable
+    as a tuple of (kind, indices) generator pairs, 1-based.  A syllable
+    acts rightmost generator first.  While column j has exponent k > 0 it
+    is H[1,i2] X[1,i1] for the least odd row i1 and the next odd row i2
+    whose rt2-part has the same parity (H[1,i2] alone when i1 = 1); once
+    column j is a signed basis vector s*e_a, it is X[a,j] (a < j), with
+    Z[a] after it when s = -1, or Z[j] alone when a = j.  Only for
+    orthogonal M."""
+    F = [list(row) for row in frac_of_matrix(M)]
+    level, col = _frac_level(F)
+    initial, syllables, levels = level, [], []
+    while level[0]:
+        j, k, _ = level
+        if k:
+            odd = [i for i, x in enumerate(col, 1) if int(x.p) % 2 == 1]
+            i1 = odd[0]
+            i2 = next(i for i in odd[1:] if (col[i - 1].q - col[i1 - 1].q) % 2 == 0)
+            syl = (("H", (1, i2)),) if i1 == 1 else (("H", (1, i2)), ("X", (1, i1)))
+        else:
+            a = next(i for i, x in enumerate(col, 1) if x != FR_ZERO)
+            if a == j:
+                syl = (("Z", (j,)),)
+            elif col[a - 1] == FR_ONE:
+                syl = (("X", (a, j)),)
+            else:
+                syl = (("X", (a, j)), ("Z", (a,)))
+        for kind, idx in reversed(syl):
+            r = [i - 1 for i in idx]
+            if kind == "Z":
+                F[r[0]] = [-x for x in F[r[0]]]
+            elif kind == "X":
+                F[r[0]], F[r[1]] = F[r[1]], F[r[0]]
+            else:
+                top, bot = F[r[0]], F[r[1]]
+                F[r[0]] = [(x + y) * _HALF_RT2 for x, y in zip(top, bot)]
+                F[r[1]] = [(x - y) * _HALF_RT2 for x, y in zip(top, bot)]
+        level, col = _frac_level(F)
+        syllables.append(syl)
+        levels.append(level)
+    return initial, tuple(syllables), tuple(levels)
 
 
 def reduce_nums_stepwise(k: int, aa: list[int], bb: list[int]):

@@ -57,6 +57,9 @@ LDE_3000 = (
     "(assocl+ ; (had + id) ; assocr+ ; (id + had) ; assocl+ ; (swap+ + id) ; assocr+)^1500"
 )
 
+# 16,666 rounds of lde 2 give entries of over 4,300 digits within the leaf budget
+ENTRY_DIGITS = "((had + id) ; assocr+ ; (id + had) ; assocl+)^16666"
+
 # name -> (argv, stdin)
 CASES: dict[str, tuple[list[str], str]] = {
     # the README's examples
@@ -81,8 +84,11 @@ CASES: dict[str, tuple[list[str], str]] = {
     "sem-sum": (["sem", "had + neg1"], ""),
     "sem-type-error": (["sem", "swap*", "--in-type", "1+1"], ""),
     "sem-float-large-exponent": (["sem", LDE_3000, "--in-type", "1+(1+1)", "--float"], ""),
+    "sem-entry-digits": (["sem", ENTRY_DIGITS, "--in-type", "(1+1)+1"], ""),
     # synth
     "synth-not-orthogonal": (["synth", "dim 2/lde 0/1 1/0 1"], ""),
+    # column 2 is e_2, and column 1 pairs its odd row 1 with row 2
+    "synth-not-orthogonal-odd-row-below": (["synth", "-"], "dim 2\nlde 1\n1 0\n1 rt2\n"),
     "synth-parse-error": (["synth", "dim x"], ""),
     # normalize
     "normalize-term": (["normalize", "had ; neg1 + id"], ""),

@@ -25,7 +25,14 @@ from hadpi.linalg import (
     gen_z,
     parse_matrix,
 )
-from hadpi.ring import RingError, RingInt, format_ringint, parse_natural, parse_ringint
+from hadpi.ring import (
+    MAX_ENTRY_DIGITS,
+    RingError,
+    RingInt,
+    format_ringint,
+    parse_natural,
+    parse_ringint,
+)
 
 
 def rand_value(rng: random.Random) -> tuple[int, int, int]:
@@ -182,6 +189,19 @@ def test_format_ringint_signs():
     assert format_ringint(RingInt(1, -2)) == "1-2*rt2"
     assert format_ringint(RingInt(-1, 2)) == "-1+2*rt2"
     assert format_ringint(RingInt(0, 1)) == "1*rt2"
+
+
+def test_entry_digits_are_bounded_both_ways():
+    # the longest part that parse_ringint reads is the longest that
+    # format_ringint writes
+    longest = 10**MAX_ENTRY_DIGITS - 1
+    for x in (RingInt(longest, 0), RingInt(3, -longest), RingInt(-longest, longest)):
+        assert parse_ringint(format_ringint(x)) == x
+    for x in (RingInt(longest + 1, 0), RingInt(0, -longest - 1)):
+        with pytest.raises(RingError, match=r"more than 4300 digits \(MAX_ENTRY_DIGITS\)"):
+            format_ringint(x)
+    with pytest.raises(RingError, match="more than 4300 digits"):
+        parse_ringint("1" + "0" * MAX_ENTRY_DIGITS)
 
 
 def test_random_format_round_trip():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from oracles import oracle_synthesize
+from test_synthesis_golden import CASES, golden_word
 
 from hadpi.linalg import ExactMatrix, Generator, Level, RowState, gen_h, gen_x, gen_z, level
 from hadpi.synthesis import (
@@ -180,3 +182,50 @@ def test_level_check_catches_a_disturbed_fixed_column(monkeypatch):
     monkeypatch.setattr(RowState, "apply_word", append_z3)
     with pytest.raises(SynthesisError, match="syllable did not lower the level"):
         synthesize(M)
+
+
+def test_level_check_catches_a_row_state_off_the_tracked_column(monkeypatch):
+    # column 4 is e_4 and column 3 is (-1, 0, 1, 0)/rt2: H[1,3] makes it
+    # -e_3, then Z[3] fixes it
+    block = ExactMatrix(3, 1, [1, 0, -1, 0, 0, 0, 1, 0, 1], [0, 0, 0, 0, -1, 0, 0, 0, 0])
+    M = block.direct_sum(ExactMatrix.identity(1))
+    assert [str(s) for s in synthesize(M).syllables] == ["H[1,3]", "Z[3]", "Z[2]"]
+    apply_word = RowState.apply_word
+    calls = []
+
+    def flip_row_1_first(self, gens, *width):
+        # Z[1] before H[1,3] sends column 3 to e_1 in the rows, where the
+        # column tracked from the syllable alone holds -e_3
+        if not calls:
+            gens.append(Generator("Z", (1,)))
+        calls.append(width)
+        apply_word(self, gens, *width)
+
+    monkeypatch.setattr(RowState, "apply_word", flip_row_1_first)
+    with pytest.raises(SynthesisError, match="syllable did not lower the level"):
+        synthesize(M)
+    assert calls[0] == (3,)  # the faulty syllable ran on the leading 3 columns
+
+
+def _plain(trace):
+    syllables = tuple(tuple((g.kind, g.idx) for g in syl.gens) for syl in trace.syllables)
+    return tuple(trace.initial), syllables, tuple(map(tuple, trace.levels))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_trace_matches_full_rescan_oracle(n):
+    # the oracle rescans every column after every syllable, on full rows
+    rng = random.Random(139 + n)
+    for _ in range(4):
+        if n == 1:
+            w = Word(1, (gen_z(1),) * rng.randint(0, 3))  # Z is the one generator at n=1
+        else:
+            w = rand_word(rng, n, 5 * n)
+        M = word_sem(w)
+        assert _plain(synthesize(M)) == oracle_synthesize(M)
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "n{}-len{}-seed{}".format(*c))
+def test_golden_trace_matches_full_rescan_oracle(case):
+    M = word_sem(golden_word(*case))
+    assert _plain(synthesize(M)) == oracle_synthesize(M)
