@@ -10,7 +10,7 @@ stdin when the argument is "-".
 import argparse
 import functools
 import sys
-from itertools import islice
+from itertools import islice, permutations
 from pathlib import Path
 
 from .lang import (
@@ -45,7 +45,6 @@ from .words import (
     CATALOG,
     Word,
     WordError,
-    enumerate_assignments,
     format_word,
     parse_derivation,
     parse_word,
@@ -176,7 +175,8 @@ def cmd_relations_verify(args) -> int:
             skipped += 1
             continue
         checked = 0
-        for indices in islice(enumerate_assignments(rel, args.n), args.max_assignments or None):
+        assignments = permutations(range(1, args.n + 1), len(rel.formals))
+        for indices in islice(assignments, args.max_assignments or None):
             if not verify_relation(rel, indices, args.n):
                 binding = ",".join(f"{f}={i}" for f, i in zip(rel.formals, indices))
                 print(f"FAIL {rel.id} at {binding}")
@@ -339,6 +339,9 @@ def main(argv=None) -> int:
         return 2
     except (LangError, WordError, LinAlgError, SynthesisError, TranslateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:  # a walk recurses once per nested sum or product of terms
+        print("error: the input nests past the interpreter's recursion limit", file=sys.stderr)
         return 1
 
 

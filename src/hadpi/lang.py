@@ -130,12 +130,15 @@ TWO = Sum(ONE, ONE)
 # one level.  Within one typecheck, sem or inference pass a type may grow
 # to MAX_NESTING levels past the deeper of its source and MAX_NESTING (see
 # _depth_limit): a long chain of uniti+ would otherwise build a type too
-# deep to print or compare, while a program built over a deeper source
-# still runs.  The parser spends at most six stack frames per level;
-# evaluation, inference, rendering and type comparison spend at most three
-# per level of a type, which a parsed source keeps within 200.  The deepest
-# case needs about 610 frames, inside the default recursion limit of 1000.
-# Every term t_q prints for a word with n <= 99 re-parses.
+# deep to print or unify, while a program built over a deeper source
+# still runs.  The parser spends at most six stack frames per level, and a
+# walk, inference, printing or unification at most three per level of a
+# term or type, which a parsed source keeps within 200; types compare by
+# identity, and terms compare, hash and print along seq chains without
+# recursing.  The deepest case needs about 610 frames, inside the default
+# recursion limit of 1000.  Every term t_q prints for a word with n <= 99
+# re-parses; t_q nests its term one level per coordinate, so near n = 1000
+# a walk of it passes the limit, which the command line reports as an error.
 MAX_NESTING = 100
 
 
@@ -151,11 +154,10 @@ def nsum(n: int) -> ValueType:
     """The n-fold sum of 1, associated to the right; nsum(0) is 0."""
     if n < 0:
         raise LangError("nsum needs a natural number")
-    if n == 0:
-        return ZERO
-    if n == 1:
-        return ONE
-    return Sum(ONE, nsum(n - 1))
+    out = ONE if n else ZERO
+    for _ in range(n - 1):
+        out = Sum(ONE, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,47 +182,54 @@ class Factorz:
         return f"Factorz({self.operand!r})"
 
 
+def _preorder(c: "Term"):
+    """The node classes and leaves of a term in pre-order, walked with an
+    explicit stack: composition chains and translated sums of terms nest far
+    past the recursion limit.  Two terms are equal exactly when their
+    sequences are, which is how Seq, SumC and ProdC compare and hash."""
+    stack = [c]
+    while stack:
+        c = stack.pop()
+        if type(c) in _COMPOSITES:
+            yield type(c)
+            stack += reversed(vars(c).values())  # the two fields, in order
+        else:
+            yield c
+
+
+def _term_eq(self, other) -> bool:
+    if type(other) is not type(self):
+        return NotImplemented
+    pairs = itertools.zip_longest(_preorder(self), _preorder(other))
+    return all(a is b or a == b for a, b in pairs)
+
+
+def _term_hash(self) -> int:
+    return hash(tuple(_preorder(self)))
+
+
 @dataclass(frozen=True)
 class Seq:
     fst: "Term"
     snd: "Term"
-
-    # compare and hash along the left spine iteratively: composition
-    # chains grow far past the interpreter recursion limit
-    def __eq__(self, other):
-        if other is self:
-            return True
-        if not isinstance(other, Seq):
-            return NotImplemented
-        a: "Term" = self
-        b: "Term" = other
-        while isinstance(a, Seq) and isinstance(b, Seq):
-            if a.snd != b.snd:
-                return False
-            a, b = a.fst, b.fst
-        if isinstance(a, Seq) or isinstance(b, Seq):
-            return False
-        return a == b
-
-    def __hash__(self):
-        h = 0
-        node: "Term" = self
-        while isinstance(node, Seq):
-            h = hash((h, node.snd))
-            node = node.fst
-        return hash((h, node))
+    __eq__, __hash__ = _term_eq, _term_hash
 
 
 @dataclass(frozen=True)
 class SumC:
     left: "Term"
     right: "Term"
+    __eq__, __hash__ = _term_eq, _term_hash
 
 
 @dataclass(frozen=True)
 class ProdC:
     left: "Term"
     right: "Term"
+    __eq__, __hash__ = _term_eq, _term_hash
+
+
+_COMPOSITES = (Seq, SumC, ProdC)
 
 
 Term = Union[Prim, Factorz, Seq, SumC, ProdC]
@@ -343,22 +352,11 @@ def primitives(lang: str) -> frozenset:
         raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
 
 
-class CombinatorType:
+class CombinatorType(NamedTuple):
     """Source and target of a well-typed term."""
 
-    __slots__ = ("src", "dst")
-
-    def __init__(self, src: ValueType, dst: ValueType):
-        self.src = src
-        self.dst = dst
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CombinatorType):
-            return NotImplemented
-        return self.src == other.src and self.dst == other.dst
-
-    def __repr__(self) -> str:
-        return f"CombinatorType({self.src!r}, {self.dst!r})"
+    src: ValueType
+    dst: ValueType
 
     def __str__(self) -> str:
         return f"{format_type(self.src)} <-> {format_type(self.dst)}"
@@ -1062,15 +1060,24 @@ def _render_term(c: Term, minlvl: int, done: dict) -> str:
     if out is not None:
         return out
     if isinstance(c, Seq):
-        # render the left spine iteratively; long chains are common
-        lvl = 1
-        parts = []
-        node: Term = c
-        while isinstance(node, Seq):
-            parts.append(_render_term(node.snd, 2, done))
-            node = node.fst
-        parts.append(_render_term(node, 1, done))
-        s = " ; ".join(reversed(parts))
+        # render the left spine iteratively; a last operand that is a seq
+        # not yet rendered (c^m nests to the right) continues the loop
+        # inside a parenthesis, so no chain recurses
+        lvl, parts, opened, node = 1, [], 0, c
+        while True:
+            last, node = node.snd, node.fst
+            spine = []
+            while isinstance(node, Seq):
+                spine.append(_render_term(node.snd, 2, done))
+                node = node.fst
+            spine.append(("(" if opened else "") + _render_term(node, 1, done))
+            parts += reversed(spine)
+            if not isinstance(last, Seq) or (id(last), 2) in done:
+                break
+            opened += 1
+            node = last
+        parts.append(_render_term(last, 2, done) + ")" * opened)
+        s = " ; ".join(parts)
     elif isinstance(c, SumC):
         lvl = 2
         s = _render_term(c.left, 3, done) + " + " + _render_term(c.right, 2, done)

@@ -153,7 +153,10 @@ def m_level_embed(small: ExactMatrix, rows: Sequence[int], n: int) -> ExactMatri
 
 
 class Level(NamedTuple):
-    """Synthesis progress measure, compared lexicographically."""
+    """Synthesis progress measure of an orthogonal matrix, compared
+    lexicographically, (0,0,0) exactly for the identity: j is the greatest
+    column moved by the matrix, k the least exponent of that column, and l
+    the number of odd residues in the scaled column (0 if k=0)."""
 
     j: int
     k: int
@@ -161,17 +164,6 @@ class Level(NamedTuple):
 
     def __str__(self) -> str:
         return f"({self.j},{self.k},{self.l})"
-
-
-def level(M: ExactMatrix) -> Level:
-    """Level triple of an orthogonal matrix; (0,0,0) exactly for identity.
-
-    j is the greatest column moved by M, k the least exponent of that
-    column, l the number of odd residues in the scaled column (0 if k=0).
-    """
-    if not M.is_orthogonal():
-        raise LinAlgError("level is defined for orthogonal matrices only")
-    return _level_unchecked(RowState(M))[0]
 
 
 def _level_unchecked(
@@ -197,23 +189,11 @@ def _level_unchecked(
     return Level(0, 0, 0), [], []
 
 
-# Generator matrices: the 1x1 sign flip and the 2x2 swap and Hadamard blocks.
-MINUS_ONE = ExactMatrix(1, 0, [-1], [0])
-X_BLOCK = ExactMatrix(2, 0, [0, 1, 1, 0], [0, 0, 0, 0])
-H_BLOCK = ExactMatrix(2, 1, [1, 1, 1, -1], [0, 0, 0, 0])
-
-
 class Generator(NamedTuple):
     """One- or two-level generator: Z[a], X[b,c] or H[b,c] with b < c."""
 
     kind: str
     idx: tuple[int, ...]
-
-    def matrix(self, n: int) -> ExactMatrix:
-        if self.kind == "Z":
-            return m_level_embed(MINUS_ONE, self.idx, n)
-        block = X_BLOCK if self.kind == "X" else H_BLOCK
-        return m_level_embed(block, self.idx, n)
 
     def __str__(self) -> str:
         return f"{self.kind}[{','.join(map(str, self.idx))}]"

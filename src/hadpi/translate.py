@@ -32,7 +32,6 @@ from .lang import (
     _swap_prod_perm,
     _swap_sum_perm,
     hdim,
-    nsum,
     sem,
     seqs,
     swap_plus_at,
@@ -72,12 +71,6 @@ class TranslationReport:
             want = ExactMatrix.identity(self.padding).direct_sum(want)
         if self.result_matrix != want:
             raise TranslateError("translation changed the semantics")
-
-    @property
-    def relation(self) -> str:
-        if self.padding == 0:
-            return "equal"
-        return f"padded-equal (identity prefix {self.padding})"
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +179,6 @@ def _t_gen(g: Generator, n: int, rungs: dict[int, Term], tails: dict[str, Term])
     if "H" not in tails:
         tails["H"] = _at_tail(Prim("had"), n - 2)
     return seqs(outer, inner, tails["H"], inner, outer)
-
-
-def roundtrip_check(c: Term, input: ValueType) -> TranslationReport:
-    """Send a program through wsem and t_q and re-verify the semantics."""
-    w = wsem(c, input)
-    back = t_q(w)
-    return TranslationReport(c, back, sem(c, input), sem(back, nsum(w.n)))
 
 
 # ---------------------------------------------------------------------------

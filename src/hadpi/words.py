@@ -153,13 +153,6 @@ def verify_relation(rel: Relation, indices: Sequence[int], n: int) -> bool:
     return word_sem(lhs) == word_sem(rhs)
 
 
-def enumerate_assignments(rel: Relation, n: int) -> Iterable[tuple[int, ...]]:
-    """All injective assignments of the relation's formals into 1..n."""
-    from itertools import permutations
-
-    return permutations(range(1, n + 1), len(rel.formals))
-
-
 def _normalize_token(kind: str, idx: tuple[int, ...]) -> tuple[Generator, ...]:
     """Canonical generators for a raw token; H[c,b] expands through (e2)."""
     if kind == "Z":

@@ -1,16 +1,20 @@
 """Independent exact oracles used across the test suite.
 
-Everything here works with Fractions in the form p + q*sqrt(2) and plain
-list-of-lists matrices.  Package values enter only as plain integers: a
-numerator pair (a, b) with its exponent k, or the fields n, k, aa, bb of
-an ExactMatrix; package terms and types are read by class name and fields.
-No code is shared with the package internals: agreement between the two is
-the evidence.
+Everything here but the last section works with Fractions in the form
+p + q*sqrt(2) and plain list-of-lists matrices.  Package values enter only
+as plain integers: a numerator pair (a, b) with its exponent k, or the
+fields n, k, aa, bb of an ExactMatrix; package terms and types are read by
+class name and fields.  No code is shared with the package internals:
+agreement between the two is the evidence.  The last section builds the
+dense generator matrices that tests multiply out, from ExactMatrix and
+m_level_embed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from hadpi.linalg import ExactMatrix, m_level_embed
 
 
 class FracRT2:
@@ -338,3 +342,18 @@ def oracle_term(c, t: tuple, lang: str = "qpi"):
     d2, m2 = oracle_term(c.right, t[2], lang)
     both = frac_direct_sum if op == "+" else frac_kron
     return (op, d1, d2), both(m1, m2)
+
+
+# ---------------------------------------------------------------------------
+# dense generator matrices: the 1x1 sign flip and the 2x2 swap and Hadamard
+# blocks, placed at a generator's rows of the identity
+
+MINUS_ONE = ExactMatrix(1, 0, [-1], [0])
+X_BLOCK = ExactMatrix(2, 0, [0, 1, 1, 0], [0, 0, 0, 0])
+H_BLOCK = ExactMatrix(2, 1, [1, 1, 1, -1], [0, 0, 0, 0])
+_BLOCKS = {"Z": MINUS_ONE, "X": X_BLOCK, "H": H_BLOCK}
+
+
+def generator_matrix(g, n: int) -> ExactMatrix:
+    """The n x n matrix of the generator g (Z[a], X[b,c] or H[b,c])."""
+    return m_level_embed(_BLOCKS[g.kind], g.idx, n)

@@ -4,8 +4,9 @@ Each case names one fixed invocation; the data file holds its exit code
 and the text it wrote to stdout and stderr, with the sha256 of any text
 over 2 kB in place of the text.  An exception that escapes `main` is
 recorded as the interpreter would end: exit 1 and a traceback, whose
-frames are elided.  Regenerate the file only when the command line's
-output is meant to change, and name every entry that changed:
+frames are elided, and a test refuses any entry that records one.
+Regenerate the file only when the command line's output is meant to
+change, and name every entry that changed:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -114,6 +115,13 @@ CASES: dict[str, tuple[list[str], str]] = {
     "translate-hpi-qpi": (["translate", "had ; swap+", "--from", "hpi", "--to", "qpi"], ""),
     "translate-unsupported": (["translate", "had", "--from", "words", "--to", "hpi"], ""),
     "translate-language-gate": (["translate", "neg1", "--from", "hpi", "--to", "qpi"], ""),
+    # c^m nests to the right, a link deeper each time; the output prints
+    "translate-hpi-qpi-power": (["translate", "had^1000", "--from", "hpi", "--to", "qpi"], ""),
+    # the walk of the output recurses once per nested `id +`, past the
+    # interpreter's recursion limit
+    "translate-words-qpi-deep": (
+        ["translate", "n=1000 Z[1]", "--from", "words", "--to", "qpi"], ""
+    ),
     # derive-check
     "derive-check-ok": derive(derivation(A3, "step a2 L->R at 0 with a=1,b=3",
                                          start="n=3 H[1,2] H[1,2] X[1,3] X[1,3]",
@@ -191,6 +199,17 @@ def transcript(argv: list[str], stdin: str) -> dict:
 
 def test_transcript_covers_the_cases():
     assert list(json.loads(DATA.read_text())) == list(CASES)
+
+
+def test_no_entry_records_a_traceback():
+    # every exit is 0, 1 or 2 with at most one error: line; a digest of
+    # stderr could hide a traceback, so stderr is kept as text
+    golden = json.loads(DATA.read_text())
+    bad = [
+        name for name, entry in golden.items()
+        if not isinstance(entry["stderr"], str) or "Traceback" in entry["stderr"]
+    ]
+    assert not bad, f"entries that record a traceback: {bad}"
 
 
 @pytest.mark.parametrize("name", list(CASES))

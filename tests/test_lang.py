@@ -46,12 +46,12 @@ from hadpi.lang import (
 import hadpi.lang
 import hadpi.linalg
 import hadpi.words
-from hadpi.linalg import (
-    ExactMatrix, Generator, H_BLOCK, MINUS_ONE, RowState, X_BLOCK, m_level_embed,
-)
+from hadpi.linalg import ExactMatrix, Generator, RowState, m_level_embed
 from hadpi.translate import t_h, t_q
 from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
-from oracles import _ORACLE_PRIMS, OracleTypeError, _oracle_prim, oracle_type
+from oracles import (
+    _ORACLE_PRIMS, H_BLOCK, MINUS_ONE, X_BLOCK, OracleTypeError, _oracle_prim, oracle_type,
+)
 from termgen import rand_term, rand_type
 
 HAD = Prim("had")
@@ -70,6 +70,7 @@ def test_hdim():
     assert nsum(0) == ZERO
     assert nsum(3) == Sum(ONE, Sum(ONE, ONE))
     assert hdim(nsum(9)) == 9
+    assert hdim(nsum(1024)) == 1024 and nsum(1024).depth == 1023
 
 
 def test_typecheck_primitives():
@@ -481,6 +482,41 @@ def test_deep_composition_chains():
     assert parse_term(format_term(deep)) == deep
     assert sem(inverse(deep, TWO), TWO).matmul(m).is_identity()
     assert infer_source(deep) == TWO
+
+
+@pytest.mark.parametrize("m", [2, 3, 5000])
+def test_powers_print_without_recursion(m):
+    # c^m nests to the right, one parenthesis per link
+    text = format_term(parse_term(f"had^{m}"))
+    assert text == "had" + " ; (had" * (m - 2) + " ; had" + ")" * (m - 2)
+
+
+def test_a_power_inside_a_chain_prints():
+    text = format_term(parse_term("(had^3000) ; id"))
+    assert text == "had" + " ; (had" * 2998 + " ; had" + ")" * 2998 + " ; id"
+
+
+def test_term_equality_and_hash_do_not_recurse():
+    a, b = parse_term("had^5000"), parse_term("had^5000")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != parse_term("had^4999") and a != parse_term("had^4999 ; neg1")
+    tail = hadpi.lang._at_tail
+    assert tail(NEG1, 2000) == tail(NEG1, 2000)
+    assert hash(tail(NEG1, 2000)) == hash(tail(NEG1, 2000))
+    assert tail(NEG1, 2000) != tail(HAD, 2000) and tail(NEG1, 2000) != tail(NEG1, 1999)
+
+
+def test_term_equality_is_structural():
+    assert Seq(Seq(HAD, SWP), ID) != Seq(HAD, Seq(SWP, ID))
+    assert SumC(HAD, ID) != ProdC(HAD, ID) and ProdC(HAD, ID) != SumC(HAD, ID)
+    assert Seq(HAD, ID) != HAD and HAD != Seq(HAD, ID)
+    rng = random.Random(1618)
+    for _ in range(60):
+        b = rand_type(rng, max_dim=8)
+        c = rand_term(rng, b, depth=4)
+        again = parse_term(format_term(c))
+        assert again == c and hash(again) == hash(c)
+        assert Seq(c, ID) != c and {Seq(c, ID), Seq(again, ID)} == {Seq(c, ID)}
 
 
 def test_evaluation_builds_no_dense_product(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations
 
 import pytest
 from oracles import frac_direct_sum, frac_eq, frac_identity, frac_of_matrix
@@ -19,7 +20,6 @@ from hadpi.words import (
     WordError,
     apply_step,
     embed,
-    enumerate_assignments,
     format_derivation,
     format_word,
     parse_derivation,
@@ -122,7 +122,7 @@ def test_named_relation_instances():
 def test_all_relations_at_min_dim_all_assignments():
     for rel in CATALOG:
         n = rel.min_dim
-        for idx in enumerate_assignments(rel, n):
+        for idx in permutations(range(1, n + 1), len(rel.formals)):
             assert verify_relation(rel, idx, n), (rel.id, idx)
 
 
