@@ -682,7 +682,7 @@ def sem(
 
 def _apply(ops: list[tuple], n: int) -> ExactMatrix:
     """The matrix of a program of placed primitives (see lower) on n rows."""
-    state = RowState(ExactMatrix.identity(n))
+    state = RowState.identity(n)
     # permutations only relabel rows: program row r is state row at[r] - 1
     rows0 = list(range(1, n + 1))
     at = rows0[:]

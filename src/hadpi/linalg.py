@@ -271,6 +271,8 @@ class RowState:
 
     Row i is rt2^-ks[i] * (aa + bb*rt2) over the flat entries i*n .. i*n+n-1,
     each row at its own least exponent, so a generator touches only its rows.
+    RowState(M) reduces every row of M; RowState.identity(n), the start of
+    every evaluation, is built reduced.
     """
 
     __slots__ = ("n", "ks", "aa", "bb")
@@ -283,6 +285,15 @@ class RowState:
             self.ks.append(k)
             self.aa += ra
             self.bb += rb
+
+    @classmethod
+    def identity(cls, n: int) -> "RowState":
+        """The n x n identity: every row at exponent 0, so none needs reducing."""
+        state = cls.__new__(cls)
+        state.n, state.ks, state.bb = n, [0] * n, [0] * (n * n)
+        state.aa = [0] * (n * n)
+        state.aa[:: n + 1] = [1] * n
+        return state
 
     def snapshot(self) -> ExactMatrix:
         """The matrix, every row lifted to the largest row exponent."""

@@ -6,6 +6,12 @@ as index-schematic data; instantiating a schematic with distinct concrete
 indices yields two words with equal semantics.  Derivations are sequences
 of such rewrite steps; this module replays them and reads and writes their
 file format.  Equivalence of words is decided in synthesis.
+
+A word whose generators touch only the rows S is the identity off S, and
+on S it is the same word with each index replaced by its rank in S
+(support_ranks).  So relations-verify decides one instance per rank
+pattern of a relation, and replay decides each step on the window where
+the two words differ, relabelled to its support.
 """
 
 from __future__ import annotations
@@ -44,9 +50,19 @@ def _check(w: Word) -> None:
 def word_sem(w: Word) -> ExactMatrix:
     """Exact product of the generator matrices in listed order."""
     _check(w)
-    state = RowState(ExactMatrix.identity(w.n))
+    state = RowState.identity(w.n)
     state.apply_word(w.gens)
     return state.snapshot()
+
+
+def support_ranks(indices: Iterable[int]) -> dict[int, int]:
+    """Each distinct index mapped to its 1-based rank among them.
+
+    The map keeps order, so a relabelled X stays sorted and a relabelled
+    H[b,c] keeps its orientation: a word over the rows S and its relabelling
+    to 1..|S| have the same matrix on S, and both are the identity elsewhere.
+    """
+    return {i: r for r, i in enumerate(sorted(set(indices)), start=1)}
 
 
 def shift(w: Word, m: int) -> Word:
@@ -204,19 +220,49 @@ def apply_step(w: Word, step: DerivationStep) -> Word:
     return Word(w.n, w.gens[: step.pos] + replacement + w.gens[step.pos + len(pattern) :])
 
 
+def _changed_window(a: tuple[Generator, ...], b: tuple[Generator, ...]) -> tuple[Word, Word]:
+    """The parts of a and b between their common prefix and common suffix,
+    relabelled to the rows they touch (support_ranks)."""
+    p, m = 0, min(len(a), len(b))
+    while p < m and a[p] == b[p]:
+        p += 1
+    s = 0
+    while s < m - p and a[-1 - s] == b[-1 - s]:
+        s += 1
+    a, b = a[p : len(a) - s], b[p : len(b) - s]
+    rank = support_ranks(i for g in a + b for i in g.idx)
+    return tuple(
+        Word(len(rank), tuple(Generator(g.kind, tuple(rank[i] for i in g.idx)) for g in side))
+        for side in (a, b)
+    )
+
+
 def replay(w0: Word, steps: Iterable[DerivationStep]) -> Iterator[Word]:
     """The words of a derivation, w0 first.  Raises StepError, naming the
-    step, at the first step that does not apply or changes the semantics."""
+    step, at the first step that does not apply or changes the semantics.
+
+    Two consecutive words have equal semantics exactly when the windows
+    where they differ do, so each step evaluates only that window,
+    relabelled to its support, and a window already decided in this replay
+    is not evaluated again.  The last word is then compared whole with w0.
+    """
     yield w0
-    reference = word_sem(w0)
+    decided: set[tuple[Word, Word]] = set()
+    w = w0
     for i, step in enumerate(steps, start=1):
         try:
-            w0 = apply_step(w0, step)
+            after = apply_step(w, step)
         except WordError as exc:
             raise StepError(f"step {i}: {exc}") from None
-        if word_sem(w0) != reference:
-            raise StepError(f"step {i}: changed the semantics")
-        yield w0
+        window = _changed_window(w.gens, after.gens)
+        if window not in decided:
+            if word_sem(window[0]) != word_sem(window[1]):
+                raise StepError(f"step {i}: changed the semantics")
+            decided.add(window)
+        w = after
+        yield w
+    if word_sem(w) != word_sem(w0):
+        raise StepError("the final word's semantics differs from the start word's")
 
 
 # Text formats: a word is "n=<dim>" followed by generator tokens; the

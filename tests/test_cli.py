@@ -6,6 +6,7 @@ import io
 import signal
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -570,6 +571,53 @@ def test_relations_verify_skips_below_arity(capsys):
     assert lines[-1].endswith("(n=3, 7 skipped, 0 failed)")
 
 
+def _unsound_b1(monkeypatch):
+    # b1 with rhs Z[a]: the rhs drops Z[b], so no instance holds
+    rel = words.RELATION_BY_ID["b1"]._replace(rhs=words._toks("Z[a]"))
+    monkeypatch.setitem(words.RELATION_BY_ID, "b1", rel)
+    monkeypatch.setattr(cli, "CATALOG", tuple(rel if r.id == "b1" else r for r in cli.CATALOG))
+    return rel
+
+
+def _first_failure(rel, n: int) -> str:
+    # every instance at dimension n, checked whole, none remembered
+    for idx in permutations(range(1, n + 1), len(rel.formals)):
+        if not words.verify_relation(rel, idx, n):
+            return f"FAIL {rel.id} at " + ",".join(f"{f}={i}" for f, i in zip(rel.formals, idx))
+    return "no failure"
+
+
+def test_relations_verify_decides_each_rank_pattern_once(capsys, monkeypatch):
+    # 197 patterns at n=4 in place of 388 instances, and a second command
+    # repeats every check: no decision outlives the command that made it
+    calls = []
+    real = cli.verify_relation
+    monkeypatch.setattr(cli, "verify_relation", lambda *a: calls.append(a) or real(*a))
+    for _ in range(2):
+        code, out, _ = run(capsys, "relations-verify", "--n", "4")
+        assert code == 0 and out.endswith("(n=4, 1 skipped, 0 failed)\n")
+        assert len(calls) == 197
+        assert all(n == len(idx) and sorted(idx) == list(range(1, n + 1)) for _, idx, n in calls)
+        calls.clear()
+
+
+def test_relations_verify_reports_an_unsound_entry(capsys, monkeypatch):
+    # the sound catalog passes first, so a decision kept past its command
+    # would pass the unsound entry
+    code, out, _ = run(capsys, "relations-verify", "--n", "4")
+    assert (code, out.splitlines()[3]) == (0, "PASS b1 assignments=12")
+    rel = _unsound_b1(monkeypatch)
+    expected = _first_failure(rel, 4)
+    assert expected.startswith("FAIL b1 at ")
+    code, out, _ = run(capsys, "relations-verify", "--n", "4")
+    assert (code, out.splitlines()[3]) == (1, expected)
+    assert out.splitlines()[-1] == "20 of 22 relations verified (n=4, 1 skipped, 1 failed)"
+    # and again with the unsound entry checked first
+    monkeypatch.setattr(cli, "CATALOG", (rel,) + tuple(r for r in cli.CATALOG if r.id != "b1"))
+    code, out, _ = run(capsys, "relations-verify", "--n", "4")
+    assert (code, out.splitlines()[0]) == (1, expected)
+
+
 # ---------------------------------------------------------------------------
 # translate
 
@@ -724,6 +772,19 @@ def test_derive_check_reports_a_semantics_change(capsys, monkeypatch):
     monkeypatch.setattr(words, "apply_step", lambda w, step: Word(w.n, w.gens + (gen_h(1, 2),)))
     code, out, err = run(capsys, "derive-check", "n=2 eps\nstep a3 L->R at 0 with a=1,b=2\nn=2 eps")
     assert (code, out, err) == (1, "", "error: step 1: changed the semantics\n")
+
+
+def test_derive_check_fails_at_the_unsound_step(capsys, monkeypatch):
+    _unsound_b1(monkeypatch)
+    text = (
+        "n=3 H[1,2] H[1,2] Z[1] Z[3]\n"
+        "step a3 L->R at 0 with a=1,b=2\n"
+        "step b1 L->R at 0 with a=1,b=3\n"
+        "step a1 R->L at 1 with a=3\n"
+        "n=3 Z[1] Z[3] Z[3]\n"
+    )
+    code, out, err = run(capsys, "derive-check", text)
+    assert (code, out, err) == (1, "", "error: step 2: changed the semantics\n")
 
 
 NINES = "9" * 5000  # past the 4,300 digits that int() converts

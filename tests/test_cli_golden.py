@@ -109,6 +109,8 @@ CASES: dict[str, tuple[list[str], str]] = {
     # relations-verify
     "relations-verify-skips": (["relations-verify", "--n", "3"], ""),
     "relations-verify-capped": (["relations-verify", "--n", "4", "--max-assignments", "2"], ""),
+    # every assignments= count at the largest n allowed
+    "relations-verify-n8": (["relations-verify", "--n", "8"], ""),
     # translate
     "translate-qpi-words": (["translate", "had ; neg1 + id", "--from", "qpi", "--to", "words"], ""),
     "translate-words-qpi": (["translate", "n=2 H[1,2] Z[1]", "--from", "words", "--to", "qpi"], ""),

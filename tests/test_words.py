@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import random
 from itertools import permutations
+from os.path import commonprefix
 
 import pytest
 from oracles import frac_direct_sum, frac_eq, frac_identity, frac_of_matrix
 
-from hadpi.linalg import ExactMatrix, gen_h, gen_x, gen_z
+from hadpi import words
+from hadpi.linalg import ExactMatrix, Generator, gen_h, gen_x, gen_z, m_level_embed
 from hadpi.synthesis import word_equivalence
 from hadpi.words import (
     CATALOG,
@@ -26,6 +28,7 @@ from hadpi.words import (
     parse_word,
     replay,
     shift,
+    support_ranks,
     verify_relation,
     word_sem,
 )
@@ -135,6 +138,40 @@ def test_relations_random_assignments_larger_ambient():
             assert verify_relation(rel, idx, n), (rel.id, idx, n)
 
 
+def _on_support(gens: tuple[Generator, ...], n: int) -> bool:
+    # the full-n matrix is the relabelled word's matrix placed at its support
+    rank = support_ranks(i for g in gens for i in g.idx)
+    small = Word(len(rank), tuple(Generator(g.kind, tuple(rank[i] for i in g.idx)) for g in gens))
+    return word_sem(Word(n, gens)) == m_level_embed(word_sem(small), sorted(rank), n)
+
+
+def test_support_ranks_keep_order():
+    assert support_ranks([5, 2, 9]) == {2: 1, 5: 2, 9: 3}
+    assert support_ranks([3, 3, 1]) == {1: 1, 3: 2}
+    assert support_ranks([]) == {}
+
+
+def test_relabelled_checks_agree_with_the_full_words():
+    # every instance up to n=5 (n=6 for d4): each side, raw as verify_relation
+    # builds it and spliced as apply_step builds it, is the identity off its
+    # support and its relabelling on it, and the rank pattern decides the
+    # instance as the full-n check does
+    for rel in CATALOG:
+        for n in range(rel.min_dim, max(rel.min_dim, 5) + 1):
+            for idx in permutations(range(1, n + 1), len(rel.formals)):
+                asg = dict(zip(rel.formals, idx))
+                for side in (rel.lhs, rel.rhs):
+                    raw = tuple(Generator(kind, tuple(asg[f] for f in fs)) for kind, fs in side)
+                    assert _on_support(raw, n), (rel.id, idx, raw)
+                    assert _on_support(words._instantiate(side, asg), n), (rel.id, idx)
+                rank = support_ranks(idx)
+                pattern = tuple(rank[i] for i in idx)
+                full = word_sem(Word(n, words._instantiate(rel.lhs, asg))) == word_sem(
+                    Word(n, words._instantiate(rel.rhs, asg))
+                )
+                assert verify_relation(rel, pattern, len(pattern)) == full, (rel.id, idx)
+
+
 def test_verify_relation_rejects_bad_indices():
     rel = RELATION_BY_ID["c1"]
     with pytest.raises(WordError):
@@ -225,6 +262,87 @@ def test_replay_yields_each_word_and_names_the_failing_step():
     # an index error of the relation's instantiation names its step too
     with pytest.raises(StepError, match=r"^step 1: indices must lie in 1\.\.2: \[1, 3\]$"):
         _last(start, [a3._replace(indices=(1, 3))])
+
+
+def _windows_naive(a: Word, b: Word) -> tuple[Word, Word]:
+    p = len(commonprefix([a.gens, b.gens]))
+    s = len(commonprefix([a.gens[p:][::-1], b.gens[p:][::-1]]))
+    ga, gb = a.gens[p : len(a.gens) - s], b.gens[p : len(b.gens) - s]
+    rank = support_ranks(i for g in ga + gb for i in g.idx)
+    return tuple(
+        Word(len(rank), tuple(Generator(g.kind, tuple(rank[i] for i in g.idx)) for g in gs))
+        for gs in (ga, gb)
+    )
+
+
+def test_a_step_is_decided_on_its_window():
+    # the words of a splice are equal exactly when the relabelled windows
+    # where they differ are, for sound and unsound splices alike
+    rng = random.Random(239)
+    for _ in range(300):
+        n = rng.randint(2, 5)
+        w = rand_word(rng, n)
+        i = rng.randint(0, len(w.gens))
+        j = rng.randint(i, min(len(w.gens), i + 4))
+        if rng.random() < 0.5:
+            piece = rand_word(rng, n, 4).gens
+        else:
+            rel = rng.choice([r for r in CATALOG if r.min_dim <= n])
+            asg = dict(zip(rel.formals, rng.sample(range(1, n + 1), len(rel.formals))))
+            piece = words._instantiate(rng.choice((rel.lhs, rel.rhs)), asg)
+        v = Word(n, w.gens[:i] + piece + w.gens[j:])
+        a, b = words._changed_window(w.gens, v.gens)
+        assert (a, b) == _windows_naive(w, v)
+        assert (word_sem(a) == word_sem(b)) == (word_sem(w) == word_sem(v))
+
+
+def test_long_replay_evaluates_two_whole_words(monkeypatch):
+    # 2,000 steps on an n=8 word of 200 generators: each pair inserts
+    # H[a,b] H[a,b] somewhere and removes it again; with a > b each H
+    # splices as X H X through (e2)
+    rng = random.Random(241)
+    gens = []
+    for _ in range(200):
+        b, c = sorted(rng.sample(range(1, 9), 2))
+        gens.append(rng.choice((gen_z(b), gen_x(b, c), gen_h(b, c))))
+    start = Word(8, tuple(gens))
+    steps = []
+    for _ in range(1000):
+        pos, idx = rng.randint(0, 200), tuple(rng.sample(range(1, 9), 2))
+        steps += [DerivationStep("a3", "R->L", idx, pos), DerivationStep("a3", "L->R", idx, pos)]
+    sizes = []
+    real_word_sem = words.word_sem
+
+    def counted(w):
+        sizes.append(w.n)
+        return real_word_sem(w)
+
+    monkeypatch.setattr(words, "word_sem", counted)
+    for _ in range(2):  # no decision outlives its replay
+        trail = list(replay(start, steps))
+        assert len(trail) == 2001 and trail[-1] == start
+        assert sizes.count(8) == 2
+        distinct = {_windows_naive(u, v) for u, v in zip(trail, trail[1:])}
+        assert len([k for k in sizes if k < 8]) == 2 * len(distinct) <= 16
+        sizes.clear()
+
+
+def test_replay_fails_at_an_unsound_step(monkeypatch):
+    # b1 with rhs Z[a] drops a Z: step 2 uses it
+    unsound = RELATION_BY_ID["b1"]._replace(rhs=words._toks("Z[a]"))
+    monkeypatch.setitem(words.RELATION_BY_ID, "b1", unsound)
+    start = Word(3, (gen_h(1, 2), gen_h(1, 2), gen_z(1), gen_z(3)))
+    steps = [
+        DerivationStep("a3", "L->R", (1, 2), 0),
+        DerivationStep("b1", "L->R", (1, 3), 0),
+        DerivationStep("a1", "L->R", (1,), 0),
+    ]
+    with pytest.raises(StepError, match=r"^step 2: changed the semantics$"):
+        _last(start, steps)
+    # past step checks that decide nothing, the whole-word check still fails
+    monkeypatch.setattr(words, "_changed_window", lambda a, b: (Word(0, ()), Word(0, ())))
+    with pytest.raises(StepError, match=r"^the final word's semantics differs"):
+        _last(start, steps[:2])
 
 
 def test_word_equivalence_returns_the_normal_forms():
