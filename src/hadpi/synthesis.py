@@ -1,11 +1,17 @@
 """Exact synthesis of orthogonal matrices over Z[1/rt2] into generator words.
 
 The algorithm fixes columns n down to 1.  While column j has a positive
-denominator exponent it pairs the two least rows whose scaled entries are
-odd (residue 1 or 1+rt2 mod 2) and emits a Hadamard step that lowers the
-exponent; once the column is integral it is a signed basis vector, fixed
-by a signed transposition.  Every emitted syllable strictly decreases the
-level triple, which is what makes the output word canonical.
+denominator exponent its scaled entries have odd rows, of residue 1 or
+1+rt2 mod 2, and any two odd rows of the same residue can be paired by a
+Hadamard step that lowers the exponent.  The pair chosen is the one whose
+rows have the least exponents (see _pair): pairing the two least indices
+instead raised the exponents of the columns not yet fixed, and normal
+forms of random words at n >= 24 ran to 10^5 generators.  The choice
+does not bound the growth, which still shows at n = 64.  Once the column
+is integral it is a signed basis vector, fixed by a signed transposition.
+Every emitted syllable strictly decreases the level triple, and every
+choice depends on the matrix alone, which is what makes the output word
+canonical.
 
 The loop works on the active column j.  It keeps that column as
 numerators at its exponent, so a syllable updates it in O(1) and one O(n)
@@ -93,7 +99,8 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     syllables: list[Syllable] = []
     levels: list[Level] = []
     # the level names the column to fix next, j, and brings its numerators
-    # ca, cb scaled by rt2^k; odd lists the rows whose ca is odd
+    # ca, cb scaled by rt2^k; odd lists the rows whose ca is odd, in no
+    # particular order
     current, ca, cb = _level_unchecked(work)
     odd = _odd_rows(current.k, ca)
     initial = current
@@ -103,12 +110,13 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
         if k > 0:
             if not odd:
                 raise SynthesisError("positive exponent requires an odd entry")
-            i1 = odd[0]
-            # the same residue mod 2: both odd, b of the same parity
-            i2 = next((i for i in odd[1:] if (cb[i - 1] - cb[i1 - 1]) & 1 == 0), None)
-            if i2 is None:
+            # the pair of one residue with the least row exponents: rows
+            # p < q, brought to rows 1 and q by X[1,p]
+            pair = _pair(odd, cb, work.ks)
+            if pair is None:
                 raise SynthesisError("odd residues must pair up in a unit column")
-            gens = [gen_h(1, i2)] if i1 == 1 else [gen_h(1, i2), gen_x(1, i1)]
+            p, q = pair
+            gens = [gen_h(1, q)] if p == 1 else [gen_h(1, q), gen_x(1, p)]
         else:
             a = next((i for i in range(1, n + 1) if ca[i - 1] or cb[i - 1]), 0)
             if not (a and a <= j and ca[a - 1] in (1, -1) and cb[a - 1] == 0):
@@ -118,18 +126,20 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
                 gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
             else:
                 gens = [gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)]
-        if k > 0 and i2 <= j:
+        if k > 0 and q <= j:
             # Every column above j is a unit column, zero in the rows up to
             # j, so the syllable edits the first j entries of its rows only.
-            # In column j, X[1,i1] swaps entries 1 and i1 and H[1,i2] sends
+            # In column j, X[1,p] swaps entries 1 and p and H[1,q] sends
             # the odd pair to (x1 +- x2)/rt2, whose numerators at rt2^-k
             # are b1 +- b2 and (a1 +- a2)/2: both a-parts are even.
             work.apply_word(gens, j)
-            a1, b1, a2, b2 = ca[i1 - 1], cb[i1 - 1], ca[i2 - 1], cb[i2 - 1]
-            ca[i1 - 1], cb[i1 - 1] = ca[0], cb[0]
+            a1, b1, a2, b2 = ca[p - 1], cb[p - 1], ca[q - 1], cb[q - 1]
+            ca[p - 1], cb[p - 1] = ca[0], cb[0]
             ca[0], cb[0] = b1 + b2, (a1 + a2) >> 1
-            ca[i2 - 1], cb[i2 - 1] = b1 - b2, (a1 - a2) >> 1
-            odd = [i for i in odd if i != i1 and i != i2]
+            ca[q - 1], cb[q - 1] = b1 - b2, (a1 - a2) >> 1
+            # rows 1 and q are now even; an odd row 1 outside the pair
+            # moved to row p
+            odd = [p if i == 1 else i for i in odd if i != p and i != q]
             if not odd:
                 k, ca, cb = reduce_nums(k, ca, cb)
                 odd = _odd_rows(k, ca)
@@ -153,6 +163,31 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     if not work.snapshot().is_identity():
         raise SynthesisError("synthesis did not reach identity")
     return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))
+
+
+def _pair(odd: list[int], cb: list[int], ks: list[int]) -> tuple[int, int] | None:
+    """The two rows p < q that the next syllable pairs, or None if no two
+    odd rows share a residue.
+
+    The odd rows fall into two residue classes, 1 and 1+rt2 mod 2, by the
+    parity of their scaled rt2-part cb.  Each class with two rows offers
+    its two of least (row exponent, index); of the offers, the one of
+    least (exponent sum, second row's exponent, first index, second
+    index) wins.
+    """
+    classes: tuple[list, list] = ([], [])
+    for i in odd:
+        classes[cb[i - 1] & 1].append((ks[i - 1], i))
+    offers = []
+    for rows in classes:
+        if len(rows) >= 2:
+            rows.sort()
+            (k1, r1), (k2, r2) = rows[:2]
+            offers.append((k1 + k2, k2, r1, r2))
+    if not offers:
+        return None
+    r1, r2 = min(offers)[2:]
+    return (r1, r2) if r1 < r2 else (r2, r1)
 
 
 def _odd_rows(k: int, ca: list[int]) -> list[int]:

@@ -163,11 +163,15 @@ def oracle_synthesize(M):
 
     Returns (initial, syllables, levels): level triples, and each syllable
     as a tuple of (kind, indices) generator pairs, 1-based.  A syllable
-    acts rightmost generator first.  While column j has exponent k > 0 it
-    is H[1,i2] X[1,i1] for the least odd row i1 and the next odd row i2
-    whose rt2-part has the same parity (H[1,i2] alone when i1 = 1); once
-    column j is a signed basis vector s*e_a, it is X[a,j] (a < j), with
-    Z[a] after it when s = -1, or Z[j] alone when a = j.  Only for
+    acts rightmost generator first.  While column j has exponent k > 0, the
+    odd rows of its scaled entries fall into two classes by the parity of
+    their rt2-part.  Each class with at least two rows offers the two of
+    least (row exponent, index), a row's exponent being the least e with
+    rt2^e times the whole row in Z[rt2]; the offer of least (exponent sum,
+    second row's exponent, first index, second index) wins.  With p < q
+    its rows, the syllable is H[1,q] X[1,p] (H[1,q] alone when p = 1).
+    Once column j is a signed basis vector s*e_a, it is X[a,j] (a < j),
+    with Z[a] after it when s = -1, or Z[j] alone when a = j.  Only for
     orthogonal M."""
     F = [list(row) for row in frac_of_matrix(M)]
     level, col = _frac_level(F)
@@ -175,10 +179,18 @@ def oracle_synthesize(M):
     while level[0]:
         j, k, _ = level
         if k:
-            odd = [i for i, x in enumerate(col, 1) if int(x.p) % 2 == 1]
-            i1 = odd[0]
-            i2 = next(i for i in odd[1:] if (col[i - 1].q - col[i1 - 1].q) % 2 == 0)
-            syl = (("H", (1, i2)),) if i1 == 1 else (("H", (1, i2)), ("X", (1, i1)))
+            offers = []
+            for parity in (0, 1):
+                rows = sorted(
+                    (oracle_lde(*F[i - 1]), i)
+                    for i, x in enumerate(col, 1)
+                    if int(x.p) % 2 == 1 and int(x.q) % 2 == parity
+                )
+                if len(rows) >= 2:
+                    (k1, r1), (k2, r2) = rows[:2]
+                    offers.append((k1 + k2, k2, r1, r2))
+            p, q = sorted(min(offers)[2:])
+            syl = (("H", (1, q)),) if p == 1 else (("H", (1, q)), ("X", (1, p)))
         else:
             a = next(i for i, x in enumerate(col, 1) if x != FR_ZERO)
             if a == j:

@@ -17,7 +17,7 @@ from hadpi.synthesis import (
     permutation_matrix,
     synthesize,
 )
-from hadpi.words import Word, format_word, word_sem
+from hadpi.words import Word, format_word, parse_word, word_sem
 
 
 def rand_word(rng: random.Random, n: int, max_len: int = 40) -> Word:
@@ -229,3 +229,33 @@ def test_trace_matches_full_rescan_oracle(n):
 def test_golden_trace_matches_full_rescan_oracle(case):
     M = word_sem(golden_word(*case))
     assert _plain(synthesize(M)) == oracle_synthesize(M)
+
+
+def test_odd_row_1_outside_the_pair_moves_to_row_p():
+    # Column 5 scaled by rt2^2 is (1, 0, -1, -1, -1) and the row exponents
+    # are 3, 2, 2, 3, 2: the odd rows 1, 3, 4, 5 share residue 1, and rows
+    # 3 and 5 have the least exponents.  X[1,3] carries odd row 1 to row 3,
+    # where the next syllable pairs it with row 4.
+    M = word_sem(parse_word(
+        "n=5 H[1,2] X[1,4] H[3,5] H[2,4] H[4,5] X[1,3] H[2,3] X[1,5] H[3,5] X[2,4] H[1,3]"
+    ))
+    state = RowState(M)
+    assert state.column(5) == (2, [1, 0, -1, -1, -1], [0] * 5)
+    assert state.ks == [3, 2, 2, 3, 2]
+    tr = synthesize(M)
+    assert [str(s) for s in tr.syllables[:2]] == ["H[1,5] X[1,3]", "H[1,4] X[1,3]"]
+    assert _plain(tr) == oracle_synthesize(M)
+
+
+# (n, seed) of golden_word(n, 4n, seed) words whose normal forms under the
+# least-index pair choice had 25,974 to 178,812 generators or ran past 10 s
+GROWTH_CASES = [(32, 6), (32, 8), (40, 1), (40, 2), (48, 2), (48, 5), (48, 8)]
+
+
+@pytest.mark.parametrize("case", GROWTH_CASES, ids=lambda c: "n{}-seed{}".format(*c))
+def test_pair_choice_keeps_large_normal_forms_short(case):
+    n, seed = case
+    M = word_sem(golden_word(n, 4 * n, seed))
+    nf = normal_form_word(M)
+    assert len(nf.gens) <= 10 * n
+    assert word_sem(nf) == M

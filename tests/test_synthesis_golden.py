@@ -1,11 +1,14 @@
 """Golden normal forms: synthesis output must stay token-identical.
 
 Each case names a random word by (n, length, seed); the data file holds
-the least denominator exponent of its matrix and the sha256 of the
-formatted normal form.  Regenerate the file only when the canonical words
-are meant to change:
+the least denominator exponent of its matrix, the sha256 of the formatted
+normal form and its generator count.  Regenerate the file only when the
+canonical words are meant to change:
 
     PYTHONPATH=src python tests/test_synthesis_golden.py
+
+The command prints n/length/seed and the old -> new generator count of
+every case whose normal form changed.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from hadpi.linalg import gen_h, gen_x, gen_z
+from hadpi.linalg import ExactMatrix, gen_h, gen_x, gen_z
 from hadpi.synthesis import normal_form_word
 from hadpi.words import Word, format_word, word_sem
 
@@ -48,16 +51,19 @@ def golden_word(n: int, length: int, seed: int) -> Word:
     return Word(n, tuple(gens))
 
 
-def golden_entry(n: int, length: int, seed: int) -> dict:
+def golden_case(n: int, length: int, seed: int) -> tuple[ExactMatrix, Word, dict]:
+    """The case's matrix, its normal form and the data-file entry they give."""
     M = word_sem(golden_word(n, length, seed))
-    nf = format_word(normal_form_word(M)).encode()
-    return {
+    nf = normal_form_word(M)
+    entry = {
         "n": n,
         "length": length,
         "seed": seed,
         "lde": M.k,
-        "sha256": hashlib.sha256(nf).hexdigest(),
+        "sha256": hashlib.sha256(format_word(nf).encode()).hexdigest(),
+        "gens": len(nf.gens),
     }
+    return M, nf, entry
 
 
 def test_corpus_covers_the_cases():
@@ -70,8 +76,28 @@ def test_corpus_covers_the_cases():
 @pytest.mark.parametrize("case", CASES, ids=lambda c: "n{}-len{}-seed{}".format(*c))
 def test_normal_form_matches_golden(case):
     golden = {(e["n"], e["length"], e["seed"]): e for e in json.loads(DATA.read_text())}
-    assert golden_entry(*case) == golden[case]
+    M, nf, entry = golden_case(*case)
+    assert word_sem(nf) == M
+    assert len(nf.gens) == golden[case]["gens"]
+    assert entry == golden[case]
+
+
+def regenerate() -> None:
+    """Rewrite the data file, naming every case whose normal form changed."""
+    old = {(e["n"], e["length"], e["seed"]): e for e in json.loads(DATA.read_text())}
+    entries = []
+    for case in CASES:
+        M, nf, e = golden_case(*case)
+        name = "n={} length={} seed={}".format(*case)
+        if word_sem(nf) != M:
+            raise SystemExit(f"{name}: the normal form's matrix differs from the case's")
+        entries.append(e)
+        before = old.get(case)
+        if before is None or before["sha256"] != e["sha256"]:
+            was = "new" if before is None else before["gens"]
+            print(f"{name}: gens {was} -> {e['gens']}")
+    DATA.write_text(json.dumps(entries, indent=1) + "\n")
 
 
 if __name__ == "__main__":
-    DATA.write_text(json.dumps([golden_entry(*case) for case in CASES], indent=1) + "\n")
+    regenerate()
