@@ -9,9 +9,9 @@ stdin when the argument is "-".
 
 import argparse
 import functools
+import os
 import sys
 from itertools import islice, permutations
-from pathlib import Path
 
 from .lang import (
     BudgetError,
@@ -65,12 +65,10 @@ class UsageError(ValueError):
 def _read_input(value: str) -> str:
     if value == "-":
         return sys.stdin.read()
-    p = Path(value)
-    try:
-        is_file = p.is_file()
-    except OSError:
-        is_file = False  # too long or otherwise not a usable path name
-    return p.read_text() if is_file else value
+    if not os.path.isfile(value):  # False for a name too long or otherwise unusable
+        return value
+    with open(value) as f:
+        return f.read()
 
 
 def _parsed(parse, text: str):

@@ -7,7 +7,6 @@ Evaluation is exact and composition runs left to right, so the matrix of
 `c1 ; c2` is `sem(c2) @ sem(c1)`.
 """
 
-from dataclasses import dataclass
 import functools
 import itertools
 import operator
@@ -164,19 +163,58 @@ def nsum(n: int) -> ValueType:
 # terms
 
 
-@dataclass(frozen=True)
-class Prim:
-    name: str
+class _Frozen:
+    """A record whose __slots__ name its fields in constructor order, set once
+    by __init__: setting or deleting a field raises AttributeError.  Copies
+    and pickles rebuild it from its fields; it compares and hashes as the
+    tuple of its fields and prints as Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+_set = object.__setattr__
+
+
+class Prim(_Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
     def __repr__(self) -> str:
         return f"Prim({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Factorz:
+class Factorz(_Frozen):
     """factorz{b} : 0 <-> b*0.  The annotation is the left factor."""
 
-    operand: ValueType
+    __slots__ = ("operand",)
+
+    def __init__(self, operand: ValueType):
+        _set(self, "operand", operand)
 
     def __repr__(self) -> str:
         return f"Factorz({self.operand!r})"
@@ -190,46 +228,69 @@ def _preorder(c: "Term"):
     stack = [c]
     while stack:
         c = stack.pop()
-        if type(c) in _COMPOSITES:
+        if isinstance(c, _Composite):
             yield type(c)
-            stack += reversed(vars(c).values())  # the two fields, in order
+            first, second = c.__slots__
+            stack += (getattr(c, second), getattr(c, first))
         else:
             yield c
 
 
-def _term_eq(self, other) -> bool:
-    if type(other) is not type(self):
-        return NotImplemented
-    pairs = itertools.zip_longest(_preorder(self), _preorder(other))
-    return all(a is b or a == b for a, b in pairs)
+class _Composite(_Frozen):
+    """A node of two subterms, compared, hashed and printed along _preorder."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = itertools.zip_longest(_preorder(self), _preorder(other))
+        return all(a is b or a == b for a, b in pairs)
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        # Name(first=..., second=...): a class in the pre-order opens a
+        # composite, and each leaf ends a field, which either closes the
+        # composites it ends or opens their next field
+        out, ends = [], []
+        for x in _preorder(self):
+            if isinstance(x, type):
+                first, second = x.__slots__
+                out.append(f"{x.__name__}({first}=")
+                ends += (")", f", {second}=")
+                continue
+            out.append(repr(x))
+            while ends:
+                out.append(ends.pop())
+                if out[-1] != ")":
+                    break
+        return "".join(out)
 
 
-def _term_hash(self) -> int:
-    return hash(tuple(_preorder(self)))
+class Seq(_Composite):
+    __slots__ = ("fst", "snd")
+
+    def __init__(self, fst: "Term", snd: "Term"):
+        _set(self, "fst", fst)
+        _set(self, "snd", snd)
 
 
-@dataclass(frozen=True)
-class Seq:
-    fst: "Term"
-    snd: "Term"
-    __eq__, __hash__ = _term_eq, _term_hash
+class SumC(_Composite):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: "Term", right: "Term"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
-@dataclass(frozen=True)
-class SumC:
-    left: "Term"
-    right: "Term"
-    __eq__, __hash__ = _term_eq, _term_hash
+class ProdC(_Composite):
+    __slots__ = ("left", "right")
 
-
-@dataclass(frozen=True)
-class ProdC:
-    left: "Term"
-    right: "Term"
-    __eq__, __hash__ = _term_eq, _term_hash
-
-
-_COMPOSITES = (Seq, SumC, ProdC)
+    def __init__(self, left: "Term", right: "Term"):
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Term = Union[Prim, Factorz, Seq, SumC, ProdC]

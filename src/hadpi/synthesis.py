@@ -7,7 +7,8 @@ Hadamard step that lowers the exponent.  The pair chosen is the one whose
 rows have the least exponents (see _pair): pairing the two least indices
 instead raised the exponents of the columns not yet fixed, and normal
 forms of random words at n >= 24 ran to 10^5 generators.  The choice
-does not bound the growth, which still shows at n = 64.  Once the column
+does not bound the growth, which still shows at n = 64, so a budget of
+MAX_SYLLABLES syllables bounds the work instead.  Once the column
 is integral it is a signed basis vector, fixed by a signed transposition.
 Every emitted syllable strictly decreases the level triple, and every
 choice depends on the matrix alone, which is what makes the output word
@@ -50,6 +51,18 @@ class SynthesisError(ValueError):
     pass
 
 
+class SynthesisBudgetError(SynthesisError):
+    """Raised when a normal form would need more than MAX_SYLLABLES."""
+
+
+# The synthesis budget, checked once per syllable.  The pair choice does
+# not bound the growth of normal forms: of 56 random words of 4n generators
+# at n = 16..64, 54 need at most 4,409 syllables, while two at n = 64 need
+# 65,120 and more than 100,000.  The budget refuses those two, each after
+# about 1.5 s.
+MAX_SYLLABLES = 20_000
+
+
 class Syllable(NamedTuple):
     """One output step: Z[a], X[a,j]Z[a]^t, H[1,b] or H[1,b]X[1,c]."""
 
@@ -80,6 +93,8 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
     """
     try:
         return _synthesize(M)
+    except SynthesisBudgetError:
+        raise  # the O(n^3) diagnosis would add to the time the budget bounds
     except SynthesisError:
         if not M.is_orthogonal():
             raise SynthesisError("synthesis requires an orthogonal matrix") from None
@@ -105,6 +120,10 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     odd = _odd_rows(current.k, ca)
     initial = current
     while current.j:
+        if len(syllables) >= MAX_SYLLABLES:
+            raise SynthesisBudgetError(
+                f"the normal form passes the limit of {MAX_SYLLABLES} syllables (MAX_SYLLABLES)"
+            )
         j, k = current.j, current.k
         lv = None
         if k > 0:

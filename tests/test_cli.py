@@ -18,7 +18,7 @@ from hadpi.cli import main
 from hadpi.lang import format_term, parse_term
 from hadpi.linalg import format_matrix, gen_h
 from hadpi.translate import t_q
-from hadpi.words import Word, parse_word, word_sem
+from hadpi.words import Word, format_word, parse_word, word_sem
 
 
 def run(capsys, *argv):
@@ -401,6 +401,30 @@ def test_synth_names_non_orthogonal_input(pkg_env, matrix):
         proc = bounded_child(env, body, "synth", matrix, timeout=60)
         want = (1, "", "error: synthesis requires an orthogonal matrix\n")
         assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_synthesis_budget_refuses_long_normal_forms(capsys, monkeypatch):
+    def dense(self):
+        raise AssertionError("dense orthogonality check past the budget")
+
+    monkeypatch.setattr(linalg.ExactMatrix, "is_orthogonal", dense)
+    w = parse_word("n=4 H[1,2] X[2,3] H[1,3] Z[2] H[3,4] H[2,4]")
+    word, matrix, term = format_word(w), format_matrix(word_sem(w)), format_term(t_q(w))
+    need = len(synthesis.synthesize(word_sem(w)).syllables)
+    calls = [
+        ("synth", matrix),
+        ("normalize", word, "--kind", "word"),
+        ("normalize", term),
+        ("equiv", word, word, "--kind", "word"),
+        ("equiv", term, term),
+    ]
+    monkeypatch.setattr(synthesis, "MAX_SYLLABLES", need)
+    for argv in calls:
+        assert run(capsys, *argv)[0] == 0
+    monkeypatch.setattr(synthesis, "MAX_SYLLABLES", need - 1)
+    err = f"error: the normal form passes the limit of {need - 1} syllables (MAX_SYLLABLES)\n"
+    for argv in calls:
+        assert run(capsys, *argv) == (1, "", err)
 
 
 def test_synth_rejects_garbage(capsys):

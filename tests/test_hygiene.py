@@ -1,11 +1,14 @@
 """Tooling checks over the package source: traced bindings, unused imports,
-asserts in public functions, readers of counts, and the README's budget and
-library layout tables."""
+asserts in public functions, readers of counts, the modules the command line
+imports, and the README's budget and library layout tables."""
 
 import ast
 import importlib
 import importlib.util
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from types import ModuleType
 
@@ -143,6 +146,18 @@ def test_counts_are_read_by_one_reader():
     paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
     found = [c for path in paths for c in _int_calls(path) if c.partition(":")[0] not in readers]
     assert not found, f"int() outside the readers of counts: {found}"
+
+
+def test_cli_import_leaves_out_slow_modules():
+    # every hadpi call pays for the imports of hadpi.cli; -S keeps site, which
+    # may load pathlib itself, out of the count
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, hadpi.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert "hadpi.cli" in proc.stdout.split()
+    assert not {"dataclasses", "inspect", "pathlib"} & set(proc.stdout.split())
 
 
 def _budget_rows() -> list[tuple[str, str, str]]:

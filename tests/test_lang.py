@@ -47,7 +47,7 @@ import hadpi.lang
 import hadpi.linalg
 import hadpi.words
 from hadpi.linalg import ExactMatrix, Generator, RowState, m_level_embed
-from hadpi.translate import t_h, t_q
+from hadpi.translate import TranslateError, TranslationReport, t_h, t_q
 from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
 from oracles import (
     _ORACLE_PRIMS, H_BLOCK, MINUS_ONE, X_BLOCK, OracleTypeError, _oracle_prim, oracle_type,
@@ -506,6 +506,18 @@ def test_term_equality_and_hash_do_not_recurse():
     assert tail(NEG1, 2000) != tail(HAD, 2000) and tail(NEG1, 2000) != tail(NEG1, 1999)
 
 
+def test_term_repr_does_not_recurse():
+    assert repr(Seq(fst=Prim("had"), snd=Prim("id"))) == "Seq(fst=Prim('had'), snd=Prim('id'))"
+    c = SumC(Seq(HAD, ID), ProdC(Factorz(ZERO), Seq(Seq(NEG1, SWP), ID)))
+    assert repr(c) == (
+        "SumC(left=Seq(fst=Prim('had'), snd=Prim('id')), right=ProdC(left=Factorz(Zero), "
+        "right=Seq(fst=Seq(fst=Prim('neg1'), snd=Prim('swap+')), snd=Prim('id'))))"
+    )
+    m = 5000
+    text = repr(parse_term(f"had^{m}"))
+    assert text == "Seq(fst=Prim('had'), snd=" * (m - 1) + "Prim('had')" + ")" * (m - 1)
+
+
 def test_term_equality_is_structural():
     assert Seq(Seq(HAD, SWP), ID) != Seq(HAD, Seq(SWP, ID))
     assert SumC(HAD, ID) != ProdC(HAD, ID) and ProdC(HAD, ID) != SumC(HAD, ID)
@@ -565,6 +577,31 @@ def test_types_are_immutable():
         with pytest.raises(AttributeError):
             delattr(t, field)
     assert TWO.left is ONE and TWO.dim == 2
+
+
+def test_terms_and_reports_are_immutable_values():
+    c = Seq(HAD, SumC(Factorz(ZERO), ProdC(ID, NEG1)))
+    m = ExactMatrix.identity(2)
+    report = TranslationReport(HAD, c, m, m)
+    fields = (
+        (HAD, "name"), (Factorz(ONE), "operand"), (c, "fst"), (c.snd, "left"),
+        (c.snd.right, "right"), (report, "padding"),
+    )
+    for node, field in fields:
+        with pytest.raises(AttributeError):
+            setattr(node, field, ID)
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert c.fst is HAD and report.padding == 0
+    for node in (HAD, Factorz(TWO), c, report):
+        for again in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(again) is type(node) and again == node and hash(again) == hash(node)
+    # leaves compare and hash as the tuple of their field
+    assert hash(Prim("had")) == hash(("had",)) and hash(Factorz(ONE)) == hash((ONE,))
+    assert Prim("id") != Factorz(ZERO) and Factorz(ZERO) != Prim("id")
+    assert Prim(name="had") == HAD and Seq(fst=HAD, snd=ID) == Seq(HAD, ID)
+    with pytest.raises(TranslateError):
+        TranslationReport(HAD, HAD, m, ExactMatrix.identity(3))
 
 
 def test_patterns_with_holes_are_not_interned():
