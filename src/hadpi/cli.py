@@ -63,12 +63,16 @@ class UsageError(ValueError):
 
 
 def _read_input(value: str) -> str:
-    if value == "-":
-        return sys.stdin.read()
-    if not os.path.isfile(value):  # False for a name too long or otherwise unusable
-        return value
-    with open(value) as f:
-        return f.read()
+    try:
+        if value == "-":
+            return sys.stdin.read()
+        if not os.path.isfile(value):  # False for a name too long or otherwise unusable
+            return value
+        with open(value) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        name = "stdin" if value == "-" else value
+        raise UsageError(f"cannot read {name}: {exc}") from None
 
 
 def _parsed(parse, text: str):

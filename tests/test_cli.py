@@ -328,6 +328,18 @@ def test_sem_from_file(capsys, tmp_path):
     assert out.startswith("dim 4\nlde 0\n")
 
 
+def test_unreadable_input_is_a_usage_error(capsys, monkeypatch, tmp_path):
+    f = tmp_path / "term.txt"
+    f.write_bytes(b"\xff had")
+    code, out, err = run(capsys, "check", str(f))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {f}: ") and err.count("\n") == 1
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff had")))
+    code, out, err = run(capsys, "check", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read stdin: ") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # synth
 
