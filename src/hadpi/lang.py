@@ -224,7 +224,8 @@ def _preorder(c: "Term"):
     """The node classes and leaves of a term in pre-order, walked with an
     explicit stack: composition chains and translated sums of terms nest far
     past the recursion limit.  Two terms are equal exactly when their
-    sequences are, which is how Seq, SumC and ProdC compare and hash."""
+    sequences are, which is how Seq, SumC and ProdC compare and hash; they
+    print along it too."""
     stack = [c]
     while stack:
         c = stack.pop()
@@ -252,8 +253,8 @@ class _Composite(_Frozen):
 
     def __repr__(self) -> str:
         # Name(first=..., second=...): a class in the pre-order opens a
-        # composite, and each leaf ends a field, which either closes the
-        # composites it ends or opens their next field
+        # composite, and each leaf closes the composites it completes, then
+        # opens the second field of the innermost one still open
         out, ends = [], []
         for x in _preorder(self):
             if isinstance(x, type):
@@ -262,10 +263,10 @@ class _Composite(_Frozen):
                 ends += (")", f", {second}=")
                 continue
             out.append(repr(x))
-            while ends:
+            while ends and ends[-1] == ")":
                 out.append(ends.pop())
-                if out[-1] != ")":
-                    break
+            if ends:
+                out.append(ends.pop())
         return "".join(out)
 
 
