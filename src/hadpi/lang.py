@@ -238,9 +238,16 @@ def _preorder(c: "Term"):
 
 
 class _Composite(_Frozen):
-    """A node of two subterms, compared, hashed and printed along _preorder."""
+    """A node of two subterms, compared, hashed and printed along _preorder.
+    A copy is the node itself: terms are immutable, and copying field by
+    field would recurse once per link of a seq chain."""
 
     __slots__ = ()
+
+    def __deepcopy__(self, memo=None):
+        return self
+
+    __copy__ = __deepcopy__
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -424,25 +431,17 @@ class CombinatorType(NamedTuple):
         return f"{format_type(self.src)} <-> {format_type(self.dst)}"
 
 
-# Where a subterm sits: () for the whole term, else (parent path, step).
-# Linked so that extending it is O(1); a translated word's seq spine is
-# thousands deep, and flat tuples would copy the prefix at every node.
-_Path = tuple
-
-
 def _depth_limit(source) -> int:
     """Deepest type one pass over a term may build from this source."""
     return max(getattr(source, "depth", 0), MAX_NESTING) + MAX_NESTING
 
 
-def _too_deep(name: str, path: _Path) -> "LangError":
-    """The error for a primitive or factorz whose target is deeper than the
+def _too_deep(name: str) -> str:
+    """The message for a primitive or factorz whose target is deeper than the
     levels left to the subtype it rewrites."""
-    return _fail(
-        path,
+    return (
         f"{name} nests the type more than {MAX_NESTING} levels (MAX_NESTING)"
-        " past the deeper of its source and MAX_NESTING",
-        BudgetError,
+        " past the deeper of its source and MAX_NESTING"
     )
 
 
@@ -450,17 +449,23 @@ def _too_deep(name: str, path: _Path) -> "LangError":
 _PATH_ENDS = 5
 
 
-def _fail(path: _Path, msg: str, error: type = LangError) -> "LangError":
-    steps = []
-    while path:
-        path, step = path
-        steps.append(step)
-    steps.reverse()
+def _fail(steps: list[str], msg: str, error: type = LangError) -> "LangError":
+    """The error at the subterm that steps lead to from the root."""
     if len(steps) > 3 * _PATH_ENDS:
         cut = len(steps) - 2 * _PATH_ENDS
         steps[_PATH_ENDS:-_PATH_ENDS] = [f"<{cut} steps>"]
     where = ".".join(steps) if steps else "term"
     return error(f"at {where}: {msg}")
+
+
+class _Failure(Exception):
+    """A failure inside a walk, raised at the failing subterm with the message
+    and error class for _fail.  steps lists the steps down to that subterm,
+    innermost first: each composite the failure leaves appends its own, so
+    the walk names the subterm without walking again."""
+
+    def __init__(self, msg: str, error: type = LangError):
+        self.msg, self.error, self.steps = msg, error, []
 
 
 def _swap_sum_perm(n1: int, n2: int) -> list[int]:
@@ -475,7 +480,7 @@ def _swap_prod_perm(n1: int, n2: int) -> list[int]:
     return [((p - 1) % n2) * n1 + (p - 1) // n2 + 1 for p in range(1, n + 1)]
 
 
-def _prim_step(name: str, b: ValueType, lang: str, path: _Path) -> ValueType:
+def _prim_step(name: str, b: ValueType, lang: str) -> ValueType:
     """Target type of one primitive on input b."""
     try:
         step = _LANG_PRIMS[lang][name]
@@ -483,43 +488,17 @@ def _prim_step(name: str, b: ValueType, lang: str, path: _Path) -> ValueType:
         if lang not in _LANG_PRIMS:
             raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
         if name in _RULES:
-            raise _fail(path, f"primitive {name} is not part of {lang}") from None
-        raise _fail(path, f"unknown primitive {name}") from None
+            raise _Failure(f"primitive {name} is not part of {lang}") from None
+        raise _Failure(f"unknown primitive {name}") from None
     dst = step(b)
     if dst is None:
-        raise _fail(path, f"{name} needs {_RULES[name].needs}, got {format_type(b)}")
+        raise _Failure(f"{name} needs {_RULES[name].needs}, got {format_type(b)}")
     return dst
 
 
 def term_prims(c: Term):
-    """Every primitive node of a term, walked without recursion: seq
-    spines run far deeper than the interpreter's recursion limit."""
-    stack = [c]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prim):
-            yield node
-        elif isinstance(node, Seq):
-            stack.append(node.fst)
-            stack.append(node.snd)
-        elif isinstance(node, (SumC, ProdC)):
-            stack.append(node.left)
-            stack.append(node.right)
-
-
-def _seq_items(c: Term, path: _Path) -> list[tuple[Term, _Path]]:
-    """Non-seq leaves of a seq spine in application order, iteratively, each
-    with its path."""
-    out: list[tuple[Term, _Path]] = []
-    stack = [(c, path)]
-    while stack:
-        node, p = stack.pop()
-        if isinstance(node, Seq):
-            stack.append((node.snd, (p, "seq.snd")))
-            stack.append((node.fst, (p, "seq.fst")))
-        else:
-            out.append((node, p))
-    return out
+    """Every primitive node of a term, in the order of its text."""
+    return (x for x in _preorder(c) if isinstance(x, Prim))
 
 
 def _spine(c: Term) -> list[Term]:
@@ -534,6 +513,24 @@ def _spine(c: Term) -> list[Term]:
         else:
             out.append(node)
     return out
+
+
+def _spine_steps(c: Term, i: int, steps: list[str]) -> None:
+    """Append to steps (see _Failure) the seq.fst and seq.snd steps from c
+    down to leaf i of its spine, innermost first."""
+    stack = [(c, ())]  # (node, its path from c linked as (parent path, step))
+    while True:
+        node, path = stack.pop()
+        if isinstance(node, Seq):
+            stack.append((node.snd, (path, "seq.snd")))
+            stack.append((node.fst, (path, "seq.fst")))
+        elif i:
+            i -= 1
+        else:
+            break
+    while path:
+        path, step = path
+        steps.append(step)
 
 
 # ---------------------------------------------------------------------------
@@ -576,9 +573,8 @@ class _Walk:
     Nodes other than primitives are memoized on node and input type
     identity (equal types are one object): a node met again at its input
     type and no tighter depth limit returns its recorded target and re-emits
-    its recorded ops at the new placement.  Paths are tracked only when one
-    is given, so only a failing walk pays for them: it walks again with
-    paths to name the failing subterm."""
+    its recorded ops at the new placement.  A failure names its subterm as
+    it unwinds (_Failure), so no walk tracks paths."""
 
     __slots__ = ("lang", "emit", "ops", "memo", "dst")
 
@@ -597,32 +593,23 @@ class _Walk:
             raise BudgetError(
                 f"the source type's dimension is past the limit of {MAX_DIM} (MAX_DIM)"
             )
-        try:
-            self.dst = self.node(c, b, limit, None, [0], 1)
-            return
-        except LangError as exc:
-            err = exc
-        # walk again, tracking paths, to name the failing subterm; the memo
-        # holds only nodes that succeeded, so this walk meets the same failure
-        self.node(c, b, limit, (), [0], 1)
-        raise err
+        self.dst = self._root(c, b, limit)
 
-    def node(
-        self,
-        c: Term,
-        b: ValueType,
-        limit: int,
-        path: Optional[_Path],
-        offs: list[int],
-        stride: int,
-    ) -> ValueType:
+    def _root(self, c: Term, b: ValueType, limit: int) -> ValueType:
+        """node(c) at the first rows, raising a failure as the error it names."""
+        try:
+            return self.node(c, b, limit, [0], 1)
+        except _Failure as exc:
+            raise _fail(exc.steps[::-1], exc.msg, exc.error) from None
+
+    def node(self, c: Term, b: ValueType, limit: int, offs: list[int], stride: int) -> ValueType:
         """Target type of c on input b, no deeper than limit; local row j of
         copy i is row offs[i] + j*stride."""
         if isinstance(c, Prim):
             name = c.name
-            dst = _prim_step(name, b, self.lang, path)
+            dst = _prim_step(name, b, self.lang)
             if dst.depth > limit:
-                raise _too_deep(name, path)
+                raise _Failure(_too_deep(name), BudgetError)
             if self.emit:
                 if name in ("swap+", "swap*"):
                     self.ops.append((name, offs, stride, hdim(b.left), hdim(b.right)))
@@ -631,10 +618,10 @@ class _Walk:
             return dst  # every other primitive denotes an identity
         if isinstance(c, Factorz):
             if not isinstance(b, Zero):
-                raise _fail(path, f"factorz needs input 0, got {format_type(b)}")
+                raise _Failure(f"factorz needs input 0, got {format_type(b)}")
             dst = Prod(c.operand, ZERO)
             if dst.depth > limit:
-                raise _too_deep("factorz", path)
+                raise _Failure(_too_deep("factorz"), BudgetError)
             return dst
 
         key = (id(c), id(b))
@@ -648,56 +635,58 @@ class _Walk:
                 self._reemit(start, end, soffs, sstride, offs, stride)
             return dst
         start = len(self.ops)
-        if isinstance(c, Seq):
-            # walk the whole spine iteratively: translated words compose
-            # thousands of factors and would overrun the recursion limit
-            dst = b
-            if path is None:
-                for node in _spine(c):
-                    dst = self.node(node, dst, limit, None, offs, stride)
+        at = None  # the step down to the operand of a sum or product being walked
+        try:
+            if isinstance(c, Seq):
+                # walk the whole spine iteratively: translated words compose
+                # thousands of factors and would overrun the recursion limit
+                dst = b
+                for i, node in enumerate(_spine(c)):
+                    dst = self.node(node, dst, limit, offs, stride)
+            elif isinstance(c, SumC):
+                if not isinstance(b, Sum):
+                    raise _Failure(f"sum of terms needs a sum input, got {format_type(b)}")
+                at = "sum.left"
+                ld = self.node(c.left, b.left, limit - 1, offs, stride)
+                roffs = offs
+                if self.emit:
+                    roffs = [o + hdim(b.left) * stride for o in offs]
+                at = "sum.right"
+                rd = self.node(c.right, b.right, limit - 1, roffs, stride)
+                dst = b if ld is b.left and rd is b.right else Sum(ld, rd)
+            elif isinstance(c, ProdC):
+                if not isinstance(b, Prod):
+                    raise _Failure(
+                        f"product of terms needs a product input, got {format_type(b)}"
+                    )
+                # a factor outgrows the source only beside a 0 factor, and each
+                # term below still runs once per row of the other factor
+                if b.left.dim > MAX_DIM or b.right.dim > MAX_DIM:
+                    raise _Failure(
+                        f"product of terms has a factor whose dimension is past the limit"
+                        f" of {MAX_DIM} (MAX_DIM)",
+                        BudgetError,
+                    )
+                left = right = (offs, stride)
+                if self.emit:
+                    # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
+                    n1, n2 = hdim(b.left), hdim(b.right)
+                    left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
+                    right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
+                at = "prod.left"
+                ld = self.node(c.left, b.left, limit - 1, *left)
+                at = "prod.right"
+                rd = self.node(c.right, b.right, limit - 1, *right)
+                dst = b if ld is b.left and rd is b.right else Prod(ld, rd)
             else:
-                for node, p in _seq_items(c, path):
-                    dst = self.node(node, dst, limit, p, offs, stride)
-        elif isinstance(c, SumC):
-            if not isinstance(b, Sum):
-                raise _fail(path, f"sum of terms needs a sum input, got {format_type(b)}")
-            lp = rp = None
-            if path is not None:
-                lp, rp = (path, "sum.left"), (path, "sum.right")
-            ld = self.node(c.left, b.left, limit - 1, lp, offs, stride)
-            roffs = offs
-            if self.emit:
-                roffs = [o + hdim(b.left) * stride for o in offs]
-            rd = self.node(c.right, b.right, limit - 1, rp, roffs, stride)
-            dst = b if ld is b.left and rd is b.right else Sum(ld, rd)
-        elif isinstance(c, ProdC):
-            if not isinstance(b, Prod):
-                raise _fail(
-                    path, f"product of terms needs a product input, got {format_type(b)}"
-                )
-            # a factor outgrows the source only beside a 0 factor, and each
-            # term below still runs once per row of the other factor
-            if b.left.dim > MAX_DIM or b.right.dim > MAX_DIM:
-                raise _fail(
-                    path,
-                    f"product of terms has a factor whose dimension is past the limit of"
-                    f" {MAX_DIM} (MAX_DIM)",
-                    BudgetError,
-                )
-            left = right = (offs, stride)
-            if self.emit:
-                # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
-                n1, n2 = hdim(b.left), hdim(b.right)
-                left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
-                right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
-            lp = rp = None
-            if path is not None:
-                lp, rp = (path, "prod.left"), (path, "prod.right")
-            ld = self.node(c.left, b.left, limit - 1, lp, *left)
-            rd = self.node(c.right, b.right, limit - 1, rp, *right)
-            dst = b if ld is b.left and rd is b.right else Prod(ld, rd)
-        else:
-            raise _fail(path, f"not a term: {c!r}")
+                raise _Failure(f"not a term: {c!r}")
+        except _Failure as exc:
+            # the steps down to the failing operand
+            if isinstance(c, Seq):
+                _spine_steps(c, i, exc.steps)
+            elif at is not None:
+                exc.steps.append(at)
+            raise
         self.memo[key] = (c, b, limit, dst, offs, stride, start, len(self.ops))
         return dst
 
@@ -706,7 +695,7 @@ class _Walk:
         entry = self.memo.get((id(c), id(b)))
         if entry is not None:
             return entry[3]
-        return self.node(c, b, _depth_limit(b), None, [0], 1)
+        return self._root(c, b, _depth_limit(b))
 
     def _reemit(self, start, end, offs0, stride0, offs, stride) -> None:
         """Append ops[start:end], emitted at (offs0, stride0), at (offs, stride)."""
@@ -791,10 +780,12 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
 
 def inverse(c: Term, input: ValueType, lang: str = "qpi") -> Term:
     """Type-directed syntactic inverse: sem(inverse(c)) @ sem(c) = I."""
-    return _inv(c, input, _Walk(c, input, lang))
+    return _inv(c, input, _Walk(c, input, lang), {})
 
 
-def _inv(c: Term, b: ValueType, walk: _Walk) -> Term:
+def _inv(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
+    # done (see translate._w) holds each composite node's inverse per input
+    # type, so that the inverse of a shared subterm is one shared node
     if isinstance(c, Prim):
         if c.name == "absorb":
             assert isinstance(b, Prod)
@@ -802,20 +793,26 @@ def _inv(c: Term, b: ValueType, walk: _Walk) -> Term:
         return Prim(_RULES[c.name].inv)
     if isinstance(c, Factorz):
         return Prim("absorb")
+    key = (id(c), id(b))
+    if (hit := done.get(key)) is not None:
+        return hit[-1]
     if isinstance(c, Seq):
         cur = b
         invs = []
         for node in _spine(c):
-            invs.append(_inv(node, cur, walk))
+            invs.append(_inv(node, cur, walk, done))
             cur = walk.target(node, cur)
-        return seqs(*reversed(invs))
-    if isinstance(c, SumC):
+        out = seqs(*reversed(invs))
+    elif isinstance(c, SumC):
         assert isinstance(b, Sum)
-        return SumC(_inv(c.left, b.left, walk), _inv(c.right, b.right, walk))
-    if isinstance(c, ProdC):
+        out = SumC(_inv(c.left, b.left, walk, done), _inv(c.right, b.right, walk, done))
+    elif isinstance(c, ProdC):
         assert isinstance(b, Prod)
-        return ProdC(_inv(c.left, b.left, walk), _inv(c.right, b.right, walk))
-    raise LangError(f"not a term: {c!r}")
+        out = ProdC(_inv(c.left, b.left, walk, done), _inv(c.right, b.right, walk, done))
+    else:
+        raise LangError(f"not a term: {c!r}")
+    done[key] = (c, b, out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1222,7 +1219,7 @@ def _holds(t, h: _Hole, room, what: str, seen: dict) -> bool:
     if t is h:
         return True
     if t.depth > room:
-        raise _too_deep(what, ())
+        raise _fail([], _too_deep(what), BudgetError)
     if type(t) is _Hole:
         t.room = min(t.room, room)
         return False
@@ -1299,7 +1296,7 @@ def _infer(c: Term, t, limit: int):
     _equate(t, _instance(src, env), what, set())
     out = t if dst is src else _instance(dst, env)
     if out.depth > limit:
-        raise _too_deep(what, ())
+        raise _fail([], _too_deep(what), BudgetError)
     return out
 
 

@@ -64,6 +64,9 @@ def test_check_language_gate_is_a_parse_error(capsys):
     assert (code, err) == (2, "error: parse error: neg1 is not in hpi\n")
     code, _, err = run(capsys, "check", "had", "--lang", "pi")
     assert code == 2
+    # of two offenders, the gate names the first in the text
+    code, _, err = run(capsys, "check", "neg1 ; had", "--lang", "pi")
+    assert (code, err) == (2, "error: parse error: neg1 is not in pi\n")
 
 
 def test_check_infers_source(capsys):

@@ -6,7 +6,8 @@ over 2 kB in place of the text.  An exception that escapes `main` is
 recorded as the interpreter would end: exit 1 and a traceback, whose
 frames are elided, and a test refuses any entry that records one.
 Regenerate the file only when the command line's output is meant to
-change, and name every entry that changed:
+change, and name every entry that changed; the script prints each entry
+it adds, removes or changes:
 
     PYTHONPATH=src python tests/test_cli_golden.py
 """
@@ -220,7 +221,19 @@ def test_transcript_matches_golden(name):
     assert transcript(*CASES[name]) == golden[name]
 
 
+def regenerate() -> None:
+    """Rewrite the data file, naming every entry added, removed or changed."""
+    old = json.loads(DATA.read_text())
+    new = {name: transcript(*case) for name, case in CASES.items()}
+    for name in dict.fromkeys([*new, *old]):
+        if name not in old:
+            print(f"{name}: added")
+        elif name not in new:
+            print(f"{name}: removed")
+        elif old[name] != new[name]:
+            print(f"{name}: changed")
+    DATA.write_text(json.dumps(new, indent=1) + "\n")
+
+
 if __name__ == "__main__":
-    DATA.write_text(
-        json.dumps({name: transcript(*case) for name, case in CASES.items()}, indent=1) + "\n"
-    )
+    regenerate()

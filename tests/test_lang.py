@@ -423,10 +423,7 @@ def test_inference_visits_shared_parts_once(form):
 
 def test_long_error_paths_keep_their_ends():
     def fail_at(depth):
-        path = ()
-        for i in range(depth):
-            path = (path, f"s{i}")
-        return str(hadpi.lang._fail(path, "msg"))
+        return str(hadpi.lang._fail([f"s{i}" for i in range(depth)], "msg"))
 
     assert fail_at(0) == "at term: msg"
     assert fail_at(15) == "at " + ".".join(f"s{i}" for i in range(15)) + ": msg"
@@ -436,7 +433,7 @@ def test_long_error_paths_keep_their_ends():
 
 def test_term_prims_walks_every_node():
     c = seqs(HAD, SumC(NEG1, ProdC(ID, Factorz(TWO))), Prim("swap+"))
-    assert sorted(p.name for p in term_prims(c)) == ["had", "id", "neg1", "swap+"]
+    assert [p.name for p in term_prims(c)] == ["had", "neg1", "id", "swap+"]
     assert list(term_prims(Factorz(TWO))) == []
     # a spine far deeper than the recursion limit
     deep = ID
@@ -516,6 +513,12 @@ def test_term_repr_does_not_recurse():
     m = 5000
     text = repr(parse_term(f"had^{m}"))
     assert text == "Seq(fst=Prim('had'), snd=" * (m - 1) + "Prim('had')" + ")" * (m - 1)
+
+
+def test_deep_terms_copy_without_recursing():
+    c = parse_term("had^5000")
+    assert copy.copy(c) is c and copy.deepcopy(c) is c
+    assert copy.deepcopy([c, c])[1] is c
 
 
 def test_term_equality_is_structural():

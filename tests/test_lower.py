@@ -246,6 +246,27 @@ def test_a_shared_node_failing_at_its_second_use_names_that_use():
     assert dst.right is dst.left.right.right and dst.right.depth == 197
 
 
+def test_a_failing_walk_walks_once(monkeypatch):
+    calls = [0]
+
+    class CountingWalk(hadpi.lang._Walk):
+        __slots__ = ()
+
+        def node(self, *args):
+            calls[0] += 1
+            return super().node(*args)
+
+    monkeypatch.setattr(hadpi.lang, "_Walk", CountingWalk)
+    c = Seq(iterate(HAD, 999), Prim("swap*"))
+    with pytest.raises(LangError) as exc:
+        typecheck(c, TWO)
+    assert str(exc.value) == "at seq.snd: swap* needs a product input, got 1+1"
+    # the root, then each leaf of its spine: walking again to name the
+    # failing subterm would about double the count
+    leaves = sum(1 for _ in term_prims(c))
+    assert calls[0] <= leaves + 1, (calls, leaves)
+
+
 # ---------------------------------------------------------------------------
 # t_q shares its rungs, so lowering its output walks each rung once
 
@@ -284,6 +305,18 @@ def test_lowering_t_q_output_types_few_primitives(monkeypatch):
     # without shared rungs or without the memo, every leaf is typed again
     assert steps[0] < leaves / 5, (steps, leaves)
     assert format_type(typecheck(c, nsum(32)).dst) == format_type(nsum(32))
+
+
+def test_inverse_of_t_q_output_keeps_its_sharing(monkeypatch):
+    w = _word(random.Random(32), 32, 64)
+    c = t_q(w)
+    inv = inverse(c, nsum(32))
+    leaves = sum(1 for _ in term_prims(inv))
+    steps = _count_prim_steps(monkeypatch)
+    m = sem(inv, nsum(32))
+    # an inverse that copied each shared rung would type every leaf again
+    assert steps[0] < leaves / 5, (steps, leaves)
+    assert m == word_sem(w).transpose()  # the matrices are orthogonal
 
 
 # ---------------------------------------------------------------------------
