@@ -237,10 +237,21 @@ def _preorder(c: "Term"):
             yield c
 
 
+def _from_preorder(nodes) -> "Term":
+    """The term whose _preorder is the sequence nodes, built in one loop."""
+    stack: list = []
+    for x in reversed(nodes):
+        # a class opens a composite of the two terms built last
+        stack.append(x(stack.pop(), stack.pop()) if isinstance(x, type) else x)
+    return stack.pop()
+
+
 class _Composite(_Frozen):
     """A node of two subterms, compared, hashed and printed along _preorder.
     A copy is the node itself: terms are immutable, and copying field by
-    field would recurse once per link of a seq chain."""
+    field would recurse once per link of a seq chain.  For the same reason a
+    pickle holds the flat _preorder sequence, which unpickling rebuilds as a
+    tree: a subterm shared in the original is rebuilt once per place."""
 
     __slots__ = ()
 
@@ -248,6 +259,9 @@ class _Composite(_Frozen):
         return self
 
     __copy__ = __deepcopy__
+
+    def __reduce__(self):
+        return _from_preorder, (tuple(_preorder(self)),)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -515,24 +529,6 @@ def _spine(c: Term) -> list[Term]:
     return out
 
 
-def _spine_steps(c: Term, i: int, steps: list[str]) -> None:
-    """Append to steps (see _Failure) the seq.fst and seq.snd steps from c
-    down to leaf i of its spine, innermost first."""
-    stack = [(c, ())]  # (node, its path from c linked as (parent path, step))
-    while True:
-        node, path = stack.pop()
-        if isinstance(node, Seq):
-            stack.append((node.snd, (path, "seq.snd")))
-            stack.append((node.fst, (path, "seq.fst")))
-        elif i:
-            i -= 1
-        else:
-            break
-    while path:
-        path, step = path
-        steps.append(step)
-
-
 # ---------------------------------------------------------------------------
 # lowering: one memoized walk behind typecheck, sem, inverse and translation
 #
@@ -570,13 +566,15 @@ class _Walk:
     its program of placed primitives.  The walk is kept for questions about
     the nodes of c (target).
 
-    Nodes other than primitives are memoized on node and input type
-    identity (equal types are one object): a node met again at its input
-    type and no tighter depth limit returns its recorded target and re-emits
-    its recorded ops at the new placement.  A failure names its subterm as
-    it unwinds (_Failure), so no walk tracks paths."""
+    A primitive's target is memoized on its name and input type identity
+    (equal types are one object).  Every other node but a leaf factorz is
+    memoized on node and input type identity, a seq nested in a chain too: a
+    node met again at its input type and no tighter depth limit returns its
+    recorded target and re-emits its recorded ops at the new placement.  A
+    failure names its subterm as it unwinds (_Failure), so no walk tracks
+    paths.  Both memos die with the walk."""
 
-    __slots__ = ("lang", "emit", "ops", "memo", "dst")
+    __slots__ = ("lang", "emit", "limit", "ops", "steps", "memo", "dst")
 
     def __init__(
         self, c: Term, b: ValueType, lang: str, emit: bool = False, limit: Optional[int] = None
@@ -584,11 +582,15 @@ class _Walk:
         self.lang = lang
         self.emit = emit
         self.ops: list[tuple] = []
+        # (name, id(input)) -> (input, target, moves rows, n1, n2): a
+        # primitive's step, with the sizes an emitted swap carries
+        self.steps: dict[tuple, tuple] = {}
         # (id(node), id(input)) -> (node, input, limit, target, offs, stride,
         # start, end); holding the node and the input keeps their ids unique
         self.memo: dict[tuple, tuple] = {}
         if limit is None:
             limit = _depth_limit(b)
+        self.limit = limit
         if hdim(b) > MAX_DIM:
             raise BudgetError(
                 f"the source type's dimension is past the limit of {MAX_DIM} (MAX_DIM)"
@@ -604,98 +606,139 @@ class _Walk:
 
     def node(self, c: Term, b: ValueType, limit: int, offs: list[int], stride: int) -> ValueType:
         """Target type of c on input b, no deeper than limit; local row j of
-        copy i is row offs[i] + j*stride."""
-        if isinstance(c, Prim):
-            name = c.name
-            dst = _prim_step(name, b, self.lang)
-            if dst.depth > limit:
-                raise _Failure(_too_deep(name), BudgetError)
-            if self.emit:
-                if name in ("swap+", "swap*"):
-                    self.ops.append((name, offs, stride, hdim(b.left), hdim(b.right)))
-                elif name in ("had", "neg1"):
-                    self.ops.append((name, offs, stride, 0, 0))
-            return dst  # every other primitive denotes an identity
-        if isinstance(c, Factorz):
-            if not isinstance(b, Zero):
-                raise _Failure(f"factorz needs input 0, got {format_type(b)}")
-            dst = Prod(c.operand, ZERO)
-            if dst.depth > limit:
-                raise _Failure(_too_deep("factorz"), BudgetError)
-            return dst
+        copy i is row offs[i] + j*stride.
 
-        key = (id(c), id(b))
-        entry = self.memo.get(key)
+        A seq chain is walked off an explicit stack, not recursively:
+        translated words compose thousands of factors and would overrun the
+        recursion limit.  Each seq of the chain is memoized like any other
+        composite, so a run shared inside the chain is re-emitted in one step.
+        A sum or product of terms recurses once per level, as t_q's terms
+        nest one level per coordinate."""
+        memo, ops = self.memo, self.ops
+        # the seqs open around the node x being walked: [seq, input, start,
+        # the step down to x's side of it]
+        frames: list[list] = []
+        at = None  # the step down to the operand of a sum or product being walked
+        x, dst = c, b
+        try:
+            while True:
+                kind = type(x)
+                if kind is Prim:
+                    name = x.name
+                    step = self.steps.get((name, id(dst)))
+                    if step is None:
+                        out = _prim_step(name, dst, self.lang)
+                        if name == "swap+" or name == "swap*":
+                            step = (dst, out, True, dst.left.dim, dst.right.dim)
+                        else:  # every other primitive but had and neg1 denotes an identity
+                            step = (dst, out, name == "had" or name == "neg1", 0, 0)
+                        self.steps[name, id(dst)] = step
+                    _, dst, moves, n1, n2 = step
+                    if dst.depth > limit:
+                        raise _Failure(_too_deep(name), BudgetError)
+                    if moves and self.emit:
+                        ops.append((name, offs, stride, n1, n2))
+                elif kind is Factorz:
+                    if dst is not ZERO:
+                        raise _Failure(f"factorz needs input 0, got {format_type(dst)}")
+                    dst = Prod(x.operand, ZERO)
+                    if dst.depth > limit:
+                        raise _Failure(_too_deep("factorz"), BudgetError)
+                elif (entry := memo.get((id(x), id(dst)))) is not None and (
+                    hit := self._recall(entry, limit, offs, stride)
+                ) is not None:
+                    dst = hit
+                elif kind is Seq:
+                    frames.append([x, dst, len(ops), "seq.fst"])
+                    x = x.fst
+                    continue
+                elif kind is SumC:
+                    xb, start = dst, len(ops)
+                    if type(xb) is not Sum:
+                        raise _Failure(f"sum of terms needs a sum input, got {format_type(xb)}")
+                    at = "sum.left"
+                    ld = self.node(x.left, xb.left, limit - 1, offs, stride)
+                    roffs = offs
+                    if self.emit:
+                        roffs = [o + xb.left.dim * stride for o in offs]
+                    at = "sum.right"
+                    rd = self.node(x.right, xb.right, limit - 1, roffs, stride)
+                    at = None
+                    dst = xb if ld is xb.left and rd is xb.right else Sum(ld, rd)
+                    memo[id(x), id(xb)] = (x, xb, limit, dst, offs, stride, start, len(ops))
+                elif kind is ProdC:
+                    xb, start = dst, len(ops)
+                    if type(xb) is not Prod:
+                        raise _Failure(
+                            f"product of terms needs a product input, got {format_type(xb)}"
+                        )
+                    # a factor outgrows the source only beside a 0 factor, and each
+                    # term below still runs once per row of the other factor
+                    n1, n2 = xb.left.dim, xb.right.dim
+                    if n1 > MAX_DIM or n2 > MAX_DIM:
+                        raise _Failure(
+                            f"product of terms has a factor whose dimension is past the limit"
+                            f" of {MAX_DIM} (MAX_DIM)",
+                            BudgetError,
+                        )
+                    left = right = (offs, stride)
+                    if self.emit:
+                        # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
+                        left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
+                        right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
+                    at = "prod.left"
+                    ld = self.node(x.left, xb.left, limit - 1, *left)
+                    at = "prod.right"
+                    rd = self.node(x.right, xb.right, limit - 1, *right)
+                    at = None
+                    dst = xb if ld is xb.left and rd is xb.right else Prod(ld, rd)
+                    memo[id(x), id(xb)] = (x, xb, limit, dst, offs, stride, start, len(ops))
+                else:
+                    raise _Failure(f"not a term: {x!r}")
+                # x is done, and so is every open seq whose second operand it ends
+                while frames:
+                    frame = frames[-1]
+                    if frame[3] == "seq.fst":
+                        frame[3] = "seq.snd"
+                        x = frame[0].snd
+                        break
+                    frames.pop()
+                    y, yb, start, _ = frame
+                    memo[id(y), id(yb)] = (y, yb, limit, dst, offs, stride, start, len(ops))
+                else:
+                    return dst
+        except _Failure as exc:
+            if at is not None:
+                exc.steps.append(at)
+            exc.steps += [frame[3] for frame in reversed(frames)]
+            raise
+
+    def _recall(self, entry: tuple, limit: int, offs: list[int], stride: int):
+        """The target in a memo entry, with its ops re-emitted at (offs,
+        stride), or None if the entry cannot serve and the node must be
+        walked again."""
+        _, _, elimit, dst, eoffs, estride, start, end = entry
         # an entry recorded under a tighter depth limit serves any looser one;
         # a node walked with no copies (beside a 0 factor) recorded ops on no
-        # rows, which cannot be moved to rows: walk it again
-        if entry is not None and entry[2] <= limit and (entry[4] or not offs):
-            _, _, _, dst, soffs, sstride, start, end = entry
-            if start < end and offs:
-                self._reemit(start, end, soffs, sstride, offs, stride)
-            return dst
-        start = len(self.ops)
-        at = None  # the step down to the operand of a sum or product being walked
-        try:
-            if isinstance(c, Seq):
-                # walk the whole spine iteratively: translated words compose
-                # thousands of factors and would overrun the recursion limit
-                dst = b
-                for i, node in enumerate(_spine(c)):
-                    dst = self.node(node, dst, limit, offs, stride)
-            elif isinstance(c, SumC):
-                if not isinstance(b, Sum):
-                    raise _Failure(f"sum of terms needs a sum input, got {format_type(b)}")
-                at = "sum.left"
-                ld = self.node(c.left, b.left, limit - 1, offs, stride)
-                roffs = offs
-                if self.emit:
-                    roffs = [o + hdim(b.left) * stride for o in offs]
-                at = "sum.right"
-                rd = self.node(c.right, b.right, limit - 1, roffs, stride)
-                dst = b if ld is b.left and rd is b.right else Sum(ld, rd)
-            elif isinstance(c, ProdC):
-                if not isinstance(b, Prod):
-                    raise _Failure(
-                        f"product of terms needs a product input, got {format_type(b)}"
-                    )
-                # a factor outgrows the source only beside a 0 factor, and each
-                # term below still runs once per row of the other factor
-                if b.left.dim > MAX_DIM or b.right.dim > MAX_DIM:
-                    raise _Failure(
-                        f"product of terms has a factor whose dimension is past the limit"
-                        f" of {MAX_DIM} (MAX_DIM)",
-                        BudgetError,
-                    )
-                left = right = (offs, stride)
-                if self.emit:
-                    # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
-                    n1, n2 = hdim(b.left), hdim(b.right)
-                    left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
-                    right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
-                at = "prod.left"
-                ld = self.node(c.left, b.left, limit - 1, *left)
-                at = "prod.right"
-                rd = self.node(c.right, b.right, limit - 1, *right)
-                dst = b if ld is b.left and rd is b.right else Prod(ld, rd)
-            else:
-                raise _Failure(f"not a term: {c!r}")
-        except _Failure as exc:
-            # the steps down to the failing operand
-            if isinstance(c, Seq):
-                _spine_steps(c, i, exc.steps)
-            elif at is not None:
-                exc.steps.append(at)
-            raise
-        self.memo[key] = (c, b, limit, dst, offs, stride, start, len(self.ops))
+        # rows, which cannot be moved to rows
+        if elimit > limit or not (eoffs or not offs):
+            return None
+        if start < end and offs:
+            self._reemit(start, end, eoffs, estride, offs, stride)
         return dst
 
     def target(self, c: Term, b: ValueType) -> ValueType:
         """Target type of a node of a term this walk has checked, at input b."""
-        entry = self.memo.get((id(c), id(b)))
-        if entry is not None:
-            return entry[3]
-        return self._root(c, b, _depth_limit(b))
+        if type(c) is Prim:
+            step = self.steps.get((c.name, id(b)))
+            if step is not None:
+                return step[1]
+        else:
+            entry = self.memo.get((id(c), id(b)))
+            if entry is not None:
+                return entry[3]
+        # a leaf factorz, or a node not met at b: walked under the walk's limit
+        return self._root(c, b, self.limit)
 
     def _reemit(self, start, end, offs0, stride0, offs, stride) -> None:
         """Append ops[start:end], emitted at (offs0, stride0), at (offs, stride)."""
@@ -743,6 +786,10 @@ def _apply(ops: list[tuple], n: int) -> ExactMatrix:
         elif name == "neg1":
             state.apply_word([Generator("Z", (at[o],)) for o in offs])
         elif name == "swap+":
+            if n1 == 1 and n2 == 1:  # swap+ of 1+1: two labels trade places
+                for o in offs:
+                    at[o], at[o + stride] = at[o + stride], at[o]
+                continue
             # the left block of n1 rows moves past the right one
             for o in offs:
                 block = at[o : o + (n1 + n2) * stride : stride]
@@ -875,8 +922,9 @@ def _adj(k: int, n: int) -> Term:
 def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
     """Transposition (j k) on the type nsum(n), as a palindrome of
     adjacent swaps; sem equals the two-level permutation matrix.  Calls for
-    one n that pass the same dict as rungs share each adjacent swap, so a
-    walk over their terms lowers it once."""
+    one n that pass the same dict as rungs share each adjacent swap (keyed
+    by its first position) and each transposition (keyed (j, k)), so a walk
+    over their terms lowers each once."""
     if not (1 <= j <= n and 1 <= k <= n):
         raise LangError(f"positions must lie in 1..{n}")
     if j > k:
@@ -885,11 +933,14 @@ def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
         return Prim("id")
     if rungs is None:
         rungs = {}
-    for i in range(j, k):
-        if i not in rungs:
-            rungs[i] = _adj(i, n)
-    swaps = [rungs[i] for i in range(j, k)]
-    return seqs(*swaps, *reversed(swaps[:-1]))
+    out = rungs.get((j, k))
+    if out is None:
+        for i in range(j, k):
+            if i not in rungs:
+                rungs[i] = _adj(i, n)
+        swaps = [rungs[i] for i in range(j, k)]
+        out = rungs[j, k] = seqs(*swaps, *reversed(swaps[:-1]))
+    return out
 
 
 # ---------------------------------------------------------------------------

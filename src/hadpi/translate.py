@@ -163,9 +163,10 @@ def t_q(w: Word) -> Term:
     """Program over nsum(w.n) denoting the same matrix as w."""
     _check(w)
     n = w.n
-    # the generators share their adjacent swaps and their neg1 and had
-    # tails, so that lowering the program walks each of them once
-    rungs: dict[int, Term] = {}
+    # the generators share their adjacent swaps, their transpositions and
+    # their neg1 and had tails, so that lowering the program walks each of
+    # them once
+    rungs: dict = {}
     tails: dict[str, Term] = {}
     parts = [_t_gen(g, n, rungs, tails) for g in reversed(w.gens)]
     if not parts:
@@ -173,7 +174,7 @@ def t_q(w: Word) -> Term:
     return seqs(*parts)
 
 
-def _t_gen(g: Generator, n: int, rungs: dict[int, Term], tails: dict[str, Term]) -> Term:
+def _t_gen(g: Generator, n: int, rungs: dict, tails: dict[str, Term]) -> Term:
     if g.kind == "Z":
         move = swap_plus_at(g.idx[0], n, n, rungs)
         if "Z" not in tails:

@@ -3,7 +3,9 @@
 Generation is input-driven, mirroring the type checker: at each node the
 choices are the primitives that structurally match the current source type
 plus the three combinators, so every emitted term typechecks by
-construction.  qubit_circuits builds fixed gate circuits on three qubits.
+construction.  shared_chain_term reuses one built seq chain object in
+several places of a term.  qubit_circuits builds fixed gate circuits on
+three qubits.
 """
 
 import random
@@ -25,6 +27,7 @@ from hadpi.lang import (
     Zero,
     ctrl,
     hdim,
+    inverse,
     primitives,
     seqs,
     typecheck,
@@ -84,6 +87,21 @@ def rand_term(rng: random.Random, b: ValueType, lang: str = "qpi", depth: int = 
             rand_term(rng, b.right, lang, depth - 1),
         )
     return rng.choice(prims)
+
+
+def shared_chain_term(rng: random.Random, b: ValueType, lang: str = "qpi", depth: int = 3):
+    """(term, s, back): a random chain s from b, back its inverse, and a term
+    accepted at b that reuses the one object s at b in several places, in a
+    longer chain and nested in it to the left and to the right.  The term's
+    target is s's."""
+    parts, t = [], b
+    for _ in range(rng.randint(2, 4)):
+        parts.append(rand_term(rng, t, lang, depth))
+        t = typecheck(parts[-1], t, lang).dst
+    s = seqs(*parts)
+    back = inverse(s, b, lang)
+    loop = Seq(s, back)
+    return seqs(loop, s, back, Seq(loop, Seq(s, back)), s), s, back
 
 
 # ---------------------------------------------------------------------------

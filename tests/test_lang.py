@@ -47,7 +47,7 @@ import hadpi.lang
 import hadpi.linalg
 import hadpi.words
 from hadpi.linalg import ExactMatrix, Generator, RowState, m_level_embed
-from hadpi.translate import TranslateError, TranslationReport, t_h, t_q
+from hadpi.translate import TranslateError, TranslationReport, t_h, t_q, wsem
 from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
 from oracles import (
     _ORACLE_PRIMS, H_BLOCK, MINUS_ONE, X_BLOCK, OracleTypeError, _oracle_prim, oracle_type,
@@ -229,6 +229,20 @@ def test_inverse_of_absorb_restores_the_factor():
     inv = inverse(Prim("absorb"), b)
     assert inv == Factorz(Sum(TWO, ONE))
     assert typecheck(inv, ZERO).dst == b
+
+
+def test_one_depth_budget_per_walk():
+    # factorz{b} at 0 builds b*0, deeper than the budget of its own input 0
+    # but within that of the source: the walks behind inverse, wsem and t_h
+    # answer it under the budget typecheck accepted it within
+    deep = nsum(250)
+    c, b = Seq(Prim("absorb"), Factorz(deep)), Prod(deep, ZERO)
+    assert typecheck(c, b).dst is b
+    inv = inverse(c, b)
+    assert inv == c and typecheck(inv, b).dst is b  # its own inverse
+    assert wsem(c, b) == Word(0, ())
+    h = t_h(c, b)
+    assert format_term(h) == "id + absorb ; id + factorz{" + format_type(deep) + "}"
 
 
 def test_axioms_qpi():
@@ -519,6 +533,17 @@ def test_deep_terms_copy_without_recursing():
     c = parse_term("had^5000")
     assert copy.copy(c) is c and copy.deepcopy(c) is c
     assert copy.deepcopy([c, c])[1] is c
+
+
+def test_deep_and_shared_terms_pickle_without_recursing():
+    # a t_q output shares its transpositions; the copy is the same tree
+    w = Word(8, tuple(Generator(k, idx) for k, idx in
+                      [("H", (2, 7)), ("Z", (3,)), ("X", (1, 8)), ("H", (7, 8)), ("Z", (8,))]))
+    for c in (parse_term("had^5000"), t_q(w)):
+        again = pickle.loads(pickle.dumps(c))
+        assert again == c and hash(again) == hash(c)
+        assert format_term(again) == format_term(c)
+    assert sem(again, nsum(8)) == word_sem(w)
 
 
 def test_term_equality_is_structural():

@@ -7,6 +7,7 @@ of terms makes, and under a tighter depth budget; each case here is
 checked against oracles.oracle_term, which shares no code with lang.
 """
 
+import pickle
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from oracles import (
     oracle_term,
     oracle_type,
 )
-from termgen import QUBITS3, qubit_circuits, rand_type
+from termgen import QUBITS3, qubit_circuits, rand_type, shared_chain_term
 
 import hadpi.lang
 from hadpi.lang import (
@@ -246,7 +247,8 @@ def test_a_shared_node_failing_at_its_second_use_names_that_use():
     assert dst.right is dst.left.right.right and dst.right.depth == 197
 
 
-def test_a_failing_walk_walks_once(monkeypatch):
+def _count_node_calls(monkeypatch) -> list[int]:
+    """A one-element list counting the calls of lang._Walk.node from now on."""
     calls = [0]
 
     class CountingWalk(hadpi.lang._Walk):
@@ -257,14 +259,92 @@ def test_a_failing_walk_walks_once(monkeypatch):
             return super().node(*args)
 
     monkeypatch.setattr(hadpi.lang, "_Walk", CountingWalk)
+    return calls
+
+
+def test_a_failing_walk_walks_once(monkeypatch):
+    calls = _count_node_calls(monkeypatch)
     c = Seq(iterate(HAD, 999), Prim("swap*"))
     with pytest.raises(LangError) as exc:
         typecheck(c, TWO)
     assert str(exc.value) == "at seq.snd: swap* needs a product input, got 1+1"
-    # the root, then each leaf of its spine: walking again to name the
+    # at most the root and a call per leaf; walking again to name the
     # failing subterm would about double the count
     leaves = sum(1 for _ in term_prims(c))
     assert calls[0] <= leaves + 1, (calls, leaves)
+
+
+def test_a_sum_of_terms_costs_one_frame_per_level():
+    # t_q nests its terms one sum of terms per coordinate: 800 levels fit
+    # within the default recursion limit of 1000 at one frame per level
+    c = hadpi.lang._at_tail(Seq(NEG1, NEG1), 799)
+    assert typecheck(c, nsum(800)).dst is nsum(800)
+
+
+# ---------------------------------------------------------------------------
+# one seq chain object met again at its input type, against the same tree
+# rebuilt with no node shared
+
+
+def _composites(c) -> list:
+    """Every composite node object of c, once per place it holds."""
+    out, stack = [], [c]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, (Seq, SumC, ProdC)):
+            out.append(x)
+            stack += [getattr(x, f) for f in x.__slots__]
+    return out
+
+
+def _outcome(c, b, lang):
+    """(target, matrix) of c at b, or the class and text of its error."""
+    try:
+        return typecheck(c, b, lang).dst, sem(c, b, lang)
+    except LangError as exc:
+        return type(exc), str(exc)
+
+
+def _failing_leaf(rng, t, lang):
+    """A leaf that fails at input t."""
+    bad = [Prim(name) for name in sorted(primitives(lang)) if not _accepts(Prim(name), t, lang)]
+    if t != ZERO:
+        bad.append(Factorz(ONE))
+    return rng.choice(bad)
+
+
+@pytest.mark.parametrize("lang", ["pi", "qpi"])
+def test_shared_chains_walk_as_the_unshared_tree(lang):
+    rng = random.Random({"pi": 81, "qpi": 82}[lang])
+    checked = failed = 0
+    for _ in range(40):
+        b = rand_type(rng, 4, 1)
+        term, s, back = shared_chain_term(rng, b, lang)
+        loop = Seq(s, back)
+        d = typecheck(s, b, lang).dst
+        bad = _failing_leaf(rng, d, lang)
+        cases = [
+            (term, b),
+            (SumC(term, loop), Sum(b, b)),
+            (ProdC(ID, term), Prod(TWO, b)),
+            (seqs(ProdC(loop, ID), Prim("swap*"), ProdC(ID, term)), Prod(b, TWO)),
+            # each fails after the walk has met s again at b
+            (Seq(term, bad), b),
+            (Seq(loop, Seq(s, Seq(back, Seq(s, bad)))), b),
+            (Seq(Seq(loop, Seq(s, bad)), back), b),
+            (SumC(loop, Seq(s, bad)), Sum(b, b)),
+            (Seq(ProdC(ID, loop), ProdC(ID, Seq(s, bad))), Prod(TWO, b)),
+        ]
+        for c, t in cases:
+            tree = pickle.loads(pickle.dumps(c))
+            shared = _composites(c)
+            assert len({id(x) for x in shared}) < len(shared)
+            assert len({id(x) for x in _composites(tree)}) == len(shared)
+            got, want = _outcome(c, t, lang), _outcome(tree, t, lang)
+            assert got == want, (format_term(c), format_type(t))
+            checked += 1
+            failed += isinstance(got[0], type)
+    assert failed == 40 * 5 and checked == 40 * 9
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +385,16 @@ def test_lowering_t_q_output_types_few_primitives(monkeypatch):
     # without shared rungs or without the memo, every leaf is typed again
     assert steps[0] < leaves / 5, (steps, leaves)
     assert format_type(typecheck(c, nsum(32)).dst) == format_type(nsum(32))
+
+
+def test_lowering_t_q_output_walks_few_nodes(monkeypatch):
+    w = _word(random.Random(32), 32, 64)
+    c = t_q(w)
+    calls = _count_node_calls(monkeypatch)
+    assert sem(c, nsum(32)) == word_sem(w)
+    # 6,376 calls when a chain was walked leaf by leaf, with no memo for a
+    # seq inside a chain and a new term for each transposition
+    assert calls[0] < 6376 / 2, calls
 
 
 def test_inverse_of_t_q_output_keeps_its_sharing(monkeypatch):
