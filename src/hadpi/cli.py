@@ -11,7 +11,6 @@ import argparse
 import functools
 import os
 import sys
-from itertools import islice, permutations
 
 from .lang import (
     BudgetError,
@@ -49,7 +48,6 @@ from .words import (
     parse_derivation,
     parse_word,
     replay,
-    support_ranks,
     verify_relation,
     word_sem,
 )
@@ -177,24 +175,22 @@ def cmd_relations_verify(args) -> int:
             print(f"SKIP {rel.id} needs n >= {rel.min_dim}")
             skipped += 1
             continue
-        # an instance is decided at dimension k on the rank pattern of its k
-        # indices, once per pattern: at the pattern's first instance, so the
-        # first failing instance is still the one reported
-        checked, decided = 0, {}
-        assignments = permutations(range(1, args.n + 1), len(rel.formals))
-        for indices in islice(assignments, args.max_assignments or None):
-            rank = support_ranks(indices)
-            pattern = tuple(rank[i] for i in indices)
-            if pattern not in decided:
-                decided[pattern] = verify_relation(rel, pattern, len(pattern))
-            if not decided[pattern]:
-                binding = ",".join(f"{f}={i}" for f, i in zip(rel.formals, indices))
-                print(f"FAIL {rel.id} at {binding}")
-                failed += 1
-                break
-            checked += 1
-        else:
-            print(f"PASS {rel.id} assignments={checked}")
+        # verify_relation applies each generator to its rows as listed, so
+        # relabelling the indices by a permutation conjugates both sides by
+        # one permutation matrix, and rows outside the indices stay fixed:
+        # every assignment has the verdict of (1..k) at dimension k, and the
+        # first one enumerated, (1..k) itself, is the first that fails
+        k = len(rel.formals)
+        first = tuple(range(1, k + 1))
+        if not verify_relation(rel, first, k):
+            binding = ",".join(f"{f}={i}" for f, i in zip(rel.formals, first))
+            print(f"FAIL {rel.id} at {binding}")
+            failed += 1
+            continue
+        count = 1
+        for i in range(k):  # the assignments of k distinct indices from 1..n
+            count *= args.n - i
+        print(f"PASS {rel.id} assignments={min(count, args.max_assignments or count)}")
     total = len(CATALOG)
     print(
         f"{total - failed - skipped} of {total} relations verified "
@@ -248,8 +244,8 @@ def cmd_derive_check(args) -> int:
 # wiring
 
 # The full enumeration is 3,846 assignments at n=6 and 32,712 at n=8, but
-# relations-verify evaluates two k x k words once per rank pattern of a
-# relation's k indices: 917 patterns from n=6 on (d4 has six indices).
+# relations-verify decides each relation once, on two k x k words for its k
+# indices (see cmd_relations_verify), so n only sets the counts it prints.
 MAX_RELATIONS_N = 8
 
 

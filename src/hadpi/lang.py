@@ -237,21 +237,44 @@ def _preorder(c: "Term"):
             yield c
 
 
-def _from_preorder(nodes) -> "Term":
-    """The term whose _preorder is the sequence nodes, built in one loop."""
-    stack: list = []
-    for x in reversed(nodes):
-        # a class opens a composite of the two terms built last
-        stack.append(x(stack.pop(), stack.pop()) if isinstance(x, type) else x)
-    return stack.pop()
+def _postorder(c: "Term") -> list:
+    """The distinct nodes of a term in post-order, walked with an explicit
+    stack: a leaf as itself and a composite as (class, i, j), its two parts
+    the nodes at places i and j.  A node shared in c is listed once."""
+    at: dict = {}  # id(node) -> its place; c holds the nodes, so ids stay unique
+    out: list = []
+    stack = [(c, False)]
+    while stack:
+        x, parts_done = stack.pop()
+        if id(x) in at:
+            continue
+        if isinstance(x, _Composite):
+            first, second = (getattr(x, f) for f in x.__slots__)
+            if not parts_done:
+                stack += ((x, True), (second, False), (first, False))
+                continue
+            entry = (type(x), at[id(first)], at[id(second)])
+        else:
+            entry = x
+        at[id(x)] = len(out)
+        out.append(entry)
+    return out
+
+
+def _from_postorder(nodes) -> "Term":
+    """The term whose _postorder is the sequence nodes, built in one loop."""
+    built: list = []
+    for x in nodes:
+        built.append(x[0](built[x[1]], built[x[2]]) if type(x) is tuple else x)
+    return built[-1]
 
 
 class _Composite(_Frozen):
     """A node of two subterms, compared, hashed and printed along _preorder.
     A copy is the node itself: terms are immutable, and copying field by
     field would recurse once per link of a seq chain.  For the same reason a
-    pickle holds the flat _preorder sequence, which unpickling rebuilds as a
-    tree: a subterm shared in the original is rebuilt once per place."""
+    pickle holds the flat _postorder list, which unpickling rebuilds in one
+    loop: a subterm shared in the original is pickled and rebuilt once."""
 
     __slots__ = ()
 
@@ -261,7 +284,7 @@ class _Composite(_Frozen):
     __copy__ = __deepcopy__
 
     def __reduce__(self):
-        return _from_preorder, (tuple(_preorder(self)),)
+        return _from_postorder, (tuple(_postorder(self)),)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -480,18 +503,6 @@ class _Failure(Exception):
 
     def __init__(self, msg: str, error: type = LangError):
         self.msg, self.error, self.steps = msg, error, []
-
-
-def _swap_sum_perm(n1: int, n2: int) -> list[int]:
-    # basis vector j of the left block moves past the whole right block
-    n = n1 + n2
-    return [j + n2 for j in range(1, n1 + 1)] + [j - n1 for j in range(n1 + 1, n + 1)]
-
-
-def _swap_prod_perm(n1: int, n2: int) -> list[int]:
-    # pair index (i1, i2) becomes (i2, i1)
-    n = n1 * n2
-    return [((p - 1) % n2) * n1 + (p - 1) // n2 + 1 for p in range(1, n + 1)]
 
 
 def _prim_step(name: str, b: ValueType, lang: str) -> ValueType:
@@ -774,17 +785,19 @@ def sem(
     return _apply(lower(c, input, lang, limit)[1], hdim(input))
 
 
-def _apply(ops: list[tuple], n: int) -> ExactMatrix:
-    """The matrix of a program of placed primitives (see lower) on n rows."""
-    state = RowState.identity(n)
-    # permutations only relabel rows: program row r is state row at[r] - 1
-    rows0 = list(range(1, n + 1))
-    at = rows0[:]
+def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
+    """The one evaluator of a program of placed primitives (see lower) on n
+    rows: its generators in application order, and its final relabelling.
+    Permutations only relabel rows: program row r is row at[r] - 1 of the
+    product of the generators, and had and neg1 act on the labels of their
+    program rows, so an H may list its two rows in descending order."""
+    at = list(range(1, n + 1))
+    gens: list[Generator] = []
     for name, offs, stride, n1, n2 in ops:
         if name == "had":
-            state.apply_word([Generator("H", (at[o], at[o + stride])) for o in offs])
+            gens += [Generator("H", (at[o], at[o + stride])) for o in offs]
         elif name == "neg1":
-            state.apply_word([Generator("Z", (at[o],)) for o in offs])
+            gens += [Generator("Z", (at[o],)) for o in offs]
         elif name == "swap+":
             if n1 == 1 and n2 == 1:  # swap+ of 1+1: two labels trade places
                 for o in offs:
@@ -801,8 +814,18 @@ def _apply(ops: list[tuple], n: int) -> ExactMatrix:
                 at[o : o + n1 * n2 * stride : stride] = [
                     a for i2 in range(n2) for a in block[i2::n2]
                 ]
-    if at != rows0:
-        moved = [r for r in range(n) if at[r] != r + 1]
+    return gens, at
+
+
+def _apply(ops: list[tuple], n: int) -> ExactMatrix:
+    """The matrix of a program of placed primitives (see lower) on n rows."""
+    gens, at = _run(ops, n)
+    state = RowState.identity(n)
+    # apply_word takes a word, whose rightmost generator acts first; an H
+    # acts on its rows as listed
+    state.apply_word(gens[::-1])
+    moved = [r for r in range(n) if at[r] != r + 1]
+    if moved:
         state.permute([at[r] - 1 for r in moved], moved)
     return state.snapshot()
 
@@ -831,8 +854,9 @@ def inverse(c: Term, input: ValueType, lang: str = "qpi") -> Term:
 
 
 def _inv(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
-    # done (see translate._w) holds each composite node's inverse per input
-    # type, so that the inverse of a shared subterm is one shared node
+    # done maps (id(node), id(input)) to (node, input, inverse) for each
+    # composite node met so far, so that the inverse of a shared subterm is
+    # one shared node; holding the node and the input keeps their ids unique
     if isinstance(c, Prim):
         if c.name == "absorb":
             assert isinstance(b, Prod)

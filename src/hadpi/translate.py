@@ -6,9 +6,12 @@ right-associated n-fold sum of 1; qsem embeds Hadamard-programs into the
 neg1-bearing language (the trees coincide); t_h simulates neg1 away,
 lifting a program of type b1 <-> b2 to one of type 1+b1 <-> 1+b2 whose
 matrix gains an identity row on top.
-"""
 
-from functools import cache
+wsem has no walk of its own: it reads the program of placed primitives
+that lang.lower builds, through lang._run, the loop that lang.sem
+evaluates too.  Swaps there only relabel rows, so a word spends no
+generators on them but one permutation word for the final relabelling.
+"""
 
 from .lang import (
     Factorz,
@@ -28,10 +31,10 @@ from .lang import (
     _Walk,
     _at_tail,
     _depth_limit,
+    _run,
     _spine,
-    _swap_prod_perm,
-    _swap_sum_perm,
     hdim,
+    lower,
     sem,
     seqs,
     swap_plus_at,
@@ -40,9 +43,9 @@ from .lang import (
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .lang import typecheck  # noqa: F401
-from .linalg import ExactMatrix, Generator, gen_h, gen_z
+from .linalg import ExactMatrix, Generator
 from .synthesis import hpermute
-from .words import Word, _check, embed, shift
+from .words import Word, _check
 
 _ID = Prim("id")
 
@@ -88,71 +91,24 @@ class TranslationReport(_Frozen):
 
 
 def wsem(c: Term, input: ValueType) -> Word:
-    """Generator word with the same matrix as c at the given source type."""
-    return _w(c, input, _Walk(c, input, "qpi"), {})
-
-
-def _w(c: Term, b: ValueType, walk: _Walk, done: dict) -> Word:
-    # done maps (id(node), id(input)) to (node, input, word) for each
-    # composite node met so far, so that a shared subterm is translated once
-    # per input type; holding the node and the input keeps their ids unique
-    n = hdim(b)
-    if isinstance(c, Prim):
-        name = c.name
-        if name == "neg1":
-            return Word(1, (gen_z(1),))
-        if name == "had":
-            return Word(2, (gen_h(1, 2),))
-        if name in ("swap+", "swap*"):
-            return _swap_word(name, hdim(b.left), hdim(b.right))
-        return Word(n, ())
-    if isinstance(c, Factorz):
-        return Word(0, ())
-    key = (id(c), id(b))
-    if (hit := done.get(key)) is not None:
-        return hit[-1]
-    if isinstance(c, Seq):
-        parts = []
-        cur = b
-        for node in _spine(c):
-            parts.append(_w(node, cur, walk, done).gens)
-            cur = walk.target(node, cur)
-        word = Word(n, tuple(g for gens in reversed(parts) for g in gens))
-    elif isinstance(c, SumC):
-        n1 = hdim(b.left)
-        w1 = embed(_w(c.left, b.left, walk, done), n)
-        w2 = shift(_w(c.right, b.right, walk, done), n1)
-        word = Word(n, w1.gens + embed(w2, n).gens)
-    elif isinstance(c, ProdC):
-        b1, b2 = b.left, b.right
-        if c.left == _ID:
-            word = _w_id_times(b1, c.right, b2, walk, done)
+    """Generator word with the same matrix as c at the given source type,
+    read off the program lower builds: _run's generators in word order, an
+    H on descending labels written X H X (relation e2), behind one word of
+    the final relabelling."""
+    gens, at = _run(lower(c, input)[1], hdim(input))
+    word: list[Generator] = []
+    if any(a != r for r, a in enumerate(at, 1)):
+        perm = [0] * len(at)
+        for r, a in enumerate(at, 1):  # program row r holds row a
+            perm[a - 1] = r
+        word += hpermute(perm).gens
+    for g in reversed(gens):
+        if g.kind == "H" and g.idx[0] > g.idx[1]:
+            x = Generator("X", g.idx[::-1])
+            word += (x, Generator("H", x.idx), x)
         else:
-            n1, n2 = hdim(b1), hdim(b2)
-            b4 = walk.target(c.right, b2)
-            first = _w_id_times(b1, c.right, b2, walk, done)
-            mid = _swap_word("swap*", n1, n2)
-            second = _w_id_times(b4, c.left, b1, walk, done)
-            last = _swap_word("swap*", n2, n1)
-            word = Word(n, last.gens + second.gens + mid.gens + first.gens)
-    else:
-        raise LangError(f"not a term: {c!r}")
-    done[key] = (c, b, word)
-    return word
-
-
-@cache
-def _swap_word(name: str, n1: int, n2: int) -> Word:
-    # programs repeat a few distinct swaps; synthesize each one once
-    swap = _swap_sum_perm if name == "swap+" else _swap_prod_perm
-    return hpermute(swap(n1, n2))
-
-
-def _w_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -> Word:
-    # one copy of the word of c per basis vector of b, shifted blockwise
-    w = _w(c, cb, walk, done)
-    d = hdim(cb)
-    return Word(hdim(b) * d, tuple(g for i in range(hdim(b)) for g in shift(w, i * d).gens))
+            word.append(g)
+    return Word(len(at), tuple(word))
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +176,7 @@ def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
 
 
 def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
-    # done (see _w) holds each composite node's translation per input
+    # done (see lang._inv) holds each composite node's translation per input
     # type, and each id_b * c clause per (b, input type of c): id_b * c
     # translates c once per basis vector of b, and the copies are one
     # object, so lowering the output walks c's translation once
@@ -270,23 +226,11 @@ def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
     return out
 
 
-def rank(b: ValueType) -> int:
-    """Termination measure for the id_b * c clauses of t_h."""
-    if isinstance(b, Zero):
-        return 1
-    if isinstance(b, One):
-        return 2
-    if isinstance(b, Sum):
-        return rank(b.left) + rank(b.right)
-    return (rank(b.left) + 1) ** 2 * rank(b.right)
-
-
 def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -> Term:
     # keyed (id(c), id(b), id(cb)) in done, longer than any key of _th
     key = (id(c), id(b), id(cb))
     if (hit := done.get(key)) is not None:
         return hit[-1]
-    r = rank(b)
     bl, br = getattr(b, "left", None), getattr(b, "right", None)
     if isinstance(b, Zero):
         cd = walk.target(c, cb)
@@ -297,7 +241,6 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) 
             SumC(_ID, Prim("unite*")), _th(c, cb, walk, done), SumC(_ID, Prim("uniti*"))
         )
     elif isinstance(b, Sum):
-        assert rank(bl) < r and rank(br) < r
         inner = SumC(ProdC(_ID, c), ProdC(_ID, c))
         mid_src = Sum(Prod(bl, cb), Prod(br, cb))
         out = seqs(
@@ -318,7 +261,6 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) 
         )
         out = SumC(_ID, chain)
     elif isinstance(bl, One):
-        assert rank(br) < r
         out = seqs(
             SumC(_ID, Seq(Prim("assocr*"), Prim("unite*"))),
             _th_id_times(br, c, cb, walk, done),
@@ -326,7 +268,6 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) 
         )
     elif isinstance(bl, Sum):
         split = Sum(Prod(bl.left, br), Prod(bl.right, br))
-        assert rank(split) < r
         out = seqs(
             SumC(_ID, ProdC(Prim("dist"), _ID)),
             _th_id_times(split, c, cb, walk, done),
@@ -334,7 +275,6 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) 
         )
     else:
         reassoc = Prod(bl.left, Prod(bl.right, br))
-        assert rank(reassoc) < r
         out = seqs(
             SumC(_ID, ProdC(Prim("assocr*"), _ID)),
             _th_id_times(reassoc, c, cb, walk, done),

@@ -9,9 +9,10 @@ file format.  Equivalence of words is decided in synthesis.
 
 A word whose generators touch only the rows S is the identity off S, and
 on S it is the same word with each index replaced by its rank in S
-(support_ranks).  So relations-verify decides one instance per rank
-pattern of a relation, and replay decides each step on the window where
-the two words differ, relabelled to its support.
+(support_ranks).  So replay decides each step on the window where the two
+words differ, relabelled to its support.  Relabelling a relation's indices
+by any permutation conjugates both of its sides by one permutation matrix,
+so relations-verify decides each relation once.
 """
 
 from __future__ import annotations
@@ -63,23 +64,6 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
     to 1..|S| have the same matrix on S, and both are the identity elsewhere.
     """
     return {i: r for r, i in enumerate(sorted(set(indices)), start=1)}
-
-
-def shift(w: Word, m: int) -> Word:
-    """Raise every index by m; semantics becomes I_m (+) [[w]]."""
-    if m < 0:
-        raise WordError(f"cannot shift a word by {m}; the shift must be a natural number")
-    return Word(
-        w.n + m,
-        tuple(Generator(g.kind, tuple(i + m for i in g.idx)) for g in w.gens),
-    )
-
-
-def embed(w: Word, n: int) -> Word:
-    """View the same generators in a larger ambient; pads I on the right."""
-    if n < w.n:
-        raise WordError(f"cannot embed a word over G_{w.n} into G_{n}")
-    return Word(n, w.gens)
 
 
 # Relation catalog.  Schematic tokens are (kind, formal indices); formals

@@ -5,16 +5,18 @@ p + q*sqrt(2) and plain list-of-lists matrices.  Package values enter only
 as plain integers: a numerator pair (a, b) with its exponent k, or the
 fields n, k, aa, bb of an ExactMatrix; package terms and types are read by
 class name and fields.  No code is shared with the package internals:
-agreement between the two is the evidence.  The last section builds the
-dense generator matrices that tests multiply out, from ExactMatrix and
-m_level_embed.
+agreement between the two is the evidence.  The last two sections build
+the dense generator matrices that tests multiply out, from ExactMatrix and
+m_level_embed, and translate programs to Words of Generators clause by
+clause.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from hadpi.linalg import ExactMatrix, m_level_embed
+from hadpi.linalg import ExactMatrix, Generator, m_level_embed
+from hadpi.words import Word, WordError
 
 
 class FracRT2:
@@ -273,8 +275,8 @@ _ORACLE_PRIMS["hpi"] = _ORACLE_PRIMS["pi"] | {"had"}
 _ORACLE_PRIMS["qpi"] = _ORACLE_PRIMS["hpi"] | {"neg1"}
 
 
-def _oracle_prim(name: str, t: tuple, lang: str):
-    """Target type and matrix of one primitive at input t."""
+def _oracle_prim_type(name: str, t: tuple, lang: str) -> tuple:
+    """Target type of one primitive at input t."""
     if name not in _ORACLE_PRIMS[lang]:
         raise OracleTypeError(f"{name} is not in {lang}")
 
@@ -282,53 +284,63 @@ def _oracle_prim(name: str, t: tuple, lang: str):
         if not ok:
             raise OracleTypeError(f"{name} does not accept {t}")
 
-    ident = frac_identity(oracle_dim(t))
     op = t[0]
     if name == "id":
-        return t, ident
-    if name == "swap+":
-        need(op == "+")
-        n1, n2 = oracle_dim(t[1]), oracle_dim(t[2])
-        images = [j + n2 for j in range(n1)] + [j - n1 for j in range(n1, n1 + n2)]
-        return ("+", t[2], t[1]), _perm_matrix(images)
-    if name == "swap*":
-        need(op == "*")
-        n1, n2 = oracle_dim(t[1]), oracle_dim(t[2])
-        images = [(j % n2) * n1 + j // n2 for j in range(n1 * n2)]
-        return ("*", t[2], t[1]), _perm_matrix(images)
+        return t
+    if name in ("swap+", "swap*"):
+        need(op == name[-1])
+        return (op, t[2], t[1])
     if name in ("assocr+", "assocr*"):
         need(op == name[-1] and t[1][0] == op)
-        return (op, t[1][1], (op, t[1][2], t[2])), ident
+        return (op, t[1][1], (op, t[1][2], t[2]))
     if name in ("assocl+", "assocl*"):
         need(op == name[-1] and t[2][0] == op)
-        return (op, (op, t[1], t[2][1]), t[2][2]), ident
+        return (op, (op, t[1], t[2][1]), t[2][2])
     if name == "unite+":
         need(op == "+" and t[1] == ("0",))
-        return t[2], ident
+        return t[2]
     if name == "unite*":
         need(op == "*" and t[1] == ("1",))
-        return t[2], ident
+        return t[2]
     if name == "uniti+":
-        return ("+", ("0",), t), ident
+        return ("+", ("0",), t)
     if name == "uniti*":
-        return ("*", ("1",), t), ident
+        return ("*", ("1",), t)
     if name == "dist":
         need(op == "*" and t[1][0] == "+")
         (_, b1, b2), b3 = t[1], t[2]
-        return ("+", ("*", b1, b3), ("*", b2, b3)), ident
+        return ("+", ("*", b1, b3), ("*", b2, b3))
     if name == "factor":
         need(op == "+" and t[1][0] == t[2][0] == "*" and t[1][2] == t[2][2])
-        return ("*", ("+", t[1][1], t[2][1]), t[1][2]), ident
+        return ("*", ("+", t[1][1], t[2][1]), t[1][2])
     if name == "absorb":
         need(op == "*" and t[2] == ("0",))
-        return ("0",), []
+        return ("0",)
+    need(t == (("1",) if name == "neg1" else ("+", ("1",), ("1",))))
+    return t
+
+
+def _swap_images(name: str, t: tuple) -> list[int]:
+    """Where swap+ or swap* at input t sends each basis vector (0-based)."""
+    n1, n2 = oracle_dim(t[1]), oracle_dim(t[2])
+    if name == "swap+":
+        return [j + n2 for j in range(n1)] + [j - n1 for j in range(n1, n1 + n2)]
+    return [(j % n2) * n1 + j // n2 for j in range(n1 * n2)]
+
+
+def _oracle_prim(name: str, t: tuple, lang: str):
+    """Target type and matrix of one primitive at input t."""
+    dst = _oracle_prim_type(name, t, lang)
+    if name in ("swap+", "swap*"):
+        return dst, _perm_matrix(_swap_images(name, t))
+    if name == "absorb":
+        return dst, []
     if name == "neg1":
-        need(t == ("1",))
-        return t, [[-FR_ONE]]
-    # had
-    need(t == ("+", ("1",), ("1",)))
-    h = FracRT2.of(1, 0, 1)
-    return t, [[h, h], [h, -h]]
+        return dst, [[-FR_ONE]]
+    if name == "had":
+        h = FracRT2.of(1, 0, 1)
+        return dst, [[h, h], [h, -h]]
+    return dst, frac_identity(oracle_dim(t))
 
 
 def oracle_term(c, t: tuple, lang: str = "qpi"):
@@ -369,3 +381,97 @@ _BLOCKS = {"Z": MINUS_ONE, "X": X_BLOCK, "H": H_BLOCK}
 def generator_matrix(g, n: int) -> ExactMatrix:
     """The n x n matrix of the generator g (Z[a], X[b,c] or H[b,c])."""
     return m_level_embed(_BLOCKS[g.kind], g.idx, n)
+
+
+# ---------------------------------------------------------------------------
+# programs to words, clause by clause
+#
+# The structural translation of a program to a generator word, read off the
+# definitions as oracle_term reads the matrix: it shares no code with the
+# lowering that both lang.sem and translate.wsem run, so a fault there still
+# shows against it.  Words are package Words over package Generators.
+
+
+def shift(w: Word, m: int) -> Word:
+    """Raise every index by m; semantics becomes I_m (+) [[w]]."""
+    if m < 0:
+        raise WordError(f"cannot shift a word by {m}; the shift must be a natural number")
+    return Word(
+        w.n + m,
+        tuple(Generator(g.kind, tuple(i + m for i in g.idx)) for g in w.gens),
+    )
+
+
+def embed(w: Word, n: int) -> Word:
+    """View the same generators in a larger ambient; pads I on the right."""
+    if n < w.n:
+        raise WordError(f"cannot embed a word over G_{w.n} into G_{n}")
+    return Word(n, w.gens)
+
+
+def _spread(w: Word, m: int) -> Word:
+    """The word of [[w]] (x) I_m: each generator once per index i < m, its
+    index a moved to (a-1)*m + i + 1."""
+    return Word(
+        w.n * m,
+        tuple(
+            Generator(g.kind, tuple((a - 1) * m + i + 1 for a in g.idx))
+            for g in w.gens
+            for i in range(m)
+        ),
+    )
+
+
+def _permutation_word(images: list[int]) -> tuple:
+    """X generators whose product sends basis vector j to images[j] (0-based):
+    P = X_1 ... X_k when X_k ... X_1 P = I, and left-multiplying by X[j,a]
+    trades the images j and a."""
+    images = list(images)
+    gens = []
+    for j in range(len(images)):
+        a = images[j]  # a > j: the images below j are in place
+        if a != j:
+            images = [a if v == j else j if v == a else v for v in images]
+            gens.append(Generator("X", (j + 1, a + 1)))
+    return tuple(gens)
+
+
+def oracle_word(c, t: tuple, lang: str = "qpi"):
+    """Target type and word of the package term c at the input t: had and
+    neg1 are H[1,2] and Z[1], swap+ and swap* the transpositions of their
+    permutation, every other primitive the empty word; c1 ; c2 is c2's word
+    then c1's, c1 + c2 puts c2's word past c1's rows, and c1 * c2 is
+    ([[c1]] (x) I)(I (x) [[c2]])."""
+    kind = type(c).__name__
+    n = oracle_dim(t)
+    if kind == "Prim":
+        name = c.name
+        dst = _oracle_prim_type(name, t, lang)
+        if name == "neg1":
+            gens = (Generator("Z", (1,)),)
+        elif name == "had":
+            gens = (Generator("H", (1, 2)),)
+        elif name in ("swap+", "swap*"):
+            gens = _permutation_word(_swap_images(name, t))
+        else:
+            gens = ()
+        return dst, Word(n, gens)
+    if kind == "Factorz":
+        if t != ("0",):
+            raise OracleTypeError(f"factorz does not accept {t}")
+        return ("*", oracle_type(c.operand), ("0",)), Word(0, ())
+    if kind == "Seq":
+        mid, w1 = oracle_word(c.fst, t, lang)
+        dst, w2 = oracle_word(c.snd, mid, lang)
+        return dst, Word(n, w2.gens + w1.gens)
+    op = "+" if kind == "SumC" else "*"
+    if t[0] != op:
+        raise OracleTypeError(f"{kind} does not accept {t}")
+    n1, n2 = oracle_dim(t[1]), oracle_dim(t[2])
+    d1, w1 = oracle_word(c.left, t[1], lang)
+    d2, w2 = oracle_word(c.right, t[2], lang)
+    if op == "+":
+        gens = embed(w1, n).gens + embed(shift(w2, n1), n).gens
+    else:
+        gens = _spread(w1, n2).gens + tuple(g for i in range(n1) for g in shift(w2, i * n2).gens)
+    return (op, d1, d2), Word(n, gens)

@@ -133,15 +133,19 @@ def qubit_circuits() -> list[Term]:
         seqs(*h, ctrl(ProdC(_GATES["H"], _GATES["Z"])), *h),
     ]
     rng = random.Random(3)
-    for _ in range(12):
-        kinds = [False] * 4 + [True] * 3
-        rng.shuffle(kinds)
-        gates = []
-        for controlled in kinds:
-            g = _GATES[rng.choice("HXZ")]
-            if controlled:
-                gates.append(ctrl(_on_wire(g, rng.randrange(2), 2)))
-            else:
-                gates.append(_on_wire(g, rng.randrange(3), 3))
-        out.append(seqs(*gates))
-    return out
+    return out + [rand_qubit_circuit(rng, 4, 3) for _ in range(12)]
+
+
+def rand_qubit_circuit(rng: random.Random, local: int, controlled: int) -> Term:
+    """A seeded circuit on QUBITS3: `local` one-qubit gates on any wire and
+    `controlled` gates on wires 1 and 2 controlled by wire 0, shuffled."""
+    kinds = [False] * local + [True] * controlled
+    rng.shuffle(kinds)
+    gates = []
+    for is_ctrl in kinds:
+        g = _GATES[rng.choice("HXZ")]
+        if is_ctrl:
+            gates.append(ctrl(_on_wire(g, rng.randrange(2), 2)))
+        else:
+            gates.append(_on_wire(g, rng.randrange(3), 3))
+    return seqs(*gates)

@@ -627,15 +627,16 @@ def _first_failure(rel, n: int) -> str:
 
 
 def test_relations_verify_decides_each_rank_pattern_once(capsys, monkeypatch):
-    # 197 patterns at n=4 in place of 388 instances, and a second command
-    # repeats every check: no decision outlives the command that made it
+    # one check per relation at n=4 (21, d4 skipped) in place of 388
+    # instances, and a second command repeats every check: no decision
+    # outlives the command that made it
     calls = []
     real = cli.verify_relation
     monkeypatch.setattr(cli, "verify_relation", lambda *a: calls.append(a) or real(*a))
     for _ in range(2):
         code, out, _ = run(capsys, "relations-verify", "--n", "4")
         assert code == 0 and out.endswith("(n=4, 1 skipped, 0 failed)\n")
-        assert len(calls) == 197
+        assert len(calls) == 21
         assert all(n == len(idx) and sorted(idx) == list(range(1, n + 1)) for _, idx, n in calls)
         calls.clear()
 

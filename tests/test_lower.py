@@ -35,6 +35,7 @@ from hadpi.lang import (
     Sum,
     SumC,
     ZERO,
+    _preorder,
     format_type,
     inverse,
     iterate,
@@ -313,6 +314,16 @@ def _failing_leaf(rng, t, lang):
     return rng.choice(bad)
 
 
+def _from_preorder(nodes):
+    """The term whose _preorder is the sequence nodes, as a tree: a subterm
+    shared in the original is built once per place."""
+    stack: list = []
+    for x in reversed(nodes):
+        # a class opens a composite of the two terms built last
+        stack.append(x(stack.pop(), stack.pop()) if isinstance(x, type) else x)
+    return stack.pop()
+
+
 @pytest.mark.parametrize("lang", ["pi", "qpi"])
 def test_shared_chains_walk_as_the_unshared_tree(lang):
     rng = random.Random({"pi": 81, "qpi": 82}[lang])
@@ -336,7 +347,7 @@ def test_shared_chains_walk_as_the_unshared_tree(lang):
             (Seq(ProdC(ID, loop), ProdC(ID, Seq(s, bad))), Prod(TWO, b)),
         ]
         for c, t in cases:
-            tree = pickle.loads(pickle.dumps(c))
+            tree = _from_preorder(tuple(_preorder(c)))
             shared = _composites(c)
             assert len({id(x) for x in shared}) < len(shared)
             assert len({id(x) for x in _composites(tree)}) == len(shared)
@@ -395,6 +406,20 @@ def test_lowering_t_q_output_walks_few_nodes(monkeypatch):
     # 6,376 calls when a chain was walked leaf by leaf, with no memo for a
     # seq inside a chain and a new term for each transposition
     assert calls[0] < 6376 / 2, calls
+
+
+def test_t_q_output_pickles_with_its_sharing():
+    # each distinct node is written once: 23 kB, where writing the tree
+    # took 488 kB
+    w = _word(random.Random(32), 32, 64)
+    c = t_q(w)
+    data = pickle.dumps(c)
+    assert len(data) < 60_000, len(data)
+    again = pickle.loads(data)
+    assert again == c and hash(again) == hash(c)
+    distinct = {id(x) for x in _composites(again)}
+    assert len(distinct) == len({id(x) for x in _composites(c)}) < len(_composites(c)) / 10
+    assert sem(again, nsum(32)) == word_sem(w)
 
 
 def test_inverse_of_t_q_output_keeps_its_sharing(monkeypatch):

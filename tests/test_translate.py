@@ -6,12 +6,14 @@ import random
 import pytest
 
 import hadpi.lang
+from hadpi import translate
 from hadpi.lang import (
     Factorz,
     GATE_CX,
     GATE_H,
     LangError,
     ONE,
+    One,
     Prim,
     Prod,
     ProdC,
@@ -20,6 +22,7 @@ from hadpi.lang import (
     SumC,
     TWO,
     ZERO,
+    Zero,
     format_term,
     format_type,
     hdim,
@@ -40,14 +43,13 @@ from hadpi.translate import (
     TranslateError,
     TranslationReport,
     qsem,
-    rank,
     t_h,
     t_q,
     wsem,
 )
 from hadpi.words import Word, WordError, word_sem
-from oracles import H_BLOCK
-from termgen import QUBITS3, qubit_circuits, rand_term, rand_type
+from oracles import H_BLOCK, oracle_type, oracle_word
+from termgen import QUBITS3, qubit_circuits, rand_qubit_circuit, rand_term, rand_type
 
 HAD = Prim("had")
 NEG1 = Prim("neg1")
@@ -94,17 +96,27 @@ def test_wsem_seq_order():
     assert wsem(c, TWO).gens == (gen_z(1), gen_h(1, 2))
 
 
+def _oracle_matrix(c, b):
+    """word_sem of the structural translation of c at b (tests/oracles.py)."""
+    return word_sem(oracle_word(c, oracle_type(b))[1])
+
+
 def test_wsem_sum_shifts_right_operand():
+    # the right operand acts past the left one's rows, one generator each
     c = SumC(NEG1, HAD)
-    assert wsem(c, Sum(ONE, TWO)) == Word(3, (gen_z(1), gen_h(2, 3)))
+    w = wsem(c, Sum(ONE, TWO))
+    assert w.n == 3 and sorted(w.gens) == [gen_h(2, 3), gen_z(1)]
+    assert word_sem(w) == _oracle_matrix(c, Sum(ONE, TWO))
 
 
 def test_wsem_id_times_copies_blocks():
+    # one H per block of two rows, and no permutation word
     c = ProdC(ID, HAD)
-    assert wsem(c, Prod(TWO, TWO)) == Word(4, (gen_h(1, 2), gen_h(3, 4)))
-    assert wsem(c, Prod(nsum(3), TWO)) == Word(
-        6, (gen_h(1, 2), gen_h(3, 4), gen_h(5, 6))
-    )
+    for m in (2, 3):
+        b = Prod(nsum(m), TWO)
+        w = wsem(c, b)
+        assert w.n == 2 * m and sorted(w.gens) == [gen_h(2 * i + 1, 2 * i + 2) for i in range(m)]
+        assert word_sem(w) == _oracle_matrix(c, b)
 
 
 def test_wsem_general_product():
@@ -125,6 +137,42 @@ def test_wsem_faithful_random():
         w = wsem(c, b)
         assert w.n == hdim(b)
         assert word_sem(w) == sem(c, b)
+
+
+def _wsem_corpus():
+    """(source type, qpi program): seeded random terms, zero-dimension and
+    swap* inputs among them, then three-qubit circuits of the benchmark's
+    qpi->words shape, ten one-qubit gates and six controlled ones."""
+    rng = random.Random(7)
+    out = []
+    for _ in range(200):
+        b = rand_type(rng, max_dim=8)
+        out.append((b, rand_term(rng, b, "qpi")))
+    out += [(ZERO, Factorz(TWO)), (Prod(TWO, ZERO), Prim("swap*"))]
+    swap_both = seqs(Prim("swap*"), ProdC(HAD, SumC(NEG1, Prim("swap+"))), Prim("swap*"))
+    out.append((Prod(nsum(3), TWO), swap_both))
+    return out + [(QUBITS3, rand_qubit_circuit(rng, 10, 6)) for _ in range(30)]
+
+
+def test_wsem_agrees_with_sem_and_the_structural_oracle():
+    # wsem and sem share the lowered program; the oracle translates clause
+    # by clause, so a fault in the lowering shows against it
+    corpus = _wsem_corpus()
+    # _preorder lists a composite by its class
+    kinds = {
+        (x if isinstance(x, type) else type(x)).__name__
+        for _, c in corpus
+        for x in hadpi.lang._preorder(c)
+    }
+    assert {"SumC", "ProdC", "Seq", "Factorz"} <= kinds
+    assert any(hdim(b) == 0 for b, _ in corpus)
+    assert any(p.name == "swap*" for _, c in corpus for p in hadpi.lang.term_prims(c))
+    for b, c in corpus:
+        w = wsem(c, b)
+        d, ow = oracle_word(c, oracle_type(b))
+        assert w.n == ow.n == hdim(b)
+        assert word_sem(w) == sem(c, b) == word_sem(ow), (format_term(c), format_type(b))
+        assert d == oracle_type(typecheck(c, b).dst)
 
 
 def test_wsem_rejects_ill_typed():
@@ -337,12 +385,51 @@ def test_t_h_output_avoids_neg1():
         qsem(t_h(c, b))
 
 
+def rank(b) -> int:
+    """Termination measure for the id_b * c clauses of t_h."""
+    if isinstance(b, Zero):
+        return 1
+    if isinstance(b, One):
+        return 2
+    if isinstance(b, Sum):
+        return rank(b.left) + rank(b.right)
+    return (rank(b.left) + 1) ** 2 * rank(b.right)
+
+
 def test_rank_frozen_values():
     assert rank(ZERO) == 1
     assert rank(ONE) == 2
     assert rank(Sum(ONE, ONE)) == 4
     assert rank(Prod(TWO, TWO)) == 100
     assert rank(Prod(ZERO, ONE)) == 8
+
+
+def test_t_h_id_times_clauses_lower_the_measure(monkeypatch):
+    # an id_b * c clause recurses on id_b' * c, for the same c at the same
+    # input type, only with rank(b') < rank(b): so t_h terminates
+    open_calls, checked = [], 0
+    real = translate._th_id_times
+
+    def recording(b, c, cb, walk, done):
+        nonlocal checked
+        outer = [ob for ob, oc, ocb in open_calls if oc is c and ocb is cb]
+        if outer:
+            assert rank(b) < rank(outer[-1]), (format_type(b), format_type(outer[-1]))
+            checked += 1
+        open_calls.append((b, c, cb))
+        try:
+            return real(b, c, cb, walk, done)
+        finally:
+            open_calls.pop()
+
+    monkeypatch.setattr(translate, "_th_id_times", recording)
+    for b, _ in ID_TIMES_CASES:
+        t_h(ProdC(ID, HAD), b)
+    rng = random.Random(90)
+    for _ in range(60):
+        b = rand_type(rng, max_dim=6)
+        t_h(rand_term(rng, b, "qpi"), b)
+    assert checked >= 20, checked
 
 
 def test_t_h_deep_chain():

@@ -7,7 +7,7 @@ from itertools import permutations
 from os.path import commonprefix
 
 import pytest
-from oracles import frac_direct_sum, frac_eq, frac_identity, frac_of_matrix
+from oracles import embed, frac_direct_sum, frac_eq, frac_identity, frac_of_matrix, shift
 
 from hadpi import words
 from hadpi.linalg import ExactMatrix, Generator, gen_h, gen_x, gen_z, m_level_embed
@@ -21,13 +21,11 @@ from hadpi.words import (
     Word,
     WordError,
     apply_step,
-    embed,
     format_derivation,
     format_word,
     parse_derivation,
     parse_word,
     replay,
-    shift,
     support_ranks,
     verify_relation,
     word_sem,
@@ -170,6 +168,44 @@ def test_relabelled_checks_agree_with_the_full_words():
                     Word(n, words._instantiate(rel.rhs, asg))
                 )
                 assert verify_relation(rel, pattern, len(pattern)) == full, (rel.id, idx)
+
+
+def _rand_relation(rng: random.Random, k: int) -> words.Relation:
+    """A relation over the formals a, b, ... of k indices, not in the catalog:
+    random Z, X and H tokens, H with its indices in either order.  Half of
+    them hold, their right side the left one with a cancelling pair
+    inserted; the others change a token, and hold only by chance."""
+    formals = "abcdef"[:k]
+
+    def token():
+        kind = rng.choice("ZXH") if k > 1 else "Z"
+        return (kind, tuple(rng.sample(formals, 1 if kind == "Z" else 2)))
+
+    lhs = [token() for _ in range(rng.randint(1, 6))]
+    rhs = list(lhs)
+    if rng.random() < 0.5:
+        t = token()
+        rhs[rng.randint(0, len(rhs)) : 0] = [t, t]  # Z Z, X X and H H cancel
+    else:
+        rhs[rng.randrange(len(rhs))] = token()
+    return words.Relation("r", tuple(formals), tuple(lhs), tuple(rhs), k)
+
+
+def test_each_relation_has_one_verdict_for_every_assignment():
+    # relabelling a relation's indices conjugates both sides by one
+    # permutation matrix, and rows past the indices stay fixed: so
+    # relations-verify checks (1..k) at dimension k alone
+    rng = random.Random(61)
+    rels = list(CATALOG) + [_rand_relation(rng, rng.randint(1, 4)) for _ in range(150)]
+    verdicts = set()
+    for rel in rels:
+        k = len(rel.formals)
+        once = verify_relation(rel, tuple(range(1, k + 1)), k)
+        verdicts.add(once)
+        for n in range(k, min(k + 2, 6) + 1):
+            for idx in permutations(range(1, n + 1), k):
+                assert verify_relation(rel, idx, n) == once, (rel, idx, n)
+    assert verdicts == {False, True}
 
 
 def test_verify_relation_rejects_bad_indices():
