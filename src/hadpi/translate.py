@@ -9,8 +9,10 @@ matrix gains an identity row on top.
 
 wsem has no walk of its own: it reads the program of placed primitives
 that lang.lower builds, through lang._run, the loop that lang.sem
-evaluates too.  Swaps there only relabel rows, so a word spends no
-generators on them but one permutation word for the final relabelling.
+evaluates too.  Swaps and neg1 there only permute and sign the row
+labels, so a word spends no generators on them but one signed
+permutation word for the final relabelling; each had costs at most one
+ascending H, and H pairs that meet on the same rows cancel.
 """
 
 from .lang import (
@@ -92,22 +94,17 @@ class TranslationReport(_Frozen):
 
 def wsem(c: Term, input: ValueType) -> Word:
     """Generator word with the same matrix as c at the given source type,
-    read off the program lower builds: _run's generators in word order, an
-    H on descending labels written X H X (relation e2), behind one word of
-    the final relabelling."""
+    read off the program lower builds: a Z per program row whose final
+    label is negative, one word of the final relabelling, then _run's
+    ascending H generators in word order."""
     gens, at = _run(lower(c, input)[1], hdim(input))
-    word: list[Generator] = []
-    if any(a != r for r, a in enumerate(at, 1)):
+    word = [Generator("Z", (r,)) for r, a in enumerate(at, 1) if a < 0]
+    if any(abs(a) != r for r, a in enumerate(at, 1)):
         perm = [0] * len(at)
-        for r, a in enumerate(at, 1):  # program row r holds row a
-            perm[a - 1] = r
+        for r, a in enumerate(at, 1):  # program row r holds +-row |a|
+            perm[abs(a) - 1] = r
         word += hpermute(perm).gens
-    for g in reversed(gens):
-        if g.kind == "H" and g.idx[0] > g.idx[1]:
-            x = Generator("X", g.idx[::-1])
-            word += (x, Generator("H", x.idx), x)
-        else:
-            word.append(g)
+    word += reversed(gens)
     return Word(len(at), tuple(word))
 
 

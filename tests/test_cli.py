@@ -668,6 +668,22 @@ def test_translate_term_to_word(capsys):
     assert out == "n=1 Z[1]\nverified: semantics preserved\n"
 
 
+@pytest.mark.parametrize(
+    "term, word",
+    [
+        # the two H cancel, and the signs they leave make a swap
+        ("had ; id + neg1 ; had", "n=2 X[1,2]"),
+        # the swap only relabels; the H reads the labels back as Z[2] H[1,2]
+        ("swap+ ; had", "n=2 Z[2] H[1,2]"),
+        # H pairs cancel as they are emitted, so the word is one H
+        ("had^99999", "n=2 H[1,2]"),
+    ],
+)
+def test_translate_term_to_word_pins(capsys, term, word):
+    code, out, _ = run(capsys, "translate", term, "--from", "qpi", "--to", "words")
+    assert (code, out) == (0, f"{word}\nverified: semantics preserved\n")
+
+
 def test_translate_term_to_hadamard(capsys):
     code, out, _ = run(capsys, "translate", "neg1", "--from", "qpi", "--to", "hpi")
     assert code == 0

@@ -20,7 +20,14 @@ from oracles import (
     oracle_term,
     oracle_type,
 )
-from termgen import QUBITS3, qubit_circuits, rand_type, shared_chain_term
+from termgen import (
+    QUBITS3,
+    qubit_circuits,
+    rand_qubit_circuit,
+    rand_term,
+    rand_type,
+    shared_chain_term,
+)
 
 import hadpi.lang
 from hadpi.lang import (
@@ -36,7 +43,9 @@ from hadpi.lang import (
     SumC,
     ZERO,
     _preorder,
+    format_term,
     format_type,
+    hdim,
     inverse,
     iterate,
     lower,
@@ -219,6 +228,49 @@ def test_lower_emits_row_operations_on_global_rows():
     assert dst == b
     # had once per right index at stride 2, then the pair swap of 2x2
     assert ops == [("neg1", [0], 1, 0, 0), ("had", [1, 2], 2, 0, 0), ("swap*", [1], 1, 2, 2)]
+
+
+# ---------------------------------------------------------------------------
+# the evaluator: swaps and signs relabel rows, and H pairs cancel
+
+
+@pytest.mark.parametrize(
+    "c, labels",
+    [
+        (HAD, [1, 2]),  # same signs, ascending
+        (seqs(SWP, HAD), [1, -2]),  # same signs, descending
+        (seqs(SumC(ID, NEG1), HAD), [2, 1]),  # opposite signs, ascending
+        (seqs(SWP, SumC(ID, NEG1), HAD), [-2, 1]),  # opposite signs, descending
+    ],
+)
+def test_had_emits_one_ascending_h_and_relabels(c, labels):
+    assert hadpi.lang._run(lower(c, TWO)[1], 2) == ([gen_h(1, 2)], labels)
+    assert_matches_oracle(c, TWO)
+
+
+def test_a_program_then_its_inverse_runs_to_nothing():
+    # each H of inverse(c) meets the mirror H of c on the same two rows, once
+    # every H emitted between them has cancelled
+    rng = random.Random(22)
+    cases = []
+    for _ in range(200):
+        b = rand_type(rng, max_dim=8)
+        cases.append((rand_term(rng, b), b))
+    cases += [(rand_qubit_circuit(rng, 10, 6), QUBITS3) for _ in range(30)]
+    hs = 0
+    for c, b in cases:
+        n = hdim(b)
+        hs += len(hadpi.lang._run(lower(c, b)[1], n)[0])
+        loop = lower(seqs(c, inverse(c, b)), b)[1]
+        assert hadpi.lang._run(loop, n) == ([], list(range(1, n + 1))), format_term(c)
+    assert hs > 200
+
+
+def test_simulated_neg1_runs_with_no_h():
+    # t_h(neg1) = had ; swap+ ; had: the swap only relabels, so the second H
+    # lands on the first one's rows and cancels it, leaving the sign
+    h = t_h(NEG1, ONE)
+    assert hadpi.lang._run(lower(h, TWO, "hpi")[1], 2) == ([], [1, -2])
 
 
 def test_a_shared_node_failing_at_its_second_use_names_that_use():

@@ -26,6 +26,7 @@ from hadpi.lang import (
     format_term,
     format_type,
     hdim,
+    lower,
     nsum,
     sem,
     seqs,
@@ -173,6 +174,19 @@ def test_wsem_agrees_with_sem_and_the_structural_oracle():
         assert w.n == ow.n == hdim(b)
         assert word_sem(w) == sem(c, b) == word_sem(ow), (format_term(c), format_type(b))
         assert d == oracle_type(typecheck(c, b).dst)
+
+
+def test_wsem_words_are_a_signed_permutation_then_ascending_hs():
+    # swaps and neg1 cost no generator inside the word: the Z and X of the
+    # final signed relabelling come first, then at most one ascending H
+    # per placed had copy
+    for b, c in _wsem_corpus():
+        gens = wsem(c, b).gens
+        copies = sum(len(offs) for name, offs, *_ in lower(c, b)[1] if name == "had")
+        hs = [i for i, g in enumerate(gens) if g.kind == "H"]
+        assert all(gens[i].idx[0] < gens[i].idx[1] for i in hs)
+        assert hs == list(range(len(gens) - len(hs), len(gens))), format_term(c)
+        assert len(hs) <= copies
 
 
 def test_wsem_rejects_ill_typed():
