@@ -347,7 +347,7 @@ def main(argv=None) -> int:
     except (LangError, WordError, LinAlgError, SynthesisError, TranslateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except RecursionError:  # a walk recurses once per nested sum or product of terms
+    except RecursionError:  # safety net: only code bounded through MAX_NESTING recurses
         print("error: the input nests past the interpreter's recursion limit", file=sys.stderr)
         return 1
 

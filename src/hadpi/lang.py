@@ -130,14 +130,11 @@ TWO = Sum(ONE, ONE)
 # to MAX_NESTING levels past the deeper of its source and MAX_NESTING (see
 # _depth_limit): a long chain of uniti+ would otherwise build a type too
 # deep to print or unify, while a program built over a deeper source
-# still runs.  The parser spends at most six stack frames per level, and a
-# walk, inference, printing or unification at most three per level of a
-# term or type, which a parsed source keeps within 200; types compare by
-# identity, and terms compare, hash and print along seq chains without
-# recursing.  The deepest case needs about 610 frames, inside the default
-# recursion limit of 1000.  Every term t_q prints for a word with n <= 99
-# re-parses; t_q nests its term one level per coordinate, so near n = 1000
-# a walk of it passes the limit, which the command line reports as an error.
+# still runs.  No walk, fold or printing of a term recurses, so a term may
+# nest past the recursion limit, as t_q's do near n = 1000.  On parsed
+# input this budget bounds all that recurses: the parser, six frames per
+# level at most, and the code directed by a type or pattern (printing,
+# unification, source inference, t_h's id_b * c clauses).
 MAX_NESTING = 100
 
 
@@ -617,19 +614,14 @@ class _Walk:
 
     def node(self, c: Term, b: ValueType, limit: int, offs: list[int], stride: int) -> ValueType:
         """Target type of c on input b, no deeper than limit; local row j of
-        copy i is row offs[i] + j*stride.
-
-        A seq chain is walked off an explicit stack, not recursively:
-        translated words compose thousands of factors and would overrun the
-        recursion limit.  Each seq of the chain is memoized like any other
-        composite, so a run shared inside the chain is re-emitted in one step.
-        A sum or product of terms recurses once per level, as t_q's terms
-        nest one level per coordinate."""
-        memo, ops = self.memo, self.ops
-        # the seqs open around the node x being walked: [seq, input, start,
-        # the step down to x's side of it]
+        copy i is row offs[i] + j*stride.  Each seq, sum and product of
+        terms opens a frame on an explicit stack, which its finished
+        operands resume: t_q nests a word thousands of nodes deep."""
+        memo, ops, emit = self.memo, self.ops, self.emit
+        # the composites open around the node x being walked: [node, input,
+        # start of its ops, the step down to x's side of it], and for a sum
+        # or product its limit, offs and stride and its left operand's target
         frames: list[list] = []
-        at = None  # the step down to the operand of a sum or product being walked
         x, dst = c, b
         try:
             while True:
@@ -647,7 +639,7 @@ class _Walk:
                     _, dst, moves, n1, n2 = step
                     if dst.depth > limit:
                         raise _Failure(_too_deep(name), BudgetError)
-                    if moves and self.emit:
+                    if moves and emit:
                         ops.append((name, offs, stride, n1, n2))
                 elif kind is Factorz:
                     if dst is not ZERO:
@@ -663,64 +655,57 @@ class _Walk:
                     frames.append([x, dst, len(ops), "seq.fst"])
                     x = x.fst
                     continue
-                elif kind is SumC:
-                    xb, start = dst, len(ops)
-                    if type(xb) is not Sum:
-                        raise _Failure(f"sum of terms needs a sum input, got {format_type(xb)}")
-                    at = "sum.left"
-                    ld = self.node(x.left, xb.left, limit - 1, offs, stride)
-                    roffs = offs
-                    if self.emit:
-                        roffs = [o + xb.left.dim * stride for o in offs]
-                    at = "sum.right"
-                    rd = self.node(x.right, xb.right, limit - 1, roffs, stride)
-                    at = None
-                    dst = xb if ld is xb.left and rd is xb.right else Sum(ld, rd)
-                    memo[id(x), id(xb)] = (x, xb, limit, dst, offs, stride, start, len(ops))
-                elif kind is ProdC:
-                    xb, start = dst, len(ops)
-                    if type(xb) is not Prod:
-                        raise _Failure(
-                            f"product of terms needs a product input, got {format_type(xb)}"
-                        )
+                elif kind is SumC or kind is ProdC:
+                    what, at = ("sum", "sum.left") if kind is SumC else ("product", "prod.left")
+                    if type(dst) is not (Sum if kind is SumC else Prod):
+                        got = format_type(dst)
+                        raise _Failure(f"{what} of terms needs a {what} input, got {got}")
                     # a factor outgrows the source only beside a 0 factor, and each
                     # term below still runs once per row of the other factor
-                    n1, n2 = xb.left.dim, xb.right.dim
+                    n1, n2 = dst.left.dim, dst.right.dim
                     if n1 > MAX_DIM or n2 > MAX_DIM:
                         raise _Failure(
                             f"product of terms has a factor whose dimension is past the limit"
                             f" of {MAX_DIM} (MAX_DIM)",
                             BudgetError,
                         )
-                    left = right = (offs, stride)
-                    if self.emit:
+                    frames.append([x, dst, len(ops), at, limit, offs, stride, None])
+                    if emit and kind is ProdC:
                         # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
-                        left = ([o + i * stride for o in offs for i in range(n2)], n2 * stride)
-                        right = ([o + i * n2 * stride for o in offs for i in range(n1)], stride)
-                    at = "prod.left"
-                    ld = self.node(x.left, xb.left, limit - 1, *left)
-                    at = "prod.right"
-                    rd = self.node(x.right, xb.right, limit - 1, *right)
-                    at = None
-                    dst = xb if ld is xb.left and rd is xb.right else Prod(ld, rd)
-                    memo[id(x), id(xb)] = (x, xb, limit, dst, offs, stride, start, len(ops))
+                        offs = [o + i * stride for o in offs for i in range(n2)]
+                        stride *= n2
+                    x, dst, limit = x.left, dst.left, limit - 1
+                    continue
                 else:
                     raise _Failure(f"not a term: {x!r}")
-                # x is done, and so is every open seq whose second operand it ends
+                # x is done, at its own placement: finish each frame it ends,
+                # then go down the second operand of the innermost one open
                 while frames:
                     frame = frames[-1]
-                    if frame[3] == "seq.fst":
-                        frame[3] = "seq.snd"
-                        x = frame[0].snd
+                    at = frame[3]
+                    if at == "seq.fst":  # a seq's operands share its placement
+                        frame[3], x = "seq.snd", frame[0].snd
                         break
-                    frames.pop()
-                    y, yb, start, _ = frame
+                    if at == "seq.snd":
+                        y, yb, start, _ = frames.pop()
+                    else:  # back at the sum's or product's own placement
+                        y, yb, start, at, limit, offs, stride, left = frame
+                        if at == "sum.left" or at == "prod.left":
+                            n1, n2 = yb.left.dim, yb.right.dim
+                            if emit and at == "sum.left":
+                                offs = [o + n1 * stride for o in offs]
+                            elif emit:
+                                offs = [o + i * n2 * stride for o in offs for i in range(n1)]
+                            frame[3] = "sum.right" if at == "sum.left" else "prod.right"
+                            frame[7] = dst
+                            x, dst, limit = y.right, yb.right, limit - 1
+                            break
+                        frames.pop()
+                        dst = yb if left is yb.left and dst is yb.right else type(yb)(left, dst)
                     memo[id(y), id(yb)] = (y, yb, limit, dst, offs, stride, start, len(ops))
                 else:
                     return dst
         except _Failure as exc:
-            if at is not None:
-                exc.steps.append(at)
             exc.steps += [frame[3] for frame in reversed(frames)]
             raise
 
@@ -876,44 +861,65 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
 
 
 # ---------------------------------------------------------------------------
-# syntactic inverse
+# folds over a walk: inverse, and t_h in translate
+
+
+def fold(c: Term, b: ValueType, lang: str, leaf, spine, pair):
+    """The part for c at input b, folded bottom-up off an explicit stack
+    once a _Walk has checked c: leaf(x, xb) for a primitive or factorz x at
+    input xb; spine(parts) for a seq chain, given the parts for its non-seq
+    nodes in application order (_spine); pair(x, xb, target, left, right)
+    for a sum or product of terms x, where target(y, yb) is the target type
+    of a node y of c at its input yb.  A node met again at the same input
+    type yields the part it first did, so the part for a shared node is
+    shared."""
+    target = _Walk(c, b, lang).target
+    done: dict[tuple, tuple] = {}  # (id(node), id(input)) -> (node, input, part)
+    # the composites open around x: (node, input, the nodes below it, their
+    # parts so far)
+    frames: list[tuple] = []
+    x, xb = c, b
+    while True:
+        if (hit := done.get(key := (id(x), id(xb)))) is not None:
+            part = hit[2]
+        elif type(x) is Prim or type(x) is Factorz:
+            part = leaf(x, xb)
+            done[key] = (x, xb, part)
+        else:
+            nodes = _spine(x) if type(x) is Seq else (x.left, x.right)
+            frames.append((x, xb, nodes, []))
+            if type(x) is not Seq:
+                xb = xb.left
+            x = nodes[0]
+            continue
+        # x at input xb is done: resume the frames it finishes
+        while frames:
+            y, yb, nodes, parts = frames[-1]
+            parts.append(part)
+            if len(parts) < len(nodes):
+                xb = target(x, xb) if type(y) is Seq else yb.right
+                x = nodes[len(parts)]
+                break
+            frames.pop()
+            part = spine(parts) if type(y) is Seq else pair(y, yb, target, *parts)
+            done[id(y), id(yb)] = (y, yb, part)
+            x, xb = y, yb
+        else:
+            return part
+
 
 def inverse(c: Term, input: ValueType, lang: str = "qpi") -> Term:
     """Type-directed syntactic inverse: sem(inverse(c)) @ sem(c) = I."""
-    return _inv(c, input, _Walk(c, input, lang), {})
+    pair = lambda c, b, target, left, right: type(c)(left, right)  # noqa: E731
+    return fold(c, input, lang, _inv_leaf, lambda parts: seqs(*reversed(parts)), pair)
 
 
-def _inv(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
-    # done maps (id(node), id(input)) to (node, input, inverse) for each
-    # composite node met so far, so that the inverse of a shared subterm is
-    # one shared node; holding the node and the input keeps their ids unique
-    if isinstance(c, Prim):
-        if c.name == "absorb":
-            assert isinstance(b, Prod)
-            return Factorz(b.left)
-        return Prim(_RULES[c.name].inv)
-    if isinstance(c, Factorz):
+def _inv_leaf(c: Term, b: ValueType) -> Term:
+    if type(c) is Factorz:
         return Prim("absorb")
-    key = (id(c), id(b))
-    if (hit := done.get(key)) is not None:
-        return hit[-1]
-    if isinstance(c, Seq):
-        cur = b
-        invs = []
-        for node in _spine(c):
-            invs.append(_inv(node, cur, walk, done))
-            cur = walk.target(node, cur)
-        out = seqs(*reversed(invs))
-    elif isinstance(c, SumC):
-        assert isinstance(b, Sum)
-        out = SumC(_inv(c.left, b.left, walk, done), _inv(c.right, b.right, walk, done))
-    elif isinstance(c, ProdC):
-        assert isinstance(b, Prod)
-        out = ProdC(_inv(c.left, b.left, walk, done), _inv(c.right, b.right, walk, done))
-    else:
-        raise LangError(f"not a term: {c!r}")
-    done[key] = (c, b, out)
-    return out
+    if c.name == "absorb":
+        return Factorz(b.left)
+    return Prim(_RULES[c.name].inv)
 
 
 # ---------------------------------------------------------------------------
@@ -1206,50 +1212,72 @@ def parse_term(text: str) -> Term:
 
 
 def format_term(c: Term) -> str:
-    return _render_term(c, 1, {})
+    """The text of a term, rendered off an explicit stack.  Each composite
+    is rendered once per binding level, so a shared subterm prints as the
+    tree it stands for at the cost of the distinct nodes."""
+    done: dict[tuple, str] = {}  # (id(node), level) -> text; c holds the nodes
+    out: list[str] = []  # the text so far, in pieces
+    # what is left to do, last first: text to write, a (node, level) to
+    # render, or [key, start] to record the text from out[start] on as done
+    work: list = [(c, 1)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+        elif type(item) is list:
+            text = done[item[0]] = "".join(out[item[1] :])
+            del out[item[1] :]
+            out.append(text)
+        elif type(x := item[0]) is Prim:
+            out.append(x.name)
+        elif type(x) is Factorz:
+            out.append("factorz" if x.operand == ONE else f"factorz{{{format_type(x.operand)}}}")
+        elif (text := done.get(key := (id(x), item[1]))) is not None:
+            out.append(text)
+        else:
+            work.append([key, len(out)])
+            work += reversed(_layout(x, item[1], done))
+    return "".join(out)
 
 
-def _render_term(c: Term, minlvl: int, done: dict) -> str:
-    # binding levels: ; = 1 (left-assoc), + = 2, * = 3 (both right-assoc)
-    if isinstance(c, Prim):
-        return c.name
-    if isinstance(c, Factorz):
-        if c.operand == ONE:
-            return "factorz"
-        return "factorz{" + format_type(c.operand) + "}"
-    # done: (id(node), minlvl) -> text, so that a shared subterm is rendered
-    # once per call; c is part of the term rendered, so its id stays unique
-    key = (id(c), minlvl)
-    out = done.get(key)
-    if out is not None:
-        return out
-    if isinstance(c, Seq):
-        # render the left spine iteratively; a last operand that is a seq
-        # not yet rendered (c^m nests to the right) continues the loop
-        # inside a parenthesis, so no chain recurses
-        lvl, parts, opened, node = 1, [], 0, c
+def _layout(c: Term, minlvl: int, done: dict) -> list:
+    """The text of a composite c at binding level minlvl (; = 1, left-
+    associated; + = 2 and * = 3, right-associated) as text and (operand,
+    level) pieces.  A chain is one run of operands, so it prints in linear
+    time: the first operands of a seq, its last one if that is a seq not yet
+    rendered (c^m nests to the right) inside a parenthesis, and the right
+    operands of a sum or product."""
+    kind = type(c)
+    if kind is not Seq:
+        lvl, sep = (2, " + ") if kind is SumC else (3, " * ")
+        pieces, node = [], c
+        while True:
+            pieces += ((node.left, lvl + 1), sep)
+            node = node.right
+            if type(node) is not kind or (id(node), lvl) in done:
+                break
+        pieces.append((node, lvl))
+    else:
+        lvl, pieces, opened, node = 1, [], 0, c
         while True:
             last, node = node.snd, node.fst
-            spine = []
-            while isinstance(node, Seq):
-                spine.append(_render_term(node.snd, 2, done))
+            spine: list = []
+            while type(node) is Seq:
+                x = node.snd  # a primitive, the commonest operand, is text at once
+                spine.append(" ; " + x.name if type(x) is Prim else (x, 2))
+                if type(x) is not Prim:
+                    spine.append(" ; ")
                 node = node.fst
-            spine.append(("(" if opened else "") + _render_term(node, 1, done))
-            parts += reversed(spine)
-            if not isinstance(last, Seq) or (id(last), 2) in done:
+            first = node.name if type(node) is Prim else (node, 1)
+            spine += [first, "("] if opened else [first]
+            pieces += reversed(spine)
+            pieces.append(" ; ")
+            if type(last) is not Seq or (id(last), 2) in done:
                 break
             opened += 1
             node = last
-        parts.append(_render_term(last, 2, done) + ")" * opened)
-        s = " ; ".join(parts)
-    elif isinstance(c, SumC):
-        lvl = 2
-        s = _render_term(c.left, 3, done) + " + " + _render_term(c.right, 2, done)
-    else:
-        lvl = 3
-        s = _render_term(c.left, 4, done) + " * " + _render_term(c.right, 3, done)
-    out = done[key] = f"({s})" if lvl < minlvl else s
-    return out
+        pieces += ((last, 2), ")" * opened)
+    return ["(", *pieces, ")"] if lvl < minlvl else pieces
 
 
 # ---------------------------------------------------------------------------

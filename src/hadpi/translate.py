@@ -30,11 +30,10 @@ from .lang import (
     ValueType,
     Zero,
     _Frozen,
-    _Walk,
     _at_tail,
     _depth_limit,
     _run,
-    _spine,
+    fold,
     hdim,
     lower,
     sem,
@@ -162,7 +161,19 @@ def qsem(c: Term) -> Term:
 
 def t_h(c: Term, input: ValueType) -> Term:
     """Hadamard-program of type 1+b1 <-> 1+b2 whose matrix is I1 (+) sem(c)."""
-    return _th(c, input, _Walk(c, input, "qpi"), {})
+    done: dict = {}  # _th_id_times's record of its clauses
+
+    def pair(c: Term, b: ValueType, target, left: Term, right: Term) -> Term:
+        if type(c) is SumC:
+            return _th_sum(left, right)
+        d = target(c, b)
+        if c.left == _ID:
+            return _th_id_times(b.left, right, d.right, done)
+        swap = SumC(_ID, Prim("swap*"))
+        first = _th_id_times(b.right, left, d.left, done)
+        return seqs(swap, first, swap, _th_id_times(d.left, right, d.right, done))
+
+    return fold(c, input, "qpi", _th_leaf, lambda parts: seqs(*parts), pair)
 
 
 def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
@@ -172,81 +183,39 @@ def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
     return sem(h, Sum(ONE, input), "hpi", _depth_limit(input) + 1)
 
 
-def _th(c: Term, b: ValueType, walk: _Walk, done: dict) -> Term:
-    # done (see lang._inv) holds each composite node's translation per input
-    # type, and each id_b * c clause per (b, input type of c): id_b * c
-    # translates c once per basis vector of b, and the copies are one
-    # object, so lowering the output walks c's translation once
-    if isinstance(c, Prim):
-        if c.name == "neg1":
-            return seqs(Prim("had"), Prim("swap+"), Prim("had"))
-        return SumC(_ID, c)
-    if isinstance(c, Factorz):
-        return SumC(_ID, c)
-    key = (id(c), id(b))
-    if (hit := done.get(key)) is not None:
-        return hit[-1]
-    if isinstance(c, Seq):
-        parts = []
-        cur = b
-        for node in _spine(c):
-            parts.append(_th(node, cur, walk, done))
-            cur = walk.target(node, cur)
-        out = seqs(*parts)
-    elif isinstance(c, SumC):
-        b1, b2 = b.left, b.right
-        out = seqs(
-            Prim("assocl+"),
-            SumC(_th(c.left, b1, walk, done), _ID),
-            SumC(Prim("swap+"), _ID),
-            Prim("assocr+"),
-            SumC(_ID, _th(c.right, b2, walk, done)),
-            Prim("assocl+"),
-            SumC(Prim("swap+"), _ID),
-            Prim("assocr+"),
-        )
-    elif isinstance(c, ProdC):
-        b1, b2 = b.left, b.right
-        if c.left == _ID:
-            out = _th_id_times(b1, c.right, b2, walk, done)
-        else:
-            b3 = walk.target(c.left, b1)
-            out = seqs(
-                SumC(_ID, Prim("swap*")),
-                _th_id_times(b2, c.left, b1, walk, done),
-                SumC(_ID, Prim("swap*")),
-                _th_id_times(b3, c.right, b2, walk, done),
-            )
-    else:
-        raise LangError(f"not a term: {c!r}")
-    done[key] = (c, b, out)
-    return out
+def _th_leaf(c: Term, b: ValueType) -> Term:
+    if type(c) is Prim and c.name == "neg1":
+        return seqs(Prim("had"), Prim("swap+"), Prim("had"))
+    return SumC(_ID, c)
 
 
-def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) -> Term:
-    # keyed (id(c), id(b), id(cb)) in done, longer than any key of _th
-    key = (id(c), id(b), id(cb))
+def _th_sum(left: Term, right: Term) -> Term:
+    """The translation of a sum of terms, given those of its operands: the
+    padding row turns from the left summand to the right one, and back."""
+    turn = (Prim("assocl+"), SumC(Prim("swap+"), _ID), Prim("assocr+"))
+    return seqs(turn[0], SumC(left, _ID), *turn[1:], SumC(_ID, right), *turn)
+
+
+def _th_id_times(b: ValueType, tc: Term, cd: ValueType, done: dict) -> Term:
+    """The translation of id_b * c, given c's translation tc and target cd.
+    It translates c once per basis vector of b, each time as tc, and done
+    records each clause per (b, tc), so lowering the output walks tc once."""
+    key = (id(b), id(tc))
     if (hit := done.get(key)) is not None:
         return hit[-1]
     bl, br = getattr(b, "left", None), getattr(b, "right", None)
     if isinstance(b, Zero):
-        cd = walk.target(c, cb)
         chain = seqs(Prim("swap*"), Prim("absorb"), _ID, Factorz(cd), Prim("swap*"))
         out = SumC(_ID, chain)
     elif isinstance(b, One):
-        out = seqs(
-            SumC(_ID, Prim("unite*")), _th(c, cb, walk, done), SumC(_ID, Prim("uniti*"))
-        )
+        out = seqs(SumC(_ID, Prim("unite*")), tc, SumC(_ID, Prim("uniti*")))
     elif isinstance(b, Sum):
-        inner = SumC(ProdC(_ID, c), ProdC(_ID, c))
-        mid_src = Sum(Prod(bl, cb), Prod(br, cb))
         out = seqs(
             SumC(_ID, Prim("dist")),
-            _th(inner, mid_src, walk, done),
+            _th_sum(_th_id_times(bl, tc, cd, done), _th_id_times(br, tc, cd, done)),
             SumC(_ID, Prim("factor")),
         )
     elif isinstance(bl, Zero):
-        cd = walk.target(c, cb)
         chain = seqs(
             Prim("assocr*"),
             Prim("swap*"),
@@ -260,22 +229,22 @@ def _th_id_times(b: ValueType, c: Term, cb: ValueType, walk: _Walk, done: dict) 
     elif isinstance(bl, One):
         out = seqs(
             SumC(_ID, Seq(Prim("assocr*"), Prim("unite*"))),
-            _th_id_times(br, c, cb, walk, done),
+            _th_id_times(br, tc, cd, done),
             SumC(_ID, Seq(Prim("uniti*"), Prim("assocl*"))),
         )
     elif isinstance(bl, Sum):
         split = Sum(Prod(bl.left, br), Prod(bl.right, br))
         out = seqs(
             SumC(_ID, ProdC(Prim("dist"), _ID)),
-            _th_id_times(split, c, cb, walk, done),
+            _th_id_times(split, tc, cd, done),
             SumC(_ID, ProdC(Prim("factor"), _ID)),
         )
     else:
         reassoc = Prod(bl.left, Prod(bl.right, br))
         out = seqs(
             SumC(_ID, ProdC(Prim("assocr*"), _ID)),
-            _th_id_times(reassoc, c, cb, walk, done),
+            _th_id_times(reassoc, tc, cd, done),
             SumC(_ID, ProdC(Prim("assocl*"), _ID)),
         )
-    done[key] = (c, b, cb, out)
+    done[key] = (b, tc, out)
     return out

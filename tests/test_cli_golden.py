@@ -120,10 +120,10 @@ CASES: dict[str, tuple[list[str], str]] = {
     "translate-language-gate": (["translate", "neg1", "--from", "hpi", "--to", "qpi"], ""),
     # c^m nests to the right, a link deeper each time; the output prints
     "translate-hpi-qpi-power": (["translate", "had^1000", "--from", "hpi", "--to", "qpi"], ""),
-    # the walk of the output recurses once per nested `id +`, past the
-    # interpreter's recursion limit
+    # the output nests `id +` 999 levels deep, past the interpreter's
+    # recursion limit, and no walk or printing of it recurses
     "translate-words-qpi-deep": (
-        ["translate", "n=1000 Z[1]", "--from", "words", "--to", "qpi"], ""
+        ["translate", "n=1000 Z[1000]", "--from", "words", "--to", "qpi"], ""
     ),
     # derive-check
     "derive-check-ok": derive(derivation(A3, "step a2 L->R at 0 with a=1,b=3",

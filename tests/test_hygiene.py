@@ -196,3 +196,45 @@ def test_readme_library_layout_names_every_module():
     rows = set(re.findall(r"^\| `hadpi\.(\w+)`", table, re.MULTILINE))
     modules = {p.stem for p in (ROOT / "src" / "hadpi").glob("*.py")} - {"__init__"}
     assert modules <= rows, f"modules with no row in the library layout: {modules - rows}"
+
+
+def _self_recursive(path: Path) -> list[str]:
+    """module.function of each function that calls itself by name, as f(...)
+    or self.f(...); a nested function is named by those around it."""
+    out = []
+
+    def visit(node, names):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qual = [*names, child.name]
+                called = set()
+                for call in ast.walk(child):
+                    f = getattr(call, "func", None) if isinstance(call, ast.Call) else None
+                    if isinstance(f, ast.Name):
+                        called.add(f.id)
+                    elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+                        called.add(f.attr)
+                if child.name in called:
+                    out.append(".".join([path.stem, *qual]))
+                visit(child, qual)
+            elif isinstance(child, ast.ClassDef):
+                visit(child, [*names, child.name])
+            else:
+                visit(child, names)
+
+    visit(ast.parse(path.read_text()), [])
+    return out
+
+
+def test_only_type_directed_code_recurses():
+    # a term may nest past the recursion limit (t_q nests one sum of terms
+    # per coordinate), so no walk, fold or printing of a term recurses; what
+    # recurses follows a type or pattern, bounded through MAX_NESTING
+    allowed = {
+        "lang._render_type", "lang._infer", "lang._equate", "lang._holds",
+        "lang._resolve", "lang._instance", "lang._text_length", "lang._chars",
+        "lang._compile.visit", "lang._compile.build", "translate._th_id_times",
+    }
+    found = {f for path in (ROOT / "src" / "hadpi").glob("*.py") for f in _self_recursive(path)}
+    assert found <= allowed, f"functions that recurse: {sorted(found - allowed)}"
+    assert found == allowed, f"allowed but no longer recursive: {sorted(allowed - found)}"

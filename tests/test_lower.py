@@ -7,8 +7,10 @@ of terms makes, and under a tighter depth budget; each case here is
 checked against oracles.oracle_term, which shares no code with lang.
 """
 
+import hashlib
 import pickle
 import random
+import sys
 
 import pytest
 from oracles import (
@@ -300,38 +302,66 @@ def test_a_shared_node_failing_at_its_second_use_names_that_use():
     assert dst.right is dst.left.right.right and dst.right.depth == 197
 
 
-def _count_node_calls(monkeypatch) -> list[int]:
-    """A one-element list counting the calls of lang._Walk.node from now on."""
-    calls = [0]
+def _walked_nodes(monkeypatch):
+    """A function counting, over every walk from now on, the composite
+    nodes each walk recorded and the calls of lang._prim_step: a node walked
+    again by another walk, or a term that lost its sharing, counts twice."""
+    walks = []
 
-    class CountingWalk(hadpi.lang._Walk):
+    class RecordingWalk(hadpi.lang._Walk):
         __slots__ = ()
 
-        def node(self, *args):
-            calls[0] += 1
-            return super().node(*args)
+        def __init__(self, *args):
+            walks.append(self)
+            super().__init__(*args)
 
-    monkeypatch.setattr(hadpi.lang, "_Walk", CountingWalk)
-    return calls
+    monkeypatch.setattr(hadpi.lang, "_Walk", RecordingWalk)
+    steps = _count_prim_steps(monkeypatch)
+    return lambda: sum(len(walk.memo) for walk in walks) + steps[0]
 
 
 def test_a_failing_walk_walks_once(monkeypatch):
-    calls = _count_node_calls(monkeypatch)
+    walked = _walked_nodes(monkeypatch)
     c = Seq(iterate(HAD, 999), Prim("swap*"))
     with pytest.raises(LangError) as exc:
         typecheck(c, TWO)
     assert str(exc.value) == "at seq.snd: swap* needs a product input, got 1+1"
-    # at most the root and a call per leaf; walking again to name the
-    # failing subterm would about double the count
+    # the 998 seqs of the power and its two primitives; walking again to
+    # name the failing subterm would about double the count
     leaves = sum(1 for _ in term_prims(c))
-    assert calls[0] <= leaves + 1, (calls, leaves)
+    assert walked() <= leaves + 1, (walked(), leaves)
 
 
-def test_a_sum_of_terms_costs_one_frame_per_level():
-    # t_q nests its terms one sum of terms per coordinate: 800 levels fit
-    # within the default recursion limit of 1000 at one frame per level
-    c = hadpi.lang._at_tail(Seq(NEG1, NEG1), 799)
-    assert typecheck(c, nsum(800)).dst is nsum(800)
+def test_a_deep_sum_of_terms_needs_no_recursion():
+    # t_q nests its terms one sum of terms per coordinate: 1,023 levels at
+    # MAX_DIM pass through every walk, fold and printing of a term under a
+    # recursion limit far below the depth
+    b, c = nsum(1024), hadpi.lang._at_tail(NEG1, 1023)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        dst = typecheck(c, b).dst
+        m = sem(c, b)
+        inv = inverse(c, b)
+        w = wsem(c, b)
+        h = t_h(c, b)
+        texts = format_term(c), format_term(h)
+    finally:
+        sys.setrecursionlimit(saved)
+    z = Word(1024, (gen_z(1024),))
+    assert (dst, inv, w) == (b, c, z) and m == word_sem(z)
+    # t_h sends each sum of terms to the same frame around its operand
+    text = "had ; swap+ ; had"
+    for _ in range(1023):
+        text = (
+            "assocl+ ; (id + id) + id ; swap+ + id ; assocr+ ; id + ("
+            + text
+            + ") ; assocl+ ; swap+ + id ; assocr+"
+        )
+    assert texts == ("id + " * 1023 + "neg1", text)
 
 
 # ---------------------------------------------------------------------------
@@ -453,11 +483,11 @@ def test_lowering_t_q_output_types_few_primitives(monkeypatch):
 def test_lowering_t_q_output_walks_few_nodes(monkeypatch):
     w = _word(random.Random(32), 32, 64)
     c = t_q(w)
-    calls = _count_node_calls(monkeypatch)
+    walked = _walked_nodes(monkeypatch)
     assert sem(c, nsum(32)) == word_sem(w)
-    # 6,376 calls when a chain was walked leaf by leaf, with no memo for a
-    # seq inside a chain and a new term for each transposition
-    assert calls[0] < 6376 / 2, calls
+    # 2,325 here; 28,295 when each generator builds its own rungs and
+    # transpositions, and 118,058 for the tree of c with no node shared
+    assert walked() < 28295 / 4, walked()
 
 
 def test_t_q_output_pickles_with_its_sharing():
@@ -484,6 +514,30 @@ def test_inverse_of_t_q_output_keeps_its_sharing(monkeypatch):
     # an inverse that copied each shared rung would type every leaf again
     assert steps[0] < leaves / 5, (steps, leaves)
     assert m == word_sem(w).transpose()  # the matrices are orthogonal
+
+
+def _inverse_corpus():
+    """(source type, program): 200 seeded random terms, the fixed
+    three-qubit circuits, then the programs t_q builds for three words."""
+    rng = random.Random(2611)
+    out = []
+    for _ in range(200):
+        b = rand_type(rng, 8, 0)
+        out.append((b, rand_term(rng, b, "qpi", 5)))
+    out += [(QUBITS3, c) for c in qubit_circuits()]
+    return out + [(nsum(n), t_q(_word(rng, n, 2 * n))) for n in (3, 6, 12)]
+
+
+# sha256 of the printed inverses of the corpus, recorded when inverse
+# recursed on the term; it changes only if inverse's printed output does
+INVERSE_GOLDEN_SHA256 = "62fdfa373158615e791d23da53703b46f6a2cd73fbd7ca22e0ccd3c09ee7f7a7"
+
+
+def test_inverse_output_text_is_pinned():
+    text = "".join(
+        f"{format_type(b)} | {format_term(inverse(c, b))}\n" for b, c in _inverse_corpus()
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == INVERSE_GOLDEN_SHA256
 
 
 # ---------------------------------------------------------------------------

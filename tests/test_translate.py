@@ -419,20 +419,20 @@ def test_rank_frozen_values():
 
 
 def test_t_h_id_times_clauses_lower_the_measure(monkeypatch):
-    # an id_b * c clause recurses on id_b' * c, for the same c at the same
-    # input type, only with rank(b') < rank(b): so t_h terminates
+    # an id_b * c clause recurses on id_b' * c, for the same translation
+    # and target of c, only with rank(b') < rank(b): so t_h terminates
     open_calls, checked = [], 0
     real = translate._th_id_times
 
-    def recording(b, c, cb, walk, done):
+    def recording(b, tc, cd, done):
         nonlocal checked
-        outer = [ob for ob, oc, ocb in open_calls if oc is c and ocb is cb]
+        outer = [ob for ob, otc, ocd in open_calls if otc is tc and ocd is cd]
         if outer:
             assert rank(b) < rank(outer[-1]), (format_type(b), format_type(outer[-1]))
             checked += 1
-        open_calls.append((b, c, cb))
+        open_calls.append((b, tc, cd))
         try:
-            return real(b, c, cb, walk, done)
+            return real(b, tc, cd, done)
         finally:
             open_calls.pop()
 
@@ -534,16 +534,16 @@ def test_shared_outputs_print_as_their_unshared_copies():
 def test_printing_a_shared_program_renders_each_node_once(monkeypatch):
     c = t_q(_rand_word(random.Random(32), 32, 64))
     calls = 0
-    render = hadpi.lang._render_term
+    layout = hadpi.lang._layout
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return render(*args)
+        return layout(*args)
 
-    monkeypatch.setattr(hadpi.lang, "_render_term", counting)
+    monkeypatch.setattr(hadpi.lang, "_layout", counting)
     text = format_term(c)
-    # a rendering per tree node would be one call per leaf at least
+    # a layout per composite of the tree would be one per leaf at least
     leaves = sum(1 for node in _walk(c) if isinstance(node, Prim))
     assert calls < leaves / 10, (calls, leaves)
     # one separator per binary node of the tree
