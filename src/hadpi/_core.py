@@ -1,13 +1,15 @@
-"""Arithmetic kernels for flat coefficient arrays.
+"""Arithmetic kernels for coefficient lists.
 
-A matrix over Z[1/rt2] is carried as a shared exponent k plus two flat
-row-major lists aa, bb holding the integer and rt2 coefficients of the
-numerators.  Evaluation and synthesis apply row operations
-(linalg.RowState), so reduce_nums is the one kernel on their path;
-mat_mul_nums serves dense products, such as the orthogonality check that
-runs when synthesis fails; kron_nums serves ExactMatrix.tensor, which only
-the tests call.  Coefficients must stay Python ints: entries grow with the
-exponent and overflow any fixed width.
+An ExactMatrix over Z[1/rt2] is carried as a shared exponent k plus two
+flat row-major lists aa, bb holding the integer and rt2 coefficients of
+the numerators; a linalg.RowState holds each row as its own pair of lists
+at its own exponent.  Evaluation and synthesis apply row operations
+(linalg.RowState), so reduce_nums, applied to a row, a column or a whole
+matrix, is the one kernel on their path; mat_mul_nums serves dense
+products, such as the orthogonality check that runs when synthesis fails;
+kron_nums serves ExactMatrix.tensor, which only the tests call.
+Coefficients must stay Python ints: entries grow with the exponent and
+overflow any fixed width.
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ def reduce_nums(k, aa, bb):
 
     rt2^m divides a + b*rt2 exactly when m <= 2*v2(a) and m <= 2*v2(b) + 1
     (v2 the 2-adic valuation, infinite at 0).  The least set bit of an OR of
-    integers is the least over its operands, so one pass finds m.
+    integers is the least over its operands, so one pass finds m.  The
+    result may hold the input lists themselves: both when nothing is
+    stripped, bb as the new aa when m = 1.
     """
     if k == 0:
         return k, aa, bb
@@ -83,6 +87,7 @@ def reduce_nums(k, aa, bb):
         m = min(m, 2 * (orb & -orb).bit_length() - 1)
     h = m >> 1
     if m & 1:
-        # (a + b*rt2)/rt2 = b + (a/2)*rt2, then a plain shift by h
-        return k - m, [b >> h for b in bb], [a >> (h + 1) for a in aa]
+        # (a + b*rt2)/rt2 = b + (a/2)*rt2, then a plain shift by h; the
+        # common m = 1 hands bb back unshifted
+        return k - m, [b >> h for b in bb] if h else bb, [a >> (h + 1) for a in aa]
     return k - m, [a >> h for a in aa], [b >> h for b in bb]

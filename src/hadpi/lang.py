@@ -970,8 +970,8 @@ def _at_tail(c: Term, m: int) -> Term:
 
 
 def _adj(k: int, n: int) -> Term:
-    # swap coordinates k and k+1 of the right-associated n-fold sum of 1
-    assert 1 <= k < n
+    # swap coordinates k and k+1 of the right-associated n-fold sum of 1;
+    # swap_plus_at passes 1 <= k < n
     if k == n - 1:
         swap = Prim("swap+")
     else:
@@ -1121,19 +1121,31 @@ def parse_type(text: str) -> ValueType:
 
 
 def format_type(b: ValueType) -> str:
-    return _render_type(b, 0)
-
-
-def _render_type(b: ValueType, ctx: int) -> str:
-    if isinstance(b, Zero):
-        return "0"
-    if isinstance(b, One):
-        return "1"
-    if isinstance(b, Sum):
-        s = _render_type(b.left, 1) + "+" + _render_type(b.right, 0)
-        return f"({s})" if ctx > 0 else s
-    s = _render_type(b.left, 2) + "*" + _render_type(b.right, 1)
-    return f"({s})" if ctx > 1 else s
+    """The text of a type, rendered off an explicit stack: nsum(n) nests n
+    levels deep.  A sum is parenthesised as the left operand of a sum or
+    inside a product, a product as the left operand of a product."""
+    out: list[str] = []
+    # what is left to do, pushed in reverse: text to write or a (type,
+    # context) to render, the context 0 at the top, 1 for a left operand
+    # of + or a right operand of *, 2 for a left operand of *
+    work: list = [(b, 0)]
+    while work:
+        item = work.pop()
+        if type(item) is str:
+            out.append(item)
+            continue
+        x, ctx = item
+        if x is ONE:
+            out.append("1")
+        elif x is ZERO:
+            out.append("0")
+        elif type(x) is Sum:
+            parts = ((x.right, 0), "+", (x.left, 1))
+            work += (")", *parts, "(") if ctx > 0 else parts
+        else:
+            parts = ((x.right, 1), "*", (x.left, 2))
+            work += (")", *parts, "(") if ctx > 1 else parts
+    return "".join(out)
 
 
 def _parse_seq(p: _Parser) -> Term:

@@ -3,12 +3,15 @@
 A matrix is stored as rt2^-k times an integer combination: one shared
 exponent k plus flat row-major coefficient tuples.  The representation is
 canonical (k is the least denominator exponent of the whole matrix), so
-equality is plain tuple comparison.  Public indices are 1-based, matching
-the generator notation Z[a], X[b,c], H[b,c].
+equality is plain tuple comparison.  RowState, the evaluator that row
+operations act on, keeps each row as its own pair of lists at its own
+exponent instead.  Public indices are 1-based, matching the generator
+notation Z[a], X[b,c], H[b,c].
 """
 
 from __future__ import annotations
 
+from operator import add, itemgetter, neg, sub
 from typing import NamedTuple, Sequence
 
 from ._core import kron_nums, mat_mul_nums, reduce_nums
@@ -175,10 +178,11 @@ def _level_unchecked(
     Columns are scanned from top (default n) down; the caller vouches that
     every column above top is a unit column.
     """
-    n, ks, aa, bb = state.n, state.ks, state.aa, state.bb
+    n, ks, ra, rb = state.n, state.ks, state.ra, state.rb
     for j in range(top or n, 0, -1):
         p = j - 1
-        ca, cb = aa[p::n], bb[p::n]
+        entry = itemgetter(p)
+        ca, cb = list(map(entry, ra)), list(map(entry, rb))
         # e_j: numerator rt2^ks[p] on the diagonal, zero everywhere else
         half = ks[p] >> 1
         one = (0, 1 << half) if ks[p] & 1 else (1 << half, 0)
@@ -202,66 +206,53 @@ class Generator(NamedTuple):
 def _lift(
     ra: Sequence[int], rb: Sequence[int], d: int
 ) -> tuple[Sequence[int], Sequence[int]]:
-    """Multiply numerators a + b*rt2 by rt2^d (d >= 0); d = 0 returns them."""
+    """Multiply numerators a + b*rt2 by rt2^d (d >= 0); d = 0 returns them,
+    and d = 1 returns ra as the new rt2-part."""
     h = d >> 1
     if d & 1:
-        return [b << (h + 1) for b in rb], [a << h for a in ra]
+        return [b << (h + 1) for b in rb], [a << h for a in ra] if h else ra
     if h:
         return [a << h for a in ra], [b << h for b in rb]
     return ra, rb
 
 
-def _column(
-    n: int, ks: Sequence[int], aa: Sequence[int], bb: Sequence[int], j: int
-) -> tuple[int, list[int], list[int]]:
-    """Column j (1-based) of the rows rt2^-ks[i] * (aa + bb*rt2): its least
-    exponent k and numerators ca, cb, entry i being rt2^-k * (ca[i] + cb[i]*rt2)."""
-    p = j - 1
-    ca, cb = list(aa[p::n]), list(bb[p::n])
-    top = max((k for k, a, b in zip(ks, ca, cb) if a or b), default=0)
-    for i, k in enumerate(ks):
-        if k < top and (ca[i] or cb[i]):
-            (ca[i],), (cb[i],) = _lift((ca[i],), (cb[i],), top - k)
-    return reduce_nums(top, ca, cb)
-
-
 def apply_generator_rows(
-    g: Generator, ks: list[int], aa: list[int], bb: list[int], n: int, width: int = 0
+    g: Generator, ks: list[int], ra: list[list[int]], rb: list[list[int]]
 ) -> None:
     """Left-multiply the row state by g in place: row i is
-    rt2^-ks[i] * (aa + bb*rt2) over entries i*n .. i*n+n-1.
+    rt2^-ks[i] * (ra[i] + rb[i]*rt2).
 
     Z negates a row, X swaps two rows with their exponents, H sends rows
     (r1, r2) to ((r1+r2)/rt2, (r1-r2)/rt2).  Only those rows change, and
-    each keeps its own least exponent, so every generator costs O(n).
-
-    A width of w > 0 edits only the first w entries of each row: exact when
-    the caller vouches that the rows g touches are zero past entry w.
+    each keeps its own least exponent.  X moves references in O(1); Z and H
+    build new row lists in O(n) and never edit a row list in place, so
+    rows that X has swapped stay independent.
     """
-    w = width or n
     i1 = g.idx[0] - 1
-    s1 = slice(i1 * n, i1 * n + w)
     if g.kind == "Z":
-        aa[s1] = [-a for a in aa[s1]]
-        bb[s1] = [-b for b in bb[s1]]
+        ra[i1] = list(map(neg, ra[i1]))
+        rb[i1] = list(map(neg, rb[i1]))
         return
     i2 = g.idx[1] - 1
-    s2 = slice(i2 * n, i2 * n + w)
     if g.kind == "X":
-        aa[s1], aa[s2] = aa[s2], aa[s1]
-        bb[s1], bb[s2] = bb[s2], bb[s1]
+        ra[i1], ra[i2] = ra[i2], ra[i1]
+        rb[i1], rb[i2] = rb[i2], rb[i1]
         ks[i1], ks[i2] = ks[i2], ks[i1]
         return
     # lift both rows to a common exponent k; their sum and difference
     # then sit at exponent k+1 and are reduced row by row
-    k = max(ks[i1], ks[i2])
-    xa, xb = _lift(aa[s1], bb[s1], k - ks[i1])
-    ya, yb = _lift(aa[s2], bb[s2], k - ks[i2])
-    ks[i1], aa[s1], bb[s1] = reduce_nums(
-        k + 1, [x + y for x, y in zip(xa, ya)], [x + y for x, y in zip(xb, yb)]
+    k, k2 = ks[i1], ks[i2]
+    xa, xb, ya, yb = ra[i1], rb[i1], ra[i2], rb[i2]
+    if k < k2:
+        xa, xb = _lift(xa, xb, k2 - k)
+        k = k2
+    elif k2 < k:
+        ya, yb = _lift(ya, yb, k - k2)
+    ks[i1], ra[i1], rb[i1] = reduce_nums(
+        k + 1, list(map(add, xa, ya)), list(map(add, xb, yb))
     )
-    ks[i2], aa[s2], bb[s2] = reduce_nums(
-        k + 1, [x - y for x, y in zip(xa, ya)], [x - y for x, y in zip(xb, yb)]
+    ks[i2], ra[i2], rb[i2] = reduce_nums(
+        k + 1, list(map(sub, xa, ya)), list(map(sub, xb, yb))
     )
 
 
@@ -269,64 +260,80 @@ class RowState:
     """Mutable matrix under row operations: the one evaluator that
     word_sem, lang.sem and synthesis left-multiply in place.
 
-    Row i is rt2^-ks[i] * (aa + bb*rt2) over the flat entries i*n .. i*n+n-1,
-    each row at its own least exponent, so a generator touches only its rows.
+    Row i is rt2^-ks[i] * (ra[i] + rb[i]*rt2), each row its own pair of
+    lists at its own least exponent, so a generator touches only its rows
+    and X only swaps references.  No two rows share a list object.
     RowState(M) reduces every row of M; RowState.identity(n), the start of
     every evaluation, is built reduced.
     """
 
-    __slots__ = ("n", "ks", "aa", "bb")
+    __slots__ = ("n", "ks", "ra", "rb")
 
     def __init__(self, M: ExactMatrix):
         n = self.n = M.n
-        self.ks, self.aa, self.bb = [], [], []
+        self.ks, self.ra, self.rb = [], [], []
         for i in range(n):
-            k, ra, rb = reduce_nums(M.k, M.aa[i * n : i * n + n], M.bb[i * n : i * n + n])
+            k, ra, rb = reduce_nums(
+                M.k, list(M.aa[i * n : i * n + n]), list(M.bb[i * n : i * n + n])
+            )
             self.ks.append(k)
-            self.aa += ra
-            self.bb += rb
+            self.ra.append(ra)
+            self.rb.append(rb)
 
     @classmethod
     def identity(cls, n: int) -> "RowState":
         """The n x n identity: every row at exponent 0, so none needs reducing."""
         state = cls.__new__(cls)
-        state.n, state.ks, state.bb = n, [0] * n, [0] * (n * n)
-        state.aa = [0] * (n * n)
-        state.aa[:: n + 1] = [1] * n
+        state.n, state.ks = n, [0] * n
+        state.ra = [[0] * n for _ in range(n)]
+        state.rb = [[0] * n for _ in range(n)]
+        for i, row in enumerate(state.ra):
+            row[i] = 1
         return state
 
     def snapshot(self) -> ExactMatrix:
         """The matrix, every row lifted to the largest row exponent."""
         n, top = self.n, max(self.ks, default=0)
-        aa: list[int] = []
-        bb: list[int] = []
-        for i, k in enumerate(self.ks):
-            ra, rb = _lift(self.aa[i * n : i * n + n], self.bb[i * n : i * n + n], top - k)
-            aa += ra
-            bb += rb
+        aa, bb = [0] * (n * n), [0] * (n * n)
+        for i, (k, ra, rb) in enumerate(zip(self.ks, self.ra, self.rb)):
+            aa[i * n : i * n + n], bb[i * n : i * n + n] = _lift(ra, rb, top - k)
         return ExactMatrix(n, top, aa, bb)
 
+    def is_identity(self) -> bool:
+        """Whether the state holds the identity, read off its rows: each row
+        is at its least exponent, so it must be e_i at exponent 0."""
+        n = self.n
+        return (
+            not any(self.ks)
+            and all(r.count(0) == n for r in self.rb)
+            and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.ra))
+        )
+
     def column(self, j: int) -> tuple[int, list[int], list[int]]:
-        """Column j (1-based) with its own least exponent."""
-        return _column(self.n, self.ks, self.aa, self.bb, j)
+        """Column j (1-based) with its own least exponent k: numerators ca,
+        cb with entry i equal to rt2^-k * (ca[i] + cb[i]*rt2)."""
+        entry = itemgetter(j - 1)
+        ks, ca, cb = self.ks, list(map(entry, self.ra)), list(map(entry, self.rb))
+        # lift every entry to the largest row exponent; reduce_nums then
+        # finds the column's own
+        top = max(ks, default=0)
+        if min(ks, default=0) < top:
+            for i, k in enumerate(ks):
+                if k < top and (ca[i] or cb[i]):
+                    (ca[i],), (cb[i],) = _lift((ca[i],), (cb[i],), top - k)
+        return reduce_nums(top, ca, cb)
 
-    def apply_word(self, gens: Sequence[Generator], width: int = 0) -> None:
-        """Left-multiply by the word's matrix: rightmost generator acts first.
-
-        A width w > 0 edits the first w entries of each row only, which is
-        exact when every row the word touches is zero past entry w.
-        """
+    def apply_word(self, gens: Sequence[Generator]) -> None:
+        """Left-multiply by the word's matrix: rightmost generator acts first."""
         for g in reversed(gens):
-            apply_generator_rows(g, self.ks, self.aa, self.bb, self.n, width)
+            apply_generator_rows(g, self.ks, self.ra, self.rb)
 
     def permute(self, rows: Sequence[int], images: Sequence[int]) -> None:
         """Move row rows[t] to row images[t] (0-based); both list one row set."""
-        n, ks, aa, bb = self.n, self.ks, self.aa, self.bb
-        moved = [(ks[r], aa[r * n : r * n + n], bb[r * n : r * n + n]) for r in rows]
-        for r, (k, ra, rb) in zip(images, moved):
-            ks[r] = k
-            aa[r * n : r * n + n] = ra
-            bb[r * n : r * n + n] = rb
+        ks, ra, rb = self.ks, self.ra, self.rb
+        moved = [(ks[r], ra[r], rb[r]) for r in rows]
+        for r, (k, a, b) in zip(images, moved):
+            ks[r], ra[r], rb[r] = k, a, b
 
 
 def gen_z(a: int) -> Generator:

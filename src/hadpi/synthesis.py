@@ -16,12 +16,13 @@ canonical.
 
 The loop works on the active column j.  It keeps that column as
 numerators at its exponent, so a syllable updates it in O(1) and one O(n)
-reduction follows each drop of the exponent.  The columns above j are
-unit columns, zero in rows 1..j, so a syllable's row operations edit the
-first j entries of their rows: O(j) each.  The matrix is scanned once per
-fixed column, and after each signed transposition or each syllable that
-touches a row past j (which only a matrix that is not orthogonal has);
-every scan checks that the level went down.
+reduction follows each drop of the exponent.  Every syllable goes through
+RowState.apply_word: its X moves two row references, and its H builds
+the two new rows in O(n).  The matrix is scanned once per fixed column,
+and after each signed transposition or each syllable that touches a row
+past j (which only a matrix that is not orthogonal has); every scan
+checks that the level went down.  The end state is tested for the
+identity on its rows.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .linalg import (
     Level,
     RowState,
     _level_unchecked,
-    gen_h,
     gen_x,
     gen_z,
 )
@@ -135,7 +135,9 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
             if pair is None:
                 raise SynthesisError("odd residues must pair up in a unit column")
             p, q = pair
-            gens = [gen_h(1, q)] if p == 1 else [gen_h(1, q), gen_x(1, p)]
+            # 1 <= p < q, so the generators are valid as built
+            h = Generator("H", (1, q))
+            gens = [h] if p == 1 else [h, Generator("X", (1, p))]
         else:
             a = next((i for i in range(1, n + 1) if ca[i - 1] or cb[i - 1]), 0)
             if not (a and a <= j and ca[a - 1] in (1, -1) and cb[a - 1] == 0):
@@ -145,13 +147,12 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
                 gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
             else:
                 gens = [gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)]
+        work.apply_word(gens)
         if k > 0 and q <= j:
-            # Every column above j is a unit column, zero in the rows up to
-            # j, so the syllable edits the first j entries of its rows only.
-            # In column j, X[1,p] swaps entries 1 and p and H[1,q] sends
-            # the odd pair to (x1 +- x2)/rt2, whose numerators at rt2^-k
-            # are b1 +- b2 and (a1 +- a2)/2: both a-parts are even.
-            work.apply_word(gens, j)
+            # The syllable leaves every unit column above j alone.  In
+            # column j, X[1,p] swaps entries 1 and p and H[1,q] sends the
+            # odd pair to (x1 +- x2)/rt2, whose numerators at rt2^-k are
+            # b1 +- b2 and (a1 +- a2)/2: both a-parts are even.
             a1, b1, a2, b2 = ca[p - 1], cb[p - 1], ca[q - 1], cb[q - 1]
             ca[p - 1], cb[p - 1] = ca[0], cb[0]
             ca[0], cb[0] = b1 + b2, (a1 + a2) >> 1
@@ -165,8 +166,6 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
             # a column that became e_j is left to the scan below
             if k or ca[j - 1] != 1 or ca.count(0) + cb.count(0) != 2 * n - 1:
                 lv = Level(j, k, len(odd))
-        else:
-            work.apply_word(gens)
         if lv is None:
             # A row operation changes a unit column c only if it touches row
             # c, and every column above j is a unit column, so the scan may
@@ -179,7 +178,7 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
         current = lv
         syllables.append(Syllable(tuple(gens)))
         levels.append(lv)
-    if not work.snapshot().is_identity():
+    if not work.is_identity():
         raise SynthesisError("synthesis did not reach identity")
     return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))
 
@@ -194,18 +193,27 @@ def _pair(odd: list[int], cb: list[int], ks: list[int]) -> tuple[int, int] | Non
     least (exponent sum, second row's exponent, first index, second
     index) wins.
     """
-    classes: tuple[list, list] = ([], [])
+    # per class, its least and second least (row exponent, index)
+    first, second = [None, None], [None, None]
     for i in odd:
-        classes[cb[i - 1] & 1].append((ks[i - 1], i))
-    offers = []
-    for rows in classes:
-        if len(rows) >= 2:
-            rows.sort()
-            (k1, r1), (k2, r2) = rows[:2]
-            offers.append((k1 + k2, k2, r1, r2))
-    if not offers:
+        key = (ks[i - 1], i)
+        c = cb[i - 1] & 1
+        s = second[c]
+        if s is None or key < s:
+            f = first[c]
+            if f is None or key < f:
+                first[c], second[c] = key, f
+            else:
+                second[c] = key
+    best = None
+    for f, s in zip(first, second):
+        if s:
+            offer = (f[0] + s[0], s[0], f[1], s[1])
+            if best is None or offer < best:
+                best = offer
+    if best is None:
         return None
-    r1, r2 = min(offers)[2:]
+    r1, r2 = best[2:]
     return (r1, r2) if r1 < r2 else (r2, r1)
 
 

@@ -43,9 +43,11 @@ class Word(NamedTuple):
 
 
 def _check(w: Word) -> None:
+    n = w.n
     for g in w.gens:
-        if not all(1 <= i <= w.n for i in g.idx):
-            raise WordError(f"generator {g} out of range for n={w.n}")
+        for i in g.idx:
+            if not 1 <= i <= n:
+                raise WordError(f"generator {g} out of range for n={n}")
 
 
 def word_sem(w: Word) -> ExactMatrix:

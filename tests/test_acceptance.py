@@ -387,7 +387,7 @@ def test_criterion_9_ring_oracle_cross_check():
     """The exact arithmetic the product runs, against the rational oracle:
     reduce_nums (each value and the least exponent of each row), the
     H/Z/X row operations of RowState.apply_word and apply_generator_rows,
-    and linalg._column through RowState.column."""
+    and RowState.column."""
     t0 = time.monotonic()
     rng = random.Random(999)
     over_rt2 = FracRT2(0, Fraction(1, 2))  # 1/rt2 = rt2/2
@@ -407,9 +407,9 @@ def test_criterion_9_ring_oracle_cross_check():
             # every row after the reduction, then the rows each generator touched
             for i in rows:
                 row = [
-                    FracRT2.of(state.aa[i * n + j], state.bb[i * n + j], state.ks[i])
-                    for j in range(n)
+                    FracRT2.of(a, b, state.ks[i]) for a, b in zip(state.ra[i], state.rb[i])
                 ]
+                assert len(row) == n
                 assert row == F[i]
                 assert state.ks[i] == oracle_lde(*row)
                 checked += n + 1

@@ -1,6 +1,6 @@
 """Tooling checks over the package source: traced bindings, unused imports,
-asserts in public functions, readers of counts, the modules the command line
-imports, and the README's budget and library layout tables."""
+asserts, readers of counts, the modules the command line imports, and the
+README's budget and library layout tables."""
 
 import ast
 import importlib
@@ -91,30 +91,16 @@ def test_no_unused_imports():
     assert not unused
 
 
-def _public_asserts(path: Path) -> list[str]:
-    """name:line of each assert whose innermost enclosing function is public:
-    its name has no leading underscore, or it is a dunder method."""
-    out = []
-
-    def visit(node, fn):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            fn = node.name
-        elif isinstance(node, ast.Assert) and fn is not None:
-            if not fn.startswith("_") or (fn.startswith("__") and fn.endswith("__")):
-                out.append(f"{path.stem}.{fn}:{node.lineno}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, fn)
-
-    visit(ast.parse(path.read_text()), None)
-    return out
-
-
-def test_no_assert_in_public_functions():
-    # python -O strips asserts, so a check a caller can trip must raise;
-    # private helpers keep asserts that state invariants their callers hold
-    paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
-    found = [a for path in paths for a in _public_asserts(path)]
-    assert not found, f"asserts in public functions: {found}"
+def test_no_assert_in_the_package():
+    # python -O strips asserts, so a check a caller can trip must raise, and
+    # an invariant its callers hold is stated in a comment
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "hadpi").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"asserts in the package: {found}"
 
 
 def _int_calls(path: Path) -> list[str]:
@@ -231,7 +217,7 @@ def test_only_type_directed_code_recurses():
     # per coordinate), so no walk, fold or printing of a term recurses; what
     # recurses follows a type or pattern, bounded through MAX_NESTING
     allowed = {
-        "lang._render_type", "lang._infer", "lang._equate", "lang._holds",
+        "lang._infer", "lang._equate", "lang._holds",
         "lang._resolve", "lang._instance", "lang._text_length", "lang._chars",
         "lang._compile.visit", "lang._compile.build", "translate._th_id_times",
     }

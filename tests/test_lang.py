@@ -4,6 +4,7 @@ import copy
 import gc
 import pickle
 import random
+import sys
 
 import pytest
 
@@ -666,3 +667,20 @@ def test_type_holds_its_dimension():
     for bad in (None, Sum(None, ONE), Prim("had")):
         with pytest.raises(LangError, match="not a value type"):
             hdim(bad)
+
+
+def test_type_errors_print_deep_types_without_recursion():
+    # nsum(1024) nests 1,023 sums; wording the error prints it under a
+    # recursion limit far below that depth
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 300)
+    try:
+        with pytest.raises(LangError, match=r"had needs input 1\+1"):
+            typecheck(Prim("had"), nsum(1024))
+        text = format_type(nsum(1024))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert text == "+".join(["1"] * 1024)

@@ -326,8 +326,8 @@ def test_row_state_matches_dense_products():
         state.apply_word(gens)
         assert state.snapshot() == W
         # each row sits at its own least exponent: positive only with an odd a
-        for i, k in enumerate(state.ks):
-            assert k == 0 or any(a & 1 for a in state.aa[i * n : i * n + n])
+        for k, ra in zip(state.ks, state.ra):
+            assert k == 0 or any(a & 1 for a in ra)
         # a state built from a reduced matrix continues the product
         more = _deep_word(rng, n, 2 * n)
         state = RowState(W)
@@ -342,6 +342,27 @@ def test_row_state_matches_dense_products():
         before = state.snapshot()
         state.permute(rows, images)
         assert state.snapshot() == permutation_matrix(perm) @ before
+
+
+def test_row_state_rows_share_no_list():
+    # X swaps row references while Z and H build new rows: a list shared by
+    # two rows, once edited in place, would change both
+    rng = random.Random(71)
+    for n in (1, 2, 3, 5, 8):
+        for state in (
+            RowState.identity(n),
+            RowState(rand_orthogonal(rng, n, 3 * n)),
+            RowState(rand_general(rng, n)),
+        ):
+            for step in range(6):
+                rows = state.ra + state.rb
+                assert len({id(r) for r in rows}) == 2 * n
+                assert all(len(r) == n for r in rows)
+                if step % 2:
+                    moved = rng.sample(range(n), rng.randint(1, n))
+                    state.permute(moved, rng.sample(moved, len(moved)))
+                else:
+                    state.apply_word([rand_generator(rng, n) for _ in range(4 * n)])
 
 
 def test_level_matches_percolumn_definition_deep():

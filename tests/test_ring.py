@@ -54,9 +54,9 @@ def times(x: tuple[int, int, int], y: tuple[int, int, int]) -> tuple[int, int, i
 
 def h_rows(x: tuple[int, int, int], y: tuple[int, int, int]):
     """The H row operation on the one-entry rows x, y: (x+y)/rt2, (x-y)/rt2."""
-    ks, aa, bb = [x[2], y[2]], [x[0], y[0]], [x[1], y[1]]
-    apply_generator_rows(gen_h(1, 2), ks, aa, bb, 1)
-    return (aa[0], bb[0], ks[0]), (aa[1], bb[1], ks[1])
+    ks, ra, rb = [x[2], y[2]], [[x[0]], [y[0]]], [[x[1]], [y[1]]]
+    apply_generator_rows(gen_h(1, 2), ks, ra, rb)
+    return (ra[0][0], rb[0][0], ks[0]), (ra[1][0], rb[1][0], ks[1])
 
 
 def frac(x: tuple[int, int, int]) -> FracRT2:
@@ -130,9 +130,9 @@ def test_ops_against_fraction_oracle():
         assert frac(plus) * rt2 == frac(x) + frac(y)
         assert frac(minus) * rt2 == frac(x) - frac(y)
         assert frac(times(x, y)) == frac(x) * frac(y)
-        ks, aa, bb = [x[2]], [x[0]], [x[1]]
-        apply_generator_rows(gen_z(1), ks, aa, bb, 1)
-        assert frac((aa[0], bb[0], ks[0])) == -frac(x)
+        ks, ra, rb = [x[2]], [[x[0]]], [[x[1]]]
+        apply_generator_rows(gen_z(1), ks, ra, rb)
+        assert frac((ra[0][0], rb[0][0], ks[0])) == -frac(x)
 
 
 @pytest.mark.parametrize(

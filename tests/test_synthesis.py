@@ -193,18 +193,18 @@ def test_level_check_catches_a_row_state_off_the_tracked_column(monkeypatch):
     apply_word = RowState.apply_word
     calls = []
 
-    def flip_row_1_first(self, gens, *width):
+    def flip_row_1_first(self, gens):
         # Z[1] before H[1,3] sends column 3 to e_1 in the rows, where the
         # column tracked from the syllable alone holds -e_3
         if not calls:
             gens.append(Generator("Z", (1,)))
-        calls.append(width)
-        apply_word(self, gens, *width)
+        calls.append([str(g) for g in gens])
+        apply_word(self, gens)
 
     monkeypatch.setattr(RowState, "apply_word", flip_row_1_first)
     with pytest.raises(SynthesisError, match="syllable did not lower the level"):
         synthesize(M)
-    assert calls[0] == (3,)  # the faulty syllable ran on the leading 3 columns
+    assert calls[0] == ["H[1,3]", "Z[1]"]  # the faulty syllable was the first one
 
 
 def _plain(trace):
