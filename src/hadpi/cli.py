@@ -9,6 +9,7 @@ stdin when the argument is "-".
 
 import argparse
 import functools
+import math
 import os
 import sys
 
@@ -187,9 +188,7 @@ def cmd_relations_verify(args) -> int:
             print(f"FAIL {rel.id} at {binding}")
             failed += 1
             continue
-        count = 1
-        for i in range(k):  # the assignments of k distinct indices from 1..n
-            count *= args.n - i
+        count = math.perm(args.n, k)  # assignments of k distinct indices from 1..n
         print(f"PASS {rel.id} assignments={min(count, args.max_assignments or count)}")
     total = len(CATALOG)
     print(

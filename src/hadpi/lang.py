@@ -130,11 +130,11 @@ TWO = Sum(ONE, ONE)
 # to MAX_NESTING levels past the deeper of its source and MAX_NESTING (see
 # _depth_limit): a long chain of uniti+ would otherwise build a type too
 # deep to print or unify, while a program built over a deeper source
-# still runs.  No walk, fold or printing of a term recurses, so a term may
-# nest past the recursion limit, as t_q's do near n = 1000.  On parsed
-# input this budget bounds all that recurses: the parser, six frames per
-# level at most, and the code directed by a type or pattern (printing,
-# unification, source inference, t_h's id_b * c clauses).
+# still runs.  No walk, fold or printing of a term or type recurses, so a
+# term may nest past the recursion limit, as t_q's do near n = 1000.  On
+# parsed input this budget bounds all that recurses: the parser, five frames
+# per level at most, and the code directed by a pattern (unification, source
+# inference, the printing of patterns in its errors, t_h's id_b * c clauses).
 MAX_NESTING = 100
 
 
@@ -1005,45 +1005,45 @@ def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
 
 # ---------------------------------------------------------------------------
 # concrete syntax
+#
+# Terms are built over the rig operators of their types, so one tokenizer,
+# one grammar of + and * chains and one renderer serve both languages.
 
 # c^m is expanded at parse time to m copies of c, so powers multiply the
 # work of everything after parsing; the expanded term may have at most
 # this many primitive leaves once a power is applied.
 MAX_TERM_LEAVES = 100_000
 
-# names longest first, so that factorz is not read as factor
-_NAMES = sorted([*_RULES, "factorz"], key=len, reverse=True)
-_TOKEN_RE = re.compile("(" + "|".join(map(re.escape, _NAMES)) + r"|[0-9]+|[;+*^(){}])")
+# a token, or else the one character that starts no token, past white
+# space; names go longest first, so that factorz is not read as factor
+_TOKEN_RE = re.compile(
+    r"\s*(?:("
+    + "|".join(map(re.escape, sorted([*_RULES, "factorz"], key=len, reverse=True)))
+    + r"|[0-9]+|[;+*^(){}])|(\S))"
+)
 
-
-def _tokenize(text: str, what: str) -> list[tuple[str, int]]:
-    toks = []
-    i = 0
-    while i < len(text):
-        if text[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise LangError(f"{what}: unexpected character {text[i]!r} at offset {i}")
-        toks.append((m.group(1), i))
-        i = m.end()
-    return toks
+# the infix operators of terms and of types: token -> (binding level, node
+# class); both associate to the right, and * binds tighter than +
+_TERM_OPS = {"+": (2, SumC), "*": (3, ProdC)}
+_TYPE_OPS = {"+": (2, Sum), "*": (3, Prod)}
 
 
 class _Parser:
     def __init__(self, text: str, what: str):
-        self.toks = _tokenize(text, what)
+        # (token, offset) pairs, closed by the sentinel (None, len(text))
+        self.toks = []
+        for m in _TOKEN_RE.finditer(text):
+            if m[1] is None:
+                raise LangError(f"{what}: unexpected character {m[2]!r} at offset {m.start(2)}")
+            self.toks.append((m[1], m.start(1)))
+        self.toks.append((None, len(text)))
         self.pos = 0
         self.what = what
-        self.end = len(text)
         self.depth = 0  # open nesting levels
         self.leaves = 0  # primitive leaves of the expanded term so far
 
     def peek(self) -> Optional[str]:
-        if self.pos < len(self.toks):
-            return self.toks[self.pos][0]
-        return None
+        return self.toks[self.pos][0]
 
     def take(self) -> str:
         tok = self.peek()
@@ -1053,7 +1053,7 @@ class _Parser:
         return tok
 
     def offset(self) -> int:
-        return self.toks[self.pos][1] if self.pos < len(self.toks) else self.end
+        return self.toks[self.pos][1]
 
     def expect(self, tok: str) -> None:
         got = self.peek()
@@ -1063,38 +1063,33 @@ class _Parser:
             )
         self.pos += 1
 
-    def nest(self, parse):
-        """parse(self) one nesting level deeper, within MAX_NESTING."""
+    def nest(self, parse, *args):
+        """parse(self, *args) one nesting level deeper, within MAX_NESTING."""
         if self.depth == MAX_NESTING:
             raise LangError(
                 f"{self.what}: nested deeper than the limit of {MAX_NESTING} levels"
                 f" (MAX_NESTING) at offset {self.offset()}"
             )
         self.depth += 1
-        out = parse(self)
+        out = parse(self, *args)
         self.depth -= 1
         return out
 
     def done(self) -> None:
-        if self.pos != len(self.toks):
-            tok, at = self.toks[self.pos]
+        tok, at = self.toks[self.pos]
+        if tok is not None:
             raise LangError(f"{self.what}: trailing input {tok!r} at offset {at}")
 
 
-def _parse_vtype(p: _Parser) -> ValueType:
-    left = _parse_vfactor(p)
-    if p.peek() == "+":
+def _parse_infix(p: _Parser, ops: dict, operand, level: int):
+    """A chain of operands joined by the operators of ops that bind at level
+    or tighter (Pratt, "Top down operator precedence", 1973).  Each operand
+    after an operator is parsed one nesting level deeper."""
+    out = operand(p)
+    while (op := ops.get(p.peek())) is not None and op[0] >= level:
         p.take()
-        return Sum(left, p.nest(_parse_vtype))
-    return left
-
-
-def _parse_vfactor(p: _Parser) -> ValueType:
-    left = _parse_vatom(p)
-    if p.peek() == "*":
-        p.take()
-        return Prod(left, p.nest(_parse_vfactor))
-    return left
+        out = op[1](out, p.nest(_parse_infix, ops, operand, op[0]))
+    return out
 
 
 def _parse_vatom(p: _Parser) -> ValueType:
@@ -1110,6 +1105,9 @@ def _parse_vatom(p: _Parser) -> ValueType:
     raise LangError(f"{p.what}: expected a type, got {tok!r}")
 
 
+_parse_vtype = functools.partial(_parse_infix, ops=_TYPE_OPS, operand=_parse_vatom, level=2)
+
+
 def parse_type(text: str) -> ValueType:
     """Read a value type: 0, 1, +, * (both right-associated), parentheses."""
     p = _Parser(text, "type")
@@ -1120,56 +1118,12 @@ def parse_type(text: str) -> ValueType:
     return out
 
 
-def format_type(b: ValueType) -> str:
-    """The text of a type, rendered off an explicit stack: nsum(n) nests n
-    levels deep.  A sum is parenthesised as the left operand of a sum or
-    inside a product, a product as the left operand of a product."""
-    out: list[str] = []
-    # what is left to do, pushed in reverse: text to write or a (type,
-    # context) to render, the context 0 at the top, 1 for a left operand
-    # of + or a right operand of *, 2 for a left operand of *
-    work: list = [(b, 0)]
-    while work:
-        item = work.pop()
-        if type(item) is str:
-            out.append(item)
-            continue
-        x, ctx = item
-        if x is ONE:
-            out.append("1")
-        elif x is ZERO:
-            out.append("0")
-        elif type(x) is Sum:
-            parts = ((x.right, 0), "+", (x.left, 1))
-            work += (")", *parts, "(") if ctx > 0 else parts
-        else:
-            parts = ((x.right, 1), "*", (x.left, 2))
-            work += (")", *parts, "(") if ctx > 1 else parts
-    return "".join(out)
-
-
 def _parse_seq(p: _Parser) -> Term:
-    out = _parse_sum(p)
+    out = _parse_infix(p, _TERM_OPS, _parse_power, 2)
     while p.peek() == ";":
         p.take()
-        out = Seq(out, _parse_sum(p))
+        out = Seq(out, _parse_infix(p, _TERM_OPS, _parse_power, 2))
     return out
-
-
-def _parse_sum(p: _Parser) -> Term:
-    left = _parse_prod(p)
-    if p.peek() == "+":
-        p.take()
-        return SumC(left, p.nest(_parse_sum))
-    return left
-
-
-def _parse_prod(p: _Parser) -> Term:
-    left = _parse_power(p)
-    if p.peek() == "*":
-        p.take()
-        return ProdC(left, p.nest(_parse_prod))
-    return left
 
 
 def _parse_power(p: _Parser) -> Term:
@@ -1223,15 +1177,31 @@ def parse_term(text: str) -> Term:
     return out
 
 
+def format_type(b: ValueType) -> str:
+    """The text of a type: a sum is parenthesised as the left operand of a
+    sum or inside a product, a product as the left operand of a product."""
+    return _render(b)
+
+
 def format_term(c: Term) -> str:
-    """The text of a term, rendered off an explicit stack.  Each composite
-    is rendered once per binding level, so a shared subterm prints as the
-    tree it stands for at the cost of the distinct nodes."""
-    done: dict[tuple, str] = {}  # (id(node), level) -> text; c holds the nodes
+    """The text of a term, which parse_term reads back."""
+    return _render(c)
+
+
+# the chains of terms and types: node class -> (binding level, separator)
+_CHAINS = {SumC: (2, " + "), ProdC: (3, " * "), Sum: (2, "+"), Prod: (3, "*")}
+
+
+def _render(root) -> str:
+    """The text of a term or type, rendered off an explicit stack: a t_q
+    output nests thousands of nodes deep, and nsum(n) n levels.  Each
+    composite is rendered once per binding level, so a shared part prints
+    as the tree it stands for at the cost of the distinct nodes."""
+    done: dict[tuple, str] = {}  # (id(node), level) -> text; root holds the nodes
     out: list[str] = []  # the text so far, in pieces
     # what is left to do, last first: text to write, a (node, level) to
     # render, or [key, start] to record the text from out[start] on as done
-    work: list = [(c, 1)]
+    work: list = [(root, 1)]
     while work:
         item = work.pop()
         if type(item) is str:
@@ -1242,8 +1212,15 @@ def format_term(c: Term) -> str:
             out.append(text)
         elif type(x := item[0]) is Prim:
             out.append(x.name)
+        elif x is ONE:
+            out.append("1")
+        elif x is ZERO:
+            out.append("0")
         elif type(x) is Factorz:
-            out.append("factorz" if x.operand == ONE else f"factorz{{{format_type(x.operand)}}}")
+            if x.operand is ONE:
+                out.append("factorz")
+            else:  # the operand type, at the top level inside its braces
+                work += ("}", (x.operand, 1), "factorz{")
         elif (text := done.get(key := (id(x), item[1]))) is not None:
             out.append(text)
         else:
@@ -1252,16 +1229,16 @@ def format_term(c: Term) -> str:
     return "".join(out)
 
 
-def _layout(c: Term, minlvl: int, done: dict) -> list:
+def _layout(c, minlvl: int, done: dict) -> list:
     """The text of a composite c at binding level minlvl (; = 1, left-
     associated; + = 2 and * = 3, right-associated) as text and (operand,
     level) pieces.  A chain is one run of operands, so it prints in linear
     time: the first operands of a seq, its last one if that is a seq not yet
     rendered (c^m nests to the right) inside a parenthesis, and the right
-    operands of a sum or product."""
+    operands of a sum or product of terms or types."""
     kind = type(c)
     if kind is not Seq:
-        lvl, sep = (2, " + ") if kind is SumC else (3, " * ")
+        lvl, sep = _CHAINS[kind]
         pieces, node = [], c
         while True:
             pieces += ((node.left, lvl + 1), sep)

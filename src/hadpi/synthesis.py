@@ -193,27 +193,18 @@ def _pair(odd: list[int], cb: list[int], ks: list[int]) -> tuple[int, int] | Non
     least (exponent sum, second row's exponent, first index, second
     index) wins.
     """
-    # per class, its least and second least (row exponent, index)
-    first, second = [None, None], [None, None]
+    classes: tuple[list, list] = ([], [])
     for i in odd:
-        key = (ks[i - 1], i)
-        c = cb[i - 1] & 1
-        s = second[c]
-        if s is None or key < s:
-            f = first[c]
-            if f is None or key < f:
-                first[c], second[c] = key, f
-            else:
-                second[c] = key
-    best = None
-    for f, s in zip(first, second):
-        if s:
-            offer = (f[0] + s[0], s[0], f[1], s[1])
-            if best is None or offer < best:
-                best = offer
-    if best is None:
+        classes[cb[i - 1] & 1].append((ks[i - 1], i))
+    offers = []
+    for rows in classes:
+        if len(rows) >= 2:
+            rows.sort()
+            (k1, r1), (k2, r2) = rows[:2]
+            offers.append((k1 + k2, k2, r1, r2))
+    if not offers:
         return None
-    r1, r2 = best[2:]
+    r1, r2 = min(offers)[2:]
     return (r1, r2) if r1 < r2 else (r2, r1)
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import gc
+import hashlib
 import pickle
 import random
 import sys
@@ -669,14 +670,19 @@ def test_type_holds_its_dimension():
             hdim(bad)
 
 
+def _stack_depth() -> int:
+    """The number of frames on the caller's stack, the caller's own included."""
+    depth, frame = 0, sys._getframe(1)
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
 def test_type_errors_print_deep_types_without_recursion():
     # nsum(1024) nests 1,023 sums; wording the error prints it under a
     # recursion limit far below that depth
-    depth, frame = 0, sys._getframe()
-    while frame is not None:
-        depth, frame = depth + 1, frame.f_back
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 300)
+    sys.setrecursionlimit(_stack_depth() + 300)
     try:
         with pytest.raises(LangError, match=r"had needs input 1\+1"):
             typecheck(Prim("had"), nsum(1024))
@@ -684,3 +690,65 @@ def test_type_errors_print_deep_types_without_recursion():
     finally:
         sys.setrecursionlimit(saved)
     assert text == "+".join(["1"] * 1024)
+
+
+def _concrete_syntax_texts() -> list[str]:
+    """The printed text of seeded types, terms and inverses, and the text of
+    each LangError that parsing raises on malformed input."""
+    rng = random.Random(31337)
+    out = []
+    for _ in range(400):
+        b = rand_type(rng, max_dim=8)
+        c = rand_term(rng, b, depth=4)
+        out += [format_type(b), format_term(c), format_term(inverse(c, b))]
+    out += [format_type(nsum(1024)), format_type(Prod(TWO, Prod(TWO, Prod(TWO, TWO))))]
+    for text in ["factorz", "factorz{1}", "factorz{(1+1)*(1+1+1)}", "factorz{1*0+(1+1)}",
+                 "factorz{1+1} ; absorb * id", "id + factorz{((0))} ; swap+"]:
+        out.append(format_term(parse_term(text)))
+    # 101 levels each, one past MAX_NESTING, of parentheses, + operands and
+    # * operands, with @ for the leaf
+    k = hadpi.lang.MAX_NESTING + 1
+    deep = ["(" * k + "@" + ")" * k, "+".join(["@"] * (k + 1)), "*".join(["@"] * (k + 1))]
+    terms = ["", "(had", "had)", "((had ; id)", "had swap+", "had ^ x", "had^+2", "had^1_0",
+             "had^had", "had^", "had^\u0663", "had^100001", "\u00acid", "had ; x",
+             "factorz{2}", "factorz{1+1", "had;;had", "had +", "had\u00a0;\u2003id",
+             "had\u00a0x", "id\u2003had", *(d.replace("@", "id") for d in deep)]
+    types = ["", "(1", "1)", "((1+1)", "1 1", "2", "1**1", "x", "1+", "1 + y",
+             "1\u00a0+\u20031", "1\u2003y", "1\u00a0(1)", *(d.replace("@", "1") for d in deep)]
+    for parse, texts, fmt in [(parse_term, terms, format_term), (parse_type, types, format_type)]:
+        for text in texts:
+            try:
+                out.append(fmt(parse(text)))
+            except LangError as exc:
+                out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+def test_concrete_syntax_is_pinned():
+    # the digest of every text above, taken before parsing and printing of
+    # terms and types came to share one tokenizer, grammar and renderer
+    texts = _concrete_syntax_texts()
+    digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
+    assert digest == "27edb15cc0f780af50da3a28f4f8e69adcf25faae5dc9671e48e8c250386cecf"
+
+
+def test_parser_frames_per_nesting_level():
+    # the parser recurses once per nesting level, through _Parser.nest, in
+    # at most five frames a level: a parenthesis of a term re-enters through
+    # _parse_seq, _parse_infix, _parse_power, _parse_atom and nest
+    k = hadpi.lang.MAX_NESTING
+    deepest = [
+        (parse_term, "(" * k + "id" + ")" * k),
+        (parse_term, " + ".join(["id"] * (k + 1))),
+        (parse_term, " * ".join(["id"] * (k + 1))),
+        (parse_type, "(" * k + "1" + ")" * k),
+        (parse_type, "+".join(["1"] * (k + 1))),
+        (parse_type, "*".join(["1"] * (k + 1))),
+    ]
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 5 * k + 20)
+    try:
+        parsed = [parse(text) for parse, text in deepest]
+    finally:
+        sys.setrecursionlimit(saved)
+    assert [x.depth for x in parsed[3:]] == [0, k, k]
