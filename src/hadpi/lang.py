@@ -16,6 +16,7 @@ from typing import NamedTuple, Optional, Union
 
 from .linalg import MAX_DIM, ExactMatrix, Generator, RowState
 from .synthesis import Equivalence, equivalence
+from .words import _run
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .synthesis import permutation_matrix  # noqa: F401
@@ -770,70 +771,11 @@ def sem(
     return _apply(lower(c, input, lang, limit)[1], hdim(input))
 
 
-def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
-    """The one evaluator of a program of placed primitives (see lower) on n
-    rows: its H generators in application order, each on ascending rows,
-    and its final signed relabelling.  Program row r (from 0) is row
-    |at[r]| (from 1) of the product of the generators, negated when
-    at[r] < 0.  Permutations permute the labels and neg1 flips a sign, so
-    neither emits anything; had emits one H on the sorted rows of its two
-    labels and relabels them (relations d1, d2 and e2 move a signed
-    permutation past an H).  An H on the two rows of the last live H on
-    each of them cancels that H (a3, H H = 1; b6, H on disjoint rows
-    commute)."""
-    at = list(range(1, n + 1))
-    gens: list[Optional[Generator]] = []
-    # per physical row, the indices in gens of the live H that touch it
-    touched: list[list[int]] = [[] for _ in range(n + 1)]
-    for name, offs, stride, n1, n2 in ops:
-        if name == "had":
-            for o in offs:
-                a, b = at[o], at[o + stride]
-                la, lb = abs(a), abs(b)
-                lo, hi = (la, lb) if la < lb else (lb, la)
-                # program rows (a, b) become ((a+b)/rt2, (a-b)/rt2): read
-                # them back off H[lo,hi] of the physical rows
-                if (a > 0) == (b > 0):
-                    if la > lb:
-                        at[o], at[o + stride] = b, -a
-                elif la < lb:
-                    at[o], at[o + stride] = -b, a
-                else:
-                    at[o], at[o + stride] = -a, -b
-                tl, th = touched[lo], touched[hi]
-                if tl and th and tl[-1] == th[-1]:
-                    gens[tl.pop()] = None
-                    th.pop()
-                else:
-                    tl.append(len(gens))
-                    th.append(len(gens))
-                    gens.append(Generator("H", (lo, hi)))
-        elif name == "neg1":
-            for o in offs:
-                at[o] = -at[o]
-        elif name == "swap+":
-            if n1 == 1 and n2 == 1:  # swap+ of 1+1: two labels trade places
-                for o in offs:
-                    at[o], at[o + stride] = at[o + stride], at[o]
-                continue
-            # the left block of n1 rows moves past the right one
-            for o in offs:
-                block = at[o : o + (n1 + n2) * stride : stride]
-                at[o : o + (n1 + n2) * stride : stride] = block[n1:] + block[:n1]
-        else:
-            # row (i1, i2) of the n1 x n2 grid moves to row (i2, i1)
-            for o in offs:
-                block = at[o : o + n1 * n2 * stride : stride]
-                at[o : o + n1 * n2 * stride : stride] = [
-                    a for i2 in range(n2) for a in block[i2::n2]
-                ]
-    return [g for g in gens if g is not None], at
-
-
 def _apply(ops: list[tuple], n: int) -> ExactMatrix:
     """The matrix of a program of placed primitives (see lower) on n rows:
-    _run's H generators applied as row operations, then the row data moved
-    once by the final relabelling and the rows with negative labels negated."""
+    the H generators of words._run, the one evaluator, applied as row
+    operations, then the row data moved once by its final relabelling and
+    the rows with negative labels negated."""
     gens, at = _run(ops, n)
     state = RowState.identity(n)
     # apply_word takes a word, whose rightmost generator acts first

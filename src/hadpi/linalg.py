@@ -188,9 +188,28 @@ def _level_unchecked(
         one = (0, 1 << half) if ks[p] & 1 else (1 << half, 0)
         if (ca[p], cb[p]) == one and ca.count(0) + cb.count(0) == 2 * n - 1:
             continue
-        k, ca, cb = state.column(j)
+        k, ca, cb = _reduced_column(ks, ca, cb)
         return Level(j, k, sum(a & 1 for a in ca) if k else 0), ca, cb
     return Level(0, 0, 0), [], []
+
+
+def _reduced_column(
+    ks: list[int], ca: list[int], cb: list[int]
+) -> tuple[int, list[int], list[int]]:
+    """A column whose entry i is rt2^-ks[i] * (ca[i] + cb[i]*rt2), at its
+    own least exponent: every entry is lifted in place to the largest row
+    exponent, and reduce_nums then finds the column's own."""
+    top = max(ks, default=0)
+    if min(ks, default=0) < top:
+        for i, k in enumerate(ks):
+            d = top - k
+            if d and (ca[i] or cb[i]):
+                h = d >> 1
+                if d & 1:  # (a + b*rt2) * rt2 = 2b + a*rt2
+                    ca[i], cb[i] = cb[i] << (h + 1), ca[i] << h
+                else:
+                    ca[i], cb[i] = ca[i] << h, cb[i] << h
+    return reduce_nums(top, ca, cb)
 
 
 class Generator(NamedTuple):
@@ -228,13 +247,14 @@ def apply_generator_rows(
     build new row lists in O(n) and never edit a row list in place, so
     rows that X has swapped stay independent.
     """
-    i1 = g.idx[0] - 1
-    if g.kind == "Z":
+    kind, idx = g
+    i1 = idx[0] - 1
+    if kind == "Z":
         ra[i1] = list(map(neg, ra[i1]))
         rb[i1] = list(map(neg, rb[i1]))
         return
-    i2 = g.idx[1] - 1
-    if g.kind == "X":
+    i2 = idx[1] - 1
+    if kind == "X":
         ra[i1], ra[i2] = ra[i2], ra[i1]
         rb[i1], rb[i2] = rb[i2], rb[i1]
         ks[i1], ks[i2] = ks[i2], ks[i1]
@@ -248,12 +268,17 @@ def apply_generator_rows(
         k = k2
     elif k2 < k:
         ya, yb = _lift(ya, yb, k - k2)
-    ks[i1], ra[i1], rb[i1] = reduce_nums(
-        k + 1, list(map(add, xa, ya)), list(map(add, xb, yb))
-    )
-    ks[i2], ra[i2], rb[i2] = reduce_nums(
-        k + 1, list(map(sub, xa, ya)), list(map(sub, xb, yb))
-    )
+    sa, sb = list(map(add, xa, ya)), list(map(add, xb, yb))
+    da, db = list(map(sub, xa, ya)), list(map(sub, xb, yb))
+    # the two rows differ by 2*y entrywise, so their a-parts are odd at the
+    # same entries, and one odd entry leaves both irreducible at k+1
+    for a in sa:
+        if a & 1:
+            ks[i1] = ks[i2] = k + 1
+            ra[i1], rb[i1], ra[i2], rb[i2] = sa, sb, da, db
+            return
+    ks[i1], ra[i1], rb[i1] = reduce_nums(k + 1, sa, sb)
+    ks[i2], ra[i2], rb[i2] = reduce_nums(k + 1, da, db)
 
 
 class RowState:
@@ -313,20 +338,13 @@ class RowState:
         """Column j (1-based) with its own least exponent k: numerators ca,
         cb with entry i equal to rt2^-k * (ca[i] + cb[i]*rt2)."""
         entry = itemgetter(j - 1)
-        ks, ca, cb = self.ks, list(map(entry, self.ra)), list(map(entry, self.rb))
-        # lift every entry to the largest row exponent; reduce_nums then
-        # finds the column's own
-        top = max(ks, default=0)
-        if min(ks, default=0) < top:
-            for i, k in enumerate(ks):
-                if k < top and (ca[i] or cb[i]):
-                    (ca[i],), (cb[i],) = _lift((ca[i],), (cb[i],), top - k)
-        return reduce_nums(top, ca, cb)
+        return _reduced_column(self.ks, list(map(entry, self.ra)), list(map(entry, self.rb)))
 
     def apply_word(self, gens: Sequence[Generator]) -> None:
         """Left-multiply by the word's matrix: rightmost generator acts first."""
+        ks, ra, rb = self.ks, self.ra, self.rb
         for g in reversed(gens):
-            apply_generator_rows(g, self.ks, self.ra, self.rb)
+            apply_generator_rows(g, ks, ra, rb)
 
     def permute(self, rows: Sequence[int], images: Sequence[int]) -> None:
         """Move row rows[t] to row images[t] (0-based); both list one row set."""

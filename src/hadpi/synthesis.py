@@ -12,7 +12,9 @@ MAX_SYLLABLES syllables bounds the work instead.  Once the column
 is integral it is a signed basis vector, fixed by a signed transposition.
 Every emitted syllable strictly decreases the level triple, and every
 choice depends on the matrix alone, which is what makes the output word
-canonical.
+canonical.  The normal form reads the inverted syllables through the
+signed relabelling of words._run, so their X and Z moves cost no
+generators but one signed permutation word (see _trace_word).
 
 The loop works on the active column j.  It keeps that column as
 numerators at its exponent, so a syllable updates it in O(1) and one O(n)
@@ -215,12 +217,14 @@ def _odd_rows(k: int, ca: list[int]) -> list[int]:
 
 
 def normal_form_word(M: ExactMatrix) -> Word:
-    """Canonical word for M: invert the trace syllable by syllable.
+    """Canonical word for M: the trace's syllables inverted in turn, read
+    through the signed relabelling (see _trace_word).
 
     Every generator is an involution, so a syllable's inverse is its
-    reversed generator list; the concatenation in emission order then
-    multiplies out to M itself.  Determinism of the synthesis makes the
-    result canonical: equal matrices yield token-identical words.
+    reversed generator list, and the inverted syllables in emission order
+    multiply out to M itself.  Determinism of the synthesis and of the
+    relabelling makes the result canonical: equal matrices yield
+    token-identical words.
     """
     return _trace_word(synthesize(M))
 
@@ -251,10 +255,25 @@ def word_equivalence(w1: Word, w2: Word) -> Equivalence:
     return equivalence(words.word_sem(w1), words.word_sem(w2))
 
 
+# the primitive that acts as each generator on its rows
+_PRIMITIVE = {"H": "had", "X": "swap+", "Z": "neg1"}
+
+
 def _trace_word(trace: SynthesisTrace) -> Word:
-    """The word of the trace's input matrix: each syllable inverted in turn."""
-    gens = [g for syl in trace.syllables for g in reversed(syl.gens)]
-    return Word(trace.n, tuple(gens))
+    """The normal form of the trace's input matrix.  The syllables inverted
+    in turn form a word of that matrix; words.program_word reads it as a
+    program, so each X and Z there only relabels rows.  The word is a Z per
+    negated row, one permutation word of at most n-1 X, and the trace's H
+    generators, less those that cancel, in word order.  Every step of the
+    relabelling is a catalog relation."""
+    # the word's last generator acts first: the last syllable's first one;
+    # a Z's stride, 0, is not read
+    ops = [
+        (_PRIMITIVE[kind], (idx[0] - 1,), idx[-1] - idx[0], 1, 1)
+        for syl in reversed(trace.syllables)
+        for kind, idx in syl.gens
+    ]
+    return words.program_word(ops, trace.n)
 
 
 def permutation_matrix(perm: Sequence[int]) -> ExactMatrix:
@@ -269,9 +288,10 @@ def permutation_matrix(perm: Sequence[int]) -> ExactMatrix:
 
 
 def hpermute(perm: Sequence[int]) -> Word:
-    """Canonical word whose semantics is the permutation matrix of perm."""
+    """Canonical word whose semantics is the permutation matrix of perm,
+    the normal form of that matrix, built in O(n) by words.permutation_word."""
     target = permutation_matrix(perm)
-    word = normal_form_word(target)
+    word = Word(len(perm), tuple(words.permutation_word(perm)))
     if words.word_sem(word) != target:
         raise SynthesisError(f"word for permutation {list(perm)} has the wrong matrix")
     return word

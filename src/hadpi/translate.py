@@ -8,7 +8,7 @@ lifting a program of type b1 <-> b2 to one of type 1+b1 <-> 1+b2 whose
 matrix gains an identity row on top.
 
 wsem has no walk of its own: it reads the program of placed primitives
-that lang.lower builds, through lang._run, the loop that lang.sem
+that lang.lower builds, through words._run, the loop that lang.sem
 evaluates too.  Swaps and neg1 there only permute and sign the row
 labels, so a word spends no generators on them but one signed
 permutation word for the final relabelling; each had costs at most one
@@ -32,7 +32,6 @@ from .lang import (
     _Frozen,
     _at_tail,
     _depth_limit,
-    _run,
     fold,
     hdim,
     lower,
@@ -45,8 +44,10 @@ from .lang import (
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .lang import typecheck  # noqa: F401
 from .linalg import ExactMatrix, Generator
-from .synthesis import hpermute
-from .words import Word, _check
+from .words import Word, _check, program_word
+
+# re-exported unused: hadpibench/tracing.py patches this binding
+from .synthesis import hpermute  # noqa: F401
 
 _ID = Prim("id")
 
@@ -92,19 +93,11 @@ class TranslationReport(_Frozen):
 
 
 def wsem(c: Term, input: ValueType) -> Word:
-    """Generator word with the same matrix as c at the given source type,
-    read off the program lower builds: a Z per program row whose final
-    label is negative, one word of the final relabelling, then _run's
-    ascending H generators in word order."""
-    gens, at = _run(lower(c, input)[1], hdim(input))
-    word = [Generator("Z", (r,)) for r, a in enumerate(at, 1) if a < 0]
-    if any(abs(a) != r for r, a in enumerate(at, 1)):
-        perm = [0] * len(at)
-        for r, a in enumerate(at, 1):  # program row r holds +-row |a|
-            perm[abs(a) - 1] = r
-        word += hpermute(perm).gens
-    word += reversed(gens)
-    return Word(len(at), tuple(word))
+    """Generator word with the same matrix as c at the given source type:
+    words.program_word of the program lower builds, so a Z per program row
+    whose final label is negative, one word of the final relabelling, then
+    the ascending H generators of words._run in word order."""
+    return program_word(lower(c, input)[1], hdim(input))
 
 
 # ---------------------------------------------------------------------------
@@ -199,23 +192,53 @@ def _th_sum(left: Term, right: Term) -> Term:
 def _th_id_times(b: ValueType, tc: Term, cd: ValueType, done: dict) -> Term:
     """The translation of id_b * c, given c's translation tc and target cd.
     It translates c once per basis vector of b, each time as tc, and done
-    records each clause per (b, tc), so lowering the output walks tc once."""
-    key = (id(b), id(tc))
-    if (hit := done.get(key)) is not None:
-        return hit[-1]
+    records each clause per (b, tc), so lowering the output walks tc once.
+    A clause is built off an explicit stack once the clauses of the types
+    it reduces to (_th_reducts) are, so b may nest past the recursion limit."""
+    stack: list[tuple[ValueType, tuple | None]] = [(b, None)]
+    while stack:
+        t, reducts = stack.pop()
+        key = (id(t), id(tc))
+        if key in done:
+            continue
+        if reducts is None:
+            reducts = _th_reducts(t)
+            stack.append((t, reducts))
+            stack.extend((r, None) for r in reducts)
+            continue
+        parts = [done[(id(r), id(tc))][-1] for r in reducts]
+        done[key] = (t, tc, _th_clause(t, tc, cd, parts))
+    return done[(id(b), id(tc))][-1]
+
+
+def _th_reducts(b: ValueType) -> tuple[ValueType, ...]:
+    """The types b' whose clauses id_b' * c the clause of id_b * c is built
+    from: the two summands of a sum, the right factor beside a left factor
+    1, and b distributed or reassociated beside a left factor that is a sum
+    or a product."""
+    bl, br = getattr(b, "left", None), getattr(b, "right", None)
+    if isinstance(b, Sum):
+        return bl, br
+    if isinstance(b, (Zero, One)) or isinstance(bl, Zero):
+        return ()
+    if isinstance(bl, One):
+        return (br,)
+    if isinstance(bl, Sum):
+        return (Sum(Prod(bl.left, br), Prod(bl.right, br)),)
+    return (Prod(bl.left, Prod(bl.right, br)),)
+
+
+def _th_clause(b: ValueType, tc: Term, cd: ValueType, parts: list[Term]) -> Term:
+    """The clause of id_b * c, given the clauses of its reducts in order."""
     bl, br = getattr(b, "left", None), getattr(b, "right", None)
     if isinstance(b, Zero):
         chain = seqs(Prim("swap*"), Prim("absorb"), _ID, Factorz(cd), Prim("swap*"))
-        out = SumC(_ID, chain)
-    elif isinstance(b, One):
-        out = seqs(SumC(_ID, Prim("unite*")), tc, SumC(_ID, Prim("uniti*")))
-    elif isinstance(b, Sum):
-        out = seqs(
-            SumC(_ID, Prim("dist")),
-            _th_sum(_th_id_times(bl, tc, cd, done), _th_id_times(br, tc, cd, done)),
-            SumC(_ID, Prim("factor")),
-        )
-    elif isinstance(bl, Zero):
+        return SumC(_ID, chain)
+    if isinstance(b, One):
+        return seqs(SumC(_ID, Prim("unite*")), tc, SumC(_ID, Prim("uniti*")))
+    if isinstance(b, Sum):
+        return seqs(SumC(_ID, Prim("dist")), _th_sum(*parts), SumC(_ID, Prim("factor")))
+    if isinstance(bl, Zero):
         chain = seqs(
             Prim("assocr*"),
             Prim("swap*"),
@@ -225,26 +248,16 @@ def _th_id_times(b: ValueType, tc: Term, cd: ValueType, done: dict) -> Term:
             Prim("swap*"),
             Prim("assocl*"),
         )
-        out = SumC(_ID, chain)
-    elif isinstance(bl, One):
-        out = seqs(
+        return SumC(_ID, chain)
+    if isinstance(bl, One):
+        return seqs(
             SumC(_ID, Seq(Prim("assocr*"), Prim("unite*"))),
-            _th_id_times(br, tc, cd, done),
+            parts[0],
             SumC(_ID, Seq(Prim("uniti*"), Prim("assocl*"))),
         )
-    elif isinstance(bl, Sum):
-        split = Sum(Prod(bl.left, br), Prod(bl.right, br))
-        out = seqs(
-            SumC(_ID, ProdC(Prim("dist"), _ID)),
-            _th_id_times(split, tc, cd, done),
-            SumC(_ID, ProdC(Prim("factor"), _ID)),
-        )
-    else:
-        reassoc = Prod(bl.left, Prod(bl.right, br))
-        out = seqs(
-            SumC(_ID, ProdC(Prim("assocr*"), _ID)),
-            _th_id_times(reassoc, tc, cd, done),
-            SumC(_ID, ProdC(Prim("assocl*"), _ID)),
-        )
-    done[key] = (b, tc, out)
-    return out
+    move, back = ("dist", "factor") if isinstance(bl, Sum) else ("assocr*", "assocl*")
+    return seqs(
+        SumC(_ID, ProdC(Prim(move), _ID)),
+        parts[0],
+        SumC(_ID, ProdC(Prim(back), _ID)),
+    )

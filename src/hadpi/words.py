@@ -13,6 +13,11 @@ on S it is the same word with each index replaced by its rank in S
 words differ, relabelled to its support.  Relabelling a relation's indices
 by any permutation conjugates both of its sides by one permutation matrix,
 so relations-verify decides each relation once.
+
+The module also holds _run, the one evaluator of a program of placed
+primitives, which keeps a signed relabelling of the rows, and
+program_word, which reads a word off it: the word of lang.sem's programs
+(translate.wsem) and the normal forms of synthesis.
 """
 
 from __future__ import annotations
@@ -66,6 +71,128 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
     to 1..|S| have the same matrix on S, and both are the identity elsewhere.
     """
     return {i: r for r, i in enumerate(sorted(set(indices)), start=1)}
+
+
+# The signed relabelling.  A program of placed primitives is a list of
+# (name, offs, stride, n1, n2): the primitive acts on the rows o, o + stride,
+# ... (from 0) for each offset o, and n1, n2 are the block sizes of swap+
+# and swap* (see lang.lower).  A word reads as such a program too: in
+# application order, H[b,c] is had on rows b-1 and c-1, X[b,c] is swap+ of
+# 1+1 there, and Z[a] is neg1 on row a-1.
+
+
+def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
+    """The one evaluator of a program of placed primitives on n rows,
+    shared by lang.sem, translate.wsem and the normal forms of synthesis:
+    its H generators in application order, each on ascending rows, and its
+    final signed relabelling.  Program row r (from 0) is row |at[r]| (from
+    1) of the product of the generators, negated when at[r] < 0.
+    Permutations permute the labels and neg1 flips a sign, so neither
+    emits anything; had emits one H on the sorted rows of its two labels
+    and relabels them (relations d1, d2 and e2 move a signed permutation
+    past an H).  An H on the two rows of the last live H on each of them
+    cancels that H (a3, H H = 1; b6, H on disjoint rows commute).  Each
+    step is a catalog relation, so the word read off the run (program_word)
+    derives from the program's own word."""
+    at = list(range(1, n + 1))
+    gens: list[Generator | None] = []
+    # per physical row, the indices in gens of the live H that touch it
+    touched: list[list[int]] = [[] for _ in range(n + 1)]
+    for name, offs, stride, n1, n2 in ops:
+        if name == "had":
+            for o in offs:
+                p = o + stride
+                a, b = at[o], at[p]
+                la, lb = abs(a), abs(b)
+                lo, hi = (la, lb) if la < lb else (lb, la)
+                # program rows (a, b) become ((a+b)/rt2, (a-b)/rt2): read
+                # them back off H[lo,hi] of the physical rows
+                if (a > 0) == (b > 0):
+                    if la > lb:
+                        at[o], at[p] = b, -a
+                elif la < lb:
+                    at[o], at[p] = -b, a
+                else:
+                    at[o], at[p] = -a, -b
+                tl, th = touched[lo], touched[hi]
+                if tl and th and tl[-1] == th[-1]:
+                    gens[tl.pop()] = None
+                    th.pop()
+                else:
+                    m = len(gens)
+                    tl.append(m)
+                    th.append(m)
+                    gens.append(Generator("H", (lo, hi)))
+        elif name == "neg1":
+            for o in offs:
+                at[o] = -at[o]
+        elif name == "swap+":
+            if n1 == 1 and n2 == 1:  # swap+ of 1+1: two labels trade places
+                for o in offs:
+                    p = o + stride
+                    at[o], at[p] = at[p], at[o]
+                continue
+            # the left block of n1 rows moves past the right one
+            for o in offs:
+                block = at[o : o + (n1 + n2) * stride : stride]
+                at[o : o + (n1 + n2) * stride : stride] = block[n1:] + block[:n1]
+        else:
+            # row (i1, i2) of the n1 x n2 grid moves to row (i2, i1)
+            for o in offs:
+                block = at[o : o + n1 * n2 * stride : stride]
+                at[o : o + n1 * n2 * stride : stride] = [
+                    a for i2 in range(n2) for a in block[i2::n2]
+                ]
+    return [g for g in gens if g is not None], at
+
+
+def program_word(ops: list[tuple], n: int) -> Word:
+    """The word of a program of placed primitives on n rows, read off _run:
+    a Z per program row whose final label is negative, one permutation
+    word of the final relabelling, then the H generators in word order,
+    the last one applied first."""
+    gens, at = _run(ops, n)
+    word = []
+    perm = [0] * n
+    for r, a in enumerate(at, 1):  # program row r holds +-row |a|
+        if a < 0:
+            word.append(Generator("Z", (r,)))
+            a = -a
+        perm[a - 1] = r
+    word += permutation_word(perm)
+    word += reversed(gens)
+    return Word(n, tuple(word))
+
+
+def permutation_word(perm: Sequence[int]) -> list[Generator]:
+    """The word of the permutation matrix sending e_j to e_perm[j] (1-based
+    images of a permutation of 1..n), in O(n).  For columns j = n down to
+    1, an X moves column j's 1 onto the diagonal: the word synthesis emits
+    for that matrix.  Raises WordError unless the transpositions, replayed
+    on an index array, give perm back."""
+    n = len(perm)
+    where = [0, *perm]  # where[c]: the row that holds column c's 1
+    inverse = [0] * (n + 1)
+    for c, r in enumerate(perm, 1):
+        inverse[r] = c
+    col = inverse[:]  # col[r]: the column whose 1 row r holds
+    gens = []
+    for j in range(n, 0, -1):
+        a = where[j]
+        if a != j:
+            # rows a < j trade places: row j's column moves to row a, and
+            # column j, now fixed, is not read again
+            c = col[j]
+            where[c], col[a] = a, c
+            gens.append(Generator("X", (a, j)))
+    # the product X_1 ... X_l applied to the identity, X_l first: row r
+    # must hold the 1 of column inverse[r]
+    rows = list(range(n + 1))
+    for _, (b, c) in reversed(gens):
+        rows[b], rows[c] = rows[c], rows[b]
+    if rows != inverse:
+        raise WordError(f"the word of permutation {list(perm)} replays to another")
+    return gens
 
 
 # Relation catalog.  Schematic tokens are (kind, formal indices); formals

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import random
 import signal
 import subprocess
 import sys
@@ -388,6 +389,22 @@ def test_synth_runs_synthesis_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 2
     assert traced.startswith(plain)
     assert traced.splitlines()[1].startswith("# initial level")
+
+
+def test_synth_prints_the_normal_form(capsys):
+    # synth reads its word off the trace it prints, through the signed
+    # relabelling, as normal_form_word does
+    rng = random.Random(5)
+    for n in (2, 5, 9):
+        for _ in range(4):
+            gens = []
+            for _ in range(3 * n):
+                b, c = sorted(rng.sample(range(1, n + 1), 2))
+                gens.append(rng.choice([f"Z[{b}]", f"X[{b},{c}]", f"H[{b},{c}]"]))
+            m = word_sem(parse_word(f"n={n} " + " ".join(gens)))
+            code, out, _ = run(capsys, "synth", format_matrix(m), "--trace")
+            assert code == 0
+            assert out.splitlines()[0] == format_word(synthesis.normal_form_word(m))
 
 
 def test_synth_rejects_non_orthogonal(capsys):

@@ -219,7 +219,7 @@ def test_only_type_directed_code_recurses():
     allowed = {
         "lang._infer", "lang._equate", "lang._holds",
         "lang._resolve", "lang._instance", "lang._text_length", "lang._chars",
-        "lang._compile.visit", "lang._compile.build", "translate._th_id_times",
+        "lang._compile.visit", "lang._compile.build",
     }
     found = {f for path in (ROOT / "src" / "hadpi").glob("*.py") for f in _self_recursive(path)}
     assert found <= allowed, f"functions that recurse: {sorted(found - allowed)}"

@@ -17,7 +17,7 @@ from hadpi.synthesis import (
     permutation_matrix,
     synthesize,
 )
-from hadpi.words import Word, format_word, parse_word, word_sem
+from hadpi.words import Word, format_word, parse_word, permutation_word, word_sem
 
 
 def rand_word(rng: random.Random, n: int, max_len: int = 40) -> Word:
@@ -245,6 +245,50 @@ def test_odd_row_1_outside_the_pair_moves_to_row_p():
     tr = synthesize(M)
     assert [str(s) for s in tr.syllables[:2]] == ["H[1,5] X[1,3]", "H[1,4] X[1,3]"]
     assert _plain(tr) == oracle_synthesize(M)
+
+
+def test_permutation_word_is_the_synthesized_one():
+    # permutation_word builds in O(n) the X syllables that synthesis emits
+    # for a permutation matrix, and hpermute is that word
+    rng = random.Random(149)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        perm = list(range(1, n + 1))
+        rng.shuffle(perm)
+        syllables = synthesize(permutation_matrix(perm)).syllables
+        inverted = tuple(g for syl in syllables for g in reversed(syl.gens))
+        assert tuple(permutation_word(perm)) == inverted
+        assert hpermute(perm) == Word(n, inverted)
+
+
+def test_normal_form_reads_the_trace_through_the_relabelling():
+    # the trace's X and Z only relabel rows: at most n-1 X and n Z are left,
+    # and no more H than the trace has H syllables
+    rng = random.Random(151)
+    for _ in range(120):
+        n = rng.randint(1, 16)
+        if n == 1:
+            w = Word(1, (gen_z(1),) * rng.randint(0, 3))  # Z is the one generator at n=1
+        else:
+            w = rand_word(rng, n, 6 * n)
+        M = word_sem(w)
+        nf = normal_form_word(M)
+        assert word_sem(nf) == M
+        assert normal_form_word(word_sem(nf)) == nf
+        kinds = [g.kind for g in nf.gens]
+        hs = sum(syl.gens[0].kind == "H" for syl in synthesize(M).syllables)
+        assert kinds.count("X") <= n - 1 and kinds.count("Z") <= n
+        assert kinds.count("H") <= hs
+        # a Z per negated row, one permutation word, then the H
+        assert kinds == sorted(kinds, key="ZXH".index)
+
+
+def test_normal_form_relabels_a_signed_permutation_away():
+    # the matrix of had ; neg1 + id.  Its syllables inverted in turn read
+    # H[1,2] Z[1] X[1,2] Z[1]; the X and the Z after the H relabel it
+    M = word_sem(parse_word("n=2 Z[1] H[1,2]"))
+    assert [str(s) for s in synthesize(M).syllables] == ["H[1,2]", "X[1,2] Z[1]", "Z[1]"]
+    assert format_word(normal_form_word(M)) == "n=2 Z[1] H[1,2]"
 
 
 # (n, seed) of golden_word(n, 4n, seed) words whose normal forms under the

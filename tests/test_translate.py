@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 
 import pytest
 
@@ -45,6 +46,7 @@ from hadpi.translate import (
     TranslationReport,
     qsem,
     t_h,
+    t_h_sem,
     t_q,
     wsem,
 )
@@ -419,24 +421,21 @@ def test_rank_frozen_values():
 
 
 def test_t_h_id_times_clauses_lower_the_measure(monkeypatch):
-    # an id_b * c clause recurses on id_b' * c, for the same translation
-    # and target of c, only with rank(b') < rank(b): so t_h terminates
-    open_calls, checked = [], 0
-    real = translate._th_id_times
+    # an id_b * c clause is built from the clauses id_b' * c, for the same
+    # translation and target of c, only with rank(b') < rank(b): so t_h
+    # terminates
+    checked = 0
+    real = translate._th_reducts
 
-    def recording(b, tc, cd, done):
+    def recording(b):
         nonlocal checked
-        outer = [ob for ob, otc, ocd in open_calls if otc is tc and ocd is cd]
-        if outer:
-            assert rank(b) < rank(outer[-1]), (format_type(b), format_type(outer[-1]))
+        reducts = real(b)
+        for r in reducts:
+            assert rank(r) < rank(b), (format_type(r), format_type(b))
             checked += 1
-        open_calls.append((b, tc, cd))
-        try:
-            return real(b, tc, cd, done)
-        finally:
-            open_calls.pop()
+        return reducts
 
-    monkeypatch.setattr(translate, "_th_id_times", recording)
+    monkeypatch.setattr(translate, "_th_reducts", recording)
     for b, _ in ID_TIMES_CASES:
         t_h(ProdC(ID, HAD), b)
     rng = random.Random(90)
@@ -444,6 +443,22 @@ def test_t_h_id_times_clauses_lower_the_measure(monkeypatch):
         b = rand_type(rng, max_dim=6)
         t_h(rand_term(rng, b, "qpi"), b)
     assert checked >= 20, checked
+
+
+def test_t_h_of_id_times_a_deep_type_needs_no_recursion():
+    # nsum(300) nests 299 sums: the clauses of id_b * had are built under a
+    # recursion limit far below that depth
+    c, b = ProdC(ID, HAD), Prod(nsum(300), nsum(2))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        h = t_h(c, b)
+    finally:
+        sys.setrecursionlimit(saved)
+    assert t_h_sem(h, b) == pad(sem(c, b))
 
 
 def test_t_h_deep_chain():
