@@ -180,7 +180,7 @@ def cmd_relations_verify(args) -> int:
         # relabelling the indices by a permutation conjugates both sides by
         # one permutation matrix, and rows outside the indices stay fixed:
         # every assignment has the verdict of (1..k) at dimension k, and the
-        # first one enumerated, (1..k) itself, is the first that fails
+        # first in lexicographic order, (1..k) itself, is the first that fails
         k = len(rel.formals)
         first = tuple(range(1, k + 1))
         if not verify_relation(rel, first, k):
@@ -310,14 +310,14 @@ def _build_parser() -> argparse.ArgumentParser:
     typed(p)
     p.set_defaults(func=cmd_equiv)
 
-    p = sub.add_parser("relations-verify", help="check the relation catalog by enumeration")
+    p = sub.add_parser("relations-verify", help="check each catalog relation once, at indices 1..k")
     p.add_argument(
         "--n", type=_count(1, MAX_RELATIONS_N), default=6,
         help=f"ambient dimension, 1 to {MAX_RELATIONS_N} (default 6)",
     )
     p.add_argument(
         "--max-assignments", type=_count(0), default=0,
-        help="cap enumerated assignments per relation (0 = all)",
+        help="cap the assignment count printed per relation (0 = no cap)",
     )
     p.set_defaults(func=cmd_relations_verify)
 

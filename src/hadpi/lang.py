@@ -4,7 +4,8 @@ Value types are the finite rig types built from 0, 1, +, and *; terms are
 combinator programs between them.  A language tag gates the primitive set:
 "pi" is the reversible core, "qpi" adds neg1 and had, "hpi" adds had only.
 Evaluation is exact and composition runs left to right, so the matrix of
-`c1 ; c2` is `sem(c2) @ sem(c1)`.
+`c1 ; c2` is `sem(c2) @ sem(c1)`.  lang only emits a term's program of
+placed primitives (lower); words reads it as a matrix or as a word.
 """
 
 import functools
@@ -14,9 +15,9 @@ import re
 import weakref
 from typing import NamedTuple, Optional, Union
 
-from .linalg import MAX_DIM, ExactMatrix, Generator, RowState
+from .linalg import MAX_DIM, ExactMatrix
 from .synthesis import Equivalence, equivalence
-from .words import _run
+from .words import program_matrix
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .synthesis import permutation_matrix  # noqa: F401
@@ -135,7 +136,7 @@ TWO = Sum(ONE, ONE)
 # term may nest past the recursion limit, as t_q's do near n = 1000.  On
 # parsed input this budget bounds all that recurses: the parser, five frames
 # per level at most, and the code directed by a pattern (unification, source
-# inference, the printing of patterns in its errors, t_h's id_b * c clauses).
+# inference, the printing of patterns in its errors).
 MAX_NESTING = 100
 
 
@@ -562,9 +563,6 @@ def _place(
     (offs, stride)."""
     m = len(rows) // len(offs0)
     o0 = offs0[0]
-    if len(offs) == 1 and stride == stride0:
-        d = offs[0] - o0
-        return [r + d for r in rows[:m]]
     local = [(r - o0) // stride0 for r in rows[:m]]
     return [o + j * stride for o in offs for j in local]
 
@@ -575,8 +573,8 @@ class _Walk:
     its program of placed primitives.  The walk is kept for questions about
     the nodes of c (target).
 
-    A primitive's target is memoized on its name and input type identity
-    (equal types are one object).  Every other node but a leaf factorz is
+    A primitive's target is memoized on its name and input type (equal
+    types are one object).  Every other node but a leaf factorz is
     memoized on node and input type identity, a seq nested in a chain too: a
     node met again at its input type and no tighter depth limit returns its
     recorded target and re-emits its recorded ops at the new placement.  A
@@ -591,8 +589,8 @@ class _Walk:
         self.lang = lang
         self.emit = emit
         self.ops: list[tuple] = []
-        # (name, id(input)) -> (input, target, moves rows, n1, n2): a
-        # primitive's step, with the sizes an emitted swap carries
+        # (name, input) -> (target, moves rows, n1, n2): a primitive's
+        # step, with the sizes an emitted swap carries
         self.steps: dict[tuple, tuple] = {}
         # (id(node), id(input)) -> (node, input, limit, target, offs, stride,
         # start, end); holding the node and the input keeps their ids unique
@@ -629,15 +627,15 @@ class _Walk:
                 kind = type(x)
                 if kind is Prim:
                     name = x.name
-                    step = self.steps.get((name, id(dst)))
+                    step = self.steps.get((name, dst))
                     if step is None:
                         out = _prim_step(name, dst, self.lang)
                         if name == "swap+" or name == "swap*":
-                            step = (dst, out, True, dst.left.dim, dst.right.dim)
+                            step = (out, True, dst.left.dim, dst.right.dim)
                         else:  # every other primitive but had and neg1 denotes an identity
-                            step = (dst, out, name == "had" or name == "neg1", 0, 0)
-                        self.steps[name, id(dst)] = step
-                    _, dst, moves, n1, n2 = step
+                            step = (out, name == "had" or name == "neg1", 0, 0)
+                        self.steps[name, dst] = step
+                    dst, moves, n1, n2 = step
                     if dst.depth > limit:
                         raise _Failure(_too_deep(name), BudgetError)
                     if moves and emit:
@@ -727,9 +725,9 @@ class _Walk:
     def target(self, c: Term, b: ValueType) -> ValueType:
         """Target type of a node of a term this walk has checked, at input b."""
         if type(c) is Prim:
-            step = self.steps.get((c.name, id(b)))
+            step = self.steps.get((c.name, b))
             if step is not None:
-                return step[1]
+                return step[0]
         else:
             entry = self.memo.get((id(c), id(b)))
             if entry is not None:
@@ -768,23 +766,7 @@ def sem(
 ) -> ExactMatrix:
     """Exact matrix denotation of c at the given source type, no type deeper
     than limit (default _depth_limit(input))."""
-    return _apply(lower(c, input, lang, limit)[1], hdim(input))
-
-
-def _apply(ops: list[tuple], n: int) -> ExactMatrix:
-    """The matrix of a program of placed primitives (see lower) on n rows:
-    the H generators of words._run, the one evaluator, applied as row
-    operations, then the row data moved once by its final relabelling and
-    the rows with negative labels negated."""
-    gens, at = _run(ops, n)
-    state = RowState.identity(n)
-    # apply_word takes a word, whose rightmost generator acts first
-    state.apply_word(gens[::-1])
-    moved = [r for r in range(n) if at[r] != r + 1]
-    if moved:
-        state.permute([abs(at[r]) - 1 for r in moved], moved)
-        state.apply_word([Generator("Z", (r + 1,)) for r in moved if at[r] < 0])
-    return state.snapshot()
+    return program_matrix(lower(c, input, lang, limit)[1], hdim(input))
 
 
 def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equivalence:
@@ -799,7 +781,7 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
         raise LangError(f"incompatible at {format_type(input)}: {exc}") from None
     if d1 != d2:
         raise LangError(f"target types differ: {format_type(d1)} vs {format_type(d2)}")
-    return equivalence(_apply(ops1, hdim(input)), _apply(ops2, hdim(input)))
+    return equivalence(program_matrix(ops1, hdim(input)), program_matrix(ops2, hdim(input)))
 
 
 # ---------------------------------------------------------------------------

@@ -346,13 +346,6 @@ class RowState:
         for g in reversed(gens):
             apply_generator_rows(g, ks, ra, rb)
 
-    def permute(self, rows: Sequence[int], images: Sequence[int]) -> None:
-        """Move row rows[t] to row images[t] (0-based); both list one row set."""
-        ks, ra, rb = self.ks, self.ra, self.rb
-        moved = [(ks[r], ra[r], rb[r]) for r in rows]
-        for r, (k, a, b) in zip(images, moved):
-            ks[r], ra[r], rb[r] = k, a, b
-
 
 def gen_z(a: int) -> Generator:
     if a < 1:

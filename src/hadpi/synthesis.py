@@ -255,25 +255,15 @@ def word_equivalence(w1: Word, w2: Word) -> Equivalence:
     return equivalence(words.word_sem(w1), words.word_sem(w2))
 
 
-# the primitive that acts as each generator on its rows
-_PRIMITIVE = {"H": "had", "X": "swap+", "Z": "neg1"}
-
-
 def _trace_word(trace: SynthesisTrace) -> Word:
     """The normal form of the trace's input matrix.  The syllables inverted
     in turn form a word of that matrix; words.program_word reads it as a
-    program, so each X and Z there only relabels rows.  The word is a Z per
-    negated row, one permutation word of at most n-1 X, and the trace's H
-    generators, less those that cancel, in word order.  Every step of the
-    relabelling is a catalog relation."""
-    # the word's last generator acts first: the last syllable's first one;
-    # a Z's stride, 0, is not read
-    ops = [
-        (_PRIMITIVE[kind], (idx[0] - 1,), idx[-1] - idx[0], 1, 1)
-        for syl in reversed(trace.syllables)
-        for kind, idx in syl.gens
-    ]
-    return words.program_word(ops, trace.n)
+    program (words.word_program), so each X and Z there only relabels rows.
+    The word is a Z per negated row, one permutation word of at most n-1 X,
+    and the trace's H generators, less those that cancel, in word order.
+    Every step of the relabelling is a catalog relation."""
+    word = [g for syl in trace.syllables for g in reversed(syl.gens)]
+    return words.program_word(words.word_program(word), trace.n)
 
 
 def permutation_matrix(perm: Sequence[int]) -> ExactMatrix:

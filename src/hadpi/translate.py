@@ -7,12 +7,12 @@ neg1-bearing language (the trees coincide); t_h simulates neg1 away,
 lifting a program of type b1 <-> b2 to one of type 1+b1 <-> 1+b2 whose
 matrix gains an identity row on top.
 
-wsem has no walk of its own: it reads the program of placed primitives
-that lang.lower builds, through words._run, the loop that lang.sem
-evaluates too.  Swaps and neg1 there only permute and sign the row
-labels, so a word spends no generators on them but one signed
-permutation word for the final relabelling; each had costs at most one
-ascending H, and H pairs that meet on the same rows cancel.
+wsem has no walk of its own: words.program_word reads the program of
+placed primitives that lang.lower builds through words._run, the one
+evaluator, which lang.sem reads too.  Swaps and neg1 there only permute
+and sign the row labels, so a word spends no generators on them but one
+signed permutation word for the final relabelling; each had costs at
+most one ascending H, and H pairs that meet on the same rows cancel.
 """
 
 from .lang import (

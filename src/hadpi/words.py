@@ -15,20 +15,22 @@ by any permutation conjugates both of its sides by one permutation matrix,
 so relations-verify decides each relation once.
 
 The module also holds _run, the one evaluator of a program of placed
-primitives, which keeps a signed relabelling of the rows, and
-program_word, which reads a word off it: the word of lang.sem's programs
-(translate.wsem) and the normal forms of synthesis.
+primitives, which keeps a signed relabelling of the rows, and its
+readers: program_matrix (lang.sem) and program_word (translate.wsem, and
+the normal forms of synthesis, read as a program by word_program).
 """
 
 from __future__ import annotations
 
 import re
+from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .linalg import MAX_DIM, ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
 from .ring import parse_natural
 
-# re-exported unused: hadpibench/tracing.py patches these bindings
+# program_matrix looks apply_generator_rows up per call, where
+# hadpibench/tracing.py patches it; m_level_embed is re-exported unused
 from .linalg import apply_generator_rows, m_level_embed  # noqa: F401
 
 
@@ -76,24 +78,23 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
 # The signed relabelling.  A program of placed primitives is a list of
 # (name, offs, stride, n1, n2): the primitive acts on the rows o, o + stride,
 # ... (from 0) for each offset o, and n1, n2 are the block sizes of swap+
-# and swap* (see lang.lower).  A word reads as such a program too: in
-# application order, H[b,c] is had on rows b-1 and c-1, X[b,c] is swap+ of
-# 1+1 there, and Z[a] is neg1 on row a-1.
+# and swap* (see lang.lower).  A word reads as such a program too
+# (word_program).
 
 
 def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
     """The one evaluator of a program of placed primitives on n rows,
-    shared by lang.sem, translate.wsem and the normal forms of synthesis:
-    its H generators in application order, each on ascending rows, and its
-    final signed relabelling.  Program row r (from 0) is row |at[r]| (from
-    1) of the product of the generators, negated when at[r] < 0.
-    Permutations permute the labels and neg1 flips a sign, so neither
-    emits anything; had emits one H on the sorted rows of its two labels
-    and relabels them (relations d1, d2 and e2 move a signed permutation
-    past an H).  An H on the two rows of the last live H on each of them
-    cancels that H (a3, H H = 1; b6, H on disjoint rows commute).  Each
-    step is a catalog relation, so the word read off the run (program_word)
-    derives from the program's own word."""
+    read by program_matrix and program_word: its H generators in
+    application order, each on ascending rows, and its final signed
+    relabelling.  Program row r (from 0) is row |at[r]| (from 1) of the
+    product of the generators, negated when at[r] < 0.  Permutations
+    permute the labels and neg1 flips a sign, so neither emits anything;
+    had emits one H on the sorted rows of its two labels and relabels
+    them (relations d1, d2 and e2 move a signed permutation past an H).
+    An H on the two rows of the last live H on each of them cancels that
+    H (a3, H H = 1; b6, H on disjoint rows commute).  Each step is a
+    catalog relation, so the word read off the run (program_word) derives
+    from the program's own word."""
     at = list(range(1, n + 1))
     gens: list[Generator | None] = []
     # per physical row, the indices in gens of the live H that touch it
@@ -146,6 +147,24 @@ def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
     return [g for g in gens if g is not None], at
 
 
+def program_matrix(ops: list[tuple], n: int) -> ExactMatrix:
+    """The matrix of a program of placed primitives on n rows, read off
+    _run: its H generators applied as row operations in application order,
+    then program row r takes the rows of physical row |at[r]|, negated
+    when at[r] < 0."""
+    gens, at = _run(ops, n)
+    state = RowState.identity(n)
+    ks, ra, rb = state.ks, state.ra, state.rb
+    for g in gens:
+        apply_generator_rows(g, ks, ra, rb)
+    # at is a signed permutation, so each row list moves once and a negated
+    # one is rebuilt: no two rows share a list
+    state.ks = [ks[abs(a) - 1] for a in at]
+    state.ra = [ra[a - 1] if a > 0 else list(map(neg, ra[-a - 1])) for a in at]
+    state.rb = [rb[a - 1] if a > 0 else list(map(neg, rb[-a - 1])) for a in at]
+    return state.snapshot()
+
+
 def program_word(ops: list[tuple], n: int) -> Word:
     """The word of a program of placed primitives on n rows, read off _run:
     a Z per program row whose final label is negative, one permutation
@@ -162,6 +181,20 @@ def program_word(ops: list[tuple], n: int) -> Word:
     word += permutation_word(perm)
     word += reversed(gens)
     return Word(n, tuple(word))
+
+
+# the primitive that acts as each generator on its rows
+_PRIMITIVE = {"H": "had", "X": "swap+", "Z": "neg1"}
+
+
+def word_program(gens: Sequence[Generator]) -> list[tuple]:
+    """The program of placed primitives of the word G1 ... Gl, Gl applied
+    first: H[b,c] is had on rows b-1 and c-1, X[b,c] is swap+ of 1+1
+    there, and Z[a] is neg1 on row a-1, whose stride, 0, is not read."""
+    return [
+        (_PRIMITIVE[kind], (idx[0] - 1,), idx[-1] - idx[0], 1, 1)
+        for kind, idx in reversed(gens)
+    ]
 
 
 def permutation_word(perm: Sequence[int]) -> list[Generator]:

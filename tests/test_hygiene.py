@@ -124,6 +124,18 @@ def _int_calls(path: Path) -> list[str]:
     return out
 
 
+def test_only_words_names_run():
+    # words._run's output is read only in words (program_matrix, program_word)
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted((ROOT / "src" / "hadpi").glob("*.py"))
+        if path.stem != "words"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if "_run" in (getattr(node, attr, None) for attr in ("id", "attr", "name"))
+    ]
+    assert not found, f"_run named outside words: {found}"
+
+
 def test_counts_are_read_by_one_reader():
     # int() also takes a sign, underscores, spaces and other scripts' digits,
     # so every count goes through ring.parse_natural; signed ring entries and

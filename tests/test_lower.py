@@ -32,6 +32,7 @@ from termgen import (
 )
 
 import hadpi.lang
+import hadpi.words
 from hadpi.lang import (
     ONE,
     TWO,
@@ -246,7 +247,7 @@ def test_lower_emits_row_operations_on_global_rows():
     ],
 )
 def test_had_emits_one_ascending_h_and_relabels(c, labels):
-    assert hadpi.lang._run(lower(c, TWO)[1], 2) == ([gen_h(1, 2)], labels)
+    assert hadpi.words._run(lower(c, TWO)[1], 2) == ([gen_h(1, 2)], labels)
     assert_matches_oracle(c, TWO)
 
 
@@ -262,17 +263,33 @@ def test_a_program_then_its_inverse_runs_to_nothing():
     hs = 0
     for c, b in cases:
         n = hdim(b)
-        hs += len(hadpi.lang._run(lower(c, b)[1], n)[0])
+        hs += len(hadpi.words._run(lower(c, b)[1], n)[0])
         loop = lower(seqs(c, inverse(c, b)), b)[1]
-        assert hadpi.lang._run(loop, n) == ([], list(range(1, n + 1))), format_term(c)
+        assert hadpi.words._run(loop, n) == ([], list(range(1, n + 1))), format_term(c)
     assert hs > 200
+
+
+def test_program_matrix_of_a_lowered_term_matches_the_oracle():
+    rng = random.Random(23)
+    cases = []
+    for lang in ("pi", "qpi", "hpi") * 50:
+        b = rand_type(rng, max_dim=8)
+        cases.append((rand_term(rng, b, lang), b, lang))
+    # circuits put H on rows that overlap, where their order shows
+    cases += [(rand_qubit_circuit(rng, 10, 6), QUBITS3, "qpi") for _ in range(4)]
+    for c, b, lang in cases:
+        dst, want = oracle_term(c, oracle_type(b), lang)
+        got, ops = lower(c, b, lang)
+        assert oracle_type(got) == dst
+        M = hadpi.words.program_matrix(ops, hdim(b))
+        assert frac_eq(frac_of_matrix(M), want), format_term(c)
 
 
 def test_simulated_neg1_runs_with_no_h():
     # t_h(neg1) = had ; swap+ ; had: the swap only relabels, so the second H
     # lands on the first one's rows and cancels it, leaving the sign
     h = t_h(NEG1, ONE)
-    assert hadpi.lang._run(lower(h, TWO, "hpi")[1], 2) == ([], [1, -2])
+    assert hadpi.words._run(lower(h, TWO, "hpi")[1], 2) == ([], [1, -2])
 
 
 def test_a_shared_node_failing_at_its_second_use_names_that_use():

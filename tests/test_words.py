@@ -7,10 +7,18 @@ from itertools import permutations
 from os.path import commonprefix
 
 import pytest
-from oracles import embed, frac_direct_sum, frac_eq, frac_identity, frac_of_matrix, shift
+from oracles import (
+    embed,
+    frac_direct_sum,
+    frac_eq,
+    frac_identity,
+    frac_of_matrix,
+    generator_matrix,
+    shift,
+)
 
 from hadpi import words
-from hadpi.linalg import ExactMatrix, Generator, gen_h, gen_x, gen_z, m_level_embed
+from hadpi.linalg import ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z, m_level_embed
 from hadpi.synthesis import word_equivalence
 from hadpi.words import (
     CATALOG,
@@ -60,6 +68,52 @@ def test_word_sem_is_product_homomorphism():
         w1, w2 = rand_word(rng, n), rand_word(rng, n)
         joined = Word(n, w1.gens + w2.gens)
         assert word_sem(joined) == word_sem(w1) @ word_sem(w2)
+
+
+def _product(w: Word) -> ExactMatrix:
+    """The dense product of the word's generator matrices, in listed order."""
+    M = ExactMatrix.identity(w.n)
+    for g in w.gens:
+        M = M @ generator_matrix(g, w.n)
+    return M
+
+
+@pytest.mark.parametrize(
+    "w, labels",
+    [
+        (Word(1, ()), [1]),
+        (Word(1, (gen_z(1),)), [-1]),
+        (Word(4, (gen_h(1, 3), gen_h(2, 4))), [1, 2, 3, 4]),  # the identity relabelling
+        (Word(2, (gen_h(1, 2), gen_z(1), gen_z(2))), [-1, -2]),  # every label negated
+        (Word(3, (gen_x(1, 3), gen_z(1), gen_z(2), gen_z(3))), [-3, -2, -1]),
+    ],
+)
+def test_program_matrix_reads_the_final_labels(w, labels):
+    program = words.word_program(w.gens)
+    assert words._run(program, w.n)[1] == labels
+    assert words.program_matrix(program, w.n) == _product(w)
+
+
+def test_program_matrix_of_a_word_program_is_the_product(monkeypatch):
+    states = []
+    snapshot = RowState.snapshot
+
+    def recording(state):
+        states.append(state)
+        return snapshot(state)
+
+    monkeypatch.setattr(RowState, "snapshot", recording)
+    rng = random.Random(229)
+    cases = [Word(1, (gen_z(1),) * rng.randint(0, 3)) for _ in range(5)]
+    cases += [rand_word(rng, rng.randint(2, 8)) for _ in range(200)]
+    for w in cases:
+        assert words.program_matrix(words.word_program(w.gens), w.n) == _product(w), format_word(w)
+    assert len(states) == len(cases)
+    for state in states:
+        # the final relabelling moves each row's lists once and rebuilds a
+        # negated row, so no two rows share a list
+        rows = state.ra + state.rb
+        assert len({id(r) for r in rows}) == len(rows)
 
 
 def test_word_sem_validates_indices():
