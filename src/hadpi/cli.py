@@ -16,11 +16,15 @@ import sys
 from .lang import (
     BudgetError,
     LangError,
+    ONE,
+    Sum,
     Term,
     ValueType,
     format_term,
     format_type,
+    hdim,
     infer_source,
+    lower,
     nsum,
     parse_term,
     parse_type,
@@ -40,7 +44,7 @@ from .synthesis import (
     synthesize,
     word_equivalence,
 )
-from .translate import TranslateError, TranslationReport, qsem, t_h, t_h_sem, t_q, wsem
+from .translate import TranslateError, TranslationReport, qsem, t_h, t_h_lower, t_q, wsem
 from .words import (
     CATALOG,
     Word,
@@ -48,6 +52,7 @@ from .words import (
     format_word,
     parse_derivation,
     parse_word,
+    program_matrix,
     replay,
     verify_relation,
     word_sem,
@@ -201,6 +206,9 @@ def cmd_relations_verify(args) -> int:
 def cmd_translate(args) -> int:
     src, dst = args.from_, "qpi" if args.to == "term" else args.to
     contract = "semantics preserved"
+    # a term's target type is checked as well as its matrix, which for a
+    # zero-dimensional block is the same whatever the type
+    want = got = None
     if src in ("qpi", "hpi") and dst == "words":
         c = _term_arg(args.input, src)
         b = _source_type(args, c)
@@ -209,20 +217,31 @@ def cmd_translate(args) -> int:
     elif src == "words" and dst == "qpi":
         w = _word_arg(args.input)
         out = t_q(w)
-        TranslationReport(w, out, word_sem(w), sem(out, nsum(w.n)))
+        want = nsum(w.n)
+        got, ops = lower(out, want)
+        TranslationReport(w, out, word_sem(w), program_matrix(ops, w.n))
     elif src == "hpi" and dst == "qpi":
         c = _term_arg(args.input, "hpi")
         out = qsem(c)
         b = _source_type(args, c)
-        TranslationReport(c, out, sem(c, b, "hpi"), sem(out, b))
+        (want, ops), (got, out_ops) = lower(c, b, "hpi"), lower(out, b)
+        n = hdim(b)
+        TranslationReport(c, out, program_matrix(ops, n), program_matrix(out_ops, n))
     elif src == "qpi" and dst == "hpi":
         c = _term_arg(args.input, "qpi")
         b = _source_type(args, c)
         out = t_h(c, b)
-        TranslationReport(c, out, sem(c, b), t_h_sem(out, b), padding=1)
+        (dc, ops), (got, out_ops) = lower(c, b), t_h_lower(out, b)
+        want, n = Sum(ONE, dc), hdim(b)
+        sm, rm = program_matrix(ops, n), program_matrix(out_ops, n + 1)
+        TranslationReport(c, out, sm, rm, padding=1)
         contract = "I1 (+) source"
     else:
         raise UsageError(f"unsupported direction: {args.from_} -> {args.to}")
+    if got is not want:
+        raise TranslateError(
+            f"translation has target type {format_type(got)}, not {format_type(want)}"
+        )
     print(format_word(out) if dst == "words" else format_term(out))
     print(f"verified: {contract}")
     return 0

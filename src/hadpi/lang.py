@@ -542,29 +542,22 @@ def _spine(c: Term) -> list[Term]:
 # ---------------------------------------------------------------------------
 # lowering: one memoized walk behind typecheck, sem, inverse and translation
 #
-# A subterm runs at a placement (offs, stride) in the rows of the source's
-# basis, 0-based: its local row j of copy i is row offs[i] + j*stride.
-# Inside a product of terms a factor runs once per basis vector of the
-# other.  A lowered program is a flat list of the primitives that move rows,
-# each placed once for all its copies, applied in order:
-#   ("had", offs, stride, 0, 0)       H on rows o and o + stride
-#   ("neg1", offs, stride, 0, 0)      Z on row o
-#   ("swap+", offs, stride, n1, n2)   the permutation of swap+ on n1 + n2
-#   ("swap*", offs, stride, n1, n2)   the permutation of swap* on n1 * n2
-# for each o in offs.  An op's offs are grouped by the copies of every
-# subterm around it, so the first len(offs) / k of them belong to the first
-# copy of an enclosing subterm placed k times.
-
-
-def _place(
-    rows: list[int], offs0: list[int], stride0: int, offs: list[int], stride: int
-) -> list[int]:
-    """Rows inside a subterm placed at (offs0, stride0), moved with it to
-    (offs, stride)."""
-    m = len(rows) // len(offs0)
-    o0 = offs0[0]
-    local = [(r - o0) // stride0 for r in rows[:m]]
-    return [o + j * stride for o in offs for j in local]
+# A subterm runs at a placement (offs, base, stride) in the rows of the
+# source's basis, 0-based: its local row j of copy i is row base + offs[i] +
+# j*stride.  Inside a product of terms a factor runs once per basis vector
+# of the other, so a product makes new copies (offs) and stride; the right
+# operand of a sum of terms only moves base.  A lowered program is a flat
+# list of the primitives that move rows, each placed once for all its
+# copies, applied in order:
+#   ("had", rows, stride, 0, 0)       H on rows r and r + stride
+#   ("neg1", rows, stride, 0, 0)      Z on row r
+#   ("swap+", rows, stride, n1, n2)   the permutation of swap+ on n1 + n2
+#   ("swap*", rows, stride, n1, n2)   the permutation of swap* on n1 * n2
+# for each r in rows, the copies' offs with base folded in.  An op's rows
+# are grouped by the copies of every subterm around it, so the first
+# len(rows) / k of them belong to the first copy of an enclosing subterm
+# placed k times.  A subterm met again with the same copies and stride
+# re-emits its ops shifted by the difference of the bases.
 
 
 class _Walk:
@@ -576,8 +569,10 @@ class _Walk:
     A primitive's target is memoized on its name and input type (equal
     types are one object).  Every other node but a leaf factorz is
     memoized on node and input type identity, a seq nested in a chain too: a
-    node met again at its input type and no tighter depth limit returns its
-    recorded target and re-emits its recorded ops at the new placement.  A
+    node met again at its input type, no tighter depth limit, and the same
+    copies and stride returns its recorded target and re-emits its recorded
+    ops shifted to the new base (see the comment above _Walk); met with
+    other copies, it is walked again.  A
     failure names its subterm as it unwinds (_Failure), so no walk tracks
     paths.  Both memos die with the walk."""
 
@@ -592,8 +587,9 @@ class _Walk:
         # (name, input) -> (target, moves rows, n1, n2): a primitive's
         # step, with the sizes an emitted swap carries
         self.steps: dict[tuple, tuple] = {}
-        # (id(node), id(input)) -> (node, input, limit, target, offs, stride,
-        # start, end); holding the node and the input keeps their ids unique
+        # (id(node), id(input)) -> (node, input, limit, target, offs, base,
+        # stride, start, end); holding the node and the input keeps their
+        # ids unique
         self.memo: dict[tuple, tuple] = {}
         if limit is None:
             limit = _depth_limit(b)
@@ -613,15 +609,16 @@ class _Walk:
 
     def node(self, c: Term, b: ValueType, limit: int, offs: list[int], stride: int) -> ValueType:
         """Target type of c on input b, no deeper than limit; local row j of
-        copy i is row offs[i] + j*stride.  Each seq, sum and product of
+        copy i is row offs[i] + j*stride, and the nodes below c add a base
+        (see the comment above _Walk).  Each seq, sum and product of
         terms opens a frame on an explicit stack, which its finished
         operands resume: t_q nests a word thousands of nodes deep."""
         memo, ops, emit = self.memo, self.ops, self.emit
         # the composites open around the node x being walked: [node, input,
         # start of its ops, the step down to x's side of it], and for a sum
-        # or product its limit, offs and stride and its left operand's target
+        # or product its limit, placement and its left operand's target
         frames: list[list] = []
-        x, dst = c, b
+        x, dst, base = c, b, 0
         try:
             while True:
                 kind = type(x)
@@ -639,17 +636,27 @@ class _Walk:
                     if dst.depth > limit:
                         raise _Failure(_too_deep(name), BudgetError)
                     if moves and emit:
-                        ops.append((name, offs, stride, n1, n2))
+                        rows = [base + o for o in offs] if base else offs
+                        ops.append((name, rows, stride, n1, n2))
                 elif kind is Factorz:
                     if dst is not ZERO:
                         raise _Failure(f"factorz needs input 0, got {format_type(dst)}")
                     dst = Prod(x.operand, ZERO)
                     if dst.depth > limit:
                         raise _Failure(_too_deep("factorz"), BudgetError)
-                elif (entry := memo.get((id(x), id(dst)))) is not None and (
-                    hit := self._recall(entry, limit, offs, stride)
-                ) is not None:
-                    dst = hit
+                elif (
+                    (entry := memo.get((id(x), id(dst)))) is not None
+                    and entry[2] <= limit  # recorded under no looser limit
+                    and entry[6] == stride
+                    and (entry[4] is offs or entry[4] == offs)
+                ):
+                    _, _, _, dst, _, shift, _, start, end = entry
+                    shift = base - shift
+                    if not shift:
+                        ops += ops[start:end]
+                    else:
+                        for name, rows, s, n1, n2 in ops[start:end]:
+                            ops.append((name, [r + shift for r in rows], s, n1, n2))
                 elif kind is Seq:
                     frames.append([x, dst, len(ops), "seq.fst"])
                     x = x.fst
@@ -668,7 +675,7 @@ class _Walk:
                             f" of {MAX_DIM} (MAX_DIM)",
                             BudgetError,
                         )
-                    frames.append([x, dst, len(ops), at, limit, offs, stride, None])
+                    frames.append([x, dst, len(ops), at, limit, offs, base, stride, None])
                     if emit and kind is ProdC:
                         # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
                         offs = [o + i * stride for o in offs for i in range(n2)]
@@ -688,39 +695,25 @@ class _Walk:
                     if at == "seq.snd":
                         y, yb, start, _ = frames.pop()
                     else:  # back at the sum's or product's own placement
-                        y, yb, start, at, limit, offs, stride, left = frame
+                        y, yb, start, at, limit, offs, base, stride, left = frame
                         if at == "sum.left" or at == "prod.left":
                             n1, n2 = yb.left.dim, yb.right.dim
-                            if emit and at == "sum.left":
-                                offs = [o + n1 * stride for o in offs]
+                            if at == "sum.left":
+                                base += n1 * stride
                             elif emit:
                                 offs = [o + i * n2 * stride for o in offs for i in range(n1)]
                             frame[3] = "sum.right" if at == "sum.left" else "prod.right"
-                            frame[7] = dst
+                            frame[8] = dst
                             x, dst, limit = y.right, yb.right, limit - 1
                             break
                         frames.pop()
                         dst = yb if left is yb.left and dst is yb.right else type(yb)(left, dst)
-                    memo[id(y), id(yb)] = (y, yb, limit, dst, offs, stride, start, len(ops))
+                    memo[id(y), id(yb)] = (y, yb, limit, dst, offs, base, stride, start, len(ops))
                 else:
                     return dst
         except _Failure as exc:
             exc.steps += [frame[3] for frame in reversed(frames)]
             raise
-
-    def _recall(self, entry: tuple, limit: int, offs: list[int], stride: int):
-        """The target in a memo entry, with its ops re-emitted at (offs,
-        stride), or None if the entry cannot serve and the node must be
-        walked again."""
-        _, _, elimit, dst, eoffs, estride, start, end = entry
-        # an entry recorded under a tighter depth limit serves any looser one;
-        # a node walked with no copies (beside a 0 factor) recorded ops on no
-        # rows, which cannot be moved to rows
-        if elimit > limit or not (eoffs or not offs):
-            return None
-        if start < end and offs:
-            self._reemit(start, end, eoffs, estride, offs, stride)
-        return dst
 
     def target(self, c: Term, b: ValueType) -> ValueType:
         """Target type of a node of a term this walk has checked, at input b."""
@@ -735,23 +728,14 @@ class _Walk:
         # a leaf factorz, or a node not met at b: walked under the walk's limit
         return self._root(c, b, self.limit)
 
-    def _reemit(self, start, end, offs0, stride0, offs, stride) -> None:
-        """Append ops[start:end], emitted at (offs0, stride0), at (offs, stride)."""
-        ops = self.ops
-        if stride == stride0 and offs == offs0:
-            ops += ops[start:end]
-            return
-        for name, rows, s, n1, n2 in ops[start:end]:
-            rows = _place(rows, offs0, stride0, offs, stride)
-            ops.append((name, rows, s // stride0 * stride, n1, n2))
-
 
 def lower(
     c: Term, b: ValueType, lang: str = "qpi", limit: Optional[int] = None
 ) -> tuple[ValueType, list[tuple]]:
     """Target type of c on input b, no type deeper than limit (default
     _depth_limit(b)), and its program of placed primitives (see the comment
-    above _place); each distinct subterm is walked once per input type."""
+    above _Walk); each distinct subterm is walked once per input type and
+    placement of its copies."""
     walk = _Walk(c, b, lang, True, limit)
     return walk.dst, walk.ops
 
@@ -893,22 +877,37 @@ def _at_tail(c: Term, m: int) -> Term:
     return c
 
 
-def _adj(k: int, n: int) -> Term:
-    # swap coordinates k and k+1 of the right-associated n-fold sum of 1;
-    # swap_plus_at passes 1 <= k < n
-    if k == n - 1:
-        swap = Prim("swap+")
-    else:
-        swap = seqs(Prim("assocl+"), SumC(Prim("swap+"), Prim("id")), Prim("assocr+"))
-    return _at_tail(swap, k - 1)
+# the adjacent swap at the head of a right-associated sum of 1 past its
+# last two coordinates: a+(b+c) -> (b+a)+c -> b+(a+c)
+_ADJ_TOP = seqs(Prim("assocl+"), SumC(Prim("swap+"), Prim("id")), Prim("assocr+"))
+
+
+def _adj(k: int, n: int, rungs: dict) -> Term:
+    """The swap of coordinates k and k+1 of the right-associated n-fold sum
+    of 1 (1 <= k < n), kept in rungs under k.  Below the last, rung k is
+    id + rung (k-1), one sum around the rung above it down to _ADJ_TOP, so
+    the rungs of one n take one SumC each; the last, k = n-1, swaps the
+    final 1+1 itself, past n-2 ids."""
+    out = rungs.get(k)
+    if out is None and k == n - 1:
+        out = rungs[k] = _at_tail(Prim("swap+"), k - 1)
+    elif out is None:
+        low = k  # rungs low..k are missing; each is built on the one before
+        while low > 1 and low - 1 not in rungs:
+            low -= 1
+        out = rungs.get(low - 1)
+        for i in range(low, k + 1):
+            out = rungs[i] = SumC(Prim("id"), out) if i > 1 else _ADJ_TOP
+    return out
 
 
 def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
     """Transposition (j k) on the type nsum(n), as a palindrome of
-    adjacent swaps; sem equals the two-level permutation matrix.  Calls for
-    one n that pass the same dict as rungs share each adjacent swap (keyed
-    by its first position) and each transposition (keyed (j, k)), so a walk
-    over their terms lowers each once."""
+    adjacent swaps (_adj); sem equals the two-level permutation matrix.
+    Calls for one n that pass the same dict as rungs share each adjacent
+    swap (keyed by its first position) and each transposition (keyed
+    (j, k)), so the rungs of all of them take O(n) nodes and a walk over
+    their terms lowers each once per input type."""
     if not (1 <= j <= n and 1 <= k <= n):
         raise LangError(f"positions must lie in 1..{n}")
     if j > k:
@@ -919,10 +918,7 @@ def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
         rungs = {}
     out = rungs.get((j, k))
     if out is None:
-        for i in range(j, k):
-            if i not in rungs:
-                rungs[i] = _adj(i, n)
-        swaps = [rungs[i] for i in range(j, k)]
+        swaps = [_adj(i, n, rungs) for i in range(j, k)]
         out = rungs[j, k] = seqs(*swaps, *reversed(swaps[:-1]))
     return out
 

@@ -35,21 +35,35 @@ from .lang import (
     fold,
     hdim,
     lower,
-    sem,
     seqs,
     swap_plus_at,
     term_prims,
 )
 
-# re-exported unused: hadpibench/tracing.py patches this binding
-from .lang import typecheck  # noqa: F401
+# re-exported unused: hadpibench/tracing.py patches these bindings
+from .lang import sem, typecheck  # noqa: F401
 from .linalg import ExactMatrix, Generator
 from .words import Word, _check, program_word
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .synthesis import hpermute  # noqa: F401
 
-_ID = Prim("id")
+_ID, _HAD, _NEG1, _SWAPX = Prim("id"), Prim("had"), Prim("neg1"), Prim("swap*")
+
+# the fixed fragments of t_h's output, one object each wherever they occur
+_TH_NEG1 = seqs(_HAD, Prim("swap+"), _HAD)  # neg1, simulated on 1+1
+# the turn of the padding row from the left summand to the right one
+_TURN = (Prim("assocl+"), SumC(Prim("swap+"), _ID), Prim("assocr+"))
+_ID_SWAP = SumC(_ID, _SWAPX)
+_ID_DIST, _ID_FACTOR = SumC(_ID, Prim("dist")), SumC(_ID, Prim("factor"))
+_ID_UNITE, _ID_UNITI = SumC(_ID, Prim("unite*")), SumC(_ID, Prim("uniti*"))
+_ASSOCR, _ASSOCL, _ABSORB = Prim("assocr*"), Prim("assocl*"), Prim("absorb")
+# the moves of id_b * c around the clause of b's reduct, by b's left factor
+_TH_MOVES = {
+    One: (SumC(_ID, Seq(_ASSOCR, Prim("unite*"))), SumC(_ID, Seq(Prim("uniti*"), _ASSOCL))),
+    Sum: (SumC(_ID, ProdC(Prim("dist"), _ID)), SumC(_ID, ProdC(Prim("factor"), _ID))),
+    Prod: (SumC(_ID, ProdC(_ASSOCR, _ID)), SumC(_ID, ProdC(_ASSOCL, _ID))),
+}
 
 
 class TranslateError(ValueError):
@@ -108,9 +122,9 @@ def t_q(w: Word) -> Term:
     """Program over nsum(w.n) denoting the same matrix as w."""
     _check(w)
     n = w.n
-    # the generators share their adjacent swaps, their transpositions and
-    # their neg1 and had tails, so that lowering the program walks each of
-    # them once
+    # the generators share their adjacent swaps (each rung one sum around
+    # the one above it), their transpositions and their neg1 and had tails,
+    # so that lowering the program walks each of them once per input type
     rungs: dict = {}
     tails: dict[str, Term] = {}
     parts = [_t_gen(g, n, rungs, tails) for g in reversed(w.gens)]
@@ -123,7 +137,7 @@ def _t_gen(g: Generator, n: int, rungs: dict, tails: dict[str, Term]) -> Term:
     if g.kind == "Z":
         move = swap_plus_at(g.idx[0], n, n, rungs)
         if "Z" not in tails:
-            tails["Z"] = _at_tail(Prim("neg1"), n - 1)
+            tails["Z"] = _at_tail(_NEG1, n - 1)
         return seqs(move, tails["Z"], move)
     if g.kind == "X":
         return swap_plus_at(g.idx[0], g.idx[1], n, rungs)
@@ -133,7 +147,7 @@ def _t_gen(g: Generator, n: int, rungs: dict, tails: dict[str, Term]) -> Term:
     outer = swap_plus_at(c, n, n, rungs)
     inner = swap_plus_at(b, n - 1, n, rungs)
     if "H" not in tails:
-        tails["H"] = _at_tail(Prim("had"), n - 2)
+        tails["H"] = _at_tail(_HAD, n - 2)
     return seqs(outer, inner, tails["H"], inner, outer)
 
 
@@ -153,8 +167,20 @@ def qsem(c: Term) -> Term:
 
 
 def t_h(c: Term, input: ValueType) -> Term:
-    """Hadamard-program of type 1+b1 <-> 1+b2 whose matrix is I1 (+) sem(c)."""
+    """Hadamard-program of type 1+b1 <-> 1+b2 whose matrix is I1 (+) sem(c).
+    The output is a DAG: its fixed fragments are module constants, each
+    primitive's translation is built once per call, and each clause of an
+    id_b * c once per (b, c's translation, c's target)."""
     done: dict = {}  # _th_id_times's record of its clauses
+    leaves: dict[str, Term] = {"neg1": _TH_NEG1}  # primitive name -> translation
+
+    def leaf(c: Term, b: ValueType) -> Term:
+        if type(c) is Factorz:
+            return SumC(_ID, c)
+        out = leaves.get(c.name)
+        if out is None:
+            out = leaves[c.name] = SumC(_ID, c)
+        return out
 
     def pair(c: Term, b: ValueType, target, left: Term, right: Term) -> Term:
         if type(c) is SumC:
@@ -162,43 +188,40 @@ def t_h(c: Term, input: ValueType) -> Term:
         d = target(c, b)
         if c.left == _ID:
             return _th_id_times(b.left, right, d.right, done)
-        swap = SumC(_ID, Prim("swap*"))
         first = _th_id_times(b.right, left, d.left, done)
-        return seqs(swap, first, swap, _th_id_times(d.left, right, d.right, done))
+        return seqs(_ID_SWAP, first, _ID_SWAP, _th_id_times(d.left, right, d.right, done))
 
-    return fold(c, input, "qpi", _th_leaf, lambda parts: seqs(*parts), pair)
-
-
-def t_h_sem(h: Term, input: ValueType) -> ExactMatrix:
-    """Matrix of h = t_h(c, input), on the padded source 1+input.  h puts
-    each primitive of c one sum of terms deeper, so its types get the
-    depth budget of input plus that one level."""
-    return sem(h, Sum(ONE, input), "hpi", _depth_limit(input) + 1)
+    return fold(c, input, "qpi", leaf, lambda parts: seqs(*parts), pair)
 
 
-def _th_leaf(c: Term, b: ValueType) -> Term:
-    if type(c) is Prim and c.name == "neg1":
-        return seqs(Prim("had"), Prim("swap+"), Prim("had"))
-    return SumC(_ID, c)
+def t_h_lower(h: Term, input: ValueType) -> tuple[ValueType, list[tuple]]:
+    """lang.lower of h = t_h(c, input) on the padded source 1+input: its
+    target, 1 + the target of c, and its program.  h puts each primitive of
+    c one sum of terms deeper, so its types get the depth budget of input
+    plus that one level."""
+    return lower(h, Sum(ONE, input), "hpi", _depth_limit(input) + 1)
 
 
 def _th_sum(left: Term, right: Term) -> Term:
     """The translation of a sum of terms, given those of its operands: the
     padding row turns from the left summand to the right one, and back."""
-    turn = (Prim("assocl+"), SumC(Prim("swap+"), _ID), Prim("assocr+"))
-    return seqs(turn[0], SumC(left, _ID), *turn[1:], SumC(_ID, right), *turn)
+    assocl, swap, assocr = _TURN
+    return seqs(assocl, SumC(left, _ID), swap, assocr, SumC(_ID, right), *_TURN)
 
 
 def _th_id_times(b: ValueType, tc: Term, cd: ValueType, done: dict) -> Term:
     """The translation of id_b * c, given c's translation tc and target cd.
     It translates c once per basis vector of b, each time as tc, and done
-    records each clause per (b, tc), so lowering the output walks tc once.
-    A clause is built off an explicit stack once the clauses of the types
-    it reduces to (_th_reducts) are, so b may nest past the recursion limit."""
+    records each clause per (b, tc, cd), so lowering the output walks tc
+    once per input type.  The key holds cd because one tc, a primitive's
+    shared translation, may stand for c at several targets, and a clause
+    below a 0 factor names c's target in its factorz.  A clause is built
+    off an explicit stack once the clauses of the types it reduces to
+    (_th_reducts) are, so b may nest past the recursion limit."""
     stack: list[tuple[ValueType, tuple | None]] = [(b, None)]
     while stack:
         t, reducts = stack.pop()
-        key = (id(t), id(tc))
+        key = (id(t), id(tc), id(cd))
         if key in done:
             continue
         if reducts is None:
@@ -206,9 +229,9 @@ def _th_id_times(b: ValueType, tc: Term, cd: ValueType, done: dict) -> Term:
             stack.append((t, reducts))
             stack.extend((r, None) for r in reducts)
             continue
-        parts = [done[(id(r), id(tc))][-1] for r in reducts]
-        done[key] = (t, tc, _th_clause(t, tc, cd, parts))
-    return done[(id(b), id(tc))][-1]
+        parts = [done[(id(r), id(tc), id(cd))][-1] for r in reducts]
+        done[key] = (t, tc, cd, _th_clause(t, tc, cd, parts))
+    return done[(id(b), id(tc), id(cd))][-1]
 
 
 def _th_reducts(b: ValueType) -> tuple[ValueType, ...]:
@@ -232,32 +255,13 @@ def _th_clause(b: ValueType, tc: Term, cd: ValueType, parts: list[Term]) -> Term
     """The clause of id_b * c, given the clauses of its reducts in order."""
     bl, br = getattr(b, "left", None), getattr(b, "right", None)
     if isinstance(b, Zero):
-        chain = seqs(Prim("swap*"), Prim("absorb"), _ID, Factorz(cd), Prim("swap*"))
-        return SumC(_ID, chain)
+        return SumC(_ID, seqs(_SWAPX, _ABSORB, _ID, Factorz(cd), _SWAPX))
     if isinstance(b, One):
-        return seqs(SumC(_ID, Prim("unite*")), tc, SumC(_ID, Prim("uniti*")))
+        return seqs(_ID_UNITE, tc, _ID_UNITI)
     if isinstance(b, Sum):
-        return seqs(SumC(_ID, Prim("dist")), _th_sum(*parts), SumC(_ID, Prim("factor")))
+        return seqs(_ID_DIST, _th_sum(*parts), _ID_FACTOR)
     if isinstance(bl, Zero):
-        chain = seqs(
-            Prim("assocr*"),
-            Prim("swap*"),
-            Prim("absorb"),
-            _ID,
-            Factorz(Prod(br, cd)),
-            Prim("swap*"),
-            Prim("assocl*"),
-        )
+        chain = seqs(_ASSOCR, _SWAPX, _ABSORB, _ID, Factorz(Prod(br, cd)), _SWAPX, _ASSOCL)
         return SumC(_ID, chain)
-    if isinstance(bl, One):
-        return seqs(
-            SumC(_ID, Seq(Prim("assocr*"), Prim("unite*"))),
-            parts[0],
-            SumC(_ID, Seq(Prim("uniti*"), Prim("assocl*"))),
-        )
-    move, back = ("dist", "factor") if isinstance(bl, Sum) else ("assocr*", "assocl*")
-    return seqs(
-        SumC(_ID, ProdC(Prim(move), _ID)),
-        parts[0],
-        SumC(_ID, ProdC(Prim(back), _ID)),
-    )
+    move, back = _TH_MOVES[type(bl)]
+    return seqs(move, parts[0], back)

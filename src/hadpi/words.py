@@ -418,9 +418,9 @@ def parse_word(text: str) -> Word:
     toks = text.split()
     if not toks or not toks[0].startswith("n="):
         raise WordError("word must start with its dimension, n=<dim>")
+    # n=0 is the empty word on the zero-dimensional space, which normalize
+    # and translate print for a program on 0; any generator is out of range
     n = parse_natural(toks[0][2:], "the dimension", WordError)
-    if n < 1:
-        raise WordError("dimension must be at least 1")
     if n > MAX_DIM:
         raise WordError(f"dimension {n} is past the limit of {MAX_DIM} (MAX_DIM)")
     gens: list[Generator] = []

@@ -731,6 +731,38 @@ def test_translate_embedding(capsys):
     assert out == "had\nverified: semantics preserved\n"
 
 
+# the parent's t_h of (id * id) + (id * id) at 0*1 + 0*(1+1), with the
+# factorz of its second clause annotated 1 instead of 1+1: a program on
+# zero-dimensional blocks, so its matrix is right whatever its target
+WRONG_TARGET_HPI = (
+    "assocl+ ; (id + (swap* ; absorb ; id ; factorz ; swap*)) + id ; swap+ + id ;"
+    " assocr+ ; id + id + (swap* ; absorb ; id ; factorz ; swap*) ; assocl+ ;"
+    " swap+ + id ; assocr+"
+)
+
+
+def test_translate_checks_the_target_type(capsys, monkeypatch):
+    source, in_type = "(id * id) + (id * id)", "0*1 + 0*(1+1)"
+    code, out, _ = run(capsys, "translate", source, "--from", "qpi", "--to", "hpi",
+                       "--in-type", in_type)
+    assert code == 0 and "factorz{1+1} ; swap*)" in out
+    monkeypatch.setattr(cli, "t_h", lambda c, b: parse_term(WRONG_TARGET_HPI))
+    code, out, err = run(capsys, "translate", source, "--from", "qpi", "--to", "hpi",
+                         "--in-type", in_type)
+    assert (code, out) == (1, "")
+    assert err == "error: translation has target type 1+0*1+0*1, not 1+0*1+0*(1+1)\n"
+    # an identity with another target, for t_q and for qsem
+    monkeypatch.setattr(cli, "t_q", lambda w: parse_term("uniti*"))
+    code, out, err = run(capsys, "translate", "n=2 eps", "--from", "words", "--to", "qpi")
+    assert (code, out) == (1, "")
+    assert err == "error: translation has target type 1*(1+1), not 1+1\n"
+    monkeypatch.setattr(cli, "qsem", lambda c: parse_term("uniti+"))
+    code, out, err = run(capsys, "translate", "id", "--from", "hpi", "--to", "qpi",
+                         "--in-type", "1")
+    assert (code, out) == (1, "")
+    assert err == "error: translation has target type 0+1, not 1\n"
+
+
 def test_translate_unsupported_direction(capsys):
     code, _, err = run(capsys, "translate", "had", "--from", "words", "--to", "hpi")
     assert code == 2

@@ -107,6 +107,8 @@ CASES: dict[str, tuple[list[str], str]] = {
     "equiv-words": (["equiv", "n=2 H[1,2] H[1,2]", "n=2 eps", "--kind", "word"], ""),
     "equiv-words-distinct": (["equiv", "n=2 H[1,2]", "n=2 X[1,2]", "--kind", "word"], ""),
     "equiv-words-dimensions-differ": (["equiv", "n=2 eps", "n=3 eps", "--kind", "word"], ""),
+    # the empty word on 0, as normalize, synth and translate print it
+    "equiv-words-dimension-zero": (["equiv", "n=0 eps", "n=0 eps", "--kind", "word"], ""),
     # relations-verify
     "relations-verify-skips": (["relations-verify", "--n", "3"], ""),
     "relations-verify-capped": (["relations-verify", "--n", "4", "--max-assignments", "2"], ""),
@@ -115,6 +117,9 @@ CASES: dict[str, tuple[list[str], str]] = {
     # translate
     "translate-qpi-words": (["translate", "had ; neg1 + id", "--from", "qpi", "--to", "words"], ""),
     "translate-words-qpi": (["translate", "n=2 H[1,2] Z[1]", "--from", "words", "--to", "qpi"], ""),
+    "translate-words-qpi-dimension-zero": (
+        ["translate", "n=0 eps", "--from", "words", "--to", "qpi"], ""
+    ),
     "translate-hpi-qpi": (["translate", "had ; swap+", "--from", "hpi", "--to", "qpi"], ""),
     "translate-unsupported": (["translate", "had", "--from", "words", "--to", "hpi"], ""),
     "translate-language-gate": (["translate", "neg1", "--from", "hpi", "--to", "qpi"], ""),

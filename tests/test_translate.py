@@ -46,11 +46,11 @@ from hadpi.translate import (
     TranslationReport,
     qsem,
     t_h,
-    t_h_sem,
+    t_h_lower,
     t_q,
     wsem,
 )
-from hadpi.words import Word, WordError, word_sem
+from hadpi.words import Word, WordError, program_matrix, word_sem
 from oracles import H_BLOCK, oracle_type, oracle_word
 from termgen import QUBITS3, qubit_circuits, rand_qubit_circuit, rand_term, rand_type
 
@@ -368,6 +368,29 @@ def _walk(c):
             stack.extend((node.left, node.right))
 
 
+def test_t_h_clause_text_is_pinned():
+    # a 0 factor's clause names c's target in its factorz: here 1, then 1+1
+    h = t_h(SumC(ProdC(ID, ID), ProdC(ID, ID)), Sum(Prod(ZERO, ONE), Prod(ZERO, TWO)))
+    assert format_term(h) == (
+        "assocl+ ; (id + (swap* ; absorb ; id ; factorz ; swap*)) + id ; swap+ + id ;"
+        " assocr+ ; id + id + (swap* ; absorb ; id ; factorz{1+1} ; swap*) ; assocl+ ;"
+        " swap+ + id ; assocr+"
+    )
+
+
+def test_t_h_keeps_a_clause_per_target():
+    # both swap+ leaves translate to one shared id + swap+, beside a 0
+    # factor at two targets: each clause must name its own
+    swap = Prim("swap+")
+    c = SumC(ProdC(ID, swap), ProdC(ID, swap))
+    b = Sum(Prod(ZERO, Sum(ONE, TWO)), Prod(ZERO, Sum(TWO, ONE)))
+    h = t_h(c, b)
+    anns = {n.operand for n in _walk(h) if isinstance(n, Factorz)}
+    assert anns == {Sum(TWO, ONE), Sum(ONE, TWO)}
+    assert typecheck(h, Sum(ONE, b), "hpi").dst == Sum(ONE, typecheck(c, b).dst)
+    assert t_h_lower(h, b)[0] == Sum(ONE, Sum(Prod(ZERO, Sum(TWO, ONE)), Prod(ZERO, Sum(ONE, TWO))))
+
+
 def test_t_h_general_product():
     c = ProdC(HAD, SumC(NEG1, ID))
     b = Prod(TWO, Sum(ONE, ONE))
@@ -458,7 +481,9 @@ def test_t_h_of_id_times_a_deep_type_needs_no_recursion():
         h = t_h(c, b)
     finally:
         sys.setrecursionlimit(saved)
-    assert t_h_sem(h, b) == pad(sem(c, b))
+    dst, ops = t_h_lower(h, b)
+    assert dst == Sum(ONE, typecheck(c, b).dst)
+    assert program_matrix(ops, hdim(b) + 1) == pad(sem(c, b))
 
 
 def test_t_h_deep_chain():
@@ -493,6 +518,68 @@ def test_t_h_output_text_is_pinned():
         for b, c in _hpi_corpus()
     )
     assert hashlib.sha256(text.encode()).hexdigest() == HPI_GOLDEN_SHA256
+
+
+def _distinct(c) -> list:
+    """Every distinct node object of c, once."""
+    seen, out, stack = set(), [], [c]
+    while stack:
+        x = stack.pop()
+        if id(x) not in seen:
+            seen.add(id(x))
+            out.append(x)
+            if isinstance(x, Seq):
+                stack += (x.fst, x.snd)
+            elif isinstance(x, (SumC, ProdC)):
+                stack += (x.left, x.right)
+    return out
+
+
+def test_t_h_shares_its_fixed_fragments():
+    hs = [t_h(c, QUBITS3) for c in qubit_circuits()]
+    tree = sum(_node_counts(h)[0] for h in hs)
+    distinct = sum(_node_counts(h)[1] for h in hs)
+    # 9,575 composites in the trees, 3,691 distinct when each fixed
+    # fragment and each primitive's translation was built at every use,
+    # 2,596 when they are shared
+    assert tree == 9575 and distinct <= 2596, distinct
+    assert sum(len(_distinct(h)) for h in hs) <= 2903
+
+
+def _t_q_corpus():
+    """A seeded word of 2n generators at each n = 1..40."""
+    rng = random.Random(2810)
+    out = []
+    for n in range(1, 41):
+        gens = []
+        for _ in range(2 * n):
+            if n == 1 or rng.random() < 1 / 3:
+                gens.append(gen_z(rng.randint(1, n)))
+            else:
+                b, c = sorted(rng.sample(range(1, n + 1), 2))
+                gens.append(rng.choice((gen_x, gen_h))(b, c))
+        out.append(Word(n, tuple(gens)))
+    return out
+
+
+# sha256 of the printed programs of the corpus above, recorded before t_q
+# built each rung as one sum around the rung above it
+TQ_GOLDEN_SHA256 = "8a21309fd211b2f70bd51d9a625558767ec8f9897bfb8b0b5182cf1d05e2fb7c"
+
+
+def test_t_q_output_text_is_pinned():
+    text = "".join(format_term(t_q(w)) + "\n" for w in _t_q_corpus())
+    assert hashlib.sha256(text.encode()).hexdigest() == TQ_GOLDEN_SHA256
+
+
+def test_t_q_rungs_take_a_sum_each():
+    n = 1000
+    sums = [x for x in _distinct(t_q(Word(n, (gen_z(1),)))) if isinstance(x, SumC)]
+    # rungs 2..n-2 are one sum each; the last rung (ids around swap+) and
+    # the neg1 tail are chains of n-2 and n-1 sums with leaves of their
+    # own, so 3n-5 is the least of any program printing this text.  It was
+    # about n^2/2 (500,498) when each rung was its own chain of ids
+    assert len(sums) == 3 * n - 5, len(sums)
 
 
 def _unshared(c):

@@ -479,6 +479,8 @@ def test_parse_and_format_word():
     assert parse_word("n=2 eps") == Word(2, ())
     assert parse_word("n=2 ε") == Word(2, ())
     assert format_word(Word(2, ())) == "n=2 eps"
+    # the empty word on 0, which normalize and synth print, reads back
+    assert parse_word(format_word(Word(0, ()))) == Word(0, ())
     # multi-line input is fine
     assert parse_word("n=2\nH[1,2]\nH[1,2]") == Word(2, (gen_h(1, 2),) * 2)
 
