@@ -44,7 +44,7 @@ from .synthesis import (
     synthesize,
     word_equivalence,
 )
-from .translate import TranslateError, TranslationReport, qsem, t_h, t_h_lower, t_q, wsem
+from .translate import TranslateError, TranslationReport, qsem, t_h, t_h_lower, t_q
 from .words import (
     CATALOG,
     Word,
@@ -53,12 +53,14 @@ from .words import (
     parse_derivation,
     parse_word,
     program_matrix,
+    program_word,
     replay,
     verify_relation,
     word_sem,
 )
 
-# re-exported unused: hadpibench/tracing.py patches this binding
+# re-exported unused: hadpibench/tracing.py patches these bindings
+from .translate import wsem  # noqa: F401
 from .words import apply_step  # noqa: F401
 
 
@@ -132,10 +134,13 @@ def cmd_synth(args) -> int:
     text = _read_input(args.matrix)
     if "\n" not in text:
         text = text.replace("/", "\n")
-    trace = synthesize(_parsed(parse_matrix, text))
+    m = _parsed(parse_matrix, text)
+    if not args.trace:
+        print(format_word(normal_form_word(m)))
+        return 0
+    trace = synthesize(m)
     print(format_word(_trace_word(trace)))
-    if args.trace:
-        print(format_trace(trace))
+    print(format_trace(trace))
     return 0
 
 
@@ -212,8 +217,11 @@ def cmd_translate(args) -> int:
     if src in ("qpi", "hpi") and dst == "words":
         c = _term_arg(args.input, src)
         b = _source_type(args, c)
-        out = wsem(c, b)
-        TranslationReport(c, out, sem(c, b), word_sem(out))
+        # lowered once: the word and the matrix it is checked against are
+        # both read off the one program
+        ops, n = lower(c, b)[1], hdim(b)
+        out = program_word(ops, n)
+        TranslationReport(c, out, program_matrix(ops, n), word_sem(out))
     elif src == "words" and dst == "qpi":
         w = _word_arg(args.input)
         out = t_q(w)

@@ -14,7 +14,9 @@ Every emitted syllable strictly decreases the level triple, and every
 choice depends on the matrix alone, which is what makes the output word
 canonical.  The normal form reads the inverted syllables through the
 signed relabelling of words._run, so their X and Z moves cost no
-generators but one signed permutation word (see _trace_word).
+generators but one signed permutation word (see _trace_word).  A signed
+permutation matrix, whose trace would hold no H, is read off its signed
+labels with no synthesis (see normal_form_word).
 
 The loop works on the active column j.  It keeps that column as
 numerators at its exponent, so a syllable updates it in O(1) and one O(n)
@@ -225,8 +227,41 @@ def normal_form_word(M: ExactMatrix) -> Word:
     multiply out to M itself.  Determinism of the synthesis and of the
     relabelling makes the result canonical: equal matrices yield
     token-identical words.
+
+    A signed permutation matrix, which is every orthogonal matrix at lde
+    0, is read off its signed labels instead (_signed_labels), with no
+    synthesis: its trace holds no H, so the relabelling alone makes the
+    trace word's normal form, words.label_word of those labels.  Any other
+    matrix, one that is not orthogonal included, is synthesized.
     """
+    at = _signed_labels(M)
+    if at is not None:
+        return Word(M.n, tuple(words.label_word(at)))
     return _trace_word(synthesize(M))
+
+
+def _signed_labels(M: ExactMatrix) -> list[int] | None:
+    """The signed labels of M if it is exactly a signed permutation matrix,
+    else None: row r (from 0) of M is +-e_|at[r]|, with the sign of at[r].
+    Exactly means lde 0, no rt2 part, one +-1 per row and each column hit
+    once; an integer matrix is orthogonal only in that case."""
+    n, aa = M.n, M.aa
+    if M.k or any(M.bb):
+        return None
+    at = []
+    for i in range(n):
+        row = aa[i * n : i * n + n]
+        if row.count(0) != n - 1:
+            return None
+        if 1 in row:
+            at.append(row.index(1) + 1)
+        elif -1 in row:
+            at.append(-row.index(-1) - 1)
+        else:
+            return None
+    if len(set(map(abs, at))) != n:
+        return None
+    return at
 
 
 class Equivalence(NamedTuple):

@@ -18,6 +18,8 @@ The module also holds _run, the one evaluator of a program of placed
 primitives, which keeps a signed relabelling of the rows, and its
 readers: program_matrix (lang.sem) and program_word (translate.wsem, and
 the normal forms of synthesis, read as a program by word_program).
+label_word writes the word of a signed relabelling; program_word ends
+with it, and synthesis reads a signed permutation matrix through it.
 """
 
 from __future__ import annotations
@@ -151,8 +153,15 @@ def program_matrix(ops: list[tuple], n: int) -> ExactMatrix:
     """The matrix of a program of placed primitives on n rows, read off
     _run: its H generators applied as row operations in application order,
     then program row r takes the rows of physical row |at[r]|, negated
-    when at[r] < 0."""
+    when at[r] < 0.  A program whose run emits no H (one without had, or
+    whose H pairs all cancel) denotes the signed permutation of at alone,
+    which is built directly, with no row operations."""
     gens, at = _run(ops, n)
+    if not gens:
+        aa = [0] * (n * n)
+        for r, a in enumerate(at):
+            aa[r * n + abs(a) - 1] = 1 if a > 0 else -1
+        return ExactMatrix(n, 0, aa, [0] * (n * n))
     state = RowState.identity(n)
     ks, ra, rb = state.ks, state.ra, state.rb
     for g in gens:
@@ -167,20 +176,27 @@ def program_matrix(ops: list[tuple], n: int) -> ExactMatrix:
 
 def program_word(ops: list[tuple], n: int) -> Word:
     """The word of a program of placed primitives on n rows, read off _run:
-    a Z per program row whose final label is negative, one permutation
-    word of the final relabelling, then the H generators in word order,
-    the last one applied first."""
+    the word of its final relabelling (label_word), then the H generators
+    in word order, the last one applied first."""
     gens, at = _run(ops, n)
+    return Word(n, tuple(label_word(at) + gens[::-1]))
+
+
+def label_word(at: Sequence[int]) -> list[Generator]:
+    """The word of a signed relabelling, the normal form of its signed
+    permutation matrix: a Z per row r (from 1) whose label at[r-1] is
+    negative, then one permutation word sending e_|at[r-1]| to e_r.  Row r
+    of the matrix is +-e_|at[r-1]|, with the sign of the label.  program_word
+    ends with it, and synthesis.normal_form_word reads a signed
+    permutation matrix through it alone, with no synthesis."""
     word = []
-    perm = [0] * n
-    for r, a in enumerate(at, 1):  # program row r holds +-row |a|
+    perm = [0] * len(at)
+    for r, a in enumerate(at, 1):
         if a < 0:
             word.append(Generator("Z", (r,)))
             a = -a
         perm[a - 1] = r
-    word += permutation_word(perm)
-    word += reversed(gens)
-    return Word(n, tuple(word))
+    return word + permutation_word(perm)
 
 
 # the primitive that acts as each generator on its rows

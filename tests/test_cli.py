@@ -382,13 +382,21 @@ def test_synth_runs_synthesis_once(capsys, monkeypatch):
 
     monkeypatch.setattr(hadpi.cli, "synthesize", counted)
     monkeypatch.setattr(hadpi.synthesis, "synthesize", counted)
-    matrix = format_matrix(word_sem(parse_word("n=3 H[1,2] X[2,3] H[1,3] Z[2]")))
+    matrix = format_matrix(word_sem(parse_word("n=3 H[1,2] X[2,3] H[2,3] Z[2]")))
     code, plain, _ = run(capsys, "synth", matrix)
     assert code == 0 and len(calls) == 1
     code, traced, _ = run(capsys, "synth", matrix, "--trace")
     assert code == 0 and len(calls) == 2
     assert traced.startswith(plain)
     assert traced.splitlines()[1].startswith("# initial level")
+    # this word's H generators cancel: its signed permutation matrix is read
+    # off its labels, and only --trace synthesizes it
+    matrix = format_matrix(word_sem(parse_word("n=3 H[1,2] X[2,3] H[1,3] Z[2]")))
+    code, plain, _ = run(capsys, "synth", matrix)
+    assert code == 0 and len(calls) == 2
+    code, traced, _ = run(capsys, "synth", matrix, "--trace")
+    assert code == 0 and len(calls) == 3
+    assert traced.startswith(plain)
 
 
 def test_synth_prints_the_normal_form(capsys):

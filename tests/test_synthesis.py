@@ -3,21 +3,24 @@
 from __future__ import annotations
 
 import random
+from itertools import permutations, product
 
 import pytest
 from oracles import generator_matrix, oracle_level, oracle_synthesize
 from test_synthesis_golden import CASES, golden_word
 
 from hadpi.linalg import ExactMatrix, Generator, Level, RowState, gen_h, gen_x, gen_z
+import hadpi.synthesis
 from hadpi.synthesis import (
     SynthesisError,
+    _trace_word,
     format_trace,
     hpermute,
     normal_form_word,
     permutation_matrix,
     synthesize,
 )
-from hadpi.words import Word, format_word, parse_word, permutation_word, word_sem
+from hadpi.words import Word, format_word, label_word, parse_word, permutation_word, word_sem
 
 
 def rand_word(rng: random.Random, n: int, max_len: int = 40) -> Word:
@@ -289,6 +292,62 @@ def test_normal_form_relabels_a_signed_permutation_away():
     M = word_sem(parse_word("n=2 Z[1] H[1,2]"))
     assert [str(s) for s in synthesize(M).syllables] == ["H[1,2]", "X[1,2] Z[1]", "Z[1]"]
     assert format_word(normal_form_word(M)) == "n=2 Z[1] H[1,2]"
+
+
+def _signed_permutation(at: list[int]) -> ExactMatrix:
+    """The matrix whose row r (from 0) is +-e_|at[r]|, signed as at[r]."""
+    n = len(at)
+    aa = [0] * (n * n)
+    for r, a in enumerate(at):
+        aa[r * n + abs(a) - 1] = 1 if a > 0 else -1
+    return ExactMatrix(n, 0, aa, [0] * (n * n))
+
+
+def test_signed_permutation_normal_form_is_read_off_its_labels(monkeypatch):
+    # every signed permutation at n <= 4 (n = 0 included) and seeded random
+    # ones up to n = 64: the labels give the synthesized normal form
+    labellings = [
+        [s * p for s, p in zip(signs, perm)]
+        for n in range(5)
+        for perm in permutations(range(1, n + 1))
+        for signs in product((1, -1), repeat=n)
+    ]
+    rng = random.Random(157)
+    for n in (5, 8, 13, 16, 24, 32, 47, 64) * 3:
+        perm = rng.sample(range(1, n + 1), n)
+        labellings.append([p * rng.choice((1, -1)) for p in perm])
+    assert len(labellings) == 1 + 2 + 8 + 48 + 384 + 24
+    matrices = [_signed_permutation(at) for at in labellings]
+    want = [_trace_word(synthesize(M)) for M in matrices]
+
+    def no_synthesis(M):
+        raise AssertionError("a signed permutation was synthesized")
+
+    monkeypatch.setattr(hadpi.synthesis, "synthesize", no_synthesis)
+    for at, M, nf in zip(labellings, matrices, want):
+        got = normal_form_word(M)
+        assert format_word(got) == format_word(nf) and got == nf
+        assert got == Word(len(at), tuple(label_word(at)))
+
+
+@pytest.mark.parametrize(
+    "n, aa, bb",
+    [
+        (2, [1, 1, 0, 1], [0] * 4),  # two +-1 in a row
+        (2, [1, 0, 0, 2], [0] * 4),  # an entry 2
+        (2, [1, 0, 0, 1], [0, 0, 0, 1]),  # a nonzero rt2 part at lde 0
+        (3, [1, 0, 0, 0, 0, -1, 0, 0, 1], [0] * 9),  # a repeated column
+        (3, [0, 1, 0, 0, 0, 0, 1, 0, 0], [0] * 9),  # a zero row
+    ],
+)
+def test_lde_0_matrix_that_is_no_signed_permutation_is_synthesized(n, aa, bb):
+    M = ExactMatrix(n, 0, aa, bb)
+    assert M.k == 0
+    with pytest.raises(SynthesisError) as synthesized:
+        synthesize(M)
+    with pytest.raises(SynthesisError) as read:
+        normal_form_word(M)
+    assert str(read.value) == str(synthesized.value) == "synthesis requires an orthogonal matrix"
 
 
 # (n, seed) of golden_word(n, 4n, seed) words whose normal forms under the

@@ -106,14 +106,41 @@ def test_program_matrix_of_a_word_program_is_the_product(monkeypatch):
     rng = random.Random(229)
     cases = [Word(1, (gen_z(1),) * rng.randint(0, 3)) for _ in range(5)]
     cases += [rand_word(rng, rng.randint(2, 8)) for _ in range(200)]
+    with_h = 0
     for w in cases:
-        assert words.program_matrix(words.word_program(w.gens), w.n) == _product(w), format_word(w)
-    assert len(states) == len(cases)
+        program = words.word_program(w.gens)
+        assert words.program_matrix(program, w.n) == _product(w), format_word(w)
+        # a run with no H builds its signed permutation with no row state
+        with_h += bool(words._run(program, w.n)[0])
+    assert 0 < with_h < len(cases) and len(states) == with_h
     for state in states:
         # the final relabelling moves each row's lists once and rebuilds a
         # negated row, so no two rows share a list
         rows = state.ra + state.rb
         assert len({id(r) for r in rows}) == len(rows)
+
+
+def test_program_matrix_of_an_h_free_program_is_the_product(monkeypatch):
+    # words of X and Z, and words whose H pairs all cancel in the run
+    def no_row_state(state):
+        raise AssertionError("an H-free program took the row operations")
+
+    monkeypatch.setattr(RowState, "snapshot", no_row_state)
+    rng = random.Random(233)
+    cases = [Word(0, ()), Word(1, ()), Word(1, (gen_z(1),))]
+    for _ in range(150):
+        n = rng.randint(2, 9)
+        w = rand_word(rng, n)
+        gens = [g for g in w.gens if g.kind != "H"]
+        if rng.random() < 0.5:
+            b, c = sorted(rng.sample(range(1, n + 1), 2))
+            at = rng.randint(0, len(gens))
+            gens[at:at] = [gen_h(b, c), gen_h(b, c)]
+        cases.append(Word(n, tuple(gens)))
+    for w in cases:
+        program = words.word_program(w.gens)
+        assert words._run(program, w.n)[0] == []
+        assert words.program_matrix(program, w.n) == _product(w), format_word(w)
 
 
 def test_word_sem_validates_indices():
