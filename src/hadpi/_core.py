@@ -1,13 +1,12 @@
 """Arithmetic kernels for coefficient lists.
 
-An ExactMatrix over Z[1/rt2] is carried as a shared exponent k plus two
-flat row-major lists aa, bb holding the integer and rt2 coefficients of
-the numerators; a linalg.RowState holds each row as its own pair of lists
-at its own exponent.  Evaluation and synthesis apply row operations
-(linalg.RowState), so reduce_nums, applied to a row, a column or a whole
-matrix, is the one kernel on their path; mat_mul_nums serves dense
-products, such as the orthogonality check that runs when synthesis fails;
-kron_nums serves ExactMatrix.tensor, which only the tests call.
+A linalg.ExactMatrix over Z[1/rt2] holds each row as its own pair of
+tuples, the integer and rt2 coefficients of its numerators, at its own
+exponent; its dense operations read a flat row-major view of those lists
+at one shared exponent.  Evaluation and synthesis apply row operations
+(linalg.apply_generator_rows), so reduce_nums, applied to a row or a
+column, is the one kernel on their path; mat_mul_nums and kron_nums serve
+ExactMatrix.matmul and ExactMatrix.tensor, which only the tests call.
 Coefficients must stay Python ints: entries grow with the exponent and
 overflow any fixed width.
 """

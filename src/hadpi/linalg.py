@@ -1,17 +1,19 @@
 """Exact matrices over Z[1/rt2] and the level ordering used by synthesis.
 
-A matrix is stored as rt2^-k times an integer combination: one shared
-exponent k plus flat row-major coefficient tuples.  The representation is
-canonical (k is the least denominator exponent of the whole matrix), so
-equality is plain tuple comparison.  RowState, the evaluator that row
-operations act on, keeps each row as its own pair of lists at its own
-exponent instead.  Public indices are 1-based, matching the generator
-notation Z[a], X[b,c], H[b,c].
+A matrix holds each row as its own pair of integer tuples at its own
+least rt2 exponent.  That form is canonical, so equality compares rows.
+Row operations (apply_generator_rows), the one evaluator that words,
+programs and synthesis share, act on the rows, and new matrices are built
+from the rows they leave with no lift and no reduction.  The dense
+operations (matmul, tensor, transpose, m_level_embed, format_matrix,
+to_float) read one derived flat view, every row lifted to the lde; no
+other module of the package reads it.  Public indices are 1-based,
+matching the generator notation Z[a], X[b,c], H[b,c].
 """
 
 from __future__ import annotations
 
-from operator import add, itemgetter, neg, sub
+from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple, Sequence
 
 from ._core import kron_nums, mat_mul_nums, reduce_nums
@@ -32,84 +34,136 @@ MAX_DIM = 1024
 
 
 class ExactMatrix:
-    """Square matrix rt2^-k * (aa + bb*rt2), canonical shared exponent."""
+    """Square matrix over Z[1/rt2] held by rows: row i is
+    rt2^-ks[i] * (ra[i] + rb[i]*rt2), each row at its own least exponent.
 
-    __slots__ = ("n", "k", "aa", "bb")
+    The form is canonical, so equality compares rows, and the lde k is the
+    largest row exponent.  Rows are shared between matrices (row operations
+    move them by reference), so no code may edit a row in place: each row
+    is a tuple, and no code edits the lists ks, ra or rb of a matrix once
+    it is handed out.
+    """
+
+    __slots__ = ("n", "ks", "ra", "rb")
 
     def __init__(self, n: int, k: int, aa: Sequence[int], bb: Sequence[int]):
+        """The matrix rt2^-k * (aa + bb*rt2) of flat row-major numerators,
+        each row reduced to its own least exponent."""
         # n = 0 is legal: Zero-typed program paths denote empty blocks
         if not (n >= 0 and k >= 0 and len(aa) == n * n and len(bb) == n * n):
             raise LinAlgError(
                 f"bad matrix data: n={n}, k={k}, {len(aa)} and {len(bb)} coefficients"
             )
-        k, aa, bb = reduce_nums(k, aa, bb)
         self.n = n
-        self.k = k
-        self.aa = tuple(aa)
-        self.bb = tuple(bb)
+        ks, ra, rb = self.ks, self.ra, self.rb = [], [], []
+        for i in range(n):
+            ki, a, b = reduce_nums(k, aa[i * n : i * n + n], bb[i * n : i * n + n])
+            ks.append(ki)
+            ra.append(tuple(a))
+            rb.append(tuple(b))
+
+    @classmethod
+    def from_rows(
+        cls, ks: list[int], ra: Sequence[Sequence[int]], rb: Sequence[Sequence[int]]
+    ) -> "ExactMatrix":
+        """The matrix of rows already at their least exponents, neither
+        lifted nor reduced.  ks and each tuple row are taken by reference;
+        a row list, as row operations build them, is frozen into a tuple."""
+        M = cls.__new__(cls)
+        M.n, M.ks, M.ra, M.rb = len(ks), ks, list(map(tuple, ra)), list(map(tuple, rb))
+        return M
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        aa = [0] * (n * n)
-        for i in range(n):
-            aa[i * n + i] = 1
-        return cls(n, 0, aa, [0] * (n * n))
+        zero = (0,) * n
+        ra = [zero[:i] + (1,) + zero[i + 1 :] for i in range(n)]
+        return cls.from_rows([0] * n, ra, [zero] * n)
+
+    @property
+    def k(self) -> int:
+        """The lde of the matrix: its largest row exponent."""
+        return max(self.ks, default=0)
+
+    def flat(self) -> tuple[list[int], list[int]]:
+        """Flat row-major numerators aa, bb at the exponent k: entry (i, j)
+        is rt2^-k * (aa[i*n + j] + bb[i*n + j]*rt2)."""
+        top, aa, bb = self.k, [], []
+        for k, ra, rb in zip(self.ks, self.ra, self.rb):
+            a, b = _lift(ra, rb, top - k)
+            aa += a
+            bb += b
+        return aa, bb
 
     def matmul(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.n != other.n:
             raise LinAlgError(f"dimension mismatch {self.n} vs {other.n}")
-        ca, cb = mat_mul_nums(self.n, self.aa, self.bb, other.aa, other.bb)
+        ca, cb = mat_mul_nums(self.n, *self.flat(), *other.flat())
         return ExactMatrix(self.n, self.k + other.k, ca, cb)
 
     __matmul__ = matmul
 
     def transpose(self) -> "ExactMatrix":
         n = self.n
-        aa = [self.aa[j * n + i] for i in range(n) for j in range(n)]
-        bb = [self.bb[j * n + i] for i in range(n) for j in range(n)]
-        return ExactMatrix(n, self.k, aa, bb)
+        aa, bb = self.flat()
+        # aa[j::n] is column j
+        at = [a for j in range(n) for a in aa[j::n]]
+        return ExactMatrix(n, self.k, at, [b for j in range(n) for b in bb[j::n]])
 
     def direct_sum(self, other: "ExactMatrix") -> "ExactMatrix":
-        n = self.n + other.n
-        k = max(self.k, other.k)
-        aa = [0] * (n * n)
-        bb = [0] * (n * n)
-        for block, off in ((self, 0), (other, self.n)):
-            m = block.n
-            ba, bl = _lift(block.aa, block.bb, k - block.k)
-            for i in range(m):
-                q = (i + off) * n + off
-                aa[q : q + m] = ba[i * m : i * m + m]
-                bb[q : q + m] = bl[i * m : i * m + m]
-        return ExactMatrix(n, k, aa, bb)
+        # zeros padding a row leave its least exponent as it is
+        right, left = (0,) * other.n, (0,) * self.n
+        return ExactMatrix.from_rows(
+            self.ks + other.ks,
+            [r + right for r in self.ra] + [left + r for r in other.ra],
+            [r + right for r in self.rb] + [left + r for r in other.rb],
+        )
 
     def tensor(self, other: "ExactMatrix") -> "ExactMatrix":
-        ca, cb = kron_nums(self.n, self.aa, self.bb, other.n, other.aa, other.bb)
+        ca, cb = kron_nums(self.n, *self.flat(), other.n, *other.flat())
         return ExactMatrix(self.n * other.n, self.k + other.k, ca, cb)
 
     def is_identity(self) -> bool:
-        if self.k != 0 or any(self.bb):
-            return False
+        """Read off the rows: each is at its least exponent, so row i must
+        be e_i at exponent 0."""
         n = self.n
-        return all(
-            self.aa[i * n + j] == (1 if i == j else 0)
-            for i in range(n)
-            for j in range(n)
+        return (
+            not any(self.ks)
+            and all(r.count(0) == n for r in self.rb)
+            and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.ra))
         )
 
     def is_orthogonal(self) -> bool:
-        return self.transpose().matmul(self).is_identity()
+        """Whether M Mt = I, which for a square M gives Mt M = I too.  The
+        entries of M Mt are taken one row pair at a time, and the first one
+        off the identity decides."""
+        ra, rb = self.ra, self.rb
+        for i, (k, a, b) in enumerate(zip(self.ks, ra, rb), 1):
+            # row i dotted with itself, rt2^-2k * ((a.a + 2 b.b) + 2 a.b*rt2),
+            # is 1 exactly when a.b = 0 and a.a + 2 b.b = 2^k: a power of two
+            # of bit length k + 1, tested without building 2^k
+            s = sum(map(mul, a, a)) + 2 * sum(map(mul, b, b))
+            if sum(map(mul, a, b)) or s & (s - 1) or s.bit_length() != k + 1:
+                return False
+            # row i dotted with a later row: both parts must vanish
+            for c, d in zip(ra[i:], rb[i:]):
+                if sum(map(mul, a, c)) + 2 * sum(map(mul, b, d)):
+                    return False
+                if sum(map(mul, a, d)) + sum(map(mul, b, c)):
+                    return False
+        return True
 
     def to_float(self) -> list[list[float]]:
         # an entry is p + q*rt2 with p, q dyadic: a/2^h and b/2^h for k = 2h,
         # b/2^h and a/2^(h+1) for k = 2h+1.  The Galois conjugate of an
         # orthogonal matrix is orthogonal, so |p| and |q| are at most 1, and
         # integer true division rounds them correctly without overflow.
-        n, h = self.n, 2 ** (self.k // 2)
-        if self.k % 2 == 0:
-            ps, qs, qh = self.aa, self.bb, h
+        n, k = self.n, self.k
+        aa, bb = self.flat()
+        h = 2 ** (k // 2)
+        if k % 2 == 0:
+            ps, qs, qh = aa, bb, h
         else:
-            ps, qs, qh = self.bb, self.aa, 2 * h
+            ps, qs, qh = bb, aa, 2 * h
         return [
             [ps[i * n + j] / h + qs[i * n + j] / qh * SQRT2 for j in range(n)] for i in range(n)
         ]
@@ -118,13 +172,13 @@ class ExactMatrix:
         return (
             isinstance(other, ExactMatrix)
             and self.n == other.n
-            and self.k == other.k
-            and self.aa == other.aa
-            and self.bb == other.bb
+            and self.ks == other.ks
+            and self.ra == other.ra
+            and self.rb == other.rb
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.k, self.aa, self.bb))
+        return hash((self.n, tuple(self.ks), tuple(self.ra), tuple(self.rb)))
 
     def __repr__(self) -> str:
         return f"ExactMatrix(n={self.n}, k={self.k})"
@@ -141,6 +195,7 @@ def m_level_embed(small: ExactMatrix, rows: Sequence[int], n: int) -> ExactMatri
         raise LinAlgError("index list must have one distinct entry per row")
     if not all(1 <= r <= n for r in rows):
         raise LinAlgError(f"indices must lie in 1..{n}")
+    sa, sb = small.flat()
     (one_a,), (one_b,) = _lift([1], [0], small.k)
     aa = [0] * (n * n)
     bb = [0] * (n * n)
@@ -150,8 +205,8 @@ def m_level_embed(small: ExactMatrix, rows: Sequence[int], n: int) -> ExactMatri
     for p in range(m):
         for q in range(m):
             t = (rows[p] - 1) * n + (rows[q] - 1)
-            aa[t] = small.aa[p * m + q]
-            bb[t] = small.bb[p * m + q]
+            aa[t] = sa[p * m + q]
+            bb[t] = sb[p * m + q]
     return ExactMatrix(n, small.k, aa, bb)
 
 
@@ -170,15 +225,16 @@ class Level(NamedTuple):
 
 
 def _level_unchecked(
-    state: "RowState", top: int = 0
+    ks: list[int], ra: list[Sequence[int]], rb: list[Sequence[int]], top: int = 0
 ) -> tuple[Level, list[int], list[int]]:
-    """Level of the orthogonal matrix held by state, with the numerators
-    ca, cb of column Level.j scaled by rt2^Level.k (empty for the identity).
+    """Level of the orthogonal matrix of rows ks, ra, rb (as held by an
+    ExactMatrix), with the numerators ca, cb of column Level.j scaled by
+    rt2^Level.k (empty for the identity).
 
     Columns are scanned from top (default n) down; the caller vouches that
     every column above top is a unit column.
     """
-    n, ks, ra, rb = state.n, state.ks, state.ra, state.rb
+    n = len(ks)
     for j in range(top or n, 0, -1):
         p = j - 1
         entry = itemgetter(p)
@@ -236,16 +292,16 @@ def _lift(
 
 
 def apply_generator_rows(
-    g: Generator, ks: list[int], ra: list[list[int]], rb: list[list[int]]
+    g: Generator, ks: list[int], ra: list[Sequence[int]], rb: list[Sequence[int]]
 ) -> None:
-    """Left-multiply the row state by g in place: row i is
-    rt2^-ks[i] * (ra[i] + rb[i]*rt2).
+    """Left-multiply the rows of a matrix by g, replacing entries of the
+    caller's lists ks, ra, rb: row i is rt2^-ks[i] * (ra[i] + rb[i]*rt2).
 
     Z negates a row, X swaps two rows with their exponents, H sends rows
     (r1, r2) to ((r1+r2)/rt2, (r1-r2)/rt2).  Only those rows change, and
     each keeps its own least exponent.  X moves references in O(1); Z and H
-    build new row lists in O(n) and never edit a row list in place, so
-    rows that X has swapped stay independent.
+    build new row lists in O(n) and never edit a row in place, so a row
+    that another matrix shares stays as it is.
     """
     kind, idx = g
     i1 = idx[0] - 1
@@ -279,72 +335,6 @@ def apply_generator_rows(
             return
     ks[i1], ra[i1], rb[i1] = reduce_nums(k + 1, sa, sb)
     ks[i2], ra[i2], rb[i2] = reduce_nums(k + 1, da, db)
-
-
-class RowState:
-    """Mutable matrix under row operations: the one evaluator that
-    word_sem, lang.sem and synthesis left-multiply in place.
-
-    Row i is rt2^-ks[i] * (ra[i] + rb[i]*rt2), each row its own pair of
-    lists at its own least exponent, so a generator touches only its rows
-    and X only swaps references.  No two rows share a list object.
-    RowState(M) reduces every row of M; RowState.identity(n), the start of
-    every evaluation, is built reduced.
-    """
-
-    __slots__ = ("n", "ks", "ra", "rb")
-
-    def __init__(self, M: ExactMatrix):
-        n = self.n = M.n
-        self.ks, self.ra, self.rb = [], [], []
-        for i in range(n):
-            k, ra, rb = reduce_nums(
-                M.k, list(M.aa[i * n : i * n + n]), list(M.bb[i * n : i * n + n])
-            )
-            self.ks.append(k)
-            self.ra.append(ra)
-            self.rb.append(rb)
-
-    @classmethod
-    def identity(cls, n: int) -> "RowState":
-        """The n x n identity: every row at exponent 0, so none needs reducing."""
-        state = cls.__new__(cls)
-        state.n, state.ks = n, [0] * n
-        state.ra = [[0] * n for _ in range(n)]
-        state.rb = [[0] * n for _ in range(n)]
-        for i, row in enumerate(state.ra):
-            row[i] = 1
-        return state
-
-    def snapshot(self) -> ExactMatrix:
-        """The matrix, every row lifted to the largest row exponent."""
-        n, top = self.n, max(self.ks, default=0)
-        aa, bb = [0] * (n * n), [0] * (n * n)
-        for i, (k, ra, rb) in enumerate(zip(self.ks, self.ra, self.rb)):
-            aa[i * n : i * n + n], bb[i * n : i * n + n] = _lift(ra, rb, top - k)
-        return ExactMatrix(n, top, aa, bb)
-
-    def is_identity(self) -> bool:
-        """Whether the state holds the identity, read off its rows: each row
-        is at its least exponent, so it must be e_i at exponent 0."""
-        n = self.n
-        return (
-            not any(self.ks)
-            and all(r.count(0) == n for r in self.rb)
-            and all(r[i] == 1 and r.count(0) == n - 1 for i, r in enumerate(self.ra))
-        )
-
-    def column(self, j: int) -> tuple[int, list[int], list[int]]:
-        """Column j (1-based) with its own least exponent k: numerators ca,
-        cb with entry i equal to rt2^-k * (ca[i] + cb[i]*rt2)."""
-        entry = itemgetter(j - 1)
-        return _reduced_column(self.ks, list(map(entry, self.ra)), list(map(entry, self.rb)))
-
-    def apply_word(self, gens: Sequence[Generator]) -> None:
-        """Left-multiply by the word's matrix: rightmost generator acts first."""
-        ks, ra, rb = self.ks, self.ra, self.rb
-        for g in reversed(gens):
-            apply_generator_rows(g, ks, ra, rb)
 
 
 def gen_z(a: int) -> Generator:
@@ -398,12 +388,13 @@ def format_matrix(M: ExactMatrix) -> str:
     """The dim/lde/rows dump format that parse_matrix reads; refuses an
     entry that parse_matrix would refuse for its length."""
     n = M.n
+    aa, bb = M.flat()
     out = [f"dim {n}", f"lde {M.k}"]
     for i in range(n):
         row = []
         for j in range(n):
             try:
-                row.append(format_ringint(RingInt(M.aa[i * n + j], M.bb[i * n + j])))
+                row.append(format_ringint(RingInt(aa[i * n + j], bb[i * n + j])))
             except RingError as exc:
                 raise LinAlgError(f"row {i + 1} entry {j + 1}: {exc}") from None
         out.append(" ".join(row))

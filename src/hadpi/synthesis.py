@@ -18,13 +18,16 @@ generators but one signed permutation word (see _trace_word).  A signed
 permutation matrix, whose trace would hold no H, is read off its signed
 labels with no synthesis (see normal_form_word).
 
-The loop works on the active column j.  It keeps that column as
-numerators at its exponent, so a syllable updates it in O(1) and one O(n)
-reduction follows each drop of the exponent.  Every syllable goes through
-RowState.apply_word: its X moves two row references, and its H builds
-the two new rows in O(n).  The matrix is scanned once per fixed column,
-and after each signed transposition or each syllable that touches a row
-past j (which only a matrix that is not orthogonal has); every scan
+The loop works on the rows of the input matrix, taken by reference, and
+on the active column j.  It keeps that column as numerators at its
+exponent, so a syllable updates it in O(1) and one O(n) reduction follows
+each drop of the exponent.  Every syllable goes through
+apply_generator_rows: its X moves two row references, and its H builds
+the two new rows in O(n), so the input matrix stays as it is.  Before
+any row operation, each row's exponent is checked against what a unit
+row allows.  The matrix is scanned once per fixed column, and after
+each signed transposition or each syllable that touches a row past j
+(which only a matrix that is not orthogonal has); every scan
 checks that the level went down.  The end state is tested for the
 identity on its rows.
 """
@@ -33,22 +36,13 @@ from __future__ import annotations
 
 from typing import NamedTuple, Sequence
 
-from .linalg import (
-    ExactMatrix,
-    Generator,
-    Level,
-    RowState,
-    _level_unchecked,
-    gen_x,
-    gen_z,
-)
+from .linalg import ExactMatrix, Generator, Level, _level_unchecked, gen_x, gen_z
 # words.word_sem is looked up per call, where hadpibench/tracing.py patches it
 from . import words
 from .words import Word, WordError
 
-# hadpibench/tracing.py patches these bindings; apply_generator_rows is
-# re-exported unused
-from .linalg import apply_generator_rows, reduce_nums  # noqa: F401
+# hadpibench/tracing.py patches these bindings
+from .linalg import apply_generator_rows, reduce_nums
 
 
 class SynthesisError(ValueError):
@@ -77,7 +71,7 @@ class Syllable(NamedTuple):
 
 
 class SynthesisTrace(NamedTuple):
-    """Emitted syllables with the level snapshot after each one.
+    """Emitted syllables with the level reached after each one.
 
     Multiplying the syllables onto the input in emission order reaches
     the identity: W_l ... W_1 M = I.
@@ -107,20 +101,24 @@ def synthesize(M: ExactMatrix) -> SynthesisTrace:
 
 def _synthesize(M: ExactMatrix) -> SynthesisTrace:
     n = M.n
-    # A unit column at exponent k has sum(a*a + 2*b*b) = 2^k, so k is at
-    # most 2*bits + log2(3n) for numerators of at most `bits` bits.  A larger
-    # k cannot be orthogonal, and the row operations would build numerators
-    # of k/2 bits from it.
-    bits = max(map(abs, M.aa + M.bb), default=0).bit_length()
-    if M.k > 2 * bits + (3 * n).bit_length():
-        raise SynthesisError("exponent too large for a unit column")
-    work = RowState(M)
+    # the rows of M by reference: row operations replace rows of these
+    # lists and never edit a row, so M stays as it is
+    ks, ra, rb = list(M.ks), list(M.ra), list(M.rb)
+    # Each row of an orthogonal matrix is a unit vector, and a unit vector
+    # at exponent k has sum(a*a + 2*b*b) = 2^k, so k is at most
+    # 2*bits + log2(3n) for numerators of at most `bits` bits.  A row past
+    # that cannot be orthogonal, and the row operations would build
+    # numerators of k/2 bits from it.
+    lim = (3 * n).bit_length()
+    for k, a, b in zip(ks, ra, rb):
+        if k > lim and k > 2 * max(map(abs, a + b)).bit_length() + lim:
+            raise SynthesisError("exponent too large for a unit column")
     syllables: list[Syllable] = []
     levels: list[Level] = []
     # the level names the column to fix next, j, and brings its numerators
     # ca, cb scaled by rt2^k; odd lists the rows whose ca is odd, in no
     # particular order
-    current, ca, cb = _level_unchecked(work)
+    current, ca, cb = _level_unchecked(ks, ra, rb)
     odd = _odd_rows(current.k, ca)
     initial = current
     while current.j:
@@ -135,7 +133,7 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
                 raise SynthesisError("positive exponent requires an odd entry")
             # the pair of one residue with the least row exponents: rows
             # p < q, brought to rows 1 and q by X[1,p]
-            pair = _pair(odd, cb, work.ks)
+            pair = _pair(odd, cb, ks)
             if pair is None:
                 raise SynthesisError("odd residues must pair up in a unit column")
             p, q = pair
@@ -151,7 +149,8 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
                 gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
             else:
                 gens = [gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)]
-        work.apply_word(gens)
+        for g in reversed(gens):
+            apply_generator_rows(g, ks, ra, rb)
         if k > 0 and q <= j:
             # The syllable leaves every unit column above j alone.  In
             # column j, X[1,p] swaps entries 1 and p and H[1,q] sends the
@@ -175,14 +174,14 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
             # c, and every column above j is a unit column, so the scan may
             # start at the higher of j and the top touched row.
             top = max(j, *(i for g in gens for i in g.idx))
-            lv, ca, cb = _level_unchecked(work, top)
+            lv, ca, cb = _level_unchecked(ks, ra, rb, top)
             odd = _odd_rows(lv.k, ca)
         if not lv < current:
             raise SynthesisError(f"syllable did not lower the level: {lv} !< {current}")
         current = lv
         syllables.append(Syllable(tuple(gens)))
         levels.append(lv)
-    if not work.is_identity():
+    if not ExactMatrix.from_rows(ks, ra, rb).is_identity():
         raise SynthesisError("synthesis did not reach identity")
     return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))
 
@@ -245,12 +244,11 @@ def _signed_labels(M: ExactMatrix) -> list[int] | None:
     else None: row r (from 0) of M is +-e_|at[r]|, with the sign of at[r].
     Exactly means lde 0, no rt2 part, one +-1 per row and each column hit
     once; an integer matrix is orthogonal only in that case."""
-    n, aa = M.n, M.aa
-    if M.k or any(M.bb):
+    n = M.n
+    if any(M.ks) or any(map(any, M.rb)):
         return None
     at = []
-    for i in range(n):
-        row = aa[i * n : i * n + n]
+    for row in M.ra:
         if row.count(0) != n - 1:
             return None
         if 1 in row:

@@ -20,6 +20,10 @@ readers: program_matrix (lang.sem) and program_word (translate.wsem, and
 the normal forms of synthesis, read as a program by word_program).
 label_word writes the word of a signed relabelling; program_word ends
 with it, and synthesis reads a signed permutation matrix through it.
+word_sem and program_matrix apply their generators as row operations
+(linalg.apply_generator_rows) to the rows of a new identity, and those
+rows, each at its own least exponent and frozen as a tuple, are the
+matrix they return.
 """
 
 from __future__ import annotations
@@ -28,10 +32,10 @@ import re
 from operator import neg
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .linalg import MAX_DIM, ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z
+from .linalg import MAX_DIM, ExactMatrix, Generator, gen_h, gen_x, gen_z
 from .ring import parse_natural
 
-# program_matrix looks apply_generator_rows up per call, where
+# word_sem and program_matrix look apply_generator_rows up per call, where
 # hadpibench/tracing.py patches it; m_level_embed is re-exported unused
 from .linalg import apply_generator_rows, m_level_embed  # noqa: F401
 
@@ -60,11 +64,15 @@ def _check(w: Word) -> None:
 
 
 def word_sem(w: Word) -> ExactMatrix:
-    """Exact product of the generator matrices in listed order."""
+    """Exact product of the generator matrices in listed order: the
+    generators act as row operations on the rows of a new identity, the
+    last one first."""
     _check(w)
-    state = RowState.identity(w.n)
-    state.apply_word(w.gens)
-    return state.snapshot()
+    identity = ExactMatrix.identity(w.n)
+    ks, ra, rb = identity.ks, identity.ra, identity.rb
+    for g in reversed(w.gens):
+        apply_generator_rows(g, ks, ra, rb)
+    return ExactMatrix.from_rows(ks, ra, rb)
 
 
 def support_ranks(indices: Iterable[int]) -> dict[int, int]:
@@ -80,11 +88,11 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
 # The signed relabelling.  A program of placed primitives is a list of
 # (name, offs, stride, n1, n2): the primitive acts on the rows o, o + stride,
 # ... (from 0) for each offset o, and n1, n2 are the block sizes of swap+
-# and swap* (see lang.lower).  A word reads as such a program too
-# (word_program).
+# and swap* (see lang.lower).  A word reads as such a program too, yielded
+# one primitive at a time (word_program).
 
 
-def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
+def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
     """The one evaluator of a program of placed primitives on n rows,
     read by program_matrix and program_word: its H generators in
     application order, each on ascending rows, and its final signed
@@ -149,32 +157,26 @@ def _run(ops: list[tuple], n: int) -> tuple[list[Generator], list[int]]:
     return [g for g in gens if g is not None], at
 
 
-def program_matrix(ops: list[tuple], n: int) -> ExactMatrix:
+def program_matrix(ops: Iterable[tuple], n: int) -> ExactMatrix:
     """The matrix of a program of placed primitives on n rows, read off
-    _run: its H generators applied as row operations in application order,
-    then program row r takes the rows of physical row |at[r]|, negated
-    when at[r] < 0.  A program whose run emits no H (one without had, or
-    whose H pairs all cancel) denotes the signed permutation of at alone,
-    which is built directly, with no row operations."""
+    _run: its H generators applied as row operations to the rows of the
+    identity in application order, then program row r takes the row of
+    physical row |at[r]|, negated when at[r] < 0.  A program whose run
+    emits no H (one without had, or whose H pairs all cancel) takes no row
+    operation: its signed permutation is the identity's rows relabelled."""
     gens, at = _run(ops, n)
-    if not gens:
-        aa = [0] * (n * n)
-        for r, a in enumerate(at):
-            aa[r * n + abs(a) - 1] = 1 if a > 0 else -1
-        return ExactMatrix(n, 0, aa, [0] * (n * n))
-    state = RowState.identity(n)
-    ks, ra, rb = state.ks, state.ra, state.rb
+    identity = ExactMatrix.identity(n)
+    ks, ra, rb = identity.ks, identity.ra, identity.rb
     for g in gens:
         apply_generator_rows(g, ks, ra, rb)
-    # at is a signed permutation, so each row list moves once and a negated
-    # one is rebuilt: no two rows share a list
-    state.ks = [ks[abs(a) - 1] for a in at]
-    state.ra = [ra[a - 1] if a > 0 else list(map(neg, ra[-a - 1])) for a in at]
-    state.rb = [rb[a - 1] if a > 0 else list(map(neg, rb[-a - 1])) for a in at]
-    return state.snapshot()
+    return ExactMatrix.from_rows(
+        [ks[abs(a) - 1] for a in at],
+        [ra[a - 1] if a > 0 else list(map(neg, ra[-a - 1])) for a in at],
+        [rb[a - 1] if a > 0 else list(map(neg, rb[-a - 1])) for a in at],
+    )
 
 
-def program_word(ops: list[tuple], n: int) -> Word:
+def program_word(ops: Iterable[tuple], n: int) -> Word:
     """The word of a program of placed primitives on n rows, read off _run:
     the word of its final relabelling (label_word), then the H generators
     in word order, the last one applied first."""
@@ -203,14 +205,16 @@ def label_word(at: Sequence[int]) -> list[Generator]:
 _PRIMITIVE = {"H": "had", "X": "swap+", "Z": "neg1"}
 
 
-def word_program(gens: Sequence[Generator]) -> list[tuple]:
+def word_program(gens: Sequence[Generator]) -> Iterator[tuple]:
     """The program of placed primitives of the word G1 ... Gl, Gl applied
     first: H[b,c] is had on rows b-1 and c-1, X[b,c] is swap+ of 1+1
-    there, and Z[a] is neg1 on row a-1, whose stride, 0, is not read."""
-    return [
+    there, and Z[a] is neg1 on row a-1, whose stride, 0, is not read.
+    _run reads a program once, so the primitives come one at a time and
+    the program of a long normal form is never held whole."""
+    return (
         (_PRIMITIVE[kind], (idx[0] - 1,), idx[-1] - idx[0], 1, 1)
         for kind, idx in reversed(gens)
-    ]
+    )
 
 
 def permutation_word(perm: Sequence[int]) -> list[Generator]:

@@ -84,12 +84,10 @@ def oracle_lde(*ws: FracRT2, bound: int = 200) -> int:
 
 
 def frac_of_matrix(M) -> list[list[FracRT2]]:
-    """The entries of an ExactMatrix, read from its n, k, aa, bb fields."""
-    n = M.n
-    return [
-        [FracRT2.of(M.aa[i * n + j], M.bb[i * n + j], M.k) for j in range(n)]
-        for i in range(n)
-    ]
+    """The entries of an ExactMatrix, read from its flat view at its lde k."""
+    n, k = M.n, M.k
+    aa, bb = M.flat()
+    return [[FracRT2.of(aa[i * n + j], bb[i * n + j], k) for j in range(n)] for i in range(n)]
 
 
 def frac_identity(n: int) -> list[list[FracRT2]]:

@@ -33,7 +33,7 @@ from hadpi.lang import (
     term_equivalence,
     typecheck,
 )
-from hadpi.linalg import ExactMatrix, RowState, m_level_embed
+from hadpi.linalg import ExactMatrix, _reduced_column, apply_generator_rows, m_level_embed
 from hadpi.synthesis import normal_form_word, synthesize
 from hadpi.translate import qsem, t_h, t_q, wsem
 from hadpi.words import (
@@ -385,9 +385,9 @@ def test_criterion_8_level2_law_suite():
 
 def test_criterion_9_ring_oracle_cross_check():
     """The exact arithmetic the product runs, against the rational oracle:
-    reduce_nums (each value and the least exponent of each row), the
-    H/Z/X row operations of RowState.apply_word and apply_generator_rows,
-    and RowState.column."""
+    reduce_nums (each value and the least exponent of each row of an
+    ExactMatrix), the H/Z/X row operations of apply_generator_rows, and
+    the columns of _reduced_column."""
     t0 = time.monotonic()
     rng = random.Random(999)
     over_rt2 = FracRT2(0, Fraction(1, 2))  # 1/rt2 = rt2/2
@@ -401,22 +401,21 @@ def test_criterion_9_ring_oracle_cross_check():
             aa, bb = [2 * b for b in bb], aa
         k = rng.randint(0, 18)
         F = [[FracRT2.of(aa[i * n + j], bb[i * n + j], k) for j in range(n)] for i in range(n)]
-        state = RowState(ExactMatrix(n, k, aa, bb))
+        M = ExactMatrix(n, k, aa, bb)
+        ks, ra, rb = list(M.ks), list(M.ra), list(M.rb)
         rows = list(range(n))
         for step in range(4):
             # every row after the reduction, then the rows each generator touched
             for i in rows:
-                row = [
-                    FracRT2.of(a, b, state.ks[i]) for a, b in zip(state.ra[i], state.rb[i])
-                ]
+                row = [FracRT2.of(a, b, ks[i]) for a, b in zip(ra[i], rb[i])]
                 assert len(row) == n
                 assert row == F[i]
-                assert state.ks[i] == oracle_lde(*row)
+                assert ks[i] == oracle_lde(*row)
                 checked += n + 1
             if step == 3:
                 break
             g = _rand_gen(rng, n)
-            state.apply_word([g])
+            apply_generator_rows(g, ks, ra, rb)
             rows = [i - 1 for i in g.idx]
             if g.kind == "Z":
                 F[rows[0]] = [-x for x in F[rows[0]]]
@@ -427,7 +426,7 @@ def test_criterion_9_ring_oracle_cross_check():
                 F[rows[0]] = [(x + y) * over_rt2 for x, y in zip(r1, r2)]
                 F[rows[1]] = [(x - y) * over_rt2 for x, y in zip(r1, r2)]
         j = rng.randint(1, n)
-        ck, ca, cb = state.column(j)
+        ck, ca, cb = _reduced_column(ks, [r[j - 1] for r in ra], [r[j - 1] for r in rb])
         col = [FracRT2.of(a, b, ck) for a, b in zip(ca, cb)]
         assert col == [F[i][j - 1] for i in range(n)]
         assert ck == oracle_lde(*col)

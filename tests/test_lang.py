@@ -48,7 +48,7 @@ from hadpi.lang import (
 import hadpi.lang
 import hadpi.linalg
 import hadpi.words
-from hadpi.linalg import ExactMatrix, Generator, RowState, m_level_embed
+from hadpi.linalg import ExactMatrix, Generator, _reduced_column, m_level_embed
 from hadpi.translate import TranslateError, TranslationReport, t_h, t_q, wsem
 from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
 from oracles import (
@@ -164,10 +164,11 @@ def test_sem_base_cases():
 
 def test_sem_swap_sum_blocks():
     # left block of size 2 rotates past the right block of size 3
-    m = RowState(sem(SWP, Sum(nsum(2), nsum(3))))
+    m = sem(SWP, Sum(nsum(2), nsum(3)))
     want = [(1, 4), (2, 5), (3, 1), (4, 2), (5, 3)]
     for j, image in want:
-        assert m.column(j) == (0, [1 if i == image else 0 for i in range(1, 6)], [0] * 5)
+        column = _reduced_column(m.ks, [r[j - 1] for r in m.ra], [r[j - 1] for r in m.rb])
+        assert column == (0, [1 if i == image else 0 for i in range(1, 6)], [0] * 5)
 
 
 def test_sem_swap_prod_transposes_pairs():
@@ -180,7 +181,7 @@ def test_sem_swap_prod_transposes_pairs():
             for i2 in range(1, n2 + 1):
                 src = (i1 - 1) * n2 + i2
                 dst = (i2 - 1) * n1 + i1
-                assert (m.k, m.aa[(dst - 1) * m.n + src - 1]) == (0, 1)
+                assert (m.ks[dst - 1], m.ra[dst - 1][src - 1]) == (0, 1)
 
 
 def test_sem_swap_prod_is_4x4_swap_gate():

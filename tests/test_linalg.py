@@ -28,8 +28,9 @@ from hadpi.linalg import (
     Generator,
     Level,
     LinAlgError,
-    RowState,
     _level_unchecked,
+    _reduced_column,
+    apply_generator_rows,
     format_matrix,
     gen_h,
     gen_x,
@@ -37,6 +38,7 @@ from hadpi.linalg import (
     m_level_embed,
     parse_matrix,
 )
+from hadpi.words import Word, program_matrix, word_program, word_sem
 
 
 def rand_generator(rng: random.Random, n: int) -> Generator:
@@ -104,7 +106,103 @@ def test_shear_not_orthogonal():
 
 def level(M: ExactMatrix) -> Level:
     # the scan synthesis runs, over the whole matrix
-    return _level_unchecked(RowState(M))[0]
+    return _level_unchecked(M.ks, M.ra, M.rb)[0]
+
+
+def column(M: ExactMatrix, j: int) -> tuple[int, list[int], list[int]]:
+    # column j (1-based) at its own least exponent
+    return _reduced_column(M.ks, [r[j - 1] for r in M.ra], [r[j - 1] for r in M.rb])
+
+
+def apply_word(gens: list[Generator], M: ExactMatrix) -> ExactMatrix:
+    # the word's matrix times M, by row operations on M's rows, the last
+    # generator first
+    ks, ra, rb = list(M.ks), list(M.ra), list(M.rb)
+    for g in reversed(gens):
+        apply_generator_rows(g, ks, ra, rb)
+    return ExactMatrix.from_rows(ks, ra, rb)
+
+
+@st.composite
+def perturbed_orthogonal(draw):
+    """An orthogonal matrix of a random word, and that matrix with one
+    numerator of its flat view moved, or read at the next exponent."""
+    n = draw(st.integers(1, 6))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    M = rand_orthogonal(rng, n, draw(st.integers(0, 4 * n)))
+    aa, bb = M.flat()
+    t = draw(st.integers(0, n * n - 1))
+    how = draw(st.sampled_from(["a", "b", "k"]))
+    if how == "k":
+        return M, ExactMatrix(n, M.k + 1, aa, bb)
+    delta = draw(st.sampled_from([-2, -1, 1, 2]))
+    (aa if how == "a" else bb)[t] += delta
+    return M, ExactMatrix(n, M.k, aa, bb)
+
+
+def _dense_orthogonal(M: ExactMatrix) -> bool:
+    return M.transpose().matmul(M).is_identity()
+
+
+@given(perturbed_orthogonal())
+@example((ExactMatrix.identity(2), ExactMatrix(2, 0, [1, 0, 1, 0], [0] * 4)))  # equal unit rows
+# rows (1+rt2, 1)/2 and (1, -1-rt2)/2 are orthogonal, and each has
+# a.a + 2 b.b = 4 = 2^2, but a.b = 1: the diagonal has an rt2 part
+@example((ExactMatrix.identity(2), ExactMatrix(2, 2, [1, 1, 1, -1], [1, 0, 0, -1])))
+def test_is_orthogonal_agrees_with_the_dense_product(pair):
+    M, perturbed = pair
+    assert M.is_orthogonal() and _dense_orthogonal(M)
+    assert perturbed.is_orthogonal() == _dense_orthogonal(perturbed)
+
+
+def test_is_orthogonal_on_general_matrices_and_large_exponents():
+    rng = random.Random(73)
+    for _ in range(100):
+        M = rand_general(rng, rng.randint(1, 5))
+        assert M.is_orthogonal() == _dense_orthogonal(M)
+    # the dense product would hold 2^99999999999; the row check does not
+    assert not ExactMatrix(1, 99999999999, [1], [0]).is_orthogonal()
+    # one row off the identity decides, so the all-ones matrix is quick
+    n = 256
+    assert not ExactMatrix(n, 0, [1] * (n * n), [0] * (n * n)).is_orthogonal()
+
+
+def _canonical(M: ExactMatrix) -> None:
+    # every row is a tuple, so rows compare equal whatever built them;
+    # rebuilt from its flat view, M is equal with an equal hash, and
+    # reduce_nums leaves each row as it is
+    assert all(type(r) is tuple for r in M.ra + M.rb)
+    again = ExactMatrix(M.n, M.k, *M.flat())
+    assert again == M and hash(again) == hash(M)
+    for k, ra, rb in zip(M.ks, M.ra, M.rb):
+        got = reduce_nums(k, ra, rb)
+        assert (got[0], tuple(got[1]), tuple(got[2])) == (k, ra, rb)
+
+
+def test_every_constructor_builds_the_canonical_form():
+    rng = random.Random(77)
+    for _ in range(60):
+        n = rng.randint(1, 6)
+        gens = [rand_generator(rng, n) for _ in range(rng.randint(0, 5 * n))]
+        A = word_sem(Word(n, tuple(gens)))
+        H_free = [g for g in gens if g.kind != "H"]
+        B = rand_general(rng, rng.randint(1, 4))
+        rows = rng.sample(range(1, n + 2), 2)
+        for M in (
+            A,
+            program_matrix(word_program(gens), n),
+            program_matrix(word_program(H_free), n),
+            A.direct_sum(B),
+            B.direct_sum(A),
+            ExactMatrix.identity(n),
+            parse_matrix(format_matrix(A)),
+            A @ A,
+            B @ B,
+            m_level_embed(H_BLOCK, rows, n + 1),
+            m_level_embed(A, sorted(rng.sample(range(1, n + 3), n)), n + 2),
+        ):
+            _canonical(M)
+    assert word_sem(Word(0, ())) == ExactMatrix(0, 0, [], [])
 
 
 def test_level_examples():
@@ -158,9 +256,9 @@ def test_matmul_dimension_mismatch():
 
 def test_column_has_own_exponent():
     # H at column 1 has exponent 1; after squaring, columns are integral
-    state = RowState(generator_matrix(gen_h(1, 2), 3))
-    assert state.column(3) == (0, [0, 0, 1], [0, 0, 0])
-    assert state.column(1) == (1, [1, 1, 0], [0, 0, 0])
+    M = generator_matrix(gen_h(1, 2), 3)
+    assert column(M, 3) == (0, [0, 0, 1], [0, 0, 0])
+    assert column(M, 1) == (1, [1, 1, 0], [0, 0, 0])
 
 
 def test_embed_disjoint_blocks_commute():
@@ -217,8 +315,9 @@ def test_matrix_dump_round_trip():
 def test_entry_and_float_view():
     H = generator_matrix(gen_h(1, 2), 2)
     # entry (i, j) is rt2^-k * (aa + bb*rt2) at the flat index (i-1)*n + (j-1)
-    assert (H.k, H.aa[0], H.bb[0]) == (1, 1, 0)
-    assert (H.k, H.aa[3], H.bb[3]) == (1, -1, 0)
+    aa, bb = H.flat()
+    assert (H.k, aa[0], bb[0]) == (1, 1, 0)
+    assert (H.k, aa[3], bb[3]) == (1, -1, 0)
     approx = H.to_float()
     assert abs(approx[0][0] - 2**-0.5) < 1e-12
     assert abs(approx[1][1] + 2**-0.5) < 1e-12
@@ -227,14 +326,13 @@ def test_entry_and_float_view():
 def test_float_view_of_a_large_exponent():
     # lde 3000: rt2^3000 and the numerators are far past the float range,
     # while every entry of an orthogonal matrix lies in [-1, 1]
-    state = RowState(ExactMatrix.identity(3))
-    state.apply_word([gen_h(1, 2), gen_h(2, 3), gen_x(1, 2)] * 1500)
-    m = state.snapshot()
+    m = apply_word([gen_h(1, 2), gen_h(2, 3), gen_x(1, 2)] * 1500, ExactMatrix.identity(3))
     assert m.k == 3000
     approx = m.to_float()
+    aa, bb = m.flat()
     for i in range(3):
         for j in range(3):
-            x = FracRT2.of(m.aa[i * 3 + j], m.bb[i * 3 + j], m.k)
+            x = FracRT2.of(aa[i * 3 + j], bb[i * 3 + j], m.k)
             assert abs(approx[i][j] - (float(x.p) + float(x.q) * 2**0.5)) < 1e-12
             assert abs(approx[i][j]) <= 1
 
@@ -321,34 +419,32 @@ def test_row_state_matches_dense_products():
     for n, gens in _deep_cases():
         W = _dense(gens, n)
         assert W.k >= 15
-        state = RowState(ExactMatrix.identity(n))
-        state.apply_word(gens)
-        assert state.snapshot() == W
+        M = apply_word(gens, ExactMatrix.identity(n))
+        assert M == W
         # each row sits at its own least exponent: positive only with an odd a
-        for k, ra in zip(state.ks, state.ra):
+        for k, ra in zip(M.ks, M.ra):
             assert k == 0 or any(a & 1 for a in ra)
-        # a state built from a reduced matrix continues the product
+        # row operations on the rows of a dense product continue it
         more = _deep_word(rng, n, 2 * n)
-        state = RowState(W)
-        state.apply_word(more)
-        assert state.snapshot() == _dense(more, n) @ W
+        assert apply_word(more, W) == _dense(more, n) @ W
 
 
-def test_row_state_rows_share_no_list():
-    # X swaps row references while Z and H build new rows: a list shared by
-    # two rows, once edited in place, would change both
+def test_row_operations_edit_no_row_in_place():
+    # X swaps row references while Z and H build new rows, so a matrix whose
+    # rows another matrix shares stays as it is
     rng = random.Random(71)
     for n in (1, 2, 3, 5, 8):
-        for state in (
-            RowState.identity(n),
-            RowState(rand_orthogonal(rng, n, 3 * n)),
-            RowState(rand_general(rng, n)),
+        for M in (
+            ExactMatrix.identity(n),
+            rand_orthogonal(rng, n, 3 * n),
+            rand_general(rng, n),
         ):
             for _ in range(4):
-                rows = state.ra + state.rb
-                assert len({id(r) for r in rows}) == 2 * n
-                assert all(len(r) == n for r in rows)
-                state.apply_word([rand_generator(rng, n) for _ in range(4 * n)])
+                before = [list(r) for r in M.ra + M.rb], list(M.ks)
+                N = apply_word([rand_generator(rng, n) for _ in range(4 * n)], M)
+                assert ([list(r) for r in M.ra + M.rb], list(M.ks)) == before
+                assert all(len(r) == n for r in N.ra + N.rb)
+                M = N
 
 
 def test_level_matches_percolumn_definition_deep():
@@ -357,9 +453,8 @@ def test_level_matches_percolumn_definition_deep():
         assert M.k >= 15
         assert tuple(level(M)) == oracle_level(M)
         F = frac_of_matrix(M)
-        state = RowState(M)
         for j in range(1, n + 1):
-            k, ca, cb = state.column(j)
+            k, ca, cb = column(M, j)
             col = [F[i][j - 1] for i in range(n)]
             assert [FracRT2.of(a, b, k) for a, b in zip(ca, cb)] == col
             assert k == oracle_lde(*col)

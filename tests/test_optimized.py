@@ -27,26 +27,28 @@ for make, args in [(gen_h, (2, 1)), (gen_x, (1, 1)), (gen_z, (0,))]:
     else:
         raise SystemExit(f"{make.__name__}{args} was accepted")
 
-# a syllable that fixes column 2 but also flips the done column 3
-from hadpi.linalg import Generator, RowState
+# a swap that also flips row 2, so the column the syllable fixes ends as
+# -e_2, then one that flips row 3, which disturbs the done column 3
+import hadpi.synthesis as synthesis
+from hadpi.linalg import Generator, apply_generator_rows
 from hadpi.synthesis import SynthesisError, synthesize
 
-apply_word = RowState.apply_word
-def append_z3(self, gens):
-    gens.append(Generator("Z", (3,)))
-    apply_word(self, gens)
-RowState.apply_word = append_z3
-try:
-    synthesize(ExactMatrix(3, 0, [0, -1, 0, 1, 0, 0, 0, 0, 1], [0] * 9))
-except SynthesisError as exc:
-    if "did not lower the level" not in str(exc):
-        raise SystemExit(f"the wrong check fired: {exc}")
-else:
-    raise SystemExit("synthesize accepted a syllable that disturbs a fixed column")
-RowState.apply_word = apply_word
+for row, check in [(2, "did not lower the level"), (3, "did not reach identity")]:
+    def faulty(g, ks, ra, rb):
+        apply_generator_rows(g, ks, ra, rb)
+        if g.kind == "X":
+            apply_generator_rows(Generator("Z", (row,)), ks, ra, rb)
+    synthesis.apply_generator_rows = faulty
+    try:
+        synthesize(ExactMatrix(3, 0, [0, -1, 0, 1, 0, 0, 0, 0, 1], [0] * 9))
+    except SynthesisError as exc:
+        if check not in str(exc):
+            raise SystemExit(f"the wrong check fired: {exc}")
+    else:
+        raise SystemExit(f"synthesize accepted a swap that flips row {row}")
+synthesis.apply_generator_rows = apply_generator_rows
 
 # a synthesis that gives one word for distinct matrices: equiv must not decide
-import hadpi.synthesis as synthesis
 from hadpi.cli import main
 
 normal_form_word = synthesis.normal_form_word

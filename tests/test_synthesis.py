@@ -9,7 +9,16 @@ import pytest
 from oracles import generator_matrix, oracle_level, oracle_synthesize
 from test_synthesis_golden import CASES, golden_word
 
-from hadpi.linalg import ExactMatrix, Generator, Level, RowState, gen_h, gen_x, gen_z
+from hadpi.linalg import (
+    ExactMatrix,
+    Generator,
+    Level,
+    _reduced_column,
+    apply_generator_rows,
+    gen_h,
+    gen_x,
+    gen_z,
+)
 import hadpi.synthesis
 from hadpi.synthesis import (
     SynthesisError,
@@ -69,6 +78,43 @@ def test_non_orthogonal_rejected():
     shear = ExactMatrix(2, 0, [1, 1, 0, 1], [0] * 4)
     with pytest.raises(SynthesisError):
         synthesize(shear)
+
+
+def test_exponent_guard_runs_per_row_before_any_row_operation(monkeypatch):
+    def no_row_operation(g, ks, ra, rb):
+        raise AssertionError("a row operation ran before the exponent guard")
+
+    monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", no_row_operation)
+    # row 1 is e_1 at exponent 0, and row 2 is e_2 / rt2^40: at the lde, 40,
+    # row 1's numerator 2^20 would let a guard on the whole matrix pass
+    M = ExactMatrix(2, 40, [2**20, 0, 0, 1], [0] * 4)
+    assert M.ks == [0, 40]
+    for bad in (M, ExactMatrix(1, 99999999999, [1], [0])):
+        with pytest.raises(SynthesisError, match="^exponent too large for a unit column$"):
+            hadpi.synthesis._synthesize(bad)
+
+
+def _rows(M: ExactMatrix) -> tuple:
+    return list(M.ks), [list(r) for r in M.ra], [list(r) for r in M.rb]
+
+
+def test_synthesis_and_evaluation_leave_input_rows_unchanged():
+    # matrices share rows by reference, so an operation that edited a row
+    # in place would change the matrices it read
+    rng = random.Random(103)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        A = word_sem(rand_word(rng, n))
+        B = word_sem(rand_word(rng, n))
+        before = _rows(A), _rows(B)
+        S = A.direct_sum(B)
+        summed = _rows(S)
+        synthesize(A)
+        synthesize(S)
+        normal_form_word(S)
+        word_sem(rand_word(rng, n))
+        assert (_rows(A), _rows(B)) == before
+        assert _rows(S) == summed
 
 
 def test_syllable_product_reaches_identity():
@@ -175,15 +221,24 @@ def test_level_check_catches_a_disturbed_fixed_column(monkeypatch):
     # column 3 is e_3; one signed swap fixes column 2 (-e_1) and column 1 (e_2)
     M = ExactMatrix(3, 0, [0, -1, 0, 1, 0, 0, 0, 0, 1], [0] * 9)
     assert [str(s) for s in synthesize(M).syllables] == ["X[1,2] Z[1]"]
-    apply_word = RowState.apply_word
 
-    def append_z3(self, gens):
-        # the syllable still fixes column 2, but also flips the done column 3
-        gens.append(Generator("Z", (3,)))
-        apply_word(self, gens)
+    def flip_after_swap(row):
+        def faulty(g, ks, ra, rb):
+            apply_generator_rows(g, ks, ra, rb)
+            if g.kind == "X":
+                apply_generator_rows(Generator("Z", (row,)), ks, ra, rb)
 
-    monkeypatch.setattr(RowState, "apply_word", append_z3)
+        return faulty
+
+    # the swap also flips row 2, so column 2, which the syllable fixes,
+    # ends as -e_2: the scan of the syllable's rows sees the level stay
+    monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", flip_after_swap(2))
     with pytest.raises(SynthesisError, match="syllable did not lower the level"):
+        synthesize(M)
+    # the swap also flips row 3, which the syllable does not touch, so no
+    # scan reads the done column 3: the identity check on the rows fails
+    monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", flip_after_swap(3))
+    with pytest.raises(SynthesisError, match="synthesis did not reach identity"):
         synthesize(M)
 
 
@@ -193,21 +248,20 @@ def test_level_check_catches_a_row_state_off_the_tracked_column(monkeypatch):
     block = ExactMatrix(3, 1, [1, 0, -1, 0, 0, 0, 1, 0, 1], [0, 0, 0, 0, -1, 0, 0, 0, 0])
     M = block.direct_sum(ExactMatrix.identity(1))
     assert [str(s) for s in synthesize(M).syllables] == ["H[1,3]", "Z[3]", "Z[2]"]
-    apply_word = RowState.apply_word
     calls = []
 
-    def flip_row_1_first(self, gens):
+    def flip_row_1_first(g, ks, ra, rb):
         # Z[1] before H[1,3] sends column 3 to e_1 in the rows, where the
         # column tracked from the syllable alone holds -e_3
         if not calls:
-            gens.append(Generator("Z", (1,)))
-        calls.append([str(g) for g in gens])
-        apply_word(self, gens)
+            apply_generator_rows(Generator("Z", (1,)), ks, ra, rb)
+        calls.append(str(g))
+        apply_generator_rows(g, ks, ra, rb)
 
-    monkeypatch.setattr(RowState, "apply_word", flip_row_1_first)
+    monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", flip_row_1_first)
     with pytest.raises(SynthesisError, match="syllable did not lower the level"):
         synthesize(M)
-    assert calls[0] == ["H[1,3]", "Z[1]"]  # the faulty syllable was the first one
+    assert calls[0] == "H[1,3]"  # the faulty syllable was the first one
 
 
 def _plain(trace):
@@ -242,9 +296,9 @@ def test_odd_row_1_outside_the_pair_moves_to_row_p():
     M = word_sem(parse_word(
         "n=5 H[1,2] X[1,4] H[3,5] H[2,4] H[4,5] X[1,3] H[2,3] X[1,5] H[3,5] X[2,4] H[1,3]"
     ))
-    state = RowState(M)
-    assert state.column(5) == (2, [1, 0, -1, -1, -1], [0] * 5)
-    assert state.ks == [3, 2, 2, 3, 2]
+    column = _reduced_column(M.ks, [r[4] for r in M.ra], [r[4] for r in M.rb])
+    assert column == (2, [1, 0, -1, -1, -1], [0] * 5)
+    assert M.ks == [3, 2, 2, 3, 2]
     tr = synthesize(M)
     assert [str(s) for s in tr.syllables[:2]] == ["H[1,5] X[1,3]", "H[1,4] X[1,3]"]
     assert _plain(tr) == oracle_synthesize(M)

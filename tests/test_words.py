@@ -18,7 +18,7 @@ from oracles import (
 )
 
 from hadpi import words
-from hadpi.linalg import ExactMatrix, Generator, RowState, gen_h, gen_x, gen_z, m_level_embed
+from hadpi.linalg import ExactMatrix, Generator, gen_h, gen_x, gen_z, m_level_embed
 from hadpi.synthesis import word_equivalence
 from hadpi.words import (
     CATALOG,
@@ -89,43 +89,43 @@ def _product(w: Word) -> ExactMatrix:
     ],
 )
 def test_program_matrix_reads_the_final_labels(w, labels):
-    program = words.word_program(w.gens)
+    program = list(words.word_program(w.gens))
     assert words._run(program, w.n)[1] == labels
     assert words.program_matrix(program, w.n) == _product(w)
 
 
 def test_program_matrix_of_a_word_program_is_the_product(monkeypatch):
-    states = []
-    snapshot = RowState.snapshot
+    calls = []
+    apply_generator_rows = words.apply_generator_rows
 
-    def recording(state):
-        states.append(state)
-        return snapshot(state)
+    def recording(g, ks, ra, rb):
+        calls.append(g)
+        apply_generator_rows(g, ks, ra, rb)
 
-    monkeypatch.setattr(RowState, "snapshot", recording)
+    monkeypatch.setattr(words, "apply_generator_rows", recording)
     rng = random.Random(229)
     cases = [Word(1, (gen_z(1),) * rng.randint(0, 3)) for _ in range(5)]
     cases += [rand_word(rng, rng.randint(2, 8)) for _ in range(200)]
-    with_h = 0
+    with_h = took_rows = 0
     for w in cases:
-        program = words.word_program(w.gens)
+        program = list(words.word_program(w.gens))
+        before = len(calls)
         assert words.program_matrix(program, w.n) == _product(w), format_word(w)
-        # a run with no H builds its signed permutation with no row state
-        with_h += bool(words._run(program, w.n)[0])
-    assert 0 < with_h < len(cases) and len(states) == with_h
-    for state in states:
-        # the final relabelling moves each row's lists once and rebuilds a
-        # negated row, so no two rows share a list
-        rows = state.ra + state.rb
-        assert len({id(r) for r in rows}) == len(rows)
+        # the H path applies the run's H generators, one row operation each;
+        # a run with no H builds its signed permutation with none
+        gens = words._run(program, w.n)[0]
+        assert calls[before:] == gens
+        with_h += bool(gens)
+        took_rows += len(calls) > before
+    assert 0 < with_h < len(cases) and took_rows == with_h
 
 
 def test_program_matrix_of_an_h_free_program_is_the_product(monkeypatch):
     # words of X and Z, and words whose H pairs all cancel in the run
-    def no_row_state(state):
+    def no_row_operation(g, ks, ra, rb):
         raise AssertionError("an H-free program took the row operations")
 
-    monkeypatch.setattr(RowState, "snapshot", no_row_state)
+    monkeypatch.setattr(words, "apply_generator_rows", no_row_operation)
     rng = random.Random(233)
     cases = [Word(0, ()), Word(1, ()), Word(1, (gen_z(1),))]
     for _ in range(150):
@@ -138,7 +138,7 @@ def test_program_matrix_of_an_h_free_program_is_the_product(monkeypatch):
             gens[at:at] = [gen_h(b, c), gen_h(b, c)]
         cases.append(Word(n, tuple(gens)))
     for w in cases:
-        program = words.word_program(w.gens)
+        program = list(words.word_program(w.gens))
         assert words._run(program, w.n)[0] == []
         assert words.program_matrix(program, w.n) == _product(w), format_word(w)
 
