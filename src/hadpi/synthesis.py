@@ -114,6 +114,8 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
         if k > lim and k > 2 * max(map(abs, a + b)).bit_length() + lim:
             raise SynthesisError("exponent too large for a unit column")
     syllables: list[Syllable] = []
+    # one object per distinct H[1,q] and X[1,p], which a long trace repeats
+    shared: dict[Generator, Generator] = {}
     levels: list[Level] = []
     # the level names the column to fix next, j, and brings its numerators
     # ca, cb scaled by rt2^k; odd lists the rows whose ca is odd, in no
@@ -140,6 +142,7 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
             # 1 <= p < q, so the generators are valid as built
             h = Generator("H", (1, q))
             gens = [h] if p == 1 else [h, Generator("X", (1, p))]
+            gens = [shared.setdefault(g, g) for g in gens]
         else:
             a = next((i for i in range(1, n + 1) if ca[i - 1] or cb[i - 1]), 0)
             if not (a and a <= j and ca[a - 1] in (1, -1) and cb[a - 1] == 0):
