@@ -5,9 +5,9 @@ least rt2 exponent.  That form is canonical, so equality compares rows.
 Row operations (apply_generator_rows), the one evaluator that words,
 programs and synthesis share, act on the rows, and new matrices are built
 from the rows they leave with no lift and no reduction.  The dense
-operations (matmul, tensor, transpose, m_level_embed, format_matrix,
-to_float) read one derived flat view, every row lifted to the lde; no
-other module of the package reads it.  Public indices are 1-based,
+operations (matmul, tensor, m_level_embed, format_matrix, to_float)
+read one derived flat view, every row lifted to the lde; no other
+module of the package reads it.  Public indices are 1-based,
 matching the generator notation Z[a], X[b,c], H[b,c].
 """
 
@@ -101,13 +101,6 @@ class ExactMatrix:
         return ExactMatrix(self.n, self.k + other.k, ca, cb)
 
     __matmul__ = matmul
-
-    def transpose(self) -> "ExactMatrix":
-        n = self.n
-        aa, bb = self.flat()
-        # aa[j::n] is column j
-        at = [a for j in range(n) for a in aa[j::n]]
-        return ExactMatrix(n, self.k, at, [b for j in range(n) for b in bb[j::n]])
 
     def direct_sum(self, other: "ExactMatrix") -> "ExactMatrix":
         # zeros padding a row leave its least exponent as it is

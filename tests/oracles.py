@@ -127,6 +127,15 @@ def frac_transpose(A):
     return [[A[j][i] for j in range(n)] for i in range(n)]
 
 
+def transpose(M: ExactMatrix) -> ExactMatrix:
+    """The transpose of M, built densely from its flat view."""
+    n = M.n
+    aa, bb = M.flat()
+    # aa[j::n] is column j
+    at = [a for j in range(n) for a in aa[j::n]]
+    return ExactMatrix(n, M.k, at, [b for j in range(n) for b in bb[j::n]])
+
+
 def frac_eq(A, B) -> bool:
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 

@@ -21,6 +21,7 @@ from oracles import (
     frac_of_matrix,
     oracle_term,
     oracle_type,
+    transpose,
 )
 from termgen import (
     QUBITS3,
@@ -530,7 +531,7 @@ def test_inverse_of_t_q_output_keeps_its_sharing(monkeypatch):
     m = sem(inv, nsum(32))
     # an inverse that copied each shared rung would type every leaf again
     assert steps[0] < leaves / 5, (steps, leaves)
-    assert m == word_sem(w).transpose()  # the matrices are orthogonal
+    assert m == transpose(word_sem(w))  # the matrices are orthogonal
 
 
 def _inverse_corpus():

@@ -28,25 +28,40 @@ for make, args in [(gen_h, (2, 1)), (gen_x, (1, 1)), (gen_z, (0,))]:
         raise SystemExit(f"{make.__name__}{args} was accepted")
 
 # a swap that also flips row 2, so the column the syllable fixes ends as
-# -e_2, then one that flips row 3, which disturbs the done column 3
+# -e_2; one that flips row 3, which disturbs the done column 3; and a
+# syllable that names Z[3], the done column, where it should name Z[1],
+# while its rows take both flips
 import hadpi.synthesis as synthesis
 from hadpi.linalg import Generator, apply_generator_rows
 from hadpi.synthesis import SynthesisError, synthesize
 
-for row, check in [(2, "did not lower the level"), (3, "did not reach identity")]:
+def swap_flips(row):
     def faulty(g, ks, ra, rb):
         apply_generator_rows(g, ks, ra, rb)
         if g.kind == "X":
             apply_generator_rows(Generator("Z", (row,)), ks, ra, rb)
-    synthesis.apply_generator_rows = faulty
+    return faulty
+
+def z_flips_row_1(g, ks, ra, rb):
+    apply_generator_rows(g, ks, ra, rb)
+    if g.kind == "Z":
+        apply_generator_rows(Generator("Z", (1,)), ks, ra, rb)
+
+gen_z = synthesis.gen_z
+for z, faulty, check in [
+    (gen_z, swap_flips(2), "did not lower the level"),
+    (gen_z, swap_flips(3), "did not reach identity"),
+    (lambda a: Generator("Z", (3,)), z_flips_row_1, "did not lower the level"),
+]:
+    synthesis.gen_z, synthesis.apply_generator_rows = z, faulty
     try:
         synthesize(ExactMatrix(3, 0, [0, -1, 0, 1, 0, 0, 0, 0, 1], [0] * 9))
     except SynthesisError as exc:
         if check not in str(exc):
             raise SystemExit(f"the wrong check fired: {exc}")
     else:
-        raise SystemExit(f"synthesize accepted a swap that flips row {row}")
-synthesis.apply_generator_rows = apply_generator_rows
+        raise SystemExit(f"synthesize accepted a fault ({check})")
+synthesis.gen_z, synthesis.apply_generator_rows = gen_z, apply_generator_rows
 
 # a synthesis that gives one word for distinct matrices: equiv must not decide
 from hadpi.cli import main

@@ -235,10 +235,23 @@ def test_level_check_catches_a_disturbed_fixed_column(monkeypatch):
     monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", flip_after_swap(2))
     with pytest.raises(SynthesisError, match="syllable did not lower the level"):
         synthesize(M)
-    # the swap also flips row 3, which the syllable does not touch, so no
+    # the swap also flips row 3, which the syllable does not name, so no
     # scan reads the done column 3: the identity check on the rows fails
     monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", flip_after_swap(3))
     with pytest.raises(SynthesisError, match="synthesis did not reach identity"):
+        synthesize(M)
+
+    def z_also_flips_row_1(g, ks, ra, rb):
+        apply_generator_rows(g, ks, ra, rb)
+        if g.kind == "Z":
+            apply_generator_rows(Generator("Z", (1,)), ks, ra, rb)
+
+    # the syllable names Z[3] where it should name Z[1], and its rows take
+    # both flips: column 2 ends as e_2 and the done column 3 as -e_3.  The
+    # scan starts at the top row the syllable names, so it reads column 3.
+    monkeypatch.setattr(hadpi.synthesis, "gen_z", lambda a: Generator("Z", (3,)))
+    monkeypatch.setattr(hadpi.synthesis, "apply_generator_rows", z_also_flips_row_1)
+    with pytest.raises(SynthesisError, match="syllable did not lower the level"):
         synthesize(M)
 
 
