@@ -41,6 +41,7 @@ from .synthesis import (
     _trace_word,
     format_trace,
     normal_form_word,
+    program_normal_form,
     synthesize,
     word_equivalence,
 )
@@ -52,10 +53,11 @@ from .words import (
     format_word,
     parse_derivation,
     parse_word,
+    program_form,
     program_matrix,
-    program_word,
     replay,
     verify_relation,
+    word_program,
     word_sem,
 )
 
@@ -146,11 +148,13 @@ def cmd_synth(args) -> int:
 
 def cmd_normalize(args) -> int:
     if args.kind == "word":
-        m = word_sem(_word_arg(args.input))
+        w = _word_arg(args.input)
+        ops, n = word_program(w.gens), w.n
     else:
         c = _term_arg(args.input, args.lang)
-        m = sem(c, _source_type(args, c), args.lang)
-    print(format_word(normal_form_word(m)))
+        b = _source_type(args, c)
+        ops, n = lower(c, b, args.lang)[1], hdim(b)
+    print(format_word(program_normal_form(ops, n)))
     return 0
 
 
@@ -220,7 +224,7 @@ def cmd_translate(args) -> int:
         # lowered once: the word and the matrix it is checked against are
         # both read off the one program
         ops, n = lower(c, b)[1], hdim(b)
-        out = program_word(ops, n)
+        out = program_form(ops, n)[0]
         TranslationReport(c, out, program_matrix(ops, n), word_sem(out))
     elif src == "words" and dst == "qpi":
         w = _word_arg(args.input)

@@ -765,7 +765,7 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
         raise LangError(f"incompatible at {format_type(input)}: {exc}") from None
     if d1 != d2:
         raise LangError(f"target types differ: {format_type(d1)} vs {format_type(d2)}")
-    return equivalence(program_matrix(ops1, hdim(input)), program_matrix(ops2, hdim(input)))
+    return equivalence(ops1, ops2, hdim(input))
 
 
 # ---------------------------------------------------------------------------

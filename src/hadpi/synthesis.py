@@ -14,9 +14,10 @@ Every emitted syllable strictly decreases the level triple, and every
 choice depends on the matrix alone, which is what makes the output word
 canonical.  The normal form reads the inverted syllables through the
 signed relabelling of words._run, so their X and Z moves cost no
-generators but one signed permutation word (see _trace_word).  A signed
-permutation matrix, whose trace would hold no H, is read off its signed
-labels with no synthesis (see normal_form_word).
+generators but one signed permutation word (see _trace_word).
+Programs are normalized and compared on their runs: a run that leaves
+no H is decided on its signed labels (words.label_word) with no matrix
+built, and only a program whose run leaves an H is synthesized.
 
 The loop works on the rows of the input matrix, taken by reference, and
 on the active column j.  It keeps that column as numerators at its
@@ -34,12 +35,12 @@ identity on its rows.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .linalg import ExactMatrix, Generator, Level, _level_unchecked, gen_x, gen_z
 # words.word_sem is looked up per call, where hadpibench/tracing.py patches it
 from . import words
-from .words import Word, WordError
+from .words import Word, WordError, _check
 
 # hadpibench/tracing.py patches these bindings
 from .linalg import apply_generator_rows, reduce_nums
@@ -228,58 +229,41 @@ def normal_form_word(M: ExactMatrix) -> Word:
     reversed generator list, and the inverted syllables in emission order
     multiply out to M itself.  Determinism of the synthesis and of the
     relabelling makes the result canonical: equal matrices yield
-    token-identical words.
-
-    A signed permutation matrix, which is every orthogonal matrix at lde
-    0, is read off its signed labels instead (_signed_labels), with no
-    synthesis: its trace holds no H, so the relabelling alone makes the
-    trace word's normal form, words.label_word of those labels.  Any other
-    matrix, one that is not orthogonal included, is synthesized.
-    """
-    at = _signed_labels(M)
-    if at is not None:
-        return Word(M.n, tuple(words.label_word(at)))
+    token-identical words."""
     return _trace_word(synthesize(M))
 
 
-def _signed_labels(M: ExactMatrix) -> list[int] | None:
-    """The signed labels of M if it is exactly a signed permutation matrix,
-    else None: row r (from 0) of M is +-e_|at[r]|, with the sign of at[r].
-    Exactly means lde 0, no rt2 part, one +-1 per row and each column hit
-    once; an integer matrix is orthogonal only in that case."""
-    n = M.n
-    if any(M.ks) or any(map(any, M.rb)):
-        return None
-    at = []
-    for row in M.ra:
-        if row.count(0) != n - 1:
-            return None
-        if 1 in row:
-            at.append(row.index(1) + 1)
-        elif -1 in row:
-            at.append(-row.index(-1) - 1)
-        else:
-            return None
-    if len(set(map(abs, at))) != n:
-        return None
-    return at
+def program_normal_form(ops: Iterable[tuple], n: int) -> Word:
+    """The normal form of a program of placed primitives on n rows.  A run
+    that leaves no H reads as the word of its signed labels, which is the
+    normal form of its signed permutation matrix, with no matrix built; any
+    other program's matrix is synthesized."""
+    word, at = words.program_form(ops, n)
+    return word if at is not None else normal_form_word(words.word_sem(word))
 
 
 class Equivalence(NamedTuple):
-    """Whether two matrices are equal, with the normal forms that decided it."""
+    """Whether two programs are equal, with the normal forms that decided it."""
 
     equal: bool
     lhs: Word
     rhs: Word
 
 
-def equivalence(m1: ExactMatrix, m2: ExactMatrix) -> Equivalence:
-    """Decide m1 = m2 by comparing canonical normal forms.  Raises unless the
-    forms agree exactly when the matrices do, so a fault in synthesis cannot
-    turn into a wrong verdict."""
-    nf1, nf2 = normal_form_word(m1), normal_form_word(m2)
+def equivalence(p1: Iterable[tuple], p2: Iterable[tuple], n: int) -> Equivalence:
+    """Decide whether two programs of placed primitives on n rows are equal
+    by comparing canonical normal forms: the words of the signed labels when
+    neither run leaves an H, else the synthesized forms of both matrices.
+    Raises unless the forms agree exactly when the labels, or the matrices,
+    do, so a fault in either normal form cannot turn into a wrong verdict."""
+    (w1, at1), (w2, at2) = words.program_form(p1, n), words.program_form(p2, n)
+    if at1 is not None and at2 is not None:
+        nf1, nf2, same = w1, w2, at1 == at2
+    else:
+        m1, m2 = words.word_sem(w1), words.word_sem(w2)
+        nf1, nf2, same = normal_form_word(m1), normal_form_word(m2), m1 == m2
     equal = nf1.gens == nf2.gens
-    if equal != (m1 == m2):
+    if equal != same:
         raise SynthesisError("normal forms disagree with matrix equality")
     return Equivalence(equal, nf1, nf2)
 
@@ -288,18 +272,20 @@ def word_equivalence(w1: Word, w2: Word) -> Equivalence:
     """Decide [[w1]] = [[w2]], with the normal forms that decided it."""
     if w1.n != w2.n:
         raise WordError(f"ambient dimensions differ: {w1.n} vs {w2.n}")
-    return equivalence(words.word_sem(w1), words.word_sem(w2))
+    _check(w1)
+    _check(w2)
+    return equivalence(words.word_program(w1.gens), words.word_program(w2.gens), w1.n)
 
 
 def _trace_word(trace: SynthesisTrace) -> Word:
     """The normal form of the trace's input matrix.  The syllables inverted
-    in turn form a word of that matrix; words.program_word reads it as a
+    in turn form a word of that matrix; words.program_form reads it as a
     program (words.word_program), so each X and Z there only relabels rows.
     The word is a Z per negated row, one permutation word of at most n-1 X,
     and the trace's H generators, less those that cancel, in word order.
     Every step of the relabelling is a catalog relation."""
     word = [g for syl in trace.syllables for g in reversed(syl.gens)]
-    return words.program_word(words.word_program(word), trace.n)
+    return words.program_form(words.word_program(word), trace.n)[0]
 
 
 def permutation_matrix(perm: Sequence[int]) -> ExactMatrix:

@@ -7,7 +7,7 @@ neg1-bearing language (the trees coincide); t_h simulates neg1 away,
 lifting a program of type b1 <-> b2 to one of type 1+b1 <-> 1+b2 whose
 matrix gains an identity row on top.
 
-wsem has no walk of its own: words.program_word reads the program of
+wsem has no walk of its own: words.program_form reads the program of
 placed primitives that lang.lower builds through words._run, the one
 evaluator, which lang.sem reads too.  Swaps and neg1 there only permute
 and sign the row labels, so a word spends no generators on them but one
@@ -43,7 +43,7 @@ from .lang import (
 # re-exported unused: hadpibench/tracing.py patches these bindings
 from .lang import sem, typecheck  # noqa: F401
 from .linalg import ExactMatrix, Generator
-from .words import Word, _check, program_word
+from .words import Word, _check, program_form
 
 # re-exported unused: hadpibench/tracing.py patches this binding
 from .synthesis import hpermute  # noqa: F401
@@ -108,10 +108,10 @@ class TranslationReport(_Frozen):
 
 def wsem(c: Term, input: ValueType) -> Word:
     """Generator word with the same matrix as c at the given source type:
-    words.program_word of the program lower builds, so a Z per program row
+    words.program_form of the program lower builds, so a Z per program row
     whose final label is negative, one word of the final relabelling, then
     the ascending H generators of words._run in word order."""
-    return program_word(lower(c, input)[1], hdim(input))
+    return program_form(lower(c, input)[1], hdim(input))[0]
 
 
 # ---------------------------------------------------------------------------

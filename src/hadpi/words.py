@@ -16,10 +16,10 @@ so relations-verify decides each relation once.
 
 The module also holds _run, the one evaluator of a program of placed
 primitives, which keeps a signed relabelling of the rows, and its
-readers: program_matrix (lang.sem) and program_word (translate.wsem, and
-the normal forms of synthesis, read as a program by word_program).
-label_word writes the word of a signed relabelling; program_word ends
-with it, and synthesis reads a signed permutation matrix through it.
+readers: program_matrix (lang.sem) and program_form (translate.wsem, and
+the normal forms and equivalence of synthesis, a word read as a program
+by word_program).  label_word writes the word of a signed relabelling;
+program_form ends with it, and a run that leaves no H is that word alone.
 word_sem and program_matrix apply their generators as row operations
 (linalg.apply_generator_rows) to the rows of a new identity, and those
 rows, each at its own least exponent and frozen as a tuple, are the
@@ -94,7 +94,7 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
 
 def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
     """The one evaluator of a program of placed primitives on n rows,
-    read by program_matrix and program_word: its H generators in
+    read by program_matrix and program_form: its H generators in
     application order, each on ascending rows, and its final signed
     relabelling.  Program row r (from 0) is row |at[r]| (from 1) of the
     product of the generators, negated when at[r] < 0.  Permutations
@@ -103,7 +103,7 @@ def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
     them (relations d1, d2 and e2 move a signed permutation past an H).
     An H on the two rows of the last live H on each of them cancels that
     H (a3, H H = 1; b6, H on disjoint rows commute).  Each step is a
-    catalog relation, so the word read off the run (program_word) derives
+    catalog relation, so the word read off the run (program_form) derives
     from the program's own word."""
     at = list(range(1, n + 1))
     gens: list[Generator | None] = []
@@ -176,21 +176,24 @@ def program_matrix(ops: Iterable[tuple], n: int) -> ExactMatrix:
     )
 
 
-def program_word(ops: Iterable[tuple], n: int) -> Word:
+def program_form(ops: Iterable[tuple], n: int) -> tuple[Word, list[int] | None]:
     """The word of a program of placed primitives on n rows, read off _run:
     the word of its final relabelling (label_word), then the H generators
-    in word order, the last one applied first."""
+    in word order, the last one applied first.  With it come the final
+    signed labels if no H is left, else None: the word is then their
+    normal form, and two such programs are equal exactly when their
+    labels are."""
     gens, at = _run(ops, n)
-    return Word(n, tuple(label_word(at) + gens[::-1]))
+    return Word(n, tuple(label_word(at) + gens[::-1])), None if gens else at
 
 
 def label_word(at: Sequence[int]) -> list[Generator]:
     """The word of a signed relabelling, the normal form of its signed
     permutation matrix: a Z per row r (from 1) whose label at[r-1] is
     negative, then one permutation word sending e_|at[r-1]| to e_r.  Row r
-    of the matrix is +-e_|at[r-1]|, with the sign of the label.  program_word
-    ends with it, and synthesis.normal_form_word reads a signed
-    permutation matrix through it alone, with no synthesis."""
+    of the matrix is +-e_|at[r-1]|, with the sign of the label.  program_form
+    ends with it, so a run that leaves no H is normalized and compared
+    through it alone, with no matrix built."""
     word = []
     perm = [0] * len(at)
     for r, a in enumerate(at, 1):

@@ -5,7 +5,8 @@ choices are the primitives that structurally match the current source type
 plus the three combinators, so every emitted term typechecks by
 construction.  shared_chain_term reuses one built seq chain object in
 several places of a term.  qubit_circuits builds fixed gate circuits on
-three qubits.
+three qubits, and classical_circuit seeded circuits of X, CX and CCX on
+k qubits.
 """
 
 import random
@@ -149,3 +150,21 @@ def rand_qubit_circuit(rng: random.Random, local: int, controlled: int) -> Term:
         else:
             gates.append(_on_wire(g, rng.randrange(3), 3))
     return seqs(*gates)
+
+
+def register(k: int) -> ValueType:
+    """(1+1)*((1+1)*...): k qubits, associated to the right."""
+    return TWO if k == 1 else Prod(TWO, register(k - 1))
+
+
+def classical_circuit(rng: random.Random, k: int, gates: int) -> Term:
+    """A seeded circuit on register(k), k >= 3, of X, CX and CCX gates: the
+    X on any wire past its controls, which are wires 0 and 1."""
+    out = []
+    for _ in range(gates):
+        controls = rng.randrange(3)
+        g = _on_wire(_GATES["X"], rng.randrange(k - controls), k - controls)
+        for _ in range(controls):
+            g = ctrl(g)
+        out.append(g)
+    return seqs(*out)

@@ -389,13 +389,13 @@ def test_synth_runs_synthesis_once(capsys, monkeypatch):
     assert code == 0 and len(calls) == 2
     assert traced.startswith(plain)
     assert traced.splitlines()[1].startswith("# initial level")
-    # this word's H generators cancel: its signed permutation matrix is read
-    # off its labels, and only --trace synthesizes it
+    # this word's H generators cancel: synth is given its signed permutation
+    # matrix, which it synthesizes once per call like any other
     matrix = format_matrix(word_sem(parse_word("n=3 H[1,2] X[2,3] H[1,3] Z[2]")))
     code, plain, _ = run(capsys, "synth", matrix)
-    assert code == 0 and len(calls) == 2
-    code, traced, _ = run(capsys, "synth", matrix, "--trace")
     assert code == 0 and len(calls) == 3
+    code, traced, _ = run(capsys, "synth", matrix, "--trace")
+    assert code == 0 and len(calls) == 4
     assert traced.startswith(plain)
 
 
@@ -554,13 +554,53 @@ def test_equiv_past_a_budget_is_a_domain_failure(capsys, argv):
 
 
 def test_equiv_checks_normal_forms_against_the_matrices(capsys, monkeypatch):
-    # a synthesis that gives one word for distinct matrices must not decide
+    # a synthesis that gives one word for distinct matrices must not decide;
+    # both runs leave an H, so both matrices are synthesized
     one_word = lambda m: Word(m.n, ())  # noqa: E731
     monkeypatch.setattr(synthesis, "normal_form_word", one_word)
     monkeypatch.setattr(cli, "normal_form_word", one_word)
-    code, out, err = run(capsys, "equiv", "had", "swap+")
+    code, out, err = run(capsys, "equiv", "had", "swap+ ; had")
     assert (code, out) == (1, "")
     assert err == "error: normal forms disagree with matrix equality\n"
+
+
+def test_equiv_checks_label_words_against_the_labels(capsys, monkeypatch):
+    # a label_word that gives one word for every labelling must not decide
+    # two programs whose runs leave no H
+    monkeypatch.setattr(words, "label_word", lambda at: [])
+    code, out, err = run(capsys, "equiv", "swap+", "id", "--in-type", "1+1")
+    assert (code, out) == (1, "")
+    assert err == "error: normal forms disagree with matrix equality\n"
+
+
+def test_a_run_with_no_h_left_is_not_synthesized(capsys, monkeypatch):
+    # the H generators of this word cancel in the run
+    def no_synthesis(m):
+        raise AssertionError("synthesized")
+
+    monkeypatch.setattr(synthesis, "synthesize", no_synthesis)
+    monkeypatch.setattr(cli, "synthesize", no_synthesis)
+    w, nf = "n=3 H[1,2] X[2,3] H[1,3] Z[2]", "n=3 Z[3] X[2,3]"
+    assert run(capsys, "normalize", w, "--kind", "word") == (0, nf + "\n", "")
+    code, out, _ = run(capsys, "equiv", w, nf, "--kind", "word")
+    assert (code, out) == (0, f"lhs {nf}\nrhs {nf}\nEQUIV\n")
+
+
+def test_equiv_of_a_run_with_an_h_left_checks_the_matrices(capsys, monkeypatch):
+    # relation f1: _run cancels no H of its left side, so both sides are
+    # evaluated and synthesized, and the verdict is checked on the matrices
+    calls = []
+    real = synthesis.normal_form_word
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    monkeypatch.setattr(synthesis, "normal_form_word", counted)
+    lhs = "n=4 " + " ".join(["H[1,2] H[3,4] H[1,3] H[2,4]"] * 2)
+    code, out, _ = run(capsys, "equiv", lhs, "n=4 eps", "--kind", "word")
+    assert (code, out) == (0, "lhs n=4 eps\nrhs n=4 eps\nEQUIV\n")
+    assert [m.is_identity() for m in calls] == [True, True]
 
 
 def test_equiv_walks_each_term_once(capsys, monkeypatch):

@@ -6,6 +6,7 @@ import hashlib
 import pickle
 import random
 import sys
+import time
 
 import pytest
 
@@ -54,7 +55,7 @@ from hadpi.words import RELATION_BY_ID, Word, verify_relation, word_sem
 from oracles import (
     _ORACLE_PRIMS, H_BLOCK, MINUS_ONE, X_BLOCK, OracleTypeError, _oracle_prim, oracle_type,
 )
-from termgen import rand_term, rand_type
+from termgen import classical_circuit, rand_term, rand_type, register
 
 HAD = Prim("had")
 NEG1 = Prim("neg1")
@@ -287,6 +288,27 @@ def test_hhcxhh_is_swapped_cnot():
     lhs = seqs(hh, GATE_CX, hh)
     rhs = seqs(Prim("swap*"), GATE_CX, Prim("swap*"))
     assert term_equivalence(lhs, rhs, qq, "qpi").equal
+
+
+def test_classical_register_pair_is_decided_on_its_labels(monkeypatch):
+    # a 30-gate X, CX and CCX circuit on register(10), n = 1,024, against
+    # c ; inverse(c) ; c: neither run leaves an H, so no matrix is built
+    b = register(10)
+    c = classical_circuit(random.Random(3), 10, 30)
+    other = seqs(c, inverse(c, b), c)
+
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built")
+
+    monkeypatch.setattr(ExactMatrix, "identity", no_matrix)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        verdict = term_equivalence(c, other, b, "qpi")
+        times.append(time.perf_counter() - start)
+        assert verdict.equal and verdict.lhs == verdict.rhs
+    assert min(times) < 0.05, times
+    assert not term_equivalence(c, seqs(c, c), b, "qpi").equal
 
 
 def test_swap_plus_at():

@@ -63,14 +63,20 @@ for z, faulty, check in [
         raise SystemExit(f"synthesize accepted a fault ({check})")
 synthesis.gen_z, synthesis.apply_generator_rows = gen_z, apply_generator_rows
 
-# a synthesis that gives one word for distinct matrices: equiv must not decide
+# a synthesis that gives one word for distinct matrices, and a label word
+# that gives one word for distinct labellings: equiv must not decide
 from hadpi.cli import main
 
 normal_form_word = synthesis.normal_form_word
 synthesis.normal_form_word = lambda m: Word(m.n, ())
-if main(["equiv", "had", "swap+"]) != 1:
+if main(["equiv", "had", "swap+ ; had"]) != 1:
     raise SystemExit("equiv decided on normal forms that disagree with the matrices")
 synthesis.normal_form_word = normal_form_word
+label_word = words.label_word
+words.label_word = lambda at: []
+if main(["equiv", "swap+", "id", "--in-type", "1+1"]) != 1:
+    raise SystemExit("equiv decided on label words that disagree with the labels")
+words.label_word = label_word
 
 # a rewrite that appends a Hadamard changes the matrix
 words.apply_step = lambda w, step: Word(w.n, w.gens + (gen_h(1, 2),))

@@ -22,14 +22,23 @@ from hadpi.linalg import (
 import hadpi.synthesis
 from hadpi.synthesis import (
     SynthesisError,
-    _trace_word,
     format_trace,
     hpermute,
     normal_form_word,
     permutation_matrix,
+    program_normal_form,
     synthesize,
 )
-from hadpi.words import Word, format_word, label_word, parse_word, permutation_word, word_sem
+import hadpi.words
+from hadpi.words import (
+    Word,
+    format_word,
+    label_word,
+    parse_word,
+    permutation_word,
+    word_program,
+    word_sem,
+)
 
 
 def rand_word(rng: random.Random, n: int, max_len: int = 40) -> Word:
@@ -372,7 +381,9 @@ def _signed_permutation(at: list[int]) -> ExactMatrix:
 
 def test_signed_permutation_normal_form_is_read_off_its_labels(monkeypatch):
     # every signed permutation at n <= 4 (n = 0 included) and seeded random
-    # ones up to n = 64: the labels give the synthesized normal form
+    # ones up to n = 64: the synthesized normal form is the word of the
+    # labels, and a program that runs to those labels is read off them
+    # with no matrix built
     labellings = [
         [s * p for s, p in zip(signs, perm)]
         for n in range(5)
@@ -384,17 +395,19 @@ def test_signed_permutation_normal_form_is_read_off_its_labels(monkeypatch):
         perm = rng.sample(range(1, n + 1), n)
         labellings.append([p * rng.choice((1, -1)) for p in perm])
     assert len(labellings) == 1 + 2 + 8 + 48 + 384 + 24
-    matrices = [_signed_permutation(at) for at in labellings]
-    want = [_trace_word(synthesize(M)) for M in matrices]
-
-    def no_synthesis(M):
-        raise AssertionError("a signed permutation was synthesized")
-
-    monkeypatch.setattr(hadpi.synthesis, "synthesize", no_synthesis)
-    for at, M, nf in zip(labellings, matrices, want):
-        got = normal_form_word(M)
+    want = [Word(len(at), tuple(label_word(at))) for at in labellings]
+    for at, nf in zip(labellings, want):
+        got = normal_form_word(_signed_permutation(at))
         assert format_word(got) == format_word(nf) and got == nf
-        assert got == Word(len(at), tuple(label_word(at)))
+
+    def no_matrix(*args):
+        raise AssertionError("a signed permutation was evaluated or synthesized")
+
+    monkeypatch.setattr(hadpi.synthesis, "synthesize", no_matrix)
+    monkeypatch.setattr(hadpi.words, "word_sem", no_matrix)
+    monkeypatch.setattr(hadpi.words, "program_matrix", no_matrix)
+    for at, nf in zip(labellings, want):
+        assert program_normal_form(word_program(label_word(at)), len(at)) == nf
 
 
 @pytest.mark.parametrize(
