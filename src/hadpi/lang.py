@@ -765,7 +765,8 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
         raise LangError(f"incompatible at {format_type(input)}: {exc}") from None
     if d1 != d2:
         raise LangError(f"target types differ: {format_type(d1)} vs {format_type(d2)}")
-    return equivalence(ops1, ops2, hdim(input))
+    n = hdim(input)
+    return equivalence(ops1, ops2, n, lambda: (program_matrix(ops1, n), program_matrix(ops2, n)))
 
 
 # ---------------------------------------------------------------------------

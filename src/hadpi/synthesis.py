@@ -35,7 +35,7 @@ identity on its rows.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .linalg import ExactMatrix, Generator, Level, _level_unchecked, gen_x, gen_z
 # words.word_sem is looked up per call, where hadpibench/tracing.py patches it
@@ -250,17 +250,21 @@ class Equivalence(NamedTuple):
     rhs: Word
 
 
-def equivalence(p1: Iterable[tuple], p2: Iterable[tuple], n: int) -> Equivalence:
+def equivalence(
+    p1: Iterable[tuple], p2: Iterable[tuple], n: int, matrices: Callable[[], tuple]
+) -> Equivalence:
     """Decide whether two programs of placed primitives on n rows are equal
     by comparing canonical normal forms: the words of the signed labels when
-    neither run leaves an H, else the synthesized forms of both matrices.
-    Raises unless the forms agree exactly when the labels, or the matrices,
-    do, so a fault in either normal form cannot turn into a wrong verdict."""
+    neither run leaves an H, else the synthesized forms of the two matrices
+    that matrices() builds apart from the runs' words (word_sem of a word,
+    program_matrix of a term's program).  Raises unless the forms agree
+    exactly when the labels, or the matrices, do, so a fault in either
+    normal form cannot turn into a wrong verdict."""
     (w1, at1), (w2, at2) = words.program_form(p1, n), words.program_form(p2, n)
     if at1 is not None and at2 is not None:
         nf1, nf2, same = w1, w2, at1 == at2
     else:
-        m1, m2 = words.word_sem(w1), words.word_sem(w2)
+        m1, m2 = matrices()
         nf1, nf2, same = normal_form_word(m1), normal_form_word(m2), m1 == m2
     equal = nf1.gens == nf2.gens
     if equal != same:
@@ -274,7 +278,8 @@ def word_equivalence(w1: Word, w2: Word) -> Equivalence:
         raise WordError(f"ambient dimensions differ: {w1.n} vs {w2.n}")
     _check(w1)
     _check(w2)
-    return equivalence(words.word_program(w1.gens), words.word_program(w2.gens), w1.n)
+    p1, p2 = words.word_program(w1.gens), words.word_program(w2.gens)
+    return equivalence(p1, p2, w1.n, lambda: (words.word_sem(w1), words.word_sem(w2)))
 
 
 def _trace_word(trace: SynthesisTrace) -> Word:

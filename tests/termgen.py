@@ -6,10 +6,12 @@ plus the three combinators, so every emitted term typechecks by
 construction.  shared_chain_term reuses one built seq chain object in
 several places of a term.  qubit_circuits builds fixed gate circuits on
 three qubits, and classical_circuit seeded circuits of X, CX and CCX on
-k qubits.
+register(k), the benchmark's k-qubit type.
 """
 
+import importlib.util
 import random
+from pathlib import Path
 
 from hadpi.lang import (
     Factorz,
@@ -152,9 +154,16 @@ def rand_qubit_circuit(rng: random.Random, local: int, controlled: int) -> Term:
     return seqs(*gates)
 
 
-def register(k: int) -> ValueType:
-    """(1+1)*((1+1)*...): k qubits, associated to the right."""
-    return TWO if k == 1 else Prod(TWO, register(k - 1))
+def _load_bench_inputs():
+    # the benchmark's inputs, loaded by path: hadpibench is not a package
+    path = Path(__file__).resolve().parents[1] / "hadpibench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("hadpibench_inputs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+register = _load_bench_inputs().register
 
 
 def classical_circuit(rng: random.Random, k: int, gates: int) -> Term:

@@ -573,6 +573,20 @@ def test_equiv_checks_label_words_against_the_labels(capsys, monkeypatch):
     assert err == "error: normal forms disagree with matrix equality\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["had", "swap+ ; had"],
+    ["--kind", "word", "n=2 H[1,2]", "n=2 X[1,2] H[1,2]"],
+])
+def test_equiv_checks_h_runs_against_matrices_built_apart(capsys, monkeypatch, argv):
+    # a label_word that drops every labelling makes the two normal forms
+    # one word; the matrices they are checked against do not go through
+    # it, so equiv must not decide
+    monkeypatch.setattr(words, "label_word", lambda at: [])
+    code, out, err = run(capsys, "equiv", *argv)
+    assert (code, out) == (1, "")
+    assert err == "error: normal forms disagree with matrix equality\n"
+
+
 def test_a_run_with_no_h_left_is_not_synthesized(capsys, monkeypatch):
     # the H generators of this word cancel in the run
     def no_synthesis(m):

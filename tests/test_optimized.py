@@ -64,7 +64,8 @@ for z, faulty, check in [
 synthesis.gen_z, synthesis.apply_generator_rows = gen_z, apply_generator_rows
 
 # a synthesis that gives one word for distinct matrices, and a label word
-# that gives one word for distinct labellings: equiv must not decide
+# that gives one word for distinct labellings: equiv must not decide, also
+# where both runs leave an H and the matrices are built apart from them
 from hadpi.cli import main
 
 normal_form_word = synthesis.normal_form_word
@@ -76,6 +77,9 @@ label_word = words.label_word
 words.label_word = lambda at: []
 if main(["equiv", "swap+", "id", "--in-type", "1+1"]) != 1:
     raise SystemExit("equiv decided on label words that disagree with the labels")
+for argv in (["had", "swap+ ; had"], ["--kind", "word", "n=2 H[1,2]", "n=2 X[1,2] H[1,2]"]):
+    if main(["equiv", *argv]) != 1:
+        raise SystemExit("equiv decided on normal forms checked against their own words")
 words.label_word = label_word
 
 # a rewrite that appends a Hadamard changes the matrix
