@@ -564,23 +564,15 @@ def test_equiv_checks_normal_forms_against_the_matrices(capsys, monkeypatch):
     assert err == "error: normal forms disagree with matrix equality\n"
 
 
-def test_equiv_checks_label_words_against_the_labels(capsys, monkeypatch):
-    # a label_word that gives one word for every labelling must not decide
-    # two programs whose runs leave no H
-    monkeypatch.setattr(words, "label_word", lambda at: [])
-    code, out, err = run(capsys, "equiv", "swap+", "id", "--in-type", "1+1")
-    assert (code, out) == (1, "")
-    assert err == "error: normal forms disagree with matrix equality\n"
-
-
 @pytest.mark.parametrize("argv", [
+    ["swap+", "id", "--in-type", "1+1"],
     ["had", "swap+ ; had"],
     ["--kind", "word", "n=2 H[1,2]", "n=2 X[1,2] H[1,2]"],
 ])
-def test_equiv_checks_h_runs_against_matrices_built_apart(capsys, monkeypatch, argv):
-    # a label_word that drops every labelling makes the two normal forms
-    # one word; the matrices they are checked against do not go through
-    # it, so equiv must not decide
+def test_equiv_checks_label_words_against_the_labels(capsys, monkeypatch, argv):
+    # a label_word that gives one word for every labelling must not decide:
+    # two runs that leave no H are checked against their labels, and two
+    # that leave an H against matrices that do not go through label_word
     monkeypatch.setattr(words, "label_word", lambda at: [])
     code, out, err = run(capsys, "equiv", *argv)
     assert (code, out) == (1, "")

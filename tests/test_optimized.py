@@ -75,11 +75,13 @@ if main(["equiv", "had", "swap+ ; had"]) != 1:
 synthesis.normal_form_word = normal_form_word
 label_word = words.label_word
 words.label_word = lambda at: []
-if main(["equiv", "swap+", "id", "--in-type", "1+1"]) != 1:
-    raise SystemExit("equiv decided on label words that disagree with the labels")
-for argv in (["had", "swap+ ; had"], ["--kind", "word", "n=2 H[1,2]", "n=2 X[1,2] H[1,2]"]):
+for argv in (
+    ["swap+", "id", "--in-type", "1+1"],
+    ["had", "swap+ ; had"],
+    ["--kind", "word", "n=2 H[1,2]", "n=2 X[1,2] H[1,2]"],
+):
     if main(["equiv", *argv]) != 1:
-        raise SystemExit("equiv decided on normal forms checked against their own words")
+        raise SystemExit(f"equiv decided {argv} on label words that lose the labels")
 words.label_word = label_word
 
 # a rewrite that appends a Hadamard changes the matrix
