@@ -28,10 +28,8 @@ from .lang import (
     nsum,
     parse_term,
     parse_type,
-    primitives,
     sem,
     term_equivalence,
-    term_prims,
     typecheck,
 )
 from .linalg import LinAlgError, format_matrix, parse_matrix
@@ -83,20 +81,15 @@ def _read_input(value: str) -> str:
         raise UsageError(f"cannot read {name}: {exc}") from None
 
 
-def _parsed(parse, text: str):
+def _parsed(parse, text: str, *args):
     try:
-        return parse(text)
+        return parse(text, *args)
     except (LangError, WordError, LinAlgError) as exc:
         raise UsageError(f"parse error: {exc}") from None
 
 
 def _term_arg(value: str, lang: str) -> Term:
-    c = _parsed(parse_term, _read_input(value))
-    allowed = primitives(lang)
-    for prim in term_prims(c):
-        if prim.name not in allowed:
-            raise UsageError(f"parse error: {prim.name} is not in {lang}")
-    return c
+    return _parsed(parse_term, _read_input(value), lang)
 
 
 def _word_arg(value: str) -> Word:

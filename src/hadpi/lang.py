@@ -449,12 +449,17 @@ _LANG_PRIMS = {
 }
 
 
-def primitives(lang: str) -> frozenset:
-    """Primitive names admitted by a language tag."""
+def _admitted(lang: str) -> dict:
+    """The typing steps of the primitives a language tag admits, by name."""
     try:
-        return frozenset(_LANG_PRIMS[lang])
+        return _LANG_PRIMS[lang]
     except KeyError:
         raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
+
+
+def primitives(lang: str) -> frozenset:
+    """Primitive names admitted by a language tag."""
+    return frozenset(_admitted(lang))
 
 
 class CombinatorType(NamedTuple):
@@ -509,8 +514,7 @@ def _prim_step(name: str, b: ValueType, lang: str) -> ValueType:
     try:
         step = _LANG_PRIMS[lang][name]
     except KeyError:
-        if lang not in _LANG_PRIMS:
-            raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
+        _admitted(lang)  # an unknown tag raises here
         if name in _RULES:
             raise _Failure(f"primitive {name} is not part of {lang}") from None
         raise _Failure(f"unknown primitive {name}") from None
@@ -745,12 +749,9 @@ def typecheck(c: Term, input: ValueType, lang: str = "qpi") -> CombinatorType:
     return CombinatorType(input, _Walk(c, input, lang).dst)
 
 
-def sem(
-    c: Term, input: ValueType, lang: str = "qpi", limit: Optional[int] = None
-) -> ExactMatrix:
-    """Exact matrix denotation of c at the given source type, no type deeper
-    than limit (default _depth_limit(input))."""
-    return program_matrix(lower(c, input, lang, limit)[1], hdim(input))
+def sem(c: Term, input: ValueType, lang: str = "qpi") -> ExactMatrix:
+    """Exact matrix denotation of c at the given source type."""
+    return program_matrix(lower(c, input, lang)[1], hdim(input))
 
 
 def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equivalence:
@@ -950,7 +951,9 @@ _TYPE_OPS = {"+": (2, Sum), "*": (3, Prod)}
 
 
 class _Parser:
-    def __init__(self, text: str, what: str):
+    def __init__(self, text: str, what: str, lang: str = "qpi"):
+        # a term admits the primitives of lang, each refused as it is read
+        self.lang, self.admitted = lang, _admitted(lang)
         # (token, offset) pairs, closed by the sentinel (None, len(text))
         self.toks = []
         for m in _TOKEN_RE.finditer(text):
@@ -1083,16 +1086,19 @@ def _parse_atom(p: _Parser) -> Term:
             p.expect("}")
             return Factorz(operand)
         return Factorz(ONE)
-    if tok in _RULES:
+    if tok in p.admitted:
         p.leaves += 1
         return Prim(tok)
+    if tok in _RULES:
+        raise LangError(f"{tok} is not in {p.lang}")
     raise LangError(f"{p.what}: expected a term, got {tok!r}")
 
 
-def parse_term(text: str) -> Term:
-    """Read a program.  Precedence is * over + over ; with ; left-associated
-    and + and * right-associated, matching the type syntax; ^n repeats."""
-    p = _Parser(text, "term")
+def parse_term(text: str, lang: str = "qpi") -> Term:
+    """Read a program of the language lang.  Precedence is * over + over ;
+    with ; left-associated and + and * right-associated, matching the type
+    syntax; ^n repeats."""
+    p = _Parser(text, "term", lang)
     out = _parse_seq(p)
     p.done()
     return out

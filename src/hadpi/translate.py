@@ -35,6 +35,7 @@ from .lang import (
     fold,
     hdim,
     lower,
+    primitives,
     seqs,
     swap_plus_at,
     term_prims,
@@ -156,9 +157,11 @@ def _t_gen(g: Generator, n: int, rungs: dict, tails: dict[str, Term]) -> Term:
 
 
 def qsem(c: Term) -> Term:
-    """The identity embedding; rejects programs that mention neg1."""
-    if any(prim.name == "neg1" for prim in term_prims(c)):
-        raise LangError("neg1 is not part of hpi")
+    """The identity embedding; rejects programs with a primitive outside hpi."""
+    admitted = primitives("hpi")
+    for prim in term_prims(c):
+        if prim.name not in admitted:
+            raise LangError(f"{prim.name} is not part of hpi")
     return c
 
 

@@ -10,6 +10,16 @@ is checked against its matrix.  pytest does not collect this file; run it
 from the root of the repository:
 
     PYTHONPATH=src python tests/synthesis_survey.py
+
+tests/synthesis_survey.txt holds its output with the timings stripped, and
+CI compares a fresh run against it:
+
+    PYTHONPATH=src python tests/synthesis_survey.py \
+        | sed -E 's/ seconds=[0-9.]+$//; s/ after [0-9.]+ s$//' \
+        | diff tests/synthesis_survey.txt -
+
+Regenerate that file only when the normal forms or the refusals are meant
+to change.
 """
 
 from __future__ import annotations

@@ -68,6 +68,10 @@ def test_check_language_gate_is_a_parse_error(capsys):
     # of two offenders, the gate names the first in the text
     code, _, err = run(capsys, "check", "neg1 ; had", "--lang", "pi")
     assert (code, err) == (2, "error: parse error: neg1 is not in pi\n")
+    # the gate reports as the parser reads the primitive, so before a later
+    # syntax error
+    code, _, err = run(capsys, "check", "neg1 ;", "--lang", "hpi")
+    assert (code, err) == (2, "error: parse error: neg1 is not in hpi\n")
 
 
 def test_check_infers_source(capsys):

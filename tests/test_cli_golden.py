@@ -25,7 +25,7 @@ from unittest import mock
 
 import pytest
 
-from hadpi import cli
+from hadpi import cli, lang
 
 DATA = Path(__file__).with_name("cli_golden.json")
 LONG_TEXT = 2048  # bytes; longer text is recorded by its digest
@@ -224,6 +224,25 @@ def test_no_entry_records_a_traceback():
 def test_transcript_matches_golden(name):
     golden = json.loads(DATA.read_text())
     assert transcript(*CASES[name]) == golden[name]
+
+
+# check, sem, normalize and equiv of terms, and the three language gates
+NO_SECOND_WALK = [
+    "readme-check", "readme-sem", "normalize-term", "readme-equiv", "equiv-distinct",
+    "check-language-gate", "equiv-language-gate", "translate-language-gate",
+]
+
+
+@pytest.mark.parametrize("name", NO_SECOND_WALK)
+def test_no_command_walks_a_parsed_term_again(monkeypatch, name):
+    # the parser applies --lang as it reads each primitive, so a command
+    # reaches inference or lowering without walking the term again: a walk
+    # of its nodes (lang._preorder, as term_prims reads them) would raise
+    def walk(c):
+        raise AssertionError("a parsed term was walked again")
+
+    monkeypatch.setattr(lang, "_preorder", walk)
+    assert transcript(*CASES[name]) == json.loads(DATA.read_text())[name]
 
 
 def regenerate() -> None:

@@ -125,7 +125,7 @@ def _int_calls(path: Path) -> list[str]:
 
 
 def test_only_words_names_run():
-    # words._run's output is read only in words (program_matrix, program_word)
+    # words._run's output is read only in words (program_matrix, program_form)
     found = [
         f"{path.stem}:{node.lineno}"
         for path in sorted((ROOT / "src" / "hadpi").glob("*.py"))

@@ -359,6 +359,27 @@ def test_parse_term_rejects():
             parse_term(bad)
 
 
+def test_parse_term_gates_the_language():
+    with pytest.raises(LangError, match="^neg1 is not in hpi$"):
+        parse_term("neg1", "hpi")
+    # of two primitives outside pi, the first in the text is named
+    with pytest.raises(LangError, match="^neg1 is not in pi$"):
+        parse_term("id ; neg1 ; had", "pi")
+    with pytest.raises(LangError, match="^had is not in pi$"):
+        parse_term("id + had * neg1", "pi")
+    with pytest.raises(LangError, match="unknown language tag 'quantum'"):
+        parse_term("id", "quantum")
+    # the gate reports before a later power past the budget
+    with pytest.raises(LangError, match="^neg1 is not in hpi$"):
+        parse_term("neg1 ; had^999999", "hpi")
+    # the default, qpi, admits every primitive
+    for name in sorted(hadpi.lang._RULES):
+        assert parse_term(name) == Prim(name) == parse_term(name, "qpi")
+    for lang in ("pi", "hpi"):
+        for name in sorted(primitives(lang)):
+            assert parse_term(name, lang) == Prim(name)
+
+
 def test_parse_type_frozen():
     assert parse_type("1+1") == TWO
     assert parse_type("1+1+1") == Sum(ONE, Sum(ONE, ONE))
