@@ -449,17 +449,12 @@ _LANG_PRIMS = {
 }
 
 
-def _admitted(lang: str) -> dict:
-    """The typing steps of the primitives a language tag admits, by name."""
-    try:
-        return _LANG_PRIMS[lang]
-    except KeyError:
-        raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
-
-
 def primitives(lang: str) -> frozenset:
     """Primitive names admitted by a language tag."""
-    return frozenset(_admitted(lang))
+    try:
+        return frozenset(_LANG_PRIMS[lang])
+    except KeyError:
+        raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
 
 
 class CombinatorType(NamedTuple):
@@ -514,7 +509,8 @@ def _prim_step(name: str, b: ValueType, lang: str) -> ValueType:
     try:
         step = _LANG_PRIMS[lang][name]
     except KeyError:
-        _admitted(lang)  # an unknown tag raises here
+        if lang not in _LANG_PRIMS:
+            raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
         if name in _RULES:
             raise _Failure(f"primitive {name} is not part of {lang}") from None
         raise _Failure(f"unknown primitive {name}") from None
@@ -953,7 +949,7 @@ _TYPE_OPS = {"+": (2, Sum), "*": (3, Prod)}
 class _Parser:
     def __init__(self, text: str, what: str, lang: str = "qpi"):
         # a term admits the primitives of lang, each refused as it is read
-        self.lang, self.admitted = lang, _admitted(lang)
+        self.lang, self.admitted = lang, primitives(lang)
         # (token, offset) pairs, closed by the sentinel (None, len(text))
         self.toks = []
         for m in _TOKEN_RE.finditer(text):
