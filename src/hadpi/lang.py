@@ -542,22 +542,22 @@ def _spine(c: Term) -> list[Term]:
 # ---------------------------------------------------------------------------
 # lowering: one memoized walk behind typecheck, sem, inverse and translation
 #
-# A subterm runs at a placement (offs, base, stride) in the rows of the
-# source's basis, 0-based: its local row j of copy i is row base + offs[i] +
-# j*stride.  Inside a product of terms a factor runs once per basis vector
-# of the other, so a product makes new copies (offs) and stride; the right
-# operand of a sum of terms only moves base.  A lowered program is a flat
-# list of the primitives that move rows, each placed once for all its
+# A subterm runs at a placement (base, copies, stride) in the rows of the
+# source's basis, 0-based.  Inside a product of terms a factor runs once per
+# basis vector of the other, so a product adds a (count, step) pair to the
+# copies and sets the stride; the right operand of a sum of terms only
+# moves base.  The copies are a grid, outermost pair first: from [base],
+# each pair takes every row r to r, r + step, ..., r + (count-1)*step, and
+# local row j of a copy at r is row r + j*stride.  A lowered program is a
+# flat list of the primitives that move rows, each placed once for all its
 # copies, applied in order:
-#   ("had", rows, stride, 0, 0)       H on rows r and r + stride
-#   ("neg1", rows, stride, 0, 0)      Z on row r
-#   ("swap+", rows, stride, n1, n2)   the permutation of swap+ on n1 + n2
-#   ("swap*", rows, stride, n1, n2)   the permutation of swap* on n1 * n2
-# for each r in rows, the copies' offs with base folded in.  An op's rows
-# are grouped by the copies of every subterm around it, so the first
-# len(rows) / k of them belong to the first copy of an enclosing subterm
-# placed k times.  A subterm met again with the same copies and stride
-# re-emits its ops shifted by the difference of the bases.
+#   ("had", base, copies, stride, 0, 0)      H on rows r and r + stride
+#   ("neg1", base, copies, stride, 0, 0)     Z on row r
+#   ("swap+", base, copies, stride, n1, n2)  the permutation of swap+ on n1 + n2
+#   ("swap*", base, copies, stride, n1, n2)  the permutation of swap* on n1 * n2
+# for each row r of the grid, which only words._run expands, in the order
+# of its pairs.  A subterm met again at the same stride re-emits its ops at
+# its new base, the copies it was recorded under replaced by the new ones.
 
 
 class _Walk:
@@ -567,14 +567,12 @@ class _Walk:
     the nodes of c (target).
 
     A primitive's target is memoized on its name and input type (equal
-    types are one object).  Every other node but a leaf factorz is
-    memoized on node and input type identity, a seq nested in a chain too: a
-    node met again at its input type, no tighter depth limit, and the same
-    copies and stride returns its recorded target and re-emits its recorded
-    ops shifted to the new base (see the comment above _Walk); met with
-    other copies, it is walked again.  A
-    failure names its subterm as it unwinds (_Failure), so no walk tracks
-    paths.  Both memos die with the walk."""
+    types are one object).  Every other node but a leaf factorz is memoized
+    on node and input type identity, a seq nested in a chain too: a node met
+    again at its input type, no tighter depth limit, and the same stride,
+    under any copies, returns its recorded target and re-emits its recorded
+    ops at the new base and copies (see the comment above _Walk).  A failure
+    names its subterm as it unwinds (_Failure), so no walk tracks paths."""
 
     __slots__ = ("lang", "emit", "limit", "ops", "steps", "memo", "dst")
 
@@ -587,9 +585,9 @@ class _Walk:
         # (name, input) -> (target, moves rows, n1, n2): a primitive's
         # step, with the sizes an emitted swap carries
         self.steps: dict[tuple, tuple] = {}
-        # (id(node), id(input)) -> (node, input, limit, target, offs, base,
-        # stride, start, end); holding the node and the input keeps their
-        # ids unique
+        # (id(node), id(input)) -> (node, input, limit, target, copies,
+        # base, stride, start, end); holding the node and the input keeps
+        # their ids unique
         self.memo: dict[tuple, tuple] = {}
         if limit is None:
             limit = _depth_limit(b)
@@ -603,16 +601,16 @@ class _Walk:
     def _root(self, c: Term, b: ValueType, limit: int) -> ValueType:
         """node(c) at the first rows, raising a failure as the error it names."""
         try:
-            return self.node(c, b, limit, [0], 1)
+            return self.node(c, b, limit, (), 1)
         except _Failure as exc:
             raise _fail(exc.steps[::-1], exc.msg, exc.error) from None
 
-    def node(self, c: Term, b: ValueType, limit: int, offs: list[int], stride: int) -> ValueType:
-        """Target type of c on input b, no deeper than limit; local row j of
-        copy i is row offs[i] + j*stride, and the nodes below c add a base
-        (see the comment above _Walk).  Each seq, sum and product of
-        terms opens a frame on an explicit stack, which its finished
-        operands resume: t_q nests a word thousands of nodes deep."""
+    def node(self, c: Term, b: ValueType, limit: int, copies: tuple, stride: int) -> ValueType:
+        """Target type of c on input b, no deeper than limit, at base 0 on
+        the grid copies at stride, to which the nodes below c add (see the
+        comment above _Walk).  Each seq, sum and product of terms opens a
+        frame on an explicit stack, which its finished operands resume: t_q
+        nests a word thousands of nodes deep."""
         memo, ops, emit = self.memo, self.ops, self.emit
         # the composites open around the node x being walked: [node, input,
         # start of its ops, the step down to x's side of it], and for a sum
@@ -636,8 +634,7 @@ class _Walk:
                     if dst.depth > limit:
                         raise _Failure(_too_deep(name), BudgetError)
                     if moves and emit:
-                        rows = [base + o for o in offs] if base else offs
-                        ops.append((name, rows, stride, n1, n2))
+                        ops.append((name, base, copies, stride, n1, n2))
                 elif kind is Factorz:
                     if dst is not ZERO:
                         raise _Failure(f"factorz needs input 0, got {format_type(dst)}")
@@ -648,15 +645,14 @@ class _Walk:
                     (entry := memo.get((id(x), id(dst)))) is not None
                     and entry[2] <= limit  # recorded under no looser limit
                     and entry[6] == stride
-                    and (entry[4] is offs or entry[4] == offs)
                 ):
-                    _, _, _, dst, _, shift, _, start, end = entry
+                    _, _, _, dst, was, shift, _, start, end = entry
                     shift = base - shift
-                    if not shift:
+                    if not shift and was == copies:
                         ops += ops[start:end]
-                    else:
-                        for name, rows, s, n1, n2 in ops[start:end]:
-                            ops.append((name, [r + shift for r in rows], s, n1, n2))
+                    else:  # each op's copies start with the node's: swap them for these
+                        for name, at, grid, s, n1, n2 in ops[start:end]:
+                            ops.append((name, at + shift, copies + grid[len(was) :], s, n1, n2))
                 elif kind is Seq:
                     frames.append([x, dst, len(ops), "seq.fst"])
                     x = x.fst
@@ -675,10 +671,10 @@ class _Walk:
                             f" of {MAX_DIM} (MAX_DIM)",
                             BudgetError,
                         )
-                    frames.append([x, dst, len(ops), at, limit, offs, base, stride, None])
-                    if emit and kind is ProdC:
+                    frames.append([x, dst, len(ops), at, limit, copies, base, stride, None])
+                    if kind is ProdC:
                         # (c1 (x) I)(I (x) c2): c1 once per right index, c2 once per left one
-                        offs = [o + i * stride for o in offs for i in range(n2)]
+                        copies += ((n2, stride),)
                         stride *= n2
                     x, dst, limit = x.left, dst.left, limit - 1
                     continue
@@ -695,20 +691,20 @@ class _Walk:
                     if at == "seq.snd":
                         y, yb, start, _ = frames.pop()
                     else:  # back at the sum's or product's own placement
-                        y, yb, start, at, limit, offs, base, stride, left = frame
+                        y, yb, start, at, limit, copies, base, stride, left = frame
                         if at == "sum.left" or at == "prod.left":
                             n1, n2 = yb.left.dim, yb.right.dim
                             if at == "sum.left":
                                 base += n1 * stride
-                            elif emit:
-                                offs = [o + i * n2 * stride for o in offs for i in range(n1)]
+                            else:
+                                copies += ((n1, n2 * stride),)
                             frame[3] = "sum.right" if at == "sum.left" else "prod.right"
                             frame[8] = dst
                             x, dst, limit = y.right, yb.right, limit - 1
                             break
                         frames.pop()
                         dst = yb if left is yb.left and dst is yb.right else type(yb)(left, dst)
-                    memo[id(y), id(yb)] = (y, yb, limit, dst, offs, base, stride, start, len(ops))
+                    memo[id(y), id(yb)] = (y, yb, limit, dst, copies, base, stride, start, len(ops))
                 else:
                     return dst
         except _Failure as exc:
@@ -735,7 +731,7 @@ def lower(
     """Target type of c on input b, no type deeper than limit (default
     _depth_limit(b)), and its program of placed primitives (see the comment
     above _Walk); each distinct subterm is walked once per input type and
-    placement of its copies."""
+    stride."""
     walk = _Walk(c, b, lang, True, limit)
     return walk.dst, walk.ops
 

@@ -86,10 +86,11 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
 
 
 # The signed relabelling.  A program of placed primitives is a list of
-# (name, offs, stride, n1, n2): the primitive acts on the rows o, o + stride,
-# ... (from 0) for each offset o, and n1, n2 are the block sizes of swap+
-# and swap* (see lang.lower).  A word reads as such a program too, yielded
-# one primitive at a time (word_program).
+# (name, base, copies, stride, n1, n2) (see lang.lower): the primitive acts
+# on rows o, o + stride, ... (from 0) for each row o of its grid, [base] with
+# each (count, step) pair of copies taking every o to o, o + step, ...,
+# o + (count-1)*step in turn; n1, n2 are the block sizes of swap+ and swap*.
+# A word reads as such a program too, one primitive at a time (word_program).
 
 
 def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
@@ -109,7 +110,10 @@ def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
     gens: list[Generator | None] = []
     # per physical row, the indices in gens of the live H that touch it
     touched: list[list[int]] = [[] for _ in range(n + 1)]
-    for name, offs, stride, n1, n2 in ops:
+    for name, base, copies, stride, n1, n2 in ops:
+        offs = [base]
+        for count, step in copies:
+            offs = [o + i * step for o in offs for i in range(count)]
         if name == "had":
             for o in offs:
                 p = o + stride
@@ -210,12 +214,12 @@ _PRIMITIVE = {"H": "had", "X": "swap+", "Z": "neg1"}
 
 def word_program(gens: Sequence[Generator]) -> Iterator[tuple]:
     """The program of placed primitives of the word G1 ... Gl, Gl applied
-    first: H[b,c] is had on rows b-1 and c-1, X[b,c] is swap+ of 1+1
-    there, and Z[a] is neg1 on row a-1, whose stride, 0, is not read.
+    first: H[b,c] is had at base b-1, stride c-b and no copies, X[b,c] is
+    swap+ of 1+1 there, and Z[a] is neg1 at a-1, whose stride, 0, is unread.
     _run reads a program once, so the primitives come one at a time and
     the program of a long normal form is never held whole."""
     return (
-        (_PRIMITIVE[kind], (idx[0] - 1,), idx[-1] - idx[0], 1, 1)
+        (_PRIMITIVE[kind], idx[0] - 1, (), idx[-1] - idx[0], 1, 1)
         for kind, idx in reversed(gens)
     )
 

@@ -47,6 +47,7 @@ from hadpi.lang import (
     SumC,
     ZERO,
     _preorder,
+    ctrl,
     format_term,
     format_type,
     hdim,
@@ -206,8 +207,8 @@ def test_a_shared_node_at_other_rows_strides_and_types():
 
 
 def test_a_node_first_run_with_no_copies_runs_again_on_rows():
-    # beside a 0 factor a factor runs with no copies, so the ops it records
-    # sit on no rows; met again on rows, the node is walked again
+    # beside a 0 factor a factor runs on a grid of no copies, so the ops it
+    # records sit on no rows; met again on rows, they are re-emitted there
     x = Seq(HAD, HAD)
     h = SumC(HAD, ID)
     cases = [
@@ -225,13 +226,47 @@ def test_a_node_first_run_with_no_copies_runs_again_on_rows():
         assert_matches_oracle(c, b)
 
 
+def test_the_memo_serves_a_node_under_other_copies():
+    # g runs on X = (1+1)*((1+1)*(1+1)) once beside 1 and twice beside 1+1:
+    # the second time it is met at its input type and stride, so its ops
+    # are re-emitted on the new grid and none of its nodes is walked again
+    writes = [0]
+
+    class CountingMemo(dict):
+        def __setitem__(self, key, value):
+            writes[0] += 1
+            super().__setitem__(key, value)
+
+    class CountingWalk(hadpi.lang._Walk):
+        __slots__ = ()
+
+        def _root(self, c, b, limit):
+            self.memo = CountingMemo()
+            return super()._root(c, b, limit)
+
+    g = ctrl(ctrl(SWP))
+    X = Prod(TWO, Prod(TWO, TWO))
+    c, b = SumC(ProdC(ID, g), ProdC(ID, g)), Sum(Prod(ONE, X), Prod(TWO, X))
+    walk = CountingWalk(c, b, "qpi", True)
+    # 19 when g is walked again under the other copies
+    assert writes[0] == 11, writes
+    assert frac_eq(
+        frac_of_matrix(hadpi.words.program_matrix(walk.ops, hdim(b))),
+        oracle_term(c, oracle_type(b), "qpi")[1],
+    )
+
+
 def test_lower_emits_row_operations_on_global_rows():
     b = Sum(ONE, Prod(TWO, TWO))
     c = SumC(NEG1, seqs(ProdC(HAD, ID), Prim("swap*")))
     dst, ops = lower(c, b)
     assert dst == b
     # had once per right index at stride 2, then the pair swap of 2x2
-    assert ops == [("neg1", [0], 1, 0, 0), ("had", [1, 2], 2, 0, 0), ("swap*", [1], 1, 2, 2)]
+    assert ops == [
+        ("neg1", 0, (), 1, 0, 0),
+        ("had", 1, ((2, 1),), 2, 0, 0),
+        ("swap*", 1, (), 1, 2, 2),
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Translations between programs and generator words."""
 
 import hashlib
+import math
 import random
 import sys
 
@@ -50,9 +51,16 @@ from hadpi.translate import (
     t_q,
     wsem,
 )
-from hadpi.words import Word, WordError, program_matrix, word_sem
+from hadpi.words import Word, WordError, format_word, program_matrix, word_sem
 from oracles import H_BLOCK, oracle_type, oracle_word
-from termgen import QUBITS3, qubit_circuits, rand_qubit_circuit, rand_term, rand_type
+from termgen import (
+    QUBITS3,
+    _load_bench_inputs,
+    qubit_circuits,
+    rand_qubit_circuit,
+    rand_term,
+    rand_type,
+)
 
 HAD = Prim("had")
 NEG1 = Prim("neg1")
@@ -184,11 +192,29 @@ def test_wsem_words_are_a_signed_permutation_then_ascending_hs():
     # per placed had copy
     for b, c in _wsem_corpus():
         gens = wsem(c, b).gens
-        copies = sum(len(offs) for name, offs, *_ in lower(c, b)[1] if name == "had")
+        ops = lower(c, b)[1]
+        copies = sum(math.prod(n for n, _ in grid) for name, _, grid, *_ in ops if name == "had")
         hs = [i for i, g in enumerate(gens) if g.kind == "H"]
         assert all(gens[i].idx[0] < gens[i].idx[1] for i in hs)
         assert hs == list(range(len(gens) - len(hs), len(gens))), format_term(c)
         assert len(hs) <= copies
+
+
+# sha256 of the words of the wide-register corpus below, recorded when
+# lang.lower placed each copy on a row list of its own
+WIDE_GOLDEN_SHA256 = "5852348527f397ddbf9207a6556b8051ae0825fb3a21f63be6c17f9b16fc8967"
+
+
+def test_wsem_words_on_wide_registers_are_pinned():
+    # gates on registers of 4-10 qubits run on grids of up to 512 copies,
+    # past the 3 qubits of the goldens, so the order of their Hs shows here
+    inputs = _load_bench_inputs()
+    digest = hashlib.sha256()
+    for k in (4, 6, 8, 10):
+        for s in range(3):
+            c = inputs.rand_circuit(random.Random(f"wide-{k}-{s}"), k, 12, 6)
+            digest.update((format_word(wsem(c, inputs.register(k))) + "\n").encode())
+    assert digest.hexdigest() == WIDE_GOLDEN_SHA256
 
 
 def test_wsem_rejects_ill_typed():
