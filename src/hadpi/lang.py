@@ -548,9 +548,8 @@ def _spine(c: Term) -> list[Term]:
 # copies and sets the stride; the right operand of a sum of terms only
 # moves base.  The copies are a grid, outermost pair first: from [base],
 # each pair takes every row r to r, r + step, ..., r + (count-1)*step, and
-# local row j of a copy at r is row r + j*stride.  A lowered program is a
-# flat list of the primitives that move rows, each placed once for all its
-# copies, applied in order:
+# local row j of a copy at r is row r + j*stride.  A lowered program lists,
+# in order, the primitives that move rows, each placed once for all copies:
 #   ("had", base, copies, stride, 0, 0)      H on rows r and r + stride
 #   ("neg1", base, copies, stride, 0, 0)     Z on row r
 #   ("swap+", base, copies, stride, n1, n2)  the permutation of swap+ on n1 + n2

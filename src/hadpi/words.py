@@ -90,7 +90,7 @@ def support_ranks(indices: Iterable[int]) -> dict[int, int]:
 # on rows o, o + stride, ... (from 0) for each row o of its grid, [base] with
 # each (count, step) pair of copies taking every o to o, o + step, ...,
 # o + (count-1)*step in turn; n1, n2 are the block sizes of swap+ and swap*.
-# A word reads as such a program too, one primitive at a time (word_program).
+# A word is such a program too, read one primitive at a time (word_program).
 
 
 def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
@@ -112,8 +112,9 @@ def _run(ops: Iterable[tuple], n: int) -> tuple[list[Generator], list[int]]:
     touched: list[list[int]] = [[] for _ in range(n + 1)]
     for name, base, copies, stride, n1, n2 in ops:
         offs = [base]
-        for count, step in copies:
-            offs = [o + i * step for o in offs for i in range(count)]
+        if copies:  # most ops of a long program have none
+            for count, step in copies:
+                offs = [o + i * step for o in offs for i in range(count)]
         if name == "had":
             for o in offs:
                 p = o + stride
