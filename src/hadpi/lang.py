@@ -600,13 +600,13 @@ class _Walk:
     def _root(self, c: Term, b: ValueType, limit: int) -> ValueType:
         """node(c) at the first rows, raising a failure as the error it names."""
         try:
-            return self.node(c, b, limit, (), 1)
+            return self.node(c, b, limit)
         except _Failure as exc:
             raise _fail(exc.steps[::-1], exc.msg, exc.error) from None
 
-    def node(self, c: Term, b: ValueType, limit: int, copies: tuple, stride: int) -> ValueType:
-        """Target type of c on input b, no deeper than limit, at base 0 on
-        the grid copies at stride, to which the nodes below c add (see the
+    def node(self, c: Term, b: ValueType, limit: int) -> ValueType:
+        """Target type of c on input b, no deeper than limit, placed at base
+        0 with no copies and stride 1, which the nodes below c move (see the
         comment above _Walk).  Each seq, sum and product of terms opens a
         frame on an explicit stack, which its finished operands resume: t_q
         nests a word thousands of nodes deep."""
@@ -615,7 +615,7 @@ class _Walk:
         # start of its ops, the step down to x's side of it], and for a sum
         # or product its limit, placement and its left operand's target
         frames: list[list] = []
-        x, dst, base = c, b, 0
+        x, dst, base, copies, stride = c, b, 0, (), 1
         try:
             while True:
                 kind = type(x)
