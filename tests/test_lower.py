@@ -208,7 +208,9 @@ def test_a_shared_node_at_other_rows_strides_and_types():
 
 def test_a_node_first_run_with_no_copies_runs_again_on_rows():
     # beside a 0 factor a factor runs on a grid of no copies, so the ops it
-    # records sit on no rows; met again on rows, they are re-emitted there
+    # records sit on no rows; met again on rows, they are re-emitted there,
+    # or, at another stride (the left factor beside 0 has stride 0), the
+    # node is walked again
     x = Seq(HAD, HAD)
     h = SumC(HAD, ID)
     cases = [
