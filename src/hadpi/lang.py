@@ -410,8 +410,9 @@ def _compile(rule: _Rule):
     """typecheck's reading of a rule: a function from an input type b to
     its target, or to None when b does not have the source shape.  It is
     generated from the patterns as the one expression a hand-written step
-    would be: walking the patterns at every step made typecheck of
-    unshared terms about 30% slower."""
+    would be.  A recursive matcher over _RULES in its place cost 1.05-1.08x
+    the op time of the benchmark's translate workload, about 0.5-1 us more
+    per miss of the walk's step memo (about 29 misses per op)."""
     tests: list[str] = []
     at: dict = {}  # pattern variable -> where in b it is bound
 
@@ -542,6 +543,9 @@ def _spine(c: Term) -> list[Term]:
 # ---------------------------------------------------------------------------
 # lowering: one memoized walk behind typecheck, sem, inverse and translation
 #
+# Every walk lowers: typecheck keeps its target, sem and the translations
+# its program, and fold (inverse, t_h) the target types its memos hold.
+#
 # A subterm runs at a placement (base, copies, stride) in the rows of the
 # source's basis, 0-based.  Inside a product of terms a factor runs once per
 # basis vector of the other, so a product adds a (count, step) pair to the
@@ -561,9 +565,9 @@ def _spine(c: Term) -> list[Term]:
 
 class _Walk:
     """A walk of c at input b in a language, no type deeper than limit
-    (default _depth_limit(b)): dst is c's target type and, with emit, ops is
-    its program of placed primitives.  The walk is kept for questions about
-    the nodes of c (target).
+    (default _depth_limit(b)): dst is c's target type and ops its program of
+    placed primitives.  Its memos answer questions about the nodes of c
+    (target) with no second walk.
 
     A primitive's target is memoized on its name and input type (equal
     types are one object).  Every other node but a leaf factorz is memoized
@@ -573,13 +577,10 @@ class _Walk:
     ops at the new base and copies (see the comment above _Walk).  A failure
     names its subterm as it unwinds (_Failure), so no walk tracks paths."""
 
-    __slots__ = ("lang", "emit", "limit", "ops", "steps", "memo", "dst")
+    __slots__ = ("lang", "ops", "steps", "memo", "dst")
 
-    def __init__(
-        self, c: Term, b: ValueType, lang: str, emit: bool = False, limit: Optional[int] = None
-    ):
+    def __init__(self, c: Term, b: ValueType, lang: str, limit: Optional[int] = None):
         self.lang = lang
-        self.emit = emit
         self.ops: list[tuple] = []
         # (name, input) -> (target, moves rows, n1, n2): a primitive's
         # step, with the sizes an emitted swap carries
@@ -588,19 +589,12 @@ class _Walk:
         # base, stride, start, end); holding the node and the input keeps
         # their ids unique
         self.memo: dict[tuple, tuple] = {}
-        if limit is None:
-            limit = _depth_limit(b)
-        self.limit = limit
         if hdim(b) > MAX_DIM:
             raise BudgetError(
                 f"the source type's dimension is past the limit of {MAX_DIM} (MAX_DIM)"
             )
-        self.dst = self._root(c, b, limit)
-
-    def _root(self, c: Term, b: ValueType, limit: int) -> ValueType:
-        """node(c) at the first rows, raising a failure as the error it names."""
         try:
-            return self.node(c, b, limit)
+            self.dst = self.node(c, b, _depth_limit(b) if limit is None else limit)
         except _Failure as exc:
             raise _fail(exc.steps[::-1], exc.msg, exc.error) from None
 
@@ -610,7 +604,7 @@ class _Walk:
         comment above _Walk).  Each seq, sum and product of terms opens a
         frame on an explicit stack, which its finished operands resume: t_q
         nests a word thousands of nodes deep."""
-        memo, ops, emit = self.memo, self.ops, self.emit
+        memo, ops = self.memo, self.ops
         # the composites open around the node x being walked: [node, input,
         # start of its ops, the step down to x's side of it], and for a sum
         # or product its limit, placement and its left operand's target
@@ -632,7 +626,7 @@ class _Walk:
                     dst, moves, n1, n2 = step
                     if dst.depth > limit:
                         raise _Failure(_too_deep(name), BudgetError)
-                    if moves and emit:
+                    if moves:
                         ops.append((name, base, copies, stride, n1, n2))
                 elif kind is Factorz:
                     if dst is not ZERO:
@@ -711,17 +705,14 @@ class _Walk:
             raise
 
     def target(self, c: Term, b: ValueType) -> ValueType:
-        """Target type of a node of a term this walk has checked, at input b."""
+        """Target type of a node of c at an input b this walk met it at: a
+        primitive's from its step, a factorz's from its operand, and any
+        other node's from its memo entry."""
         if type(c) is Prim:
-            step = self.steps.get((c.name, b))
-            if step is not None:
-                return step[0]
-        else:
-            entry = self.memo.get((id(c), id(b)))
-            if entry is not None:
-                return entry[3]
-        # a leaf factorz, or a node not met at b: walked under the walk's limit
-        return self._root(c, b, self.limit)
+            return self.steps[c.name, b][0]
+        if type(c) is Factorz:
+            return Prod(c.operand, ZERO)
+        return self.memo[id(c), id(b)][3]
 
 
 def lower(
@@ -731,13 +722,13 @@ def lower(
     _depth_limit(b)), and its program of placed primitives (see the comment
     above _Walk); each distinct subterm is walked once per input type and
     stride."""
-    walk = _Walk(c, b, lang, True, limit)
+    walk = _Walk(c, b, lang, limit)
     return walk.dst, walk.ops
 
 
 def typecheck(c: Term, input: ValueType, lang: str = "qpi") -> CombinatorType:
     """Propagate the source type through c; the target is determined."""
-    return CombinatorType(input, _Walk(c, input, lang).dst)
+    return CombinatorType(input, lower(c, input, lang)[0])
 
 
 def sem(c: Term, input: ValueType, lang: str = "qpi") -> ExactMatrix:
@@ -767,13 +758,13 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
 
 def fold(c: Term, b: ValueType, lang: str, leaf, spine, pair):
     """The part for c at input b, folded bottom-up off an explicit stack
-    once a _Walk has checked c: leaf(x, xb) for a primitive or factorz x at
-    input xb; spine(parts) for a seq chain, given the parts for its non-seq
-    nodes in application order (_spine); pair(x, xb, target, left, right)
-    for a sum or product of terms x, where target(y, yb) is the target type
-    of a node y of c at its input yb.  A node met again at the same input
-    type yields the part it first did, so the part for a shared node is
-    shared."""
+    over the nodes one _Walk of c met: leaf(x, xb) for a primitive or
+    factorz x at input xb; spine(parts) for a seq chain, given the parts for
+    its non-seq nodes in application order (_spine); pair(x, xb, target,
+    left, right) for a sum or product of terms x, where target(y, yb) is the
+    target type of a node y of c at its input yb, read off the walk's memos.
+    A node met again at the same input type yields the part it first did,
+    so the part for a shared node is shared."""
     target = _Walk(c, b, lang).target
     done: dict[tuple, tuple] = {}  # (id(node), id(input)) -> (node, input, part)
     # the composites open around x: (node, input, the nodes below it, their

@@ -1,10 +1,11 @@
 """Tooling checks over the package source: traced bindings, unused imports,
-asserts, readers of counts, the modules the command line imports, and the
-README's budget and library layout tables."""
+asserts, readers of counts, the modules the command line imports, the
+README's budget and library layout tables, and the benchmark records."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -236,3 +237,23 @@ def test_only_type_directed_code_recurses():
     found = {f for path in (ROOT / "src" / "hadpi").glob("*.py") for f in _self_recursive(path)}
     assert found <= allowed, f"functions that recurse: {sorted(found - allowed)}"
     assert found == allowed, f"allowed but no longer recursive: {sorted(allowed - found)}"
+
+
+def test_every_bench_record_holds_each_side_and_metric():
+    # each BENCH_<pr>.json at the root records, for every workload it ran,
+    # the parent's and the change's run line with every end-to-end metric
+    # that BENCHMARK.json declares
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        workloads = json.loads(path.read_text())["workloads"]
+        assert workloads, path.name
+        for workload, sides in workloads.items():
+            for side in ("parent", "change"):
+                record = sides[side]
+                where = f"{path.name} {workload} {side}"
+                assert isinstance(record["correct"], bool), where
+                assert isinstance(record["failed"], int), where
+                missing = [m for m in names if "value" not in record["metrics"].get(m, {})]
+                assert not missing, f"{where} lacks {missing}"

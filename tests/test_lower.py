@@ -242,14 +242,14 @@ def test_the_memo_serves_a_node_under_other_copies():
     class CountingWalk(hadpi.lang._Walk):
         __slots__ = ()
 
-        def _root(self, c, b, limit):
+        def node(self, c, b, limit):
             self.memo = CountingMemo()
-            return super()._root(c, b, limit)
+            return super().node(c, b, limit)
 
     g = ctrl(ctrl(SWP))
     X = Prod(TWO, Prod(TWO, TWO))
     c, b = SumC(ProdC(ID, g), ProdC(ID, g)), Sum(Prod(ONE, X), Prod(TWO, X))
-    walk = CountingWalk(c, b, "qpi", True)
+    walk = CountingWalk(c, b, "qpi")
     # 19 when g is walked again under the other copies
     assert writes[0] == 11, writes
     assert frac_eq(
@@ -593,6 +593,41 @@ def test_inverse_output_text_is_pinned():
         f"{format_type(b)} | {format_term(inverse(c, b))}\n" for b, c in _inverse_corpus()
     )
     assert hashlib.sha256(text.encode()).hexdigest() == INVERSE_GOLDEN_SHA256
+
+
+def test_inverse_and_t_h_walk_each_term_once(monkeypatch):
+    # a fold reads the target of each node of a seq chain, a factorz too,
+    # off the memos of the one walk that checked the term
+    walks, nodes = [], []
+
+    class CountingWalk(hadpi.lang._Walk):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            walks.append(self)
+            super().__init__(*args)
+
+        def node(self, *args):
+            nodes.append(self)
+            return super().node(*args)
+
+    f = seqs(Factorz(TWO), Prim("absorb"), Factorz(TWO))  # 0 <-> (1+1)*0
+    s, p = SumC(f, HAD), ProdC(HAD, SumC(HAD, ID))  # shared below
+    corpus = [
+        (f, ZERO),
+        (seqs(s, SumC(Prim("absorb"), HAD), s), Sum(ZERO, TWO)),
+        (seqs(p, p, Prim("swap*"), ProdC(SumC(HAD, ID), HAD)), Prod(TWO, Sum(TWO, ONE))),
+        (seqs(ProdC(ID, f), ProdC(ID, Prim("absorb")), ProdC(ID, f)), Prod(TWO, ZERO)),
+    ]
+    for c, b in corpus:
+        assert sem(seqs(c, inverse(c, b)), b).is_identity()
+    monkeypatch.setattr(hadpi.lang, "_Walk", CountingWalk)
+    for c, b in corpus:
+        for run in (inverse, t_h):
+            walks.clear()
+            nodes.clear()
+            run(c, b)
+            assert len(walks) == 1 and nodes == walks, (run.__name__, format_term(c))
 
 
 # ---------------------------------------------------------------------------
