@@ -659,6 +659,27 @@ def test_shared_outputs_print_as_their_unshared_copies():
     assert len(shared) >= len(qubit_circuits())
 
 
+def _shared_printed_texts() -> list[str]:
+    """The printed t_h outputs of the three-qubit circuits, the printed t_q
+    outputs of seeded words at n = 3, 6, 12 and 32, and printed types of
+    nsum(n) and register(k), all built with shared parts."""
+    register = _load_bench_inputs().register
+    rng = random.Random(35)
+    texts = [format_term(t_h(c, QUBITS3)) for c in qubit_circuits()]
+    texts += [format_term(t_q(_rand_word(rng, n, 2 * n))) for n in (3, 6, 12, 32)]
+    texts += [format_type(nsum(n)) for n in (0, 1, 2, 5, 1000)]
+    texts += [format_type(register(k)) for k in range(1, 11)]
+    return texts
+
+
+def test_shared_printed_text_is_pinned():
+    # recorded before the printer lost its chain runs to one stack loop
+    text = "\n".join(_shared_printed_texts())
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1231404962aec877a3f04b77fedfa22d47b752ada416b029c4fc45ea6e986df5"
+    )
+
+
 def test_printing_a_shared_program_renders_each_node_once(monkeypatch):
     c = t_q(_rand_word(random.Random(32), 32, 64))
     calls = 0
