@@ -450,12 +450,17 @@ _LANG_PRIMS = {
 }
 
 
-def primitives(lang: str) -> frozenset:
-    """Primitive names admitted by a language tag."""
+def _lang_steps(lang: str) -> dict:
+    """The typing steps of the primitives a language tag admits, by name."""
     try:
-        return frozenset(_LANG_PRIMS[lang])
+        return _LANG_PRIMS[lang]
     except KeyError:
         raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
+
+
+def primitives(lang: str) -> frozenset:
+    """Primitive names admitted by a language tag."""
+    return frozenset(_lang_steps(lang))
 
 
 class CombinatorType(NamedTuple):
@@ -507,14 +512,11 @@ class _Failure(Exception):
 
 def _prim_step(name: str, b: ValueType, lang: str) -> ValueType:
     """Target type of one primitive on input b."""
-    try:
-        step = _LANG_PRIMS[lang][name]
-    except KeyError:
-        if lang not in _LANG_PRIMS:
-            raise LangError(f"unknown language tag {lang!r}; pick pi, qpi, or hpi") from None
+    step = _lang_steps(lang).get(name)
+    if step is None:
         if name in _RULES:
-            raise _Failure(f"primitive {name} is not part of {lang}") from None
-        raise _Failure(f"unknown primitive {name}") from None
+            raise _Failure(f"primitive {name} is not part of {lang}")
+        raise _Failure(f"unknown primitive {name}")
     dst = step(b)
     if dst is None:
         raise _Failure(f"{name} needs {_RULES[name].needs}, got {format_type(b)}")
@@ -1097,28 +1099,31 @@ def format_term(c: Term) -> str:
     return _render(c)
 
 
-# the chains of terms and types: node class -> (binding level, separator)
-_CHAINS = {SumC: (2, " + "), ProdC: (3, " * "), Sum: (2, "+"), Prod: (3, "*")}
+# the composites of terms and types: node class -> (binding level, separator);
+# ; is left-associated, + and * right-associated
+_INFIX = {Seq: (1, " ; "), SumC: (2, " + "), ProdC: (3, " * "), Sum: (2, "+"), Prod: (3, "*")}
 
 
 def _render(root) -> str:
     """The text of a term or type, rendered off an explicit stack: a t_q
-    output nests thousands of nodes deep, and nsum(n) n levels.  Each
-    composite is rendered once per binding level, so a shared part prints
-    as the tree it stands for at the cost of the distinct nodes."""
-    done: dict[tuple, str] = {}  # (id(node), level) -> text; root holds the nodes
+    output nests thousands of nodes deep, and nsum(n) n levels.  A composite
+    below the binding level its place needs is parenthesised.  Each composite
+    is rendered once per level: its text is joined when it is first met
+    again, so a shared part prints as the tree it stands for at the cost of
+    the distinct nodes."""
+    # (id(node), level) -> where its text lies in out, (start, end), then the
+    # text itself once it is met again; root holds the nodes, so ids stay unique
+    done: dict[tuple, object] = {}
     out: list[str] = []  # the text so far, in pieces
     # what is left to do, last first: text to write, a (node, level) to
-    # render, or [key, start] to record the text from out[start] on as done
+    # render, or [key, start] to record out[start:] as the text of key
     work: list = [(root, 1)]
     while work:
         item = work.pop()
         if type(item) is str:
             out.append(item)
         elif type(item) is list:
-            text = done[item[0]] = "".join(out[item[1] :])
-            del out[item[1] :]
-            out.append(text)
+            done[item[0]] = (item[1], len(out))
         elif type(x := item[0]) is Prim:
             out.append(x.name)
         elif x is ONE:
@@ -1131,51 +1136,20 @@ def _render(root) -> str:
             else:  # the operand type, at the top level inside its braces
                 work += ("}", (x.operand, 1), "factorz{")
         elif (text := done.get(key := (id(x), item[1]))) is not None:
+            if type(text) is tuple:
+                text = done[key] = "".join(out[text[0] : text[1]])
             out.append(text)
         else:
+            lvl, sep = _INFIX[type(x)]
             work.append([key, len(out)])
-            work += reversed(_layout(x, item[1], done))
+            if lvl < item[1]:
+                out.append("(")
+                work.append(")")
+            if type(x) is Seq:
+                work += ((x.snd, 2), sep, (x.fst, 1))
+            else:
+                work += ((x.right, lvl), sep, (x.left, lvl + 1))
     return "".join(out)
-
-
-def _layout(c, minlvl: int, done: dict) -> list:
-    """The text of a composite c at binding level minlvl (; = 1, left-
-    associated; + = 2 and * = 3, right-associated) as text and (operand,
-    level) pieces.  A chain is one run of operands, so it prints in linear
-    time: the first operands of a seq, its last one if that is a seq not yet
-    rendered (c^m nests to the right) inside a parenthesis, and the right
-    operands of a sum or product of terms or types."""
-    kind = type(c)
-    if kind is not Seq:
-        lvl, sep = _CHAINS[kind]
-        pieces, node = [], c
-        while True:
-            pieces += ((node.left, lvl + 1), sep)
-            node = node.right
-            if type(node) is not kind or (id(node), lvl) in done:
-                break
-        pieces.append((node, lvl))
-    else:
-        lvl, pieces, opened, node = 1, [], 0, c
-        while True:
-            last, node = node.snd, node.fst
-            spine: list = []
-            while type(node) is Seq:
-                x = node.snd  # a primitive, the commonest operand, is text at once
-                spine.append(" ; " + x.name if type(x) is Prim else (x, 2))
-                if type(x) is not Prim:
-                    spine.append(" ; ")
-                node = node.fst
-            first = node.name if type(node) is Prim else (node, 1)
-            spine += [first, "("] if opened else [first]
-            pieces += reversed(spine)
-            pieces.append(" ; ")
-            if type(last) is not Seq or (id(last), 2) in done:
-                break
-            opened += 1
-            node = last
-        pieces += ((last, 2), ")" * opened)
-    return ["(", *pieces, ")"] if lvl < minlvl else pieces
 
 
 # ---------------------------------------------------------------------------

@@ -683,16 +683,17 @@ def test_shared_printed_text_is_pinned():
 def test_printing_a_shared_program_renders_each_node_once(monkeypatch):
     c = t_q(_rand_word(random.Random(32), 32, 64))
     calls = 0
-    layout = hadpi.lang._layout
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return layout(*args)
+    class Counting(dict):
+        # a composite that _render expands reads its level and separator here
+        def __getitem__(self, kind):
+            nonlocal calls
+            calls += 1
+            return dict.__getitem__(self, kind)
 
-    monkeypatch.setattr(hadpi.lang, "_layout", counting)
+    monkeypatch.setattr(hadpi.lang, "_INFIX", Counting(hadpi.lang._INFIX))
     text = format_term(c)
-    # a layout per composite of the tree would be one per leaf at least
+    # an expansion per composite of the tree would be one per leaf at least
     leaves = sum(1 for node in _walk(c) if isinstance(node, Prim))
     assert calls < leaves / 10, (calls, leaves)
     # one separator per binary node of the tree
