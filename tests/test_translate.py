@@ -60,6 +60,7 @@ from termgen import (
     rand_qubit_circuit,
     rand_term,
     rand_type,
+    register,
 )
 
 HAD = Prim("had")
@@ -663,7 +664,6 @@ def _shared_printed_texts() -> list[str]:
     """The printed t_h outputs of the three-qubit circuits, the printed t_q
     outputs of seeded words at n = 3, 6, 12 and 32, and printed types of
     nsum(n) and register(k), all built with shared parts."""
-    register = _load_bench_inputs().register
     rng = random.Random(35)
     texts = [format_term(t_h(c, QUBITS3)) for c in qubit_circuits()]
     texts += [format_term(t_q(_rand_word(rng, n, 2 * n))) for n in (3, 6, 12, 32)]
