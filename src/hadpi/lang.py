@@ -523,11 +523,6 @@ def _prim_step(name: str, b: ValueType, lang: str) -> ValueType:
     return dst
 
 
-def term_prims(c: Term):
-    """Every primitive node of a term, in the order of its text."""
-    return (x for x in _preorder(c) if isinstance(x, Prim))
-
-
 def _spine(c: Term) -> list[Term]:
     """Non-seq leaves of a seq spine in application order, iteratively."""
     out: list[Term] = []

@@ -1,11 +1,11 @@
 """Translations between the combinator languages and generator words.
 
-Four maps: wsem sends a program with neg1 and had to a generator word of
+Three maps: wsem sends a program with neg1 and had to a generator word of
 the same dimension; t_q sends a word back to a program over the
-right-associated n-fold sum of 1; qsem embeds Hadamard-programs into the
-neg1-bearing language (the trees coincide); t_h simulates neg1 away,
-lifting a program of type b1 <-> b2 to one of type 1+b1 <-> 1+b2 whose
-matrix gains an identity row on top.
+right-associated n-fold sum of 1; t_h simulates neg1 away, lifting a
+program of type b1 <-> b2 to one of type 1+b1 <-> 1+b2 whose matrix gains
+an identity row on top.  Embedding a Hadamard-program in the neg1-bearing
+language needs no map: it is the identity on terms.
 
 wsem has no walk of its own: words.program_form reads the program of
 placed primitives that lang.lower builds through words._run, the one
@@ -17,7 +17,6 @@ most one ascending H, and H pairs that meet on the same rows cancel.
 
 from .lang import (
     Factorz,
-    LangError,
     ONE,
     One,
     Prim,
@@ -35,10 +34,8 @@ from .lang import (
     fold,
     hdim,
     lower,
-    primitives,
     seqs,
     swap_plus_at,
-    term_prims,
 )
 
 # re-exported unused: hadpibench/tracing.py patches these bindings
@@ -150,19 +147,6 @@ def _t_gen(g: Generator, n: int, rungs: dict, tails: dict[str, Term]) -> Term:
     if "H" not in tails:
         tails["H"] = _at_tail(_HAD, n - 2)
     return seqs(outer, inner, tails["H"], inner, outer)
-
-
-# ---------------------------------------------------------------------------
-# embedding of Hadamard-programs
-
-
-def qsem(c: Term) -> Term:
-    """The identity embedding; rejects programs with a primitive outside hpi."""
-    admitted = primitives("hpi")
-    for prim in term_prims(c):
-        if prim.name not in admitted:
-            raise LangError(f"{prim.name} is not part of hpi")
-    return c
 
 
 # ---------------------------------------------------------------------------

@@ -629,6 +629,29 @@ def test_equiv_walks_each_term_once(capsys, monkeypatch):
     assert len(walks) == 2 and walks[0] is not walks[1]
 
 
+def test_embedding_hpi_in_qpi_walks_once_and_builds_no_matrix(capsys, monkeypatch):
+    # the embedding is the identity on terms: typing the source in hpi is
+    # its whole check, so no second walk and no matrix
+    walks, matrices = [], []
+
+    class CountingWalk(lang._Walk):
+        __slots__ = ()
+
+        def __init__(self, c, *args):
+            walks.append(c)
+            super().__init__(c, *args)
+
+    def counted(*args):
+        matrices.append(args)
+        return words.program_matrix(*args)
+
+    monkeypatch.setattr(lang, "_Walk", CountingWalk)
+    monkeypatch.setattr(cli, "program_matrix", counted)
+    code, out, err = run(capsys, "translate", "had ; swap+", "--from", "hpi", "--to", "qpi")
+    assert (code, out, err) == (0, "had ; swap+\nverified: semantics preserved\n", "")
+    assert (len(walks), len(matrices)) == (1, 0)
+
+
 def test_long_inline_arguments_are_text(capsys):
     # longer than a path name may be, so asking the file system about it fails
     term = " ; ".join(["had"] * 80)
@@ -809,16 +832,11 @@ def test_translate_checks_the_target_type(capsys, monkeypatch):
                          "--in-type", in_type)
     assert (code, out) == (1, "")
     assert err == "error: translation has target type 1+0*1+0*1, not 1+0*1+0*(1+1)\n"
-    # an identity with another target, for t_q and for qsem
+    # an identity with another target, for t_q
     monkeypatch.setattr(cli, "t_q", lambda w: parse_term("uniti*"))
     code, out, err = run(capsys, "translate", "n=2 eps", "--from", "words", "--to", "qpi")
     assert (code, out) == (1, "")
     assert err == "error: translation has target type 1*(1+1), not 1+1\n"
-    monkeypatch.setattr(cli, "qsem", lambda c: parse_term("uniti+"))
-    code, out, err = run(capsys, "translate", "id", "--from", "hpi", "--to", "qpi",
-                         "--in-type", "1")
-    assert (code, out) == (1, "")
-    assert err == "error: translation has target type 0+1, not 1\n"
 
 
 def test_translate_unsupported_direction(capsys):

@@ -226,9 +226,11 @@ def test_transcript_matches_golden(name):
     assert transcript(*CASES[name]) == golden[name]
 
 
-# check, sem, normalize and equiv of terms, and the three language gates
+# check, sem, normalize and equiv of terms, the hpi -> qpi embedding, and
+# the three language gates
 NO_SECOND_WALK = [
     "readme-check", "readme-sem", "normalize-term", "readme-equiv", "equiv-distinct",
+    "translate-hpi-qpi", "translate-hpi-qpi-power",
     "check-language-gate", "equiv-language-gate", "translate-language-gate",
 ]
 
@@ -237,7 +239,7 @@ NO_SECOND_WALK = [
 def test_no_command_walks_a_parsed_term_again(monkeypatch, name):
     # the parser applies --lang as it reads each primitive, so a command
     # reaches inference or lowering without walking the term again: a walk
-    # of its nodes (lang._preorder, as term_prims reads them) would raise
+    # of its nodes (lang._preorder) would raise
     def walk(c):
         raise AssertionError("a parsed term was walked again")
 

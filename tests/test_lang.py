@@ -43,7 +43,6 @@ from hadpi.lang import (
     seqs,
     swap_plus_at,
     term_equivalence,
-    term_prims,
     typecheck,
 )
 import hadpi.lang
@@ -144,6 +143,13 @@ def test_language_gating():
         with pytest.raises(LangError, match="neg1 is not part of"):
             typecheck(NEG1, ONE, lang=lang)
     assert typecheck(HAD, TWO, lang="hpi").dst == TWO
+    # the walk names a nested primitive outside the language by its path
+    with pytest.raises(LangError) as exc:
+        typecheck(seqs(HAD, SumC(NEG1, ID)), TWO, lang="hpi")
+    assert str(exc.value) == "at seq.snd.sum.left: primitive neg1 is not part of hpi"
+    with pytest.raises(LangError) as exc:
+        typecheck(ProdC(ID, NEG1), Prod(TWO, ONE), lang="hpi")
+    assert str(exc.value) == "at prod.right: primitive neg1 is not part of hpi"
     with pytest.raises(LangError, match="had is not part of pi"):
         typecheck(HAD, TWO, lang="pi")
     assert typecheck(SWP, TWO, lang="pi").dst == TWO
@@ -492,15 +498,21 @@ def test_long_error_paths_keep_their_ends():
     assert fail_at(5000).startswith("at s0.s1.s2.s3.s4.<4990 steps>.s4995.")
 
 
-def test_term_prims_walks_every_node():
+def test_preorder_walks_every_node():
+    def prims(c):
+        return [x for x in hadpi.lang._preorder(c) if isinstance(x, Prim)]
+
     c = seqs(HAD, SumC(NEG1, ProdC(ID, Factorz(TWO))), Prim("swap+"))
-    assert [p.name for p in term_prims(c)] == ["had", "neg1", "id", "swap+"]
-    assert list(term_prims(Factorz(TWO))) == []
+    assert list(hadpi.lang._preorder(c)) == [
+        Seq, Seq, HAD, SumC, NEG1, ProdC, ID, Factorz(TWO), Prim("swap+")
+    ]
+    assert [p.name for p in prims(c)] == ["had", "neg1", "id", "swap+"]
+    assert prims(Factorz(TWO)) == []
     # a spine far deeper than the recursion limit
     deep = ID
     for _ in range(20_000):
         deep = Seq(deep, HAD)
-    assert sum(1 for _ in term_prims(deep)) == 20_001
+    assert len(prims(deep)) == 20_001
 
 
 def test_infer_source_agrees_with_typecheck_random():

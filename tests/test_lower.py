@@ -58,7 +58,6 @@ from hadpi.lang import (
     primitives,
     sem,
     seqs,
-    term_prims,
     typecheck,
 )
 from hadpi.linalg import gen_h, gen_x, gen_z
@@ -383,7 +382,7 @@ def test_a_failing_walk_walks_once(monkeypatch):
     assert str(exc.value) == "at seq.snd: swap* needs a product input, got 1+1"
     # the 998 seqs of the power and its two primitives; walking again to
     # name the failing subterm would about double the count
-    leaves = sum(1 for _ in term_prims(c))
+    leaves = sum(isinstance(x, Prim) for x in _preorder(c))
     assert walked() <= leaves + 1, (walked(), leaves)
 
 
@@ -527,7 +526,7 @@ def _count_prim_steps(monkeypatch) -> list[int]:
 def test_lowering_t_q_output_types_few_primitives(monkeypatch):
     w = _word(random.Random(32), 32, 64)
     c = t_q(w)
-    leaves = sum(1 for _ in term_prims(c))
+    leaves = sum(isinstance(x, Prim) for x in _preorder(c))
     steps = _count_prim_steps(monkeypatch)
     assert sem(c, nsum(32)) == word_sem(w)
     # without shared rungs or without the memo, every leaf is typed again
@@ -563,7 +562,7 @@ def test_inverse_of_t_q_output_keeps_its_sharing(monkeypatch):
     w = _word(random.Random(32), 32, 64)
     c = t_q(w)
     inv = inverse(c, nsum(32))
-    leaves = sum(1 for _ in term_prims(inv))
+    leaves = sum(isinstance(x, Prim) for x in _preorder(inv))
     steps = _count_prim_steps(monkeypatch)
     m = sem(inv, nsum(32))
     # an inverse that copied each shared rung would type every leaf again
@@ -637,7 +636,7 @@ def test_inverse_and_t_h_walk_each_term_once(monkeypatch):
 def test_lowering_t_h_output_types_few_primitives(monkeypatch):
     padded = Sum(ONE, QUBITS3)
     hs = [t_h(c, QUBITS3) for c in qubit_circuits()]
-    leaves = sum(1 for h in hs for _ in term_prims(h))
+    leaves = sum(isinstance(x, Prim) for h in hs for x in _preorder(h))
     steps = _count_prim_steps(monkeypatch)
     for c, h in zip(qubit_circuits(), hs):
         want = frac_direct_sum(frac_identity(1), oracle_term(c, oracle_type(QUBITS3))[1])

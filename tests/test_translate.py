@@ -45,7 +45,6 @@ from hadpi.linalg import (
 from hadpi.translate import (
     TranslateError,
     TranslationReport,
-    qsem,
     t_h,
     t_h_lower,
     t_q,
@@ -178,7 +177,7 @@ def test_wsem_agrees_with_sem_and_the_structural_oracle():
     }
     assert {"SumC", "ProdC", "Seq", "Factorz"} <= kinds
     assert any(hdim(b) == 0 for b, _ in corpus)
-    assert any(p.name == "swap*" for _, c in corpus for p in hadpi.lang.term_prims(c))
+    assert any(x == Prim("swap*") for _, c in corpus for x in hadpi.lang._preorder(c))
     for b, c in corpus:
         w = wsem(c, b)
         d, ow = oracle_word(c, oracle_type(b))
@@ -310,23 +309,6 @@ def test_roundtrip_programs_to_words_and_back():
 
 
 # ---------------------------------------------------------------------------
-# qsem
-
-
-def test_qsem_is_identity_on_hadamard_programs():
-    c = seqs(HAD, Prim("swap+"), HAD)
-    assert qsem(c) is c
-    assert qsem(GATE_CX) is GATE_CX
-
-
-def test_qsem_rejects_neg1():
-    with pytest.raises(LangError, match="^neg1 is not part of hpi$"):
-        qsem(seqs(HAD, SumC(NEG1, ID)))
-    with pytest.raises(LangError, match="^neg1 is not part of hpi$"):
-        qsem(ProdC(ID, NEG1))
-
-
-# ---------------------------------------------------------------------------
 # t_h
 
 
@@ -448,7 +430,8 @@ def test_t_h_output_avoids_neg1():
     for _ in range(40):
         b = rand_type(rng, max_dim=6)
         c = rand_term(rng, b, "qpi")
-        qsem(t_h(c, b))
+        # typing in hpi refuses any primitive outside it
+        typecheck(t_h(c, b), Sum(ONE, b), "hpi")
 
 
 def rank(b) -> int:
