@@ -30,6 +30,7 @@ from hadpi.lang import (
     hdim,
     lower,
     nsum,
+    parse_term,
     sem,
     seqs,
     typecheck,
@@ -306,6 +307,24 @@ def test_roundtrip_programs_to_words_and_back():
     back = t_q(wsem(GATE_CX, Prod(TWO, TWO)))
     rep = TranslationReport(GATE_CX, back, sem(GATE_CX, Prod(TWO, TWO)), sem(back, nsum(4)))
     assert rep.source_matrix == rep.result_matrix
+
+
+# ---------------------------------------------------------------------------
+# embedding of Hadamard-programs: the identity on terms, gated by the
+# parser and by typing in hpi
+
+
+def test_qsem_rejects_neg1():
+    for text in ("had ; (neg1 + id)", "id * neg1"):
+        with pytest.raises(LangError, match="^neg1 is not in hpi$"):
+            parse_term(text, "hpi")
+    # the walk names a nested primitive outside hpi by its path
+    with pytest.raises(LangError) as exc:
+        typecheck(seqs(HAD, SumC(NEG1, ID)), TWO, lang="hpi")
+    assert str(exc.value) == "at seq.snd.sum.left: primitive neg1 is not part of hpi"
+    with pytest.raises(LangError) as exc:
+        typecheck(ProdC(ID, NEG1), Prod(TWO, ONE), lang="hpi")
+    assert str(exc.value) == "at prod.right: primitive neg1 is not part of hpi"
 
 
 # ---------------------------------------------------------------------------
