@@ -782,6 +782,45 @@ def test_concrete_syntax_is_pinned():
     assert digest == "27edb15cc0f780af50da3a28f4f8e69adcf25faae5dc9671e48e8c250386cecf"
 
 
+def _parsed_or_error(parse, fmt, text: str) -> str:
+    try:
+        return fmt(parse(text))
+    except LangError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_parser_edges_are_pinned():
+    # where the nesting budget bites, at which offset, and how powers, ;
+    # chains and the braces of factorz end: each open parenthesis, brace and
+    # + or * operator is one level, and a ; chain is none
+    term = lambda text: _parsed_or_error(parse_term, format_term, text)
+    vtype = lambda text: _parsed_or_error(parse_type, format_type, text)
+    deep = "LangError: term: nested deeper than the limit of 100 levels (MAX_NESTING) at offset"
+    assert term(" + ".join(["id * id"] * 100)) == " + ".join(["id * id"] * 100)
+    assert term(" + ".join(["id * id"] * 101)) == f"{deep} 1005"
+    assert term("(" * 50 + " + ".join(["id"] * 51) + ")" * 50) == " + ".join(["id"] * 51)
+    assert term("(" * 50 + " + ".join(["id"] * 52) + ")" * 50) == f"{deep} 305"
+    for k, expected in [(99, "factorz"), (100, f"{deep} 108")]:
+        assert term("(" * k + "factorz{1}" + ")" * k) == expected
+        assert term("factorz{" + "(" * k + "1" + ")" * k + "}") == expected
+    cases = {
+        "(had ; id)^3": "had ; id ; (had ; id ; (had ; id))",
+        "(had ; had)^50001": "LangError: term: the power at offset 12 expands the term"
+        " past the limit of 100000 leaves (MAX_TERM_LEAVES)",
+        "factorz{1+1}^2": "factorz{1+1} ; factorz{1+1}",
+        "(had)^0": "id",
+        "had ; ; had": "LangError: term: expected a term, got ';'",
+        "; had": "LangError: term: expected a term, got ';'",
+        "had ;": "LangError: term: unexpected end of input",
+        "(had ; id": "LangError: term: expected ')', got None at offset 9",
+        "factorz{1+1 ; id}": "LangError: term: expected '}', got ';' at offset 12",
+        "factorz{(1+1)^2}": "LangError: term: expected '}', got '^' at offset 13",
+    }
+    assert {text: term(text) for text in cases} == cases
+    assert vtype("1+1^2") == "LangError: type: trailing input '^' at offset 3"
+    assert vtype("(1") == "LangError: type: expected ')', got None at offset 2"
+
+
 def test_parser_frames_per_nesting_level():
     # the parser recurses once per nesting level, through _Parser.nest, in
     # at most five frames a level: a parenthesis of a term re-enters through
