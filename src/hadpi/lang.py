@@ -923,164 +923,126 @@ _TOKEN_RE = re.compile(
     + r"|[0-9]+|[;+*^(){}])|(\S))"
 )
 
-# the infix operators of terms and of types: token -> (binding level, node
-# class); both associate to the right, and * binds tighter than +
-_TERM_OPS = {"+": (2, SumC), "*": (3, ProdC)}
-_TYPE_OPS = {"+": (2, Sum), "*": (3, Prod)}
+# the composites of terms and types: node class -> (binding level, separator);
+# ; is left-associated, + and * right-associated
+_INFIX = {Seq: (1, " ; "), SumC: (2, " + "), ProdC: (3, " * "), Sum: (2, "+"), Prod: (3, "*")}
+
+# the infix operators of terms and of types: token -> node class, bound at
+# its level in _INFIX
+_TERM_OPS = {";": Seq, "+": SumC, "*": ProdC}
+_TYPE_OPS = {"+": Sum, "*": Prod}
 
 
-class _Parser:
-    def __init__(self, text: str, what: str, lang: str = "qpi"):
-        # a term admits the primitives of lang, each refused as it is read
-        self.lang, self.admitted = lang, primitives(lang)
-        # (token, offset) pairs, closed by the sentinel (None, len(text))
-        self.toks = []
-        for m in _TOKEN_RE.finditer(text):
-            if m[1] is None:
-                raise LangError(f"{what}: unexpected character {m[2]!r} at offset {m.start(2)}")
-            self.toks.append((m[1], m.start(1)))
-        self.toks.append((None, len(text)))
-        self.pos = 0
-        self.what = what
-        self.depth = 0  # open nesting levels
-        self.leaves = 0  # primitive leaves of the expanded term so far
-
-    def peek(self) -> Optional[str]:
-        return self.toks[self.pos][0]
-
-    def take(self) -> str:
-        tok = self.peek()
+def _parse(text: str, what: str, lang: str = "qpi"):
+    """Read a term of the language lang, or a type if what is "type", in one
+    loop by operator precedence (Pratt, "Top down operator precedence", 1973).
+    An operator closes the open operators that bind tighter than it, so ; of
+    terms closes them all, and ^n repeats the operand just read.  Each open
+    group, a parenthesis or the braces of factorz, and each open operator is
+    one nesting level, within MAX_NESTING."""
+    admitted = primitives(lang)  # the primitives of a term, each refused as it is read
+    toks = []  # (token, offset) pairs, closed by the sentinel (None, len(text))
+    for m in _TOKEN_RE.finditer(text):
+        if m[1] is None:
+            raise LangError(f"{what}: unexpected character {m[2]!r} at offset {m.start(2)}")
+        toks.append((m[1], m.start(1)))
+    toks.append((None, len(text)))
+    # the open groups, innermost last: [the token that closes it, its
+    # operators, the leaves before it, its ; chain so far, its open
+    # operators as (left operand, node class, level)]
+    group = [None, _TYPE_OPS if what == "type" else _TERM_OPS, 0, None, []]
+    groups = [group]
+    pos = depth = leaves = 0  # depth: open nesting levels; leaves: of the expanded term
+    while True:
+        if depth > MAX_NESTING:
+            raise LangError(
+                f"{what}: nested deeper than the limit of {MAX_NESTING} levels"
+                f" (MAX_NESTING) at offset {toks[pos][1]}"
+            )
+        tok = toks[pos][0]
+        pos += 1
+        start, ops = leaves, group[1]
         if tok is None:
-            raise LangError(f"{self.what}: unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def offset(self) -> int:
-        return self.toks[self.pos][1]
-
-    def expect(self, tok: str) -> None:
-        got = self.peek()
-        if got != tok:
-            raise LangError(
-                f"{self.what}: expected {tok!r}, got {got!r} at offset {self.offset()}"
-            )
-        self.pos += 1
-
-    def nest(self, parse, *args):
-        """parse(self, *args) one nesting level deeper, within MAX_NESTING."""
-        if self.depth == MAX_NESTING:
-            raise LangError(
-                f"{self.what}: nested deeper than the limit of {MAX_NESTING} levels"
-                f" (MAX_NESTING) at offset {self.offset()}"
-            )
-        self.depth += 1
-        out = parse(self, *args)
-        self.depth -= 1
-        return out
-
-    def done(self) -> None:
-        tok, at = self.toks[self.pos]
-        if tok is not None:
-            raise LangError(f"{self.what}: trailing input {tok!r} at offset {at}")
-
-
-def _parse_infix(p: _Parser, ops: dict, operand, level: int):
-    """A chain of operands joined by the operators of ops that bind at level
-    or tighter (Pratt, "Top down operator precedence", 1973).  Each operand
-    after an operator is parsed one nesting level deeper."""
-    out = operand(p)
-    while (op := ops.get(p.peek())) is not None and op[0] >= level:
-        p.take()
-        out = op[1](out, p.nest(_parse_infix, ops, operand, op[0]))
-    return out
-
-
-def _parse_vatom(p: _Parser) -> ValueType:
-    tok = p.take()
-    if tok == "0":
-        return ZERO
-    if tok == "1":
-        return ONE
-    if tok == "(":
-        inner = p.nest(_parse_vtype)
-        p.expect(")")
-        return inner
-    raise LangError(f"{p.what}: expected a type, got {tok!r}")
-
-
-_parse_vtype = functools.partial(_parse_infix, ops=_TYPE_OPS, operand=_parse_vatom, level=2)
+            raise LangError(f"{what}: unexpected end of input")
+        if tok == "(" or tok == "factorz" and ops is _TERM_OPS and toks[pos][0] == "{":
+            if tok == "factorz":
+                leaves, pos, ops = leaves + 1, pos + 1, _TYPE_OPS
+            group = [")" if tok == "(" else "}", ops, start, None, []]
+            groups.append(group)
+            depth += 1
+            continue
+        if ops is _TYPE_OPS:
+            if tok not in ("0", "1"):
+                raise LangError(f"{what}: expected a type, got {tok!r}")
+            out = ONE if tok == "1" else ZERO
+        elif tok in admitted or tok == "factorz":
+            leaves += 1
+            out = Prim(tok) if tok in admitted else Factorz(ONE)
+        elif tok in _RULES:
+            raise LangError(f"{tok} is not in {lang}")
+        else:
+            raise LangError(f"{what}: expected a term, got {tok!r}")
+        while True:  # out is the operand just read: what follows it
+            closer, ops, _, chain, opened = group
+            while toks[pos][0] == "^" and ops is _TERM_OPS:
+                tok, at = toks[pos + 1]
+                pos += 2
+                if tok is None:
+                    raise LangError(f"{what}: unexpected end of input")
+                if not tok.isdigit():
+                    raise LangError(f"{what}: power needs a natural number, got {tok!r}")
+                # int() refuses texts of over 4300 digits; far fewer are over budget
+                digits = tok.lstrip("0") or "0"
+                m = int(digits) if len(digits) <= len(str(MAX_TERM_LEAVES)) else MAX_TERM_LEAVES + 1
+                leaves = start + (m * (leaves - start) or 1)  # c^0 is id
+                if leaves > MAX_TERM_LEAVES:
+                    raise LangError(
+                        f"{what}: the power at offset {at} expands the term past the limit"
+                        f" of {MAX_TERM_LEAVES} leaves (MAX_TERM_LEAVES)"
+                    )
+                out = iterate(out, m)
+            tok, at = toks[pos]
+            cls = ops.get(tok)
+            level = _INFIX[cls][0] if cls is not None else 0
+            while opened and opened[-1][2] > level:
+                left, op, _ = opened.pop()
+                out = op(left, out)
+                depth -= 1
+            if cls is not None:
+                pos += 1
+                if cls is Seq:
+                    group[3] = out if chain is None else Seq(chain, out)
+                else:
+                    opened.append((out, cls, level))
+                    depth += 1
+                break
+            if chain is not None:
+                out = Seq(chain, out)
+            if tok != closer:
+                if closer is None:
+                    raise LangError(f"{what}: trailing input {tok!r} at offset {at}")
+                raise LangError(f"{what}: expected {closer!r}, got {tok!r} at offset {at}")
+            if closer is None:
+                return out
+            if closer == "}":
+                out = Factorz(out)
+            groups.pop()
+            pos, depth, start, group = pos + 1, depth - 1, group[2], groups[-1]
 
 
 def parse_type(text: str) -> ValueType:
     """Read a value type: 0, 1, +, * (both right-associated), parentheses."""
-    p = _Parser(text, "type")
-    out = _parse_vtype(p)
-    p.done()
+    out = _parse(text, "type")
     if out.dim > MAX_DIM:
         raise LangError(f"type: its dimension is past the limit of {MAX_DIM} (MAX_DIM)")
     return out
-
-
-def _parse_seq(p: _Parser) -> Term:
-    out = _parse_infix(p, _TERM_OPS, _parse_power, 2)
-    while p.peek() == ";":
-        p.take()
-        out = Seq(out, _parse_infix(p, _TERM_OPS, _parse_power, 2))
-    return out
-
-
-def _parse_power(p: _Parser) -> Term:
-    start = p.leaves
-    out = _parse_atom(p)
-    while p.peek() == "^":
-        p.take()
-        at = p.offset()
-        tok = p.take()
-        if not tok.isdigit():
-            raise LangError(f"{p.what}: power needs a natural number, got {tok!r}")
-        # int() refuses texts of over 4300 digits; far fewer are over budget
-        digits = tok.lstrip("0") or "0"
-        m = int(digits) if len(digits) <= len(str(MAX_TERM_LEAVES)) else MAX_TERM_LEAVES + 1
-        p.leaves = start + (m * (p.leaves - start) or 1)  # c^0 is id
-        if p.leaves > MAX_TERM_LEAVES:
-            raise LangError(
-                f"{p.what}: the power at offset {at} expands the term past the limit"
-                f" of {MAX_TERM_LEAVES} leaves (MAX_TERM_LEAVES)"
-            )
-        out = iterate(out, m)
-    return out
-
-
-def _parse_atom(p: _Parser) -> Term:
-    tok = p.take()
-    if tok == "(":
-        inner = p.nest(_parse_seq)
-        p.expect(")")
-        return inner
-    if tok == "factorz":
-        p.leaves += 1
-        if p.peek() == "{":
-            p.take()
-            operand = p.nest(_parse_vtype)
-            p.expect("}")
-            return Factorz(operand)
-        return Factorz(ONE)
-    if tok in p.admitted:
-        p.leaves += 1
-        return Prim(tok)
-    if tok in _RULES:
-        raise LangError(f"{tok} is not in {p.lang}")
-    raise LangError(f"{p.what}: expected a term, got {tok!r}")
 
 
 def parse_term(text: str, lang: str = "qpi") -> Term:
     """Read a program of the language lang.  Precedence is * over + over ;
     with ; left-associated and + and * right-associated, matching the type
     syntax; ^n repeats."""
-    p = _Parser(text, "term", lang)
-    out = _parse_seq(p)
-    p.done()
-    return out
+    return _parse(text, "term", lang)
 
 
 def format_type(b: ValueType) -> str:
@@ -1092,11 +1054,6 @@ def format_type(b: ValueType) -> str:
 def format_term(c: Term) -> str:
     """The text of a term, which parse_term reads back."""
     return _render(c)
-
-
-# the composites of terms and types: node class -> (binding level, separator);
-# ; is left-associated, + and * right-associated
-_INFIX = {Seq: (1, " ; "), SumC: (2, " + "), ProdC: (3, " * "), Sum: (2, "+"), Prod: (3, "*")}
 
 
 def _render(root) -> str:

@@ -141,7 +141,7 @@ def test_counts_are_read_by_one_reader():
     # int() also takes a sign, underscores, spaces and other scripts' digits,
     # so every count goes through ring.parse_natural; signed ring entries and
     # the capped power of a term read their own digits
-    readers = {"ring.parse_natural", "ring.parse_ringint", "lang._parse_power"}
+    readers = {"ring.parse_natural", "ring.parse_ringint", "lang._parse"}
     paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
     found = [c for path in paths for c in _int_calls(path) if c.partition(":")[0] not in readers]
     assert not found, f"int() outside the readers of counts: {found}"
@@ -225,6 +225,35 @@ def _self_recursive(path: Path) -> list[str]:
     return out
 
 
+def _mutually_recursive(path: Path) -> list[list[str]]:
+    """The sets of two or more module-level names of path that reach each
+    other: an edge runs from each module-level function, method or assigned
+    name to each module-level function or assigned name that it names,
+    called or passed as an argument."""
+    bodies = {}  # a method is named Class.method, which no name in the code reads
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            bodies.update((f"{node.name}.{f.name}", f) for f in node.body if isinstance(f, ast.FunctionDef))
+        elif isinstance(node, ast.FunctionDef):
+            bodies[node.name] = node
+        elif isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            bodies[node.targets[0].id] = node.value
+    edges = {
+        f: {n.id for n in ast.walk(body) if isinstance(n, ast.Name) and n.id in bodies} - {f}
+        for f, body in bodies.items()
+    }
+    reach = {}  # f -> every name that f reaches along the edges
+    for f in edges:
+        seen, todo = set(), [f]
+        while todo:
+            new = edges[todo.pop()] - seen
+            seen |= new
+            todo += new
+        reach[f] = seen
+    cycles = {frozenset({f} | {g for g in reach[f] if f in reach[g]}) for f in edges}
+    return sorted(sorted(f"{path.stem}.{g}" for g in c) for c in cycles if len(c) > 1)
+
+
 def test_only_type_directed_code_recurses():
     # a term may nest past the recursion limit (t_q nests one sum of terms
     # per coordinate), so no walk, fold or printing of a term recurses; what
@@ -237,6 +266,10 @@ def test_only_type_directed_code_recurses():
     found = {f for path in (ROOT / "src" / "hadpi").glob("*.py") for f in _self_recursive(path)}
     assert found <= allowed, f"functions that recurse: {sorted(found - allowed)}"
     assert found == allowed, f"allowed but no longer recursive: {sorted(allowed - found)}"
+    # nor do functions that reach each other, as a parser's helpers might
+    paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
+    mutual = [c for path in paths for c in _mutually_recursive(path)]
+    assert not mutual, f"functions that reach each other: {mutual}"
 
 
 def test_every_bench_record_holds_each_side_and_metric():

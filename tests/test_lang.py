@@ -821,10 +821,9 @@ def test_parser_edges_are_pinned():
     assert vtype("(1") == "LangError: type: expected ')', got None at offset 2"
 
 
-def test_parser_frames_per_nesting_level():
-    # the parser recurses once per nesting level, through _Parser.nest, in
-    # at most five frames a level: a parenthesis of a term re-enters through
-    # _parse_seq, _parse_infix, _parse_power, _parse_atom and nest
+def test_parser_does_not_recurse():
+    # terms and types are read in one loop, so the deepest texts within
+    # MAX_NESTING parse under a recursion limit of a few frames past the caller
     k = hadpi.lang.MAX_NESTING
     deepest = [
         (parse_term, "(" * k + "id" + ")" * k),
@@ -833,11 +832,13 @@ def test_parser_frames_per_nesting_level():
         (parse_type, "(" * k + "1" + ")" * k),
         (parse_type, "+".join(["1"] * (k + 1))),
         (parse_type, "*".join(["1"] * (k + 1))),
+        (parse_term, "factorz{" + "(" * (k - 1) + "1" + ")" * (k - 1) + "}"),
     ]
     saved = sys.getrecursionlimit()
-    sys.setrecursionlimit(_stack_depth() + 5 * k + 20)
+    sys.setrecursionlimit(_stack_depth() + 20)
     try:
         parsed = [parse(text) for parse, text in deepest]
     finally:
         sys.setrecursionlimit(saved)
-    assert [x.depth for x in parsed[3:]] == [0, k, k]
+    assert [x.depth for x in parsed[3:6]] == [0, k, k]
+    assert parsed[6] == Factorz(ONE)
