@@ -132,11 +132,11 @@ TWO = Sum(ONE, ONE)
 # to MAX_NESTING levels past the deeper of its source and MAX_NESTING (see
 # _depth_limit): a long chain of uniti+ would otherwise build a type too
 # deep to print or unify, while a program built over a deeper source
-# still runs.  No walk, fold or printing of a term or type recurses, so a
-# term may nest past the recursion limit, as t_q's do near n = 1000.  On
-# parsed input this budget bounds all that recurses: the parser, five frames
-# per level at most, and the code directed by a pattern (unification, source
-# inference, the printing of patterns in its errors).
+# still runs.  No reading, walk, fold or printing of a term or type
+# recurses, so a term may nest past the recursion limit, as t_q's do near
+# n = 1000.  On parsed input this budget bounds all that recurses: the code
+# directed by a pattern (unification, source inference, the printing of
+# patterns in its errors).
 MAX_NESTING = 100
 
 
@@ -908,7 +908,7 @@ def swap_plus_at(j: int, k: int, n: int, rungs: Optional[dict] = None) -> Term:
 # concrete syntax
 #
 # Terms are built over the rig operators of their types, so one tokenizer,
-# one grammar of + and * chains and one renderer serve both languages.
+# one reading loop and one renderer serve both languages.
 
 # c^m is expanded at parse time to m copies of c, so powers multiply the
 # work of everything after parsing; the expanded term may have at most
