@@ -940,7 +940,7 @@ def _parse(text: str, what: str, lang: str = "qpi"):
     terms closes them all, and ^n repeats the operand just read.  Each open
     group, a parenthesis or the braces of factorz, and each open operator is
     one nesting level, within MAX_NESTING."""
-    admitted = primitives(lang)  # the primitives of a term, each refused as it is read
+    admitted = _lang_steps(lang)  # the primitives of a term, each refused as it is read
     toks = []  # (token, offset) pairs, closed by the sentinel (None, len(text))
     for m in _TOKEN_RE.finditer(text):
         if m[1] is None:

@@ -742,6 +742,14 @@ def test_type_errors_print_deep_types_without_recursion():
     assert text == "+".join(["1"] * 1024)
 
 
+def _parsed_or_error(parse, fmt, text: str) -> str:
+    """The printed text that parse reads from text, or the LangError it raises."""
+    try:
+        return fmt(parse(text))
+    except LangError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _concrete_syntax_texts() -> list[str]:
     """The printed text of seeded types, terms and inverses, and the text of
     each LangError that parsing raises on malformed input."""
@@ -766,11 +774,7 @@ def _concrete_syntax_texts() -> list[str]:
     types = ["", "(1", "1)", "((1+1)", "1 1", "2", "1**1", "x", "1+", "1 + y",
              "1\u00a0+\u20031", "1\u2003y", "1\u00a0(1)", *(d.replace("@", "1") for d in deep)]
     for parse, texts, fmt in [(parse_term, terms, format_term), (parse_type, types, format_type)]:
-        for text in texts:
-            try:
-                out.append(fmt(parse(text)))
-            except LangError as exc:
-                out.append(f"{type(exc).__name__}: {exc}")
+        out += [_parsed_or_error(parse, fmt, text) for text in texts]
     return out
 
 
@@ -780,13 +784,6 @@ def test_concrete_syntax_is_pinned():
     texts = _concrete_syntax_texts()
     digest = hashlib.sha256("\n".join(texts).encode()).hexdigest()
     assert digest == "27edb15cc0f780af50da3a28f4f8e69adcf25faae5dc9671e48e8c250386cecf"
-
-
-def _parsed_or_error(parse, fmt, text: str) -> str:
-    try:
-        return fmt(parse(text))
-    except LangError as exc:
-        return f"{type(exc).__name__}: {exc}"
 
 
 def test_parser_edges_are_pinned():
