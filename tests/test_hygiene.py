@@ -256,18 +256,19 @@ def _mutually_recursive(path: Path) -> list[list[str]]:
 
 def test_only_type_directed_code_recurses():
     # a term may nest past the recursion limit (t_q nests one sum of terms
-    # per coordinate), so no walk, fold or printing of a term recurses; what
-    # recurses follows a type or pattern, bounded through MAX_NESTING
+    # per coordinate), so no reading, walk, fold or printing of a term
+    # recurses; what recurses follows a type or pattern, bounded through
+    # MAX_NESTING
     allowed = {
         "lang._infer", "lang._equate", "lang._holds",
         "lang._resolve", "lang._instance", "lang._text_length", "lang._chars",
         "lang._compile.visit", "lang._compile.build",
     }
-    found = {f for path in (ROOT / "src" / "hadpi").glob("*.py") for f in _self_recursive(path)}
+    paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
+    found = {f for path in paths for f in _self_recursive(path)}
     assert found <= allowed, f"functions that recurse: {sorted(found - allowed)}"
     assert found == allowed, f"allowed but no longer recursive: {sorted(allowed - found)}"
     # nor do functions that reach each other, as a parser's helpers might
-    paths = sorted((ROOT / "src" / "hadpi").glob("*.py"))
     mutual = [c for path in paths for c in _mutually_recursive(path)]
     assert not mutual, f"functions that reach each other: {mutual}"
 
