@@ -13,6 +13,8 @@ overflow any fixed width.
 
 from __future__ import annotations
 
+from math import gcd
+
 # the kernel implementation, named in benchmark series keys
 BACKEND = "py"
 
@@ -64,26 +66,22 @@ def reduce_nums(k, aa, bb):
     leaves every numerator an integer.
 
     rt2^m divides a + b*rt2 exactly when m <= 2*v2(a) and m <= 2*v2(b) + 1
-    (v2 the 2-adic valuation, infinite at 0).  The least set bit of an OR of
-    integers is the least over its operands, so one pass finds m.  The
-    result may hold the input lists themselves: both when nothing is
-    stripped, bb as the new aa when m = 1.
+    (v2 the 2-adic valuation, infinite at 0).  The gcd of a list has the
+    least valuation of its entries, and is 0 only when every entry is, so
+    one C-level gcd per part finds m.  The result may hold the input lists
+    themselves: both when nothing is stripped, bb as the new aa when m = 1.
     """
     if k == 0:
         return k, aa, bb
-    ora = 0
-    for a in aa:
-        if a & 1:
-            return k, aa, bb
-        ora |= a
-    orb = 0
-    for b in bb:
-        orb |= b
+    ga = gcd(*aa)
+    if ga & 1:
+        return k, aa, bb
+    gb = gcd(*bb)
     m = k
-    if ora:
-        m = min(m, 2 * (ora & -ora).bit_length() - 2)
-    if orb:
-        m = min(m, 2 * (orb & -orb).bit_length() - 1)
+    if ga:
+        m = min(m, 2 * (ga & -ga).bit_length() - 2)
+    if gb:
+        m = min(m, 2 * (gb & -gb).bit_length() - 1)
     h = m >> 1
     if m & 1:
         # (a + b*rt2)/rt2 = b + (a/2)*rt2, then a plain shift by h; the

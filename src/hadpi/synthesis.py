@@ -115,21 +115,24 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
         if k > lim and k > 2 * max(map(abs, a + b)).bit_length() + lim:
             raise SynthesisError("exponent too large for a unit column")
     syllables: list[Syllable] = []
-    # one object per distinct H[1,q] and X[1,p], which a long trace repeats
-    shared: dict[Generator, Generator] = {}
-    levels: list[Level] = []
+    # one syllable per distinct pair p < q, which a long trace repeats,
+    # keyed by the integer p*w + q
+    w = n + 1
+    shared: dict[int, Syllable] = {}
+    # the levels as plain triples, made Level values once at the end
+    levels: list[tuple[int, int, int]] = []
     # the level names the column to fix next, j, and brings its numerators
     # ca, cb scaled by rt2^k; odd lists the rows whose ca is odd, in no
     # particular order
     current, ca, cb = _level_unchecked(ks, ra, rb)
     odd = _odd_rows(current.k, ca)
     initial = current
-    while current.j:
+    while current[0]:
         if len(syllables) >= MAX_SYLLABLES:
             raise SynthesisBudgetError(
                 f"the normal form passes the limit of {MAX_SYLLABLES} syllables (MAX_SYLLABLES)"
             )
-        j, k = current.j, current.k
+        j, k = current[0], current[1]
         lv = None
         if k > 0:
             if not odd:
@@ -140,20 +143,23 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
             if pair is None:
                 raise SynthesisError("odd residues must pair up in a unit column")
             p, q = pair
-            # 1 <= p < q, so the generators are valid as built
-            h = Generator("H", (1, q))
-            gens = [h] if p == 1 else [h, Generator("X", (1, p))]
-            gens = [shared.setdefault(g, g) for g in gens]
+            syl = shared.get(p * w + q)
+            if syl is None:
+                # 1 <= p < q, so the generators are valid as built
+                h = Generator("H", (1, q))
+                syl = Syllable((h,) if p == 1 else (h, Generator("X", (1, p))))
+                shared[p * w + q] = syl
         else:
             a = next((i for i in range(1, n + 1) if ca[i - 1] or cb[i - 1]), 0)
             if not (a and a <= j and ca[a - 1] in (1, -1) and cb[a - 1] == 0):
                 raise SynthesisError(f"column {j} is not a signed basis vector")
             tau = ca[a - 1] < 0
             if a == j:
-                gens = [gen_z(a)]  # column j is -e_j: +e_j would not be at level j
+                gens = (gen_z(a),)  # column j is -e_j: +e_j would not be at level j
             else:
-                gens = [gen_x(a, j), gen_z(a)] if tau else [gen_x(a, j)]
-        for g in reversed(gens):
+                gens = (gen_x(a, j), gen_z(a)) if tau else (gen_x(a, j),)
+            syl = Syllable(gens)
+        for g in reversed(syl.gens):
             apply_generator_rows(g, ks, ra, rb)
         if k > 0 and q <= j:
             # The syllable leaves every unit column above j alone.  In
@@ -172,22 +178,24 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
                 odd = _odd_rows(k, ca)
             # a column that became e_j is left to the scan below
             if k or ca[j - 1] != 1 or ca.count(0) + cb.count(0) != 2 * n - 1:
-                lv = Level(j, k, len(odd))
+                lv = (j, k, len(odd))
         if lv is None:
             # A row operation changes a unit column c only if it touches row
             # c, and every column above j is a unit column, so the scan may
             # start at the higher of j and the top touched row.
-            top = max(j, *(i for g in gens for i in g.idx))
+            top = max(j, *(i for g in syl.gens for i in g.idx))
             lv, ca, cb = _level_unchecked(ks, ra, rb, top)
-            odd = _odd_rows(lv.k, ca)
+            odd = _odd_rows(lv[1], ca)
         if not lv < current:
-            raise SynthesisError(f"syllable did not lower the level: {lv} !< {current}")
+            raise SynthesisError(
+                f"syllable did not lower the level: {Level(*lv)} !< {Level(*current)}"
+            )
         current = lv
-        syllables.append(Syllable(tuple(gens)))
+        syllables.append(syl)
         levels.append(lv)
     if not ExactMatrix.from_rows(ks, ra, rb).is_identity():
         raise SynthesisError("synthesis did not reach identity")
-    return SynthesisTrace(n, initial, tuple(syllables), tuple(levels))
+    return SynthesisTrace(n, initial, tuple(syllables), tuple(map(Level._make, levels)))
 
 
 def _pair(odd: list[int], cb: list[int], ks: list[int]) -> tuple[int, int] | None:
@@ -198,20 +206,24 @@ def _pair(odd: list[int], cb: list[int], ks: list[int]) -> tuple[int, int] | Non
     parity of their scaled rt2-part cb.  Each class with two rows offers
     its two of least (row exponent, index); of the offers, the one of
     least (exponent sum, second row's exponent, first index, second
-    index) wins.
+    index) wins.  A row i is keyed by the integer ks[i-1]*w + i, with w
+    past every index, which orders rows as (row exponent, index) does.
     """
-    classes: tuple[list, list] = ([], [])
+    w = len(ks) + 1
+    classes: tuple[list[int], list[int]] = ([], [])
     for i in odd:
-        classes[cb[i - 1] & 1].append((ks[i - 1], i))
-    offers = []
-    for rows in classes:
-        if len(rows) >= 2:
-            rows.sort()
-            (k1, r1), (k2, r2) = rows[:2]
-            offers.append((k1 + k2, k2, r1, r2))
-    if not offers:
+        classes[cb[i - 1] & 1].append(ks[i - 1] * w + i)
+    best = None
+    for keys in classes:
+        if len(keys) >= 2:
+            keys.sort()
+            (k1, r1), (k2, r2) = divmod(keys[0], w), divmod(keys[1], w)
+            offer = (k1 + k2, k2, r1, r2)
+            if best is None or offer < best:
+                best = offer
+    if best is None:
         return None
-    r1, r2 = min(offers)[2:]
+    r1, r2 = best[2:]
     return (r1, r2) if r1 < r2 else (r2, r1)
 
 
