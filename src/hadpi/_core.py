@@ -79,9 +79,13 @@ def reduce_nums(k, aa, bb):
     gb = gcd(*bb)
     m = k
     if ga:
-        m = min(m, 2 * (ga & -ga).bit_length() - 2)
+        v = 2 * (ga & -ga).bit_length() - 2
+        if v < m:
+            m = v
     if gb:
-        m = min(m, 2 * (gb & -gb).bit_length() - 1)
+        v = 2 * (gb & -gb).bit_length() - 1
+        if v < m:
+            m = v
     h = m >> 1
     if m & 1:
         # (a + b*rt2)/rt2 = b + (a/2)*rt2, then a plain shift by h; the

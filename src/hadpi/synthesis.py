@@ -30,7 +30,9 @@ row allows.  The matrix is scanned once per fixed column, and after
 each signed transposition or each syllable that touches a row past j
 (which only a matrix that is not orthogonal has); every scan
 checks that the level went down.  The end state is tested for the
-identity on its rows.
+identity on its rows.  Per syllable the loop keeps only plain values:
+the level as a triple, made a Level once at the end, and the syllable
+of a pair p < q as one shared object per pair, found by an integer key.
 """
 
 from __future__ import annotations
@@ -172,7 +174,10 @@ def _synthesize(M: ExactMatrix) -> SynthesisTrace:
             ca[q - 1], cb[q - 1] = b1 - b2, (a1 - a2) >> 1
             # rows 1 and q are now even; an odd row 1 outside the pair
             # moved to row p
-            odd = [p if i == 1 else i for i in odd if i != p and i != q]
+            if len(odd) > 2:
+                odd = [p if i == 1 else i for i in odd if i != p and i != q]
+            else:
+                odd = []
             if not odd:
                 k, ca, cb = reduce_nums(k, ca, cb)
                 odd = _odd_rows(k, ca)
@@ -209,6 +214,11 @@ def _pair(odd: list[int], cb: list[int], ks: list[int]) -> tuple[int, int] | Non
     index) wins.  A row i is keyed by the integer ks[i-1]*w + i, with w
     past every index, which orders rows as (row exponent, index) does.
     """
+    if len(odd) == 2:  # the common case: the two rows pair if they share a class
+        p, q = odd
+        if (cb[p - 1] - cb[q - 1]) & 1:
+            return None
+        return (p, q) if p < q else (q, p)
     w = len(ks) + 1
     classes: tuple[list[int], list[int]] = ([], [])
     for i in odd:
