@@ -13,7 +13,6 @@ matching the generator notation Z[a], X[b,c], H[b,c].
 
 from __future__ import annotations
 
-from math import gcd
 from operator import add, itemgetter, mul, neg, sub
 from typing import NamedTuple, Sequence
 
@@ -321,12 +320,14 @@ def apply_generator_rows(
     sa, sb = list(map(add, xa, ya)), list(map(add, xb, yb))
     da, db = list(map(sub, xa, ya)), list(map(sub, xb, yb))
     # the two rows differ by 2*y entrywise, so their a-parts are odd at the
-    # same entries, and one odd entry (an odd gcd) leaves both irreducible
-    # at k+1
-    if gcd(*sa) & 1:
-        ks[i1] = ks[i2] = k + 1
-        ra[i1], rb[i1], ra[i2], rb[i2] = sa, sb, da, db
-        return
+    # same entries, and one odd entry leaves both irreducible at k+1.  The
+    # scan stops at that entry; a gcd would read every entry, which costs
+    # more on the long rows of large numerators that a large n builds.
+    for a in sa:
+        if a & 1:
+            ks[i1] = ks[i2] = k + 1
+            ra[i1], rb[i1], ra[i2], rb[i2] = sa, sb, da, db
+            return
     ks[i1], ra[i1], rb[i1] = reduce_nums(k + 1, sa, sb)
     ks[i2], ra[i2], rb[i2] = reduce_nums(k + 1, da, db)
 
