@@ -224,6 +224,28 @@ def oracle_synthesize(M):
     return initial, tuple(syllables), tuple(levels)
 
 
+def pair_by_sorting(odd: list[int], cb: list[int], ks: list[int]):
+    """Reference pair choice on synthesis's own inputs: the odd rows (1-based,
+    in any order), the scaled rt2-parts cb of the column and the row
+    exponents ks.  Each residue class (the parity of cb) sorts its rows by
+    (row exponent, index) and offers its first two; the offer of least
+    (exponent sum, second row's exponent, first index, second index)
+    wins, returned as rows p < q.  None when no class has two rows."""
+    classes: tuple[list, list] = ([], [])
+    for i in odd:
+        classes[cb[i - 1] & 1].append((ks[i - 1], i))
+    offers = []
+    for rows in classes:
+        if len(rows) >= 2:
+            rows.sort()
+            (k1, r1), (k2, r2) = rows[:2]
+            offers.append((k1 + k2, k2, r1, r2))
+    if not offers:
+        return None
+    r1, r2 = min(offers)[2:]
+    return (r1, r2) if r1 < r2 else (r2, r1)
+
+
 def reduce_nums_stepwise(k: int, aa: list[int], bb: list[int]):
     """Reference rt2 stripping, one factor per pass: (a + b*rt2)/rt2 is
     b + (a/2)*rt2, legal while every a is even and k > 0."""

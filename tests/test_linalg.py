@@ -364,10 +364,16 @@ def _times_rt2_pow(aa: list[int], bb: list[int], d: int) -> tuple[list[int], lis
 
 @st.composite
 def numerator_arrays(draw):
-    """(k, aa, bb) with entries scaled by rt2^pad, so valuations reach past k."""
+    """(k, aa, bb) with entries of either sign scaled by rt2^pad, so
+    valuations reach past k, and one part all zeros in about a third of
+    the draws (its gcd is 0, its valuation infinite)."""
     size = draw(st.integers(0, 8))
     entries = st.lists(st.integers(-(2**40), 2**40), min_size=size, max_size=size)
-    aa, bb = _times_rt2_pow(draw(entries), draw(entries), draw(st.integers(0, 24)))
+    aa, bb = draw(entries), draw(entries)
+    zero = draw(st.sampled_from(["", "a", "b"]))
+    if zero:
+        aa, bb = ([0] * size, bb) if zero == "a" else (aa, [0] * size)
+    aa, bb = _times_rt2_pow(aa, bb, draw(st.integers(0, 24)))
     return draw(st.integers(0, 24)), aa, bb
 
 
@@ -375,8 +381,13 @@ def numerator_arrays(draw):
 @example((0, [4, 2], [8, 0]))  # k = 0: nothing to strip
 @example((5, [], []))  # empty arrays strip every factor
 @example((6, [0, 0, 0], [3, 0, -6]))  # all-zero aa, odd b: exactly one factor
+@example((6, [0, 0], [0, 0]))  # both parts zero: stop at k
+@example((9, [-12, 4, 0], [0, 0, 0]))  # all-zero bb: v2(a) = 2 gives four factors
 @example((7, [2, 3], [4, 4]))  # an odd a: returned unchanged
+@example((7, [-6, -3], [4, 4]))  # an odd negative a: returned unchanged
 @example((3, [64, -128], [32, 0]))  # valuations above k: stop at k
+@example((4, [-64, 0], [-32, 96]))  # negative entries, valuations above k
+@example((9, [-8, 24], [-4, 12]))  # negative entries: 2*v2(b) + 1 = 5 factors
 def test_reduce_nums_matches_stepwise_reference(args):
     k, aa, bb = args
     got = reduce_nums(k, list(aa), list(bb))
@@ -389,6 +400,37 @@ def test_reduce_nums_odd_entry_returns_input_unchanged():
     assert reduce_nums(4, aa, bb) == (4, [2, 3, 0], [1, 1, 5])
     assert reduce_nums(6, [0, 0], [3, -6]) == (5, [3, -6], [0, 0])
     assert reduce_nums(3, [64, -128], [32, 0]) == (0, [16, 0], [16, -32])
+
+
+# H[1,2] on two rows (ks, ra, rb), each at its least exponent, with the rt2
+# factors it strips from the sum and from the difference, which sit at the
+# larger exponent plus one.  A row at a larger exponent k > 0 has an odd
+# a-part, and the other row lifted to k has an even one, so rows at unequal
+# exponents always give an irreducible sum.
+H_ROW_CASES = {
+    "irreducible": ([3, 3], [[1, -1, 1], [-3, -3, 0]], [[2, -2, 0], [2, 1, -3]], 0, 0),
+    "irreducible-lifted": ([1, 3], [[2, 1, -1], [2, -2, 1]], [[0, 1, 1], [0, 2, 1]], 0, 0),
+    "one-factor": ([0, 0], [[-3, -1, -3], [-3, 1, 1]], [[0, -3, -1], [0, 2, -2]], 1, 1),
+    "two-factors": ([1, 1], [[-3, -1, -1], [1, 1, -1]], [[2, -1, 2], [0, -1, -2]], 2, 2),
+    "three-factors": ([2, 2], [[0, 0, 3], [0, 0, -3]], [[0, 1, 0], [0, -3, 0]], 3, 2),
+    "zero-difference": ([0, 0], [[1, 0, 0], [1, 0, 0]], [[0, 0, 0], [0, 0, 0]], 1, 1),
+}
+
+
+@pytest.mark.parametrize("case", H_ROW_CASES.values(), ids=H_ROW_CASES)
+def test_h_row_operation_outcomes(case):
+    ks, ra, rb, strip_sum, strip_diff = case
+    x, y = ([FracRT2.of(a, b, ks[r]) for a, b in zip(ra[r], rb[r])] for r in (0, 1))
+    assert [oracle_lde(*x), oracle_lde(*y)] == ks
+    top = max(ks)
+    ks, ra, rb = list(ks), list(ra), list(rb)
+    apply_generator_rows(gen_h(1, 2), ks, ra, rb)
+    assert [top + 1 - ks[0], top + 1 - ks[1]] == [strip_sum, strip_diff]
+    half_rt2 = FracRT2.of(1, 0, 1)
+    for r, want in ((0, [u + v for u, v in zip(x, y)]), (1, [u - v for u, v in zip(x, y)])):
+        got = [FracRT2.of(a, b, ks[r]) for a, b in zip(ra[r], rb[r])]
+        assert got == [w * half_rt2 for w in want]
+        assert ks[r] == oracle_lde(*got)
 
 
 def _deep_word(rng: random.Random, n: int, length: int) -> list[Generator]:

@@ -6,7 +6,9 @@ import random
 from itertools import permutations, product
 
 import pytest
-from oracles import generator_matrix, oracle_level, oracle_synthesize
+from hypothesis import example, given
+from hypothesis import strategies as st
+from oracles import generator_matrix, oracle_level, oracle_synthesize, pair_by_sorting
 from test_synthesis_golden import CASES, golden_word
 
 from hadpi.linalg import (
@@ -324,6 +326,31 @@ def test_odd_row_1_outside_the_pair_moves_to_row_p():
     tr = synthesize(M)
     assert [str(s) for s in tr.syllables[:2]] == ["H[1,5] X[1,3]", "H[1,4] X[1,3]"]
     assert _plain(tr) == oracle_synthesize(M)
+
+
+@st.composite
+def pair_inputs(draw):
+    """Odd rows in any order, with the cb and ks lists of their column:
+    few exponents and small rt2-parts, so ties and lone rows are common."""
+    n = draw(st.integers(1, 12))
+    cb = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    ks = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    odd = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(0, n))]
+    return odd, cb, ks
+
+
+@given(pair_inputs())
+@example(([], [0], [0]))  # no odd row
+@example(([2], [0, 1], [1, 1]))  # one row
+@example(([1, 2], [0, 1], [1, 1]))  # one row per class: no pair
+@example(([2, 1], [1, -1], [0, 0]))  # two rows of one class, listed high first
+@example(([3, 1, 4, 2], [1, 1, -1, 1], [2, 2, 2, 2]))  # tied exponents: the indices decide
+@example(([4, 3, 2, 1], [0, 0, 1, 1], [1, 2, 0, 2]))  # the exponent sum decides
+@example(([1, 2, 3, 4], [1, 1, 0, 0], [0, 2, 1, 1]))  # tied sums: the second exponent
+@example(([4, 2, 3, 1], [0, 1, 0, 1], [1, 1, 1, 1]))  # tied offers: the first index
+def test_pair_agrees_with_the_sorting_reference(args):
+    odd, cb, ks = args
+    assert hadpi.synthesis._pair(list(odd), cb, ks) == pair_by_sorting(list(odd), cb, ks)
 
 
 def test_permutation_word_is_the_synthesized_one():
