@@ -119,6 +119,19 @@ def test_deep_nesting_exits_two(capsys, shape):
     assert f"limit of {lang.MAX_NESTING} levels (MAX_NESTING)" in err
 
 
+def test_recursion_past_the_limit_exits_one(capsys, monkeypatch):
+    # the safety net behind the nesting budget: should code bounded through
+    # MAX_NESTING still pass the interpreter's recursion limit, the command
+    # fails with one line, not a traceback
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "typecheck", too_deep)
+    code, out, err = run(capsys, "check", "had")
+    assert (code, out) == (1, "")
+    assert err == "error: the input nests past the interpreter's recursion limit\n"
+
+
 @pytest.mark.parametrize("shape", NEST_SHAPES)
 def test_nesting_budget_boundary(capsys, shape):
     limit = lang.MAX_NESTING
@@ -432,6 +445,7 @@ NON_ORTHOGONAL = [
     "dim 3/lde 0/1 0 0/0 1 0/0 0 0",  # column 3 is zero
     "dim 3/lde 1/1 1 0/1 -1 0/0 0 1",  # H[1,2] with (3,3) perturbed
     "dim 3/lde 1/1 1 0/1 -1 1/0 0 2*rt2",  # H[1,2] with (2,3) and (3,3) perturbed
+    "dim 2/lde 1/1 1/1 1+rt2",  # two odd rows of column 1 in different residue classes
     # an exponent no unit column allows: row operations would build 6 GB
     "dim 1/lde 99999999999/1",
 ]

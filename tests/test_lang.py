@@ -11,6 +11,7 @@ import time
 import pytest
 
 from hadpi.lang import (
+    BudgetError,
     CombinatorType,
     Factorz,
     GATE_CCX,
@@ -97,6 +98,29 @@ def test_typecheck_error_paths():
         typecheck(Prim("factor"), Sum(Prod(ONE, TWO), Prod(ONE, ONE)))
     with pytest.raises(LangError, match="unknown primitive"):
         typecheck(Prim("swap"), TWO)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (
+            lambda: typecheck(Factorz(nsum(201)), ZERO),
+            BudgetError,
+            "at term: factorz nests the type more than 100 levels (MAX_NESTING)"
+            " past the deeper of its source and MAX_NESTING",
+        ),
+        (lambda: typecheck(SumC(ID, "had"), TWO), LangError, "at sum.right: not a term: 'had'"),
+        (lambda: infer_source(Prim("foo")), LangError, "unknown primitive foo"),
+        (lambda: infer_source(Seq(HAD, "x")), LangError, "not a term: 'x'"),
+        (lambda: nsum(-1), LangError, "nsum needs a natural number"),
+    ],
+    ids=["factorz-too-deep", "typecheck-not-a-term", "infer-unknown", "infer-not-a-term", "nsum"],
+)
+def test_rare_refusals_are_pinned(call, error, message):
+    # refusals that no other test reaches, each with its class and message
+    with pytest.raises(LangError) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def _types_to_depth(depth: int) -> list:

@@ -33,6 +33,7 @@ from termgen import (
 )
 
 import hadpi.lang
+import hadpi.translate
 import hadpi.words
 from hadpi.lang import (
     ONE,
@@ -594,6 +595,19 @@ def test_inverse_output_text_is_pinned():
     assert hashlib.sha256(text.encode()).hexdigest() == INVERSE_GOLDEN_SHA256
 
 
+def _fold_corpus():
+    """(program, source type): a chain, a sum and a product of terms, each
+    met again at its input type, with factorz and absorb at the seams."""
+    f = seqs(Factorz(TWO), Prim("absorb"), Factorz(TWO))  # 0 <-> (1+1)*0
+    s, p = SumC(f, HAD), ProdC(HAD, SumC(HAD, ID))  # shared below
+    return [
+        (f, ZERO),
+        (seqs(s, SumC(Prim("absorb"), HAD), s), Sum(ZERO, TWO)),
+        (seqs(p, p, Prim("swap*"), ProdC(SumC(HAD, ID), HAD)), Prod(TWO, Sum(TWO, ONE))),
+        (seqs(ProdC(ID, f), ProdC(ID, Prim("absorb")), ProdC(ID, f)), Prod(TWO, ZERO)),
+    ]
+
+
 def test_inverse_and_t_h_walk_each_term_once(monkeypatch):
     # a fold reads the target of each node of a seq chain, a factorz too,
     # off the memos of the one walk that checked the term
@@ -610,14 +624,7 @@ def test_inverse_and_t_h_walk_each_term_once(monkeypatch):
             nodes.append(self)
             return super().node(*args)
 
-    f = seqs(Factorz(TWO), Prim("absorb"), Factorz(TWO))  # 0 <-> (1+1)*0
-    s, p = SumC(f, HAD), ProdC(HAD, SumC(HAD, ID))  # shared below
-    corpus = [
-        (f, ZERO),
-        (seqs(s, SumC(Prim("absorb"), HAD), s), Sum(ZERO, TWO)),
-        (seqs(p, p, Prim("swap*"), ProdC(SumC(HAD, ID), HAD)), Prod(TWO, Sum(TWO, ONE))),
-        (seqs(ProdC(ID, f), ProdC(ID, Prim("absorb")), ProdC(ID, f)), Prod(TWO, ZERO)),
-    ]
+    corpus = _fold_corpus()
     for c, b in corpus:
         assert sem(seqs(c, inverse(c, b)), b).is_identity()
     monkeypatch.setattr(hadpi.lang, "_Walk", CountingWalk)
@@ -627,6 +634,69 @@ def test_inverse_and_t_h_walk_each_term_once(monkeypatch):
             nodes.clear()
             run(c, b)
             assert len(walks) == 1 and nodes == walks, (run.__name__, format_term(c))
+
+
+def _fold_sites(c, b):
+    """The (leaf, input), (seq chain, input) and (sum or product of terms,
+    input) pairs of c at b, each node by its id, found by recursion; a chain
+    counts where c, a sum or a product holds it, not where another chain
+    does.  The pairs hold their input types, which keeps their ids."""
+    leaves, chains, pairs = set(), set(), set()
+
+    def visit(x, xb, held):
+        if type(x) is Seq:
+            if held:
+                chains.add((id(x), xb))
+            visit(x.fst, xb, False)
+            visit(x.snd, typecheck(x.fst, xb).dst, False)
+        elif type(x) in (Prim, Factorz):
+            leaves.add((id(x), xb))
+        else:
+            pairs.add((id(x), xb))
+            visit(x.left, xb.left, True)
+            visit(x.right, xb.right, True)
+
+    visit(c, b, True)
+    return leaves, chains, pairs
+
+
+def test_fold_makes_each_part_once(monkeypatch):
+    # fold calls leaf once per distinct leaf and input, spine once per
+    # distinct chain and input, and pair once per distinct sum or product
+    # and input, so a node met again yields the one part it first did
+    calls = []
+    fold = hadpi.lang.fold
+
+    def counting_fold(c, b, lang, leaf, spine, pair):
+        def on_leaf(x, xb):
+            calls.append(("leaf", id(x), xb))
+            return leaf(x, xb)
+
+        def on_spine(parts):
+            calls.append(("spine",))
+            return spine(parts)
+
+        def on_pair(x, xb, *rest):
+            calls.append(("pair", id(x), xb))
+            return pair(x, xb, *rest)
+
+        return fold(c, b, lang, on_leaf, on_spine, on_pair)
+
+    monkeypatch.setattr(hadpi.lang, "fold", counting_fold)
+    monkeypatch.setattr(hadpi.translate, "fold", counting_fold)
+    corpus = _fold_corpus()
+    for c, b in corpus:
+        leaves, chains, pairs = _fold_sites(c, b)
+        for run in (inverse, t_h):
+            calls.clear()
+            out = run(c, b)
+            where = (run.__name__, format_term(c))
+            for kind, want in (("leaf", leaves), ("pair", pairs)):
+                made = [k[1:] for k in calls if k[0] == kind]
+                assert len(made) == len(want) and set(made) == want, (kind, *where)
+            assert sum(k[0] == "spine" for k in calls) == len(chains), where
+            if c is corpus[1][0]:  # s, then s again at its input: one part
+                assert out.fst.fst is out.snd, where
 
 
 # ---------------------------------------------------------------------------

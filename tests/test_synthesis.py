@@ -89,6 +89,13 @@ def test_non_orthogonal_rejected():
     shear = ExactMatrix(2, 0, [1, 1, 0, 1], [0] * 4)
     with pytest.raises(SynthesisError):
         synthesize(shear)
+    # column 1 is (1, 1+rt2)/rt2: its two odd rows have the residues 1 and
+    # 1+rt2, so no pair of rows clears them
+    unpaired = ExactMatrix(2, 1, [1, 1, 1, 1], [0, 0, 0, 1])
+    with pytest.raises(SynthesisError, match="^odd residues must pair up in a unit column$"):
+        hadpi.synthesis._synthesize(unpaired)
+    with pytest.raises(SynthesisError, match="^synthesis requires an orthogonal matrix$"):
+        synthesize(unpaired)
 
 
 def test_exponent_guard_runs_per_row_before_any_row_operation(monkeypatch):
