@@ -596,11 +596,13 @@ def test_inverse_output_text_is_pinned():
 
 
 def _fold_corpus():
-    """(program, source type): a chain, a sum and a product of terms, each
-    met again at its input type, with factorz and absorb at the seams."""
+    """(program, source type): a primitive, a chain, a sum and a product of
+    terms, each met again at its input type, with factorz and absorb at the
+    seams."""
     f = seqs(Factorz(TWO), Prim("absorb"), Factorz(TWO))  # 0 <-> (1+1)*0
     s, p = SumC(f, HAD), ProdC(HAD, SumC(HAD, ID))  # shared below
     return [
+        (seqs(HAD, SWP, HAD), TWO),
         (f, ZERO),
         (seqs(s, SumC(Prim("absorb"), HAD), s), Sum(ZERO, TWO)),
         (seqs(p, p, Prim("swap*"), ProdC(SumC(HAD, ID), HAD)), Prod(TWO, Sum(TWO, ONE))),
@@ -695,7 +697,7 @@ def test_fold_makes_each_part_once(monkeypatch):
                 made = [k[1:] for k in calls if k[0] == kind]
                 assert len(made) == len(want) and set(made) == want, (kind, *where)
             assert sum(k[0] == "spine" for k in calls) == len(chains), where
-            if c is corpus[1][0]:  # s, then s again at its input: one part
+            if c is corpus[2][0]:  # s, then s again at its input: one part
                 assert out.fst.fst is out.snd, where
 
 
