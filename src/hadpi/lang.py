@@ -541,7 +541,8 @@ def _spine(c: Term) -> list[Term]:
 # lowering: one memoized walk behind typecheck, sem, inverse and translation
 #
 # Every walk lowers: typecheck keeps its target, sem and the translations
-# its program, and fold (inverse, t_h) the target types its memos hold.
+# its program, and fold (inverse, t_h) reads its memos as the typing
+# derivation of the term, with no walk of its own.
 #
 # A subterm runs at a placement (base, copies, stride) in the rows of the
 # source's basis, 0-based.  Inside a product of terms a factor runs once per
@@ -563,8 +564,8 @@ def _spine(c: Term) -> list[Term]:
 class _Walk:
     """A walk of c at input b in a language, no type deeper than limit
     (default _depth_limit(b)): dst is c's target type and ops its program of
-    placed primitives.  Its memos answer questions about the nodes of c
-    (target) with no second walk.
+    placed primitives.  Its memos record the target of every node of c at
+    each input type it met, which fold reads with no second walk.
 
     A primitive's target is memoized on its name and input type (equal
     types are one object).  Every other node but a leaf factorz is memoized
@@ -584,7 +585,7 @@ class _Walk:
         self.steps: dict[tuple, tuple] = {}
         # (id(node), id(input)) -> (node, input, limit, target, copies,
         # base, stride, start, end); holding the node and the input keeps
-        # their ids unique
+        # their ids unique, and a node's first entry follows its operands'
         self.memo: dict[tuple, tuple] = {}
         if hdim(b) > MAX_DIM:
             raise BudgetError(
@@ -701,16 +702,6 @@ class _Walk:
             exc.steps += [frame[3] for frame in reversed(frames)]
             raise
 
-    def target(self, c: Term, b: ValueType) -> ValueType:
-        """Target type of a node of c at an input b this walk met it at: a
-        primitive's from its step, a factorz's from its operand, and any
-        other node's from its memo entry."""
-        if type(c) is Prim:
-            return self.steps[c.name, b][0]
-        if type(c) is Factorz:
-            return Prod(c.operand, ZERO)
-        return self.memo[id(c), id(b)][3]
-
 
 def lower(
     c: Term, b: ValueType, lang: str = "qpi", limit: Optional[int] = None
@@ -754,52 +745,51 @@ def term_equivalence(c1: Term, c2: Term, input: ValueType, lang: str) -> Equival
 
 
 def fold(c: Term, b: ValueType, lang: str, leaf, spine, pair):
-    """The part for c at input b, folded bottom-up off an explicit stack
-    over the nodes one _Walk of c met: leaf(x, xb) for a primitive or
-    factorz x at input xb; spine(parts) for a seq chain, given the parts for
-    its non-seq nodes in application order (_spine); pair(x, xb, target,
-    left, right) for a sum or product of terms x, where target(y, yb) is the
-    target type of a node y of c at its input yb, read off the walk's memos.
-    A node met again at the same input type yields the part it first did,
-    so the part for a shared node is shared."""
-    target = _Walk(c, b, lang).target
-    done: dict[tuple, tuple] = {}  # (id(node), id(input)) -> (node, input, part)
-    # the composites open around x: (node, input, the nodes below it, their
-    # parts so far)
-    frames: list[tuple] = []
-    x, xb = c, b
-    while True:
-        if (hit := done.get(key := (id(x), id(xb)))) is not None:
-            part = hit[2]
-        elif type(x) is Prim or type(x) is Factorz:
-            part = leaf(x, xb)
-            done[key] = (x, xb, part)
-        else:
-            nodes = _spine(x) if type(x) is Seq else (x.left, x.right)
-            frames.append((x, xb, nodes, []))
-            if type(x) is not Seq:
-                xb = xb.left
-            x = nodes[0]
-            continue
-        # x at input xb is done: resume the frames it finishes
-        while frames:
-            y, yb, nodes, parts = frames[-1]
-            parts.append(part)
-            if len(parts) < len(nodes):
-                xb = target(x, xb) if type(y) is Seq else yb.right
-                x = nodes[len(parts)]
-                break
-            frames.pop()
-            part = spine(parts) if type(y) is Seq else pair(y, yb, target, *parts)
-            done[id(y), id(yb)] = (y, yb, part)
-            x, xb = y, yb
-        else:
-            return part
+    """The part for c at input b, folded bottom-up over the record of one
+    _Walk of c: leaf(x, xb) for a primitive or factorz x at input xb;
+    spine(parts) for a seq chain, given the parts for its non-seq nodes in
+    application order (_spine); pair(x, xb, dst, left, right) for a sum or
+    product of terms x with target dst.  The walk's memo holds each sum or
+    product after its operands, so one pass over it pairs them in order; a
+    chain is folded where c, a sum or a product holds it, reading each
+    node's target off the walk, and a leaf on its first use.  A node met
+    again at the same input type yields the part it first did, so the part
+    for a shared node is shared."""
+    walk = _Walk(c, b, lang)
+    steps, memo = walk.steps, walk.memo
+    # (id(node), id(input)) -> part; the walk holds the node and the input
+    parts: dict[tuple, object] = {}
+
+    def part(x: Term, xb: ValueType):
+        """The part for x at xb: a sum's or a product's is made already."""
+        if (hit := parts.get(key := (id(x), id(xb)))) is not None:
+            return hit
+        if type(x) is not Seq:
+            out = parts[key] = leaf(x, xb)
+            return out
+        chain = []
+        for y in _spine(x):
+            if (got := parts.get(k := (id(y), id(xb)))) is None:  # a leaf met first
+                got = parts[k] = leaf(y, xb)
+            chain.append(got)
+            if type(y) is Prim:
+                xb = steps[y.name, xb][0]
+            elif type(y) is Factorz:
+                xb = Prod(y.operand, ZERO)
+            else:
+                xb = memo[k][3]
+        out = parts[key] = spine(chain)
+        return out
+
+    for x, xb, _, dst, *_ in memo.values():
+        if type(x) is SumC or type(x) is ProdC:
+            parts[id(x), id(xb)] = pair(x, xb, dst, part(x.left, xb.left), part(x.right, xb.right))
+    return part(c, b)
 
 
 def inverse(c: Term, input: ValueType, lang: str = "qpi") -> Term:
     """Type-directed syntactic inverse: sem(inverse(c)) @ sem(c) = I."""
-    pair = lambda c, b, target, left, right: type(c)(left, right)  # noqa: E731
+    pair = lambda c, b, dst, left, right: type(c)(left, right)  # noqa: E731
     return fold(c, input, lang, _inv_leaf, lambda parts: seqs(*reversed(parts)), pair)
 
 

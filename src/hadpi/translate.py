@@ -169,10 +169,9 @@ def t_h(c: Term, input: ValueType) -> Term:
             out = leaves[c.name] = SumC(_ID, c)
         return out
 
-    def pair(c: Term, b: ValueType, target, left: Term, right: Term) -> Term:
+    def pair(c: Term, b: ValueType, d: ValueType, left: Term, right: Term) -> Term:
         if type(c) is SumC:
             return _th_sum(left, right)
-        d = target(c, b)
         if c.left == _ID:
             return _th_id_times(b.left, right, d.right, done)
         first = _th_id_times(b.right, left, d.left, done)
