@@ -761,7 +761,8 @@ def fold(c: Term, b: ValueType, lang: str, leaf, spine, pair):
     parts: dict[tuple, object] = {}
 
     def part(x: Term, xb: ValueType):
-        """The part for x at xb: a sum's or a product's is made already."""
+        """The part for x at xb: a leaf's or a chain's is made on first use,
+        a sum's or a product's is made already."""
         if (hit := parts.get(key := (id(x), id(xb)))) is not None:
             return hit
         if type(x) is not Seq:
@@ -769,7 +770,7 @@ def fold(c: Term, b: ValueType, lang: str, leaf, spine, pair):
             return out
         chain = []
         for y in _spine(x):
-            if (got := parts.get(k := (id(y), id(xb)))) is None:  # a leaf met first
+            if (got := parts.get(k := (id(y), id(xb)))) is None:  # only a leaf's is missing
                 got = parts[k] = leaf(y, xb)
             chain.append(got)
             if type(y) is Prim:
